@@ -12,9 +12,8 @@ Usage:
 import argparse
 
 from selfsim.params import make_params
-from selfsim.profile_ode import IntegratorOptions
-from selfsim.classify import bisect_a_star, bracket_search
-from selfsim.pde import PdeConfig, compare_to_profile, make_grid, make_initial, rescale_frames, run_to_extinction
+from selfsim.classify import find_ground_state
+from selfsim.pde import compare_to_profile, make_grid, make_initial, rescale_frames, run_to_extinction, separable_config
 from selfsim.reporting import write_csv
 
 
@@ -28,15 +27,14 @@ def main():
     args = ap.parse_args()
 
     P = make_params(args.N, args.p)
-    opts = IntegratorOptions()
-    gs = bisect_a_star(P, bracket_search(P, opts), tol_a=1e-10, opts=opts)
+    gs = find_ground_state(P)
     print(f"a_* = {gs.a_star:.12g}")
 
     rows = []
     prev_err = None
     for M in args.levels:
         grid = make_grid(args.r_inf, M)
-        cfg = PdeConfig(params=P, init_kind="separable", T0=1.0, kappa0=0.25 * gs.a_star)
+        cfg = separable_config(P, gs.a_star)
         frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))
         rescaled = rescale_frames(frames, frames.T_e_estimate)
         errs = compare_to_profile(frames, rescaled, gs.traj)

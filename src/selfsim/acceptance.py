@@ -25,14 +25,7 @@ from .pohozaev import (
     small_a_limit_z0,
     wronskian_check,
 )
-from .classify import (
-    GroundStateResult,
-    bisect_a_star,
-    bracket_search,
-    classify,
-    estimate_l,
-    tail_slopes,
-)
+from .classify import GroundStateResult, classify, estimate_l, find_ground_state, tail_slopes
 from .pde import (
     PdeConfig,
     compare_to_profile,
@@ -41,6 +34,7 @@ from .pde import (
     rate_exponent,
     rescale_frames,
     run_to_extinction,
+    separable_config,
     weighted_functionals,
 )
 
@@ -93,12 +87,10 @@ class AcceptanceContext:
         return self._memo(("params", N, p), lambda: make_params(N, p))
 
     def ground_state(self, N: int, p: float, rel_tol: float = 1e-10) -> GroundStateResult:
-        def build():
-            opts = IntegratorOptions(rel_tol=rel_tol)
-            P = self.params(N, p)
-            return bisect_a_star(P, bracket_search(P, opts), tol_a=1e-10, opts=opts)
-
-        return self._memo(("gs", N, p, rel_tol), build)
+        return self._memo(
+            ("gs", N, p, rel_tol),
+            lambda: find_ground_state(self.params(N, p), IntegratorOptions(rel_tol=rel_tol)),
+        )
 
     def trajectory(self, N: int, p: float, a: float, **opt_kw) -> Trajectory:
         key = ("traj", N, p, a, tuple(sorted(opt_kw.items())))
@@ -108,14 +100,9 @@ class AcceptanceContext:
 
     def pde_separable(self, M: int = 2000):
         def build():
-            P = self.params(2, 1.5)
             gs = self.ground_state(2, 1.5)
-            grid = make_grid(15.0, M)
-            cfg = PdeConfig(
-                params=P, init_kind="separable", T0=1.0, kappa0=0.25 * gs.a_star
-            )
-            frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))
-            return frames
+            cfg = separable_config(self.params(2, 1.5), gs.a_star)
+            return run_to_extinction(cfg, make_initial(cfg, make_grid(15.0, M), gs.traj))
 
         return self._memo(("pde-sep", M), build)
 
@@ -137,14 +124,6 @@ class AcceptanceContext:
 def _fd4(fun, r: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order central difference of fun at the points r."""
     return (fun(r - 2 * h) - 8 * fun(r - h) + 8 * fun(r + h) - fun(r + 2 * h)) / (12.0 * h)
-
-
-def _linfit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    m, b = np.polyfit(x, y, 1)
-    y_hat = m * x + b
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((y - y_hat) ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return float(m), float(b), r2
 
 
 def criterion_1(ctx: AcceptanceContext, res: CriterionResult):

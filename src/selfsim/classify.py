@@ -41,6 +41,7 @@ __all__ = [
     "classify",
     "bracket_search",
     "bisect_a_star",
+    "find_ground_state",
     "estimate_l",
     "tail_slopes",
     "tail_integral_check",
@@ -270,6 +271,14 @@ def bisect_a_star(
         iterations=iterations,
         traj=traj,
     )
+
+
+def find_ground_state(
+    params: Params, opts: IntegratorOptions | None = None, tol_a: float = 1e-10
+) -> GroundStateResult:
+    """The ground state a_*: bracket from a = 1, then bisect down to tol_a."""
+    opts = opts or IntegratorOptions()
+    return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)
 
 
 def _trust_radius(

@@ -12,9 +12,9 @@ to a `.meta.json` sidecar only (pass --meta).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,13 +26,7 @@ from .profile_ode import (
     integrate,
 )
 from .pohozaev import J_along, coeff_functions, pohozaev_coeffs, G_cubic, G_direct
-from .classify import (
-    BisectionStallError,
-    BracketFailureError,
-    bisect_a_star,
-    bracket_search,
-    classify,
-)
+from .classify import BisectionStallError, BracketFailureError, classify, find_ground_state
 from .pde import (
     MaxStepsExceededError,
     PdeConfig,
@@ -42,6 +36,7 @@ from .pde import (
     make_initial,
     rescale_frames,
     run_to_extinction,
+    separable_config,
 )
 from .reporting import SCHEMA_VERSION, write_csv, write_sidecar, write_summary
 from .acceptance import AcceptanceContext, run_acceptance
@@ -120,6 +115,25 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+class ThreadCountError(ValueError):
+    """SELFSIM_THREADS is not a positive integer."""
+
+
+def _sweep_workers(n_tasks: int) -> int:
+    """Worker count: SELFSIM_THREADS if set, clamped to the tasks and the CPUs."""
+    cap = min(n_tasks, os.cpu_count() or 1)
+    raw = os.environ.get("SELFSIM_THREADS")
+    if raw is None:
+        return cap
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = 0
+    if requested < 1:
+        raise ThreadCountError(f"SELFSIM_THREADS must be a positive integer, got {raw!r}")
+    return min(requested, cap)
+
+
 def _classify_one(payload):
     N, p, a, rmax, rtol = payload
     P = make_params(N, p)
@@ -134,8 +148,8 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.linspace(args.a_min, args.a_max, args.num)
     payloads = [(args.N, args.p, float(a), args.rmax, args.rtol) for a in grid]
-    workers = int(os.environ.get("SELFSIM_THREADS", "0")) or min(len(payloads), os.cpu_count() or 1)
-    if workers > 1 and len(payloads) > 1:
+    workers = _sweep_workers(len(payloads))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -159,8 +173,7 @@ def _nan(x):
 
 def cmd_find_astar(args) -> int:
     P = make_params(args.N, args.p)
-    opts = _opts(args)
-    gs = bisect_a_star(P, bracket_search(P, opts), tol_a=args.tol, opts=opts)
+    gs = find_ground_state(P, _opts(args), tol_a=args.tol)
     summary = _summary_skeleton(args, tol=args.tol, rmax=args.rmax, rtol=args.rtol)
     summary["results"] = {
         "a_lo": gs.a_lo,
@@ -186,7 +199,8 @@ def cmd_pohozaev(args) -> int:
     if args.a is not None:
         traj = integrate(P, args.a, IntegratorOptions(r_max=args.r_max))
         series = J_along(P, traj)
-        j_path = args.out.replace(".csv", "") + "_J.csv"
+        out = Path(args.out)
+        j_path = out.with_name(out.name.removesuffix(".csv") + "_J.csv")
         write_csv(j_path, ["r", "J", "G", "gsq"], zip(series.r, series.J, series.G, series.gsq))
         print(f"wrote {j_path}")
     summary = _summary_skeleton(args)
@@ -206,7 +220,6 @@ PDE_RUN_DEFAULTS = {
     "kappa0": 1.0,
     "T0": 1.0,
     "eps_reg": 1e-12,
-    "stepper": "imex",
 }
 
 
@@ -231,20 +244,15 @@ def cmd_pde_run(args) -> int:
         merged["M"], merged["r_inf"], merged["init"], merged["kappa0"], merged["T0"],
     )
     args.N, args.p = merged["N"], merged["p"]
-    cfg = PdeConfig(
-        params=P,
-        kappa0=merged["kappa0"],
-        init_kind=merged["init"],
-        T0=merged["T0"],
-        eps_reg=merged["eps_reg"],
-        stepper=merged["stepper"],
-    )
     profile = None
     if args.init == "separable":
-        opts = IntegratorOptions()
-        gs = bisect_a_star(P, bracket_search(P, opts), tol_a=1e-10, opts=opts)
+        gs = find_ground_state(P)
         profile = gs.traj
-        cfg = dataclasses.replace(cfg, kappa0=((2.0 - P.p) * args.T0) ** P.e_time * gs.a_star)
+        cfg = separable_config(P, gs.a_star, T0=args.T0, eps_reg=merged["eps_reg"])
+    else:
+        cfg = PdeConfig(
+            params=P, kappa0=args.kappa0, init_kind=args.init, T0=args.T0, eps_reg=merged["eps_reg"]
+        )
     frames = run_to_extinction(cfg, make_initial(cfg, grid, profile))
     write_csv(
         f"{args.out}_records.csv",
@@ -275,14 +283,13 @@ def cmd_pde_run(args) -> int:
 
 def cmd_pde_compare(args) -> int:
     P = make_params(args.N, args.p)
-    opts = IntegratorOptions()
-    gs = bisect_a_star(P, bracket_search(P, opts), tol_a=args.tol, opts=opts)
+    gs = find_ground_state(P, tol_a=args.tol)
     grid = make_grid(args.r_inf, args.M)
-    kappa0 = args.kappa0
     if args.init == "separable":
-        kappa0 = ((2.0 - P.p) * args.T0) ** P.e_time * gs.a_star
-    cfg = PdeConfig(params=P, kappa0=kappa0, init_kind=args.init, T0=args.T0)
-    frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj if args.init == "separable" else None))
+        cfg = separable_config(P, gs.a_star, T0=args.T0)
+    else:
+        cfg = PdeConfig(params=P, kappa0=args.kappa0, init_kind=args.init, T0=args.T0)
+    frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))  # exp_tail ignores the profile
     T_e = frames.T_e_estimate
     rescaled = rescale_frames(frames, T_e)
     errs = compare_to_profile(frames, rescaled, gs.traj)
@@ -302,6 +309,8 @@ def cmd_pde_compare(args) -> int:
         "supersolution_excess": frames.supersolution_excess,
     }
     write_summary(f"{args.out}_summary.json", summary)
+    if args.meta:
+        write_sidecar(f"{args.out}_summary.json", {"command": "pde-compare"})
     print(f"wrote {args.out}_compare.csv and {args.out}_summary.json")
     return EXIT_OK
 
@@ -418,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa0", type=float)
     sp.add_argument("--T0", type=float)
     sp.add_argument("--eps-reg", dest="eps_reg", type=float)
-    sp.add_argument("--stepper", choices=["imex", "explicit"])
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_pde_run)
@@ -460,9 +468,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

@@ -8,19 +8,22 @@ cell, justified by the exponential decay of admissible data. The flux is
 regularized, Phi(s) = (s^2 + eps^2)^((p-2)/2) s, to cap the fast-diffusion
 singularity |grad u|^(p-2) -> inf at flat points.
 
-Two steppers share this spatial discretization:
+Production time stepping (``run_to_extinction``) is lagged-diffusivity
+backward Euler: the face flux is c(D^n) D^(n+1) with the secant diffusivity
+c(s) = (s^2+eps^2)^((p-2)/2), giving an M-matrix tridiagonal solve
+(positivity and max principle), with the gradient-absorption sink on the
+solve's right-hand side and the result clipped at zero. Each step is the
+Richardson extrapolation of one dt sweep and two dt/2 sweeps, after a
+plain-BE start; the step size is controlled by the max relative change per
+step (REL_CHANGE).
 
-* ``explicit``: the forward-Euler update with the per-step dt rule
-  cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Dbar|^(p-1))).
-  Unconditionally faithful but bound by Phi'(0) = eps^(p-2): some interface
-  always sits at D ~ 0 (the flat center, the far tail), so dt ~ 1e-9 at
-  production resolution and full extinction runs are out of reach.
-* ``imex`` (default): lagged-diffusivity backward Euler; the face flux is
-  c(D^n) D^(n+1) with the secant diffusivity c(s) = (s^2+eps^2)^((p-2)/2),
-  giving an M-matrix tridiagonal solve (positivity and max principle), with
-  the gradient-absorption sink applied exactly per step (constant-in-u decay
-  saturating at zero). Step size is accuracy-controlled by the max relative
-  change per step.
+``step`` is the explicit forward-Euler update on the same spatial operator,
+with the stability rule ``explicit_dt``
+cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Dbar|^(p-1))). It is
+bound by Phi'(0) = eps^(p-2) (some interface always sits at D ~ 0: the flat
+center, the far tail), so dt ~ 1e-9 at production resolution and it cannot
+finish an extinction run; it serves as the cross-validation oracle for the
+implicit step, and ``explicit_dt`` sets the implicit run's first dt.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .params import Params
 from .profile_ode import Trajectory
 
 __all__ = [
+    "CFL_SAFETY",
+    "REL_CHANGE",
     "RadialGrid",
     "Field",
     "PdeConfig",
@@ -48,6 +53,8 @@ __all__ = [
     "sphere_area",
     "make_grid",
     "make_initial",
+    "separable_amplitude",
+    "separable_config",
     "step",
     "run_to_extinction",
     "weighted_functionals",
@@ -56,6 +63,14 @@ __all__ = [
     "rescale_frames",
     "compare_to_profile",
 ]
+
+
+CFL_SAFETY = 0.4  # explicit stability rule: fraction of the bound
+REL_CHANGE = 4e-4  # implicit accuracy control: max |du| / ||u||_inf per step
+RECORD_EVERY = 10  # steps between functional records
+SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
+MAX_STEPS = 20_000_000
+EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
 
 
 class NonMonotoneInitialDataError(ValueError):
@@ -125,34 +140,34 @@ class PdeConfig:
     kappa0: float = 1.0
     init_kind: str = "exp_tail"  # "exp_tail" | "separable" | "custom"
     T0: float = 1.0  # separable only
-    # regularization default: with the implicit default stepper a large eps
-    # buys no stability and only displaces the operator where gradients are
-    # small; 1e-12 keeps the endgame (peaks near the extinction threshold)
-    # inside the genuine p-Laplacian regime and the capped-diffusivity
-    # crossover overfeed of the far tail below the 1e-12 comparison slack
+    # regularization default: with the implicit stepper a large eps buys no
+    # stability and only displaces the operator where gradients are small;
+    # 1e-12 keeps the endgame (peaks near the extinction threshold) inside
+    # the genuine p-Laplacian regime and the capped-diffusivity crossover
+    # overfeed of the far tail below the 1e-12 comparison slack
     eps_reg: float = 1e-12
-    cfl_safety: float = 0.4
-    ext_tol: float | None = None  # resolved to 1e-10 * kappa0
-    stepper: str = "imex"  # "imex" | "explicit"
-    rel_change: float = 4e-4  # imex accuracy control: max |du| / ||u||_inf per step
-    # 2: Richardson-extrapolated backward Euler (kills the O(dt) truncation
-    # and diffusivity-lag drift, leaving spatial error dominant); 1: plain BE
-    time_order: int = 2
-    record_every: int = 10
-    snapshots_per_decade: int = 4
-    max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if self.kappa0 <= 0 or self.eps_reg <= 0 or not 0 < self.cfl_safety < 1:
-            raise ValueError("kappa0, eps_reg positive and cfl_safety in (0,1) required")
+        if self.kappa0 <= 0 or self.eps_reg <= 0:
+            raise ValueError("kappa0 and eps_reg must be positive")
         if self.init_kind not in ("exp_tail", "separable", "custom"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
-        if self.stepper not in ("imex", "explicit"):
-            raise ValueError(f"unknown stepper {self.stepper!r}")
 
     @property
     def extinction_threshold(self) -> float:
-        return 1e-10 * self.kappa0 if self.ext_tol is None else self.ext_tol
+        return EXTINCTION_FRACTION * self.kappa0
+
+
+def separable_amplitude(params: Params, tau: float) -> float:
+    """((2-p) tau)^(1/(2-p)): the separable solution's time factor tau before extinction."""
+    return ((2.0 - params.p) * tau) ** params.e_time
+
+
+def separable_config(params: Params, a_star: float, T0: float = 1.0, **kw) -> PdeConfig:
+    """Separable data that extinguishes at T0: peak separable_amplitude(T0) * a_*."""
+    return PdeConfig(
+        params=params, kappa0=separable_amplitude(params, T0) * a_star, init_kind="separable", T0=T0, **kw
+    )
 
 
 @dataclass
@@ -172,8 +187,7 @@ class FrameSeries:
     T_e_estimate: float = math.nan
     rate_r2: float = math.nan
     n_steps: int = 0
-    clamp_events: int = 0
-    cell_updates: int = 0
+    clamp_events: int = 0  # explicit-step clamps; the implicit path has none
     sink_saturations: int = 0
     monotone_violations: int = 0
     supersolution_excess: float = 0.0  # max of u - kappa0 e^(-r/(p-1)) over records
@@ -182,9 +196,9 @@ class FrameSeries:
 def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | np.ndarray | None = None) -> Field:
     """Initial field: exponential tail, separable profile slice, or a table.
 
-    separable: u = ((2-p) T0)^(1/(2-p)) f(r; a_*), with f interpolated
-    monotonically from the supplied ground-state trajectory. custom: a
-    length-M table of cell values, validated non-increasing.
+    separable: u = separable_amplitude(T0) f(r; a_*), with f read off the
+    supplied ground-state trajectory's dense output. custom: a length-M table
+    of cell values, validated non-increasing.
     """
     p = config.params.p
     r = grid.centers
@@ -193,11 +207,8 @@ def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | np.n
     elif config.init_kind == "separable":
         if not isinstance(profile, Trajectory):
             raise ValueError("separable initial data needs the ground-state trajectory")
-        if profile.r_end < grid.R_inf:
-            raise ValueError("profile trajectory does not cover the grid")
-        u = ((2.0 - p) * config.T0) ** config.params.e_time * np.clip(
-            _profile_on_grid(profile, r), 0.0, None
-        )
+        _check_covers(profile, grid)
+        u = separable_amplitude(config.params, config.T0) * np.clip(_profile_on_grid(profile, r), 0.0, None)
     else:
         if profile is None:
             raise ValueError("custom initial data needs a value table")
@@ -218,6 +229,14 @@ def _face_gradients(u: np.ndarray, dr: float) -> np.ndarray:
     D[0] = 0.0
     D[-1] = -u[-1] / dr
     return D
+
+
+def _face_weight(grid: RadialGrid, N: int) -> np.ndarray:
+    """r^(N-1) at the faces; the N = 1 center face carries no flux (symmetry)."""
+    w = grid.faces ** (N - 1)
+    if N == 1:
+        w[0] = 0.0
+    return w
 
 
 def _centered_gradients(u: np.ndarray, dr: float) -> np.ndarray:
@@ -244,7 +263,7 @@ def explicit_dt(config: PdeConfig, grid: RadialGrid, u: np.ndarray) -> float:
     Dbar = _centered_gradients(u, dr)
     diff_bound = dr * dr / (2.0 * float(np.max(_flux_slope(D, config.eps_reg, p))))
     sink = float(np.max(np.abs(Dbar) ** (p - 1.0)))
-    return config.cfl_safety * min(diff_bound, dr / max(1.0, sink))
+    return CFL_SAFETY * min(diff_bound, dr / max(1.0, sink))
 
 
 def step(config: PdeConfig, field: Field, dt: float | None = None) -> tuple[Field, int]:
@@ -262,11 +281,7 @@ def step(config: PdeConfig, field: Field, dt: float | None = None) -> tuple[Fiel
     if dt < 1e-16:
         raise TimestepUnderflowError(f"dt={dt:.3e} below 1e-16 at t={field.t:.6g}")
     D = _face_gradients(u, dr)
-    w_face = grid.faces ** (N - 1)
-    if N == 1:
-        w_face = w_face.copy()
-        w_face[0] = 0.0  # center face carries no flux (symmetry: D[0] = 0 anyway)
-    flux = w_face * _flux(D, config.eps_reg, p)
+    flux = _face_weight(grid, N) * _flux(D, config.eps_reg, p)
     div = np.diff(flux) / (grid.centers ** (N - 1) * dr)
     sink = np.abs(_centered_gradients(u, dr)) ** (p - 1.0)
     u_new = u + dt * (div - sink)
@@ -283,10 +298,7 @@ def _be_sweep(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float):
     M = grid.M
     D = _face_gradients(u, dr)
     c = (D * D + config.eps_reg**2) ** ((p - 2.0) / 2.0)
-    w_face = grid.faces ** (N - 1)
-    if N == 1:
-        w_face = w_face.copy()
-        w_face[0] = 0.0  # center face carries no flux (symmetry)
+    w_face = _face_weight(grid, N)
     w_cell = grid.centers ** (N - 1)
     lam = dt / (w_cell * dr * dr)
     up = lam * w_face[1:] * c[1:]  # coupling to u_{i+1} (Dirichlet 0 ghost for i = M-1)
@@ -305,9 +317,9 @@ def _be_sweep(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float):
     return u_new, sat
 
 
-def _step_imex(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float, order: int | None = None):
-    """One implicit step: plain BE, or its Richardson extrapolation (order 2)."""
-    if (config.time_order if order is None else order) == 1:
+def _step_imex(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float, plain_be: bool = False):
+    """One implicit step: the Richardson extrapolation of BE, or plain BE."""
+    if plain_be:
         return _be_sweep(config, grid, u, dt)
     u_big, _ = _be_sweep(config, grid, u, dt)
     u_half, _ = _be_sweep(config, grid, u, 0.5 * dt)
@@ -332,11 +344,7 @@ def weighted_functionals(
     r_c = grid.centers
     I = 0.5 * omega * float(np.sum(r_c ** (N - 1) * np.exp(r_c) * u * u)) * dr
     Dg = _face_gradients(u, dr)
-    r_f = grid.faces
-    w_f = r_f ** (N - 1) * np.exp(r_f)
-    if N == 1:
-        w_f = w_f.copy()
-        w_f[0] = 0.0
+    w_f = _face_weight(grid, N) * np.exp(grid.faces)
     J = omega / p * float(np.sum(w_f[1:] * np.abs(Dg[1:]) ** p)) * dr
     Dfun = math.nan
     if u_prev is not None and dt is not None:
@@ -348,7 +356,7 @@ def weighted_functionals(
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     """March to ||u||_inf < ext_tol, recording functionals and snapshots.
 
-    Records are appended every ``record_every`` steps plus whenever the sup
+    Records are appended every RECORD_EVERY steps plus whenever the sup
     norm crosses the next logarithmic snapshot threshold (snapshots store the
     full field). The extinction estimate and rate fit are filled in at the
     end from the final recorded decade.
@@ -389,50 +397,41 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     record()
     monitor()
     frames.snapshots.append((t, u.copy()))
-    snap_factor = 10.0 ** (-1.0 / config.snapshots_per_decade)
+    snap_factor = 10.0 ** (-1.0 / SNAPSHOTS_PER_DECADE)
     next_snap = peak0 * snap_factor
 
     dt = explicit_dt(config, grid, u)
     n = 0
     while True:
+        if dt < 1e-16:
+            raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
         u_prev = u
-        if config.stepper == "explicit":
-            fld, clamped = step(config, Field(grid=grid, values=u, t=t))
-            dt_used = fld.t - t
-            u, t = fld.values, fld.t
-            frames.clamp_events += clamped
-        else:
-            if dt < 1e-16:
-                raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
-            # plain-BE starter: the extrapolated step is not sign-damping on
-            # stiff transients (its amplification dips to -0.02), which would
-            # sprinkle percent-of-local dust on data that starts exactly on
-            # the comparison bound; BE is monotone-damping, so use it until
-            # the solution has pulled clear of its initial state
-            order = 1 if float(u_prev.max()) > 0.995 * peak0 else None
-            u, sat = _step_imex(config, grid, u_prev, dt, order=order)
-            frames.sink_saturations += sat
-            t += dt
-            dt_used = dt
-            # accuracy controller: cap the per-step relative change at rel_change
-            change = float(np.max(np.abs(u - u_prev))) / max(float(u_prev.max()), ext_tol)
-            dt *= min(1.25, max(0.3, 0.9 * config.rel_change / max(change, 1e-30)))
+        # plain-BE starter: the extrapolated step is not sign-damping on
+        # stiff transients (its amplification dips to -0.02), which would
+        # sprinkle percent-of-local dust on data that starts exactly on
+        # the comparison bound; BE is monotone-damping, so use it until
+        # the solution has pulled clear of its initial state
+        u, sat = _step_imex(config, grid, u_prev, dt, plain_be=float(u_prev.max()) > 0.995 * peak0)
+        frames.sink_saturations += sat
+        t += dt
         n += 1
-        frames.cell_updates += grid.M
         peak = float(u.max())
         monitor()
 
         hit_snap = peak < next_snap
-        if n % config.record_every == 0 or hit_snap or peak < ext_tol:
-            record(u_prev, dt_used)
+        if n % RECORD_EVERY == 0 or hit_snap or peak < ext_tol:
+            record(u_prev, dt)
         if hit_snap:
             frames.snapshots.append((t, u.copy()))
             while next_snap > peak:
                 next_snap *= snap_factor
         if peak < ext_tol:
             break
-        if n >= config.max_steps:
+        if n >= MAX_STEPS:
             raise MaxStepsExceededError(f"no extinction after {n} steps (peak={peak:.3e})")
+        # accuracy controller: cap the per-step relative change at REL_CHANGE
+        change = float(np.max(np.abs(u - u_prev))) / max(float(u_prev.max()), ext_tol)
+        dt *= min(1.25, max(0.3, 0.9 * REL_CHANGE / max(change, 1e-30)))
 
     frames.t = np.asarray(rec_t)
     frames.sup = np.asarray(rec_sup)
@@ -463,14 +462,7 @@ def fit_extinction(frames: FrameSeries, min_records: int = 20) -> tuple[float, f
         raise InsufficientDecayError(
             f"only {np.count_nonzero(mask)} records in the final decade"
         )
-    p = frames.params.p
-    y = sup[mask] ** (2.0 - p)
-    x = t[mask]
-    m, b = np.polyfit(x, y, 1)
-    y_hat = m * x + b
-    ss_res = float(np.sum((y - y_hat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    m, b, r2 = _linear_fit(t[mask], sup[mask] ** (2.0 - frames.params.p))
     return float(-b / m), r2
 
 
@@ -480,19 +472,23 @@ def rate_exponent(frames: FrameSeries, T_e: float, decades: float = 2.0) -> tupl
     mask = (t < T_e) & (sup > 0.0) & (sup <= frames.sup[-1] * 10.0**decades)
     if np.count_nonzero(mask) < 10:
         raise InsufficientDecayError("too few records for the rate-exponent fit")
-    x = np.log(T_e - t[mask])
-    y = np.log(sup[mask])
+    m, _, r2 = _linear_fit(np.log(T_e - t[mask]), np.log(sup[mask]))
+    return float(m), r2
+
+
+def _linear_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y = m x + b and its coefficient of determination R^2."""
     m, b = np.polyfit(x, y, 1)
     y_hat = m * x + b
     ss_res = float(np.sum((y - y_hat) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    return float(m), 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return m, b, 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
 def rescale_frames(frames: FrameSeries, T_e: float) -> list[tuple[float, np.ndarray]]:
     """Self-similar frames (s_k, v_k) from the stored snapshots.
 
-    v = u / ((2-p)(T_e - t))^(1/(2-p)) and s = -log((T_e - t)/T_e)/(2-p).
+    v = u / separable_amplitude(T_e - t) and s = -log((T_e - t)/T_e)/(2-p).
     """
     p = frames.params.p
     out = []
@@ -501,7 +497,7 @@ def rescale_frames(frames: FrameSeries, T_e: float) -> list[tuple[float, np.ndar
             raise BadExtinctionTimeError(f"snapshot at t={t_k} is not before T_e={T_e}")
         tau = T_e - t_k
         s_k = -math.log(tau / T_e) / (2.0 - p)
-        v_k = u_k / ((2.0 - p) * tau) ** frames.params.e_time
+        v_k = u_k / separable_amplitude(frames.params, tau)
         out.append((s_k, v_k))
     return out
 
@@ -512,17 +508,32 @@ def _profile_on_grid(profile: Trajectory, r: np.ndarray) -> np.ndarray:
     The trajectory's own dense interpolant is exact to integrator tolerance
     everywhere, including between the coarse samples near r = 0 where the
     cubic top would defeat a shape-preserving fit of the sample table.
+    Past the trajectory's first zero (where an A-side run stops) the value
+    is 0.
     """
     r = np.asarray(r, dtype=float)
     lo = profile.r[0]
-    inside = r >= lo
-    out = np.empty_like(r)
-    if inside.any():
-        out[inside] = profile.eval(r[inside])[0]
-    if (~inside).any():
+    zero = profile.event("FZero")
+    below = r < lo
+    live = ~below & (r <= (zero.r if zero is not None else math.inf))
+    out = np.zeros_like(r)
+    if live.any():
+        out[live] = profile.eval(r[live])[0]
+    if below.any():
         # below the series-start radius the profile is flat to O(eps^2)
-        out[~inside] = profile.eval(lo)[0]
+        out[below] = profile.eval(lo)[0]
     return out
+
+
+def _check_covers(profile: Trajectory, grid: RadialGrid) -> None:
+    """The trajectory must reach R_inf, or end at its first zero inside the grid.
+
+    A bisection midpoint a hair above a_* crosses zero a little short of the
+    default R_inf; past the trust radius the ground state is below ~1e-10,
+    so reading it as 0 there is exact to that level.
+    """
+    if profile.r_end < grid.R_inf and profile.events[-1].kind != "FZero":
+        raise ValueError("profile trajectory does not cover the grid")
 
 
 def compare_to_profile(
@@ -532,7 +543,6 @@ def compare_to_profile(
 ) -> np.ndarray:
     """Sup-norm distance of each rescaled frame from the ground-state profile."""
     grid = frames_or_grid.grid if isinstance(frames_or_grid, FrameSeries) else frames_or_grid
-    if profile.r_end < grid.R_inf:
-        raise ValueError("profile trajectory does not cover the grid")
+    _check_covers(profile, grid)
     f_ref = np.clip(_profile_on_grid(profile, grid.centers), 0.0, None)
     return np.array([float(np.max(np.abs(v_k - f_ref))) for _, v_k in rescaled])

@@ -34,7 +34,6 @@ __all__ = [
     "J_eval",
     "J_along",
     "wronskian_check",
-    "comparison_X",
     "small_a_limit_z0",
 ]
 
@@ -243,17 +242,6 @@ def wronskian_check(
         q = np.where(g1 > 0.0, g2 / g1, np.nan)
     X = q**2 * J1 - J2
     return PairSeries(r=r, q=q, X=X, W=W, W_quadrature=Q, residual=residual)
-
-
-def comparison_X(
-    params: Params,
-    traj1: Trajectory,
-    traj2: Trajectory,
-    r_hi: float | None = None,
-    n: int = 4001,
-) -> PairSeries:
-    """q = g2/g1 and X = q^2 J1 - J2 on the common window (g1 > 0)."""
-    return wronskian_check(params, traj1, traj2, r_hi=r_hi, n=n)
 
 
 def small_a_limit_z0(params: Params, r_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ dense output, and sign-change events for f and g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -333,18 +333,3 @@ def w_and_h(params: Params, traj: Trajectory) -> Trajectory:
         h = np.where(traj.g > 0.0, traj.f / traj.g, np.nan)
     traj.h = h
     return traj
-
-
-def restrict(traj: Trajectory, r_hi: float) -> Trajectory:
-    """Copy of the trajectory with samples clipped to r <= r_hi."""
-    mask = traj.r <= r_hi
-    return replace(
-        traj,
-        r=traj.r[mask],
-        f=traj.f[mask],
-        g=traj.g[mask],
-        fprime=traj.fprime[mask],
-        E=traj.E[mask],
-        w=traj.w[mask],
-        h=traj.h[mask],
-    )

@@ -1,8 +1,11 @@
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
 
+from selfsim import pde
 from selfsim.cli import main
 from selfsim.reporting import format_value, read_summary, validate_config, write_csv, write_summary
 
@@ -174,7 +177,75 @@ class TestCommands:
         assert summary["results"]["a_star"] == pytest.approx(6.0353203, rel=1e-4)
         assert summary["results"]["T_e"] > 0
 
+    def test_pohozaev_J_path_under_csv_named_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "tables.csv.d"
+        outdir.mkdir()
+        code = run_cli("pohozaev", "--N", "2", "--p", "1.5", "--a", "1.0",
+                       "--out", str(outdir / "g.csv"))
+        assert code == 0
+        j_header, _ = read_csv(outdir / "g_J.csv")
+        assert j_header == ["r", "J", "G", "gsq"]
+
+    def test_pde_compare_meta_sidecar(self, tmp_path, capsys, monkeypatch):
+        # a coarser step controller keeps the run short; the sidecar is under test
+        monkeypatch.setattr(pde, "REL_CHANGE", 4e-3)
+        prefix = str(tmp_path / "cmp")
+        code = run_cli("pde-compare", "--N", "2", "--p", "1.5", "--M", "150", "--r-inf", "8",
+                       "--tol", "1e-6", "--out", prefix, "--meta")
+        assert code == 0
+        meta = read_summary(prefix + "_summary.json.meta.json")
+        assert meta["command"] == "pde-compare"
+        assert "written_at" in meta
+        assert "written_at" not in read_summary(prefix + "_summary.json")
+
     def test_verify_single_fast_criterion(self, capsys):
         assert run_cli("verify", "--only", "3") == 0
         out = capsys.readouterr().out
         assert "[ 3] PASS" in out
+
+
+class TestSweepThreads:
+    """SELFSIM_THREADS is validated and clamped before any worker starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool with one that records max_workers and starts nothing."""
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None, **kwargs):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return made
+
+    def sweep(self, tmp_path):
+        return run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64",
+                       "--num", "3", "--log", "--rmax", "10", "--out", str(tmp_path / "s.csv"))
+
+    def test_large_value_is_clamped(self, tmp_path, capsys, monkeypatch, pools):
+        monkeypatch.setenv("SELFSIM_THREADS", "100000")
+        assert self.sweep(tmp_path) == 0
+        assert pools == [3]
+
+    def test_value_below_the_clamp_is_kept(self, tmp_path, capsys, monkeypatch, pools):
+        monkeypatch.setenv("SELFSIM_THREADS", "2")
+        assert self.sweep(tmp_path) == 0
+        assert pools == [2]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+    def test_bad_value_is_usage_error(self, value, tmp_path, capsys, monkeypatch, pools):
+        monkeypatch.setenv("SELFSIM_THREADS", value)
+        assert self.sweep(tmp_path) == 2
+        assert pools == []
+        assert "SELFSIM_THREADS must be a positive integer" in capsys.readouterr().err

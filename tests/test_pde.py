@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from selfsim.params import make_params
 from selfsim.profile_ode import IntegratorOptions, integrate
 from selfsim.pde import (
     BadExtinctionTimeError,
@@ -19,11 +21,13 @@ from selfsim.pde import (
     make_initial,
     rate_exponent,
     rescale_frames,
+    separable_amplitude,
+    separable_config,
     sphere_area,
     step,
     weighted_functionals,
 )
-from selfsim.pde import _step_imex, explicit_dt
+from selfsim.pde import CFL_SAFETY, _be_sweep, _step_imex, explicit_dt
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +70,10 @@ class TestConfig:
     def test_extinction_threshold_default(self, P2):
         cfg = PdeConfig(params=P2, kappa0=2.0)
         assert cfg.extinction_threshold == pytest.approx(2e-10)
-        assert PdeConfig(params=P2, ext_tol=1e-7).extinction_threshold == 1e-7
 
     def test_rejects_bad_fields(self, P2):
         with pytest.raises(ValueError):
             PdeConfig(params=P2, init_kind="wrong")
-        with pytest.raises(ValueError):
-            PdeConfig(params=P2, stepper="magic")
         with pytest.raises(ValueError):
             PdeConfig(params=P2, kappa0=0.0)
 
@@ -112,7 +113,7 @@ class TestInitialData:
 class TestExplicitStep:
     def test_zero_is_fixed_point(self, P2):
         grid = make_grid(10.0, 64)
-        cfg = PdeConfig(params=P2, stepper="explicit")
+        cfg = PdeConfig(params=P2)
         field = Field(grid=grid, values=np.zeros(64), t=0.0)
         new, clamped = step(cfg, field)
         assert np.array_equal(new.values, np.zeros(64))
@@ -122,7 +123,7 @@ class TestExplicitStep:
         # d/dt log ||u|| = -1/((2-p) T0) = -2 at t = 0, up to discretization
         cfg = PdeConfig(
             params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star,
-            stepper="explicit", eps_reg=1e-8,
+            eps_reg=1e-8,
         )
         f0 = make_initial(cfg, grid2000, gs2.traj)
         f1, _ = step(cfg, f0)
@@ -132,7 +133,7 @@ class TestExplicitStep:
     def test_monotone_preserved_over_1000_steps(self, P2, gs2, grid2000):
         cfg = PdeConfig(
             params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star,
-            stepper="explicit", eps_reg=1e-8,
+            eps_reg=1e-8,
         )
         field = make_initial(cfg, grid2000, gs2.traj)
         clamps = 0
@@ -145,14 +146,14 @@ class TestExplicitStep:
 
     def test_dt_rule_uses_both_bounds(self, P2):
         grid = make_grid(10.0, 100)
-        cfg = PdeConfig(params=P2, stepper="explicit", eps_reg=1e-4)
+        cfg = PdeConfig(params=P2, eps_reg=1e-4)
         steep = np.linspace(100.0, 0.0, 100)  # |Dbar|^(p-1) > 1 engages the sink bound
         dt_steep = explicit_dt(cfg, grid, steep)
-        assert dt_steep <= cfg.cfl_safety * grid.dr / np.max(np.abs(np.gradient(steep, grid.dr))) ** (P2.p - 1.0) * 1.01
+        assert dt_steep <= CFL_SAFETY * grid.dr / np.max(np.abs(np.gradient(steep, grid.dr))) ** (P2.p - 1.0) * 1.01
 
     def test_underflow_guard(self, P2):
         grid = make_grid(10.0, 64)
-        cfg = PdeConfig(params=P2, stepper="explicit")
+        cfg = PdeConfig(params=P2)
         field = Field(grid=grid, values=np.exp(-grid.centers), t=0.0)
         with pytest.raises(TimestepUnderflowError):
             step(cfg, field, dt=1e-17)
@@ -166,12 +167,12 @@ class TestCrossValidation:
         kw = dict(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star, eps_reg=1e-4)
         f0 = make_initial(PdeConfig(**kw), grid, gs2.traj)
 
-        cfg_e = PdeConfig(stepper="explicit", **kw)
+        cfg_e = PdeConfig(**kw)
         fld = Field(grid, f0.values.copy(), 0.0)
         while fld.t < 0.05:
             fld, _ = step(cfg_e, fld)
 
-        cfg_i = PdeConfig(stepper="imex", rel_change=1e-4, **kw)
+        cfg_i = PdeConfig(**kw)
         u, t, dt = f0.values.copy(), 0.0, 1e-7
         while t < 0.05:
             dt = min(dt, 0.05 - t + 1e-16)
@@ -260,6 +261,44 @@ class TestRescale:
         short = integrate(P2, gs2.a_star, IntegratorOptions(r_max=10.0))
         with pytest.raises(ValueError):
             compare_to_profile(sep_frames, rescale_frames(sep_frames, 2.0), short)
+
+    def test_profile_ending_at_its_zero_covers_grid(self, P2, gs2):
+        # a bisection midpoint on the A side of a_* stops at its first zero
+        # short of R_inf = 15; past the trust radius f_* is below ~1e-10, so
+        # the zero-extended profile still stands in for the ground state
+        a_side = integrate(P2, gs2.a_star + 1e-9)
+        zero = a_side.event("FZero")
+        assert zero is not None and a_side.r_end == zero.r < 15.0
+        grid = make_grid(15.0, 300)
+        u = make_initial(separable_config(P2, a_side.a), grid, a_side).values
+        u_star = make_initial(separable_config(P2, gs2.a_star), grid, gs2.traj).values
+        assert np.all(u[grid.centers > zero.r] == 0.0)
+        assert np.max(np.abs(u - u_star)) < 1e-8
+        v_star = u_star / separable_amplitude(P2, 1.0)
+        assert compare_to_profile(grid, [(0.0, v_star)], a_side)[0] < 1e-8
+
+
+class TestSweepProperties:
+    """One BE sweep: an M-matrix solve with the sink on the right-hand side."""
+
+    @given(
+        N=st.integers(min_value=1, max_value=3),
+        frac=st.floats(min_value=0.01, max_value=0.99),
+        R_inf=st.floats(min_value=1.0, max_value=20.0),
+        log_dt=st.floats(min_value=-10.0, max_value=1.0),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nonnegative_and_max_principle(self, N, frac, R_inf, log_dt, data):
+        p_c = 2.0 * N / (N + 1.0)
+        P = make_params(N, p_c + frac * (2.0 - p_c))
+        M = data.draw(st.integers(min_value=4, max_value=64))
+        values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
+        u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
+        u_new, _ = _be_sweep(PdeConfig(params=P), make_grid(R_inf, M), u, 10.0**log_dt)
+        assert np.all(u_new >= 0.0)
+        # exact for the exact solve; the float solve may overshoot by roundoff
+        assert u_new.max() <= u.max() * (1.0 + 1e-13)
 
 
 class TestSeparableRun:

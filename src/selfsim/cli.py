@@ -261,9 +261,11 @@ def cmd_pde_run(args) -> int:
     )
     for k, (t_k, u_k) in enumerate(frames.snapshots):
         write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(grid.centers, u_k))
-    summary = _summary_skeleton(
-        args, M=args.M, R_inf=args.r_inf, init=args.init, kappa0=args.kappa0
-    )
+    # kappa0 is the run's amplitude: for separable data it follows from T0 and a_*
+    inputs = {"M": args.M, "R_inf": args.r_inf, "init": args.init, "kappa0": cfg.kappa0}
+    if args.init == "separable":
+        inputs["T0"] = cfg.T0
+    summary = _summary_skeleton(args, **inputs)
     summary["results"] = {
         "T_e": frames.T_e_estimate,
         "rate_r2": frames.rate_r2,

@@ -17,6 +17,19 @@ Richardson extrapolation of one dt sweep and two dt/2 sweeps, after a
 plain-BE start; the step size is controlled by the max relative change per
 step (REL_CHANGE).
 
+A step does only the work whose result changes. The run builds its
+geometry once (``_geometry``: face weights, the cell factors r^(N-1) dr^2,
+eps^2, the two exponents and the supersolution bound), and the weights of
+``weighted_functionals`` are cached per grid. Each sweep hands its three
+diagonals to LAPACK gtsv directly (the routine ``solve_banded`` calls for
+one sub- and one superdiagonal, so the bits are the same) and keeps that
+wrapper's checks: a non-finite entry raises ValueError, a singular system
+LinAlgError. The dt sweep and the first dt/2 sweep of a Richardson step
+start from the same state and share its gradients, diffusivity and sink.
+Every floating-point operation that reaches a stored value is the one of
+the plain formulation, in the same order, so the outputs are unchanged to
+the bit.
+
 ``step`` is the explicit forward-Euler update on the same spatial operator,
 with the stability rule ``explicit_dt``
 cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Dbar|^(p-1))). It is
@@ -28,11 +41,13 @@ implicit step, and ``explicit_dt`` sets the implicit run's first dt.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gammaln
 
 from .params import Params
@@ -225,7 +240,8 @@ def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | np.n
 def _face_gradients(u: np.ndarray, dr: float) -> np.ndarray:
     """D_j at faces j = 0..M; symmetry ghost at the center, zero ghost outside."""
     D = np.empty(u.size + 1)
-    D[1:-1] = np.diff(u) / dr
+    np.subtract(u[1:], u[:-1], out=D[1:-1])  # np.diff(u), in place
+    D[1:-1] /= dr
     D[0] = 0.0
     D[-1] = -u[-1] / dr
     return D
@@ -241,7 +257,8 @@ def _face_weight(grid: RadialGrid, N: int) -> np.ndarray:
 
 def _centered_gradients(u: np.ndarray, dr: float) -> np.ndarray:
     Db = np.empty_like(u)
-    Db[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
+    np.subtract(u[2:], u[:-2], out=Db[1:-1])
+    Db[1:-1] /= 2.0 * dr
     Db[0] = (u[1] - u[0]) / (2.0 * dr)
     Db[-1] = (0.0 - u[-2]) / (2.0 * dr)
     return Db
@@ -290,44 +307,143 @@ def step(config: PdeConfig, field: Field, dt: float | None = None) -> tuple[Fiel
     return Field(grid=grid, values=u_new, t=field.t + dt), clamped
 
 
-def _be_sweep(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float):
-    """Lagged-diffusivity backward Euler + exact frozen sink; returns (u_new, saturations)."""
-    p = config.params.p
-    N = config.params.N
+@dataclass(frozen=True)
+class _Geometry:
+    """The per-run constants of the implicit sweep, built once by ``_geometry``."""
+
+    dr: float
+    w_up: np.ndarray  # r^(N-1) at each cell's outer face
+    w_dn: np.ndarray  # r^(N-1) at each cell's inner face
+    denom: np.ndarray  # r_i^(N-1) dr^2, so that lam = dt / denom
+    eps2: float
+    c_exp: float  # (p-2)/2: the secant diffusivity's exponent
+    sink_exp: float  # p-1
+    bound: np.ndarray  # the supersolution kappa0 e^(-r/(p-1)) at the centers
+
+
+def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
+    p, N = config.params.p, config.params.N
     dr = grid.dr
-    M = grid.M
-    D = _face_gradients(u, dr)
-    c = (D * D + config.eps_reg**2) ** ((p - 2.0) / 2.0)
+    r = grid.centers
     w_face = _face_weight(grid, N)
-    w_cell = grid.centers ** (N - 1)
-    lam = dt / (w_cell * dr * dr)
-    up = lam * w_face[1:] * c[1:]  # coupling to u_{i+1} (Dirichlet 0 ghost for i = M-1)
-    dn = lam * w_face[:-1] * c[:-1]  # coupling to u_{i-1}
-    ab = np.zeros((3, M))
-    ab[0, 1:] = -up[:-1]
-    ab[1, :] = 1.0 + up + dn
-    ab[2, :-1] = -dn[1:]
+    return _Geometry(
+        dr=dr,
+        w_up=w_face[1:],
+        w_dn=w_face[:-1],
+        denom=r ** (N - 1) * dr * dr,
+        eps2=config.eps_reg**2,
+        c_exp=(p - 2.0) / 2.0,
+        sink_exp=p - 1.0,
+        bound=config.kappa0 * np.exp(-r / (p - 1.0)),
+    )
+
+
+def _coefficients(g: _Geometry, u: np.ndarray):
+    """The lagged diffusivity c(D) = (D^2 + eps^2)^((p-2)/2) at the faces and the sink |Dbar|^(p-1)."""
+    c = _face_gradients(u, g.dr)
+    c *= c
+    c += g.eps2
+    c **= g.c_exp
+    sink = _centered_gradients(u, g.dr)
+    np.abs(sink, out=sink)
+    sink **= g.sink_exp
+    return c, sink
+
+
+def _tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_banded((1, 1), ...)`` without its wrapper: LAPACK gtsv in place.
+
+    All four arrays are overwritten; the solution is returned in b's storage.
+    The wrapper's checks stay: a non-finite entry of the diagonal or the
+    right-hand side raises ValueError (a sweep's off-diagonals are summands
+    of its diagonal, so they cannot be non-finite alone), a singular system
+    LinAlgError.
+    """
+    # an inf or a nan makes the sum non-finite; only an overflowing sum of
+    # finite values needs the elementwise test
+    if not math.isfinite(float(np.add.reduce(d)) + float(np.add.reduce(b))) and not (
+        np.isfinite(d).all() and np.isfinite(b).all()
+    ):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
+def _couplings(g: _Geometry, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(-lam w_up, -lam w_dn) with lam = dt / denom: a sweep's couplings before the diffusivity.
+
+    Built from -lam = (-dt) / denom: negation is exact, so a sweep's matrix
+    rows (-dn, 1 + up + dn, -up) carry the bits of the unnegated build
+    without two negation passes.
+    """
+    neg_lam = -dt / g.denom
+    return neg_lam * g.w_up, neg_lam * g.w_dn
+
+
+def _sweep(u: np.ndarray, c: np.ndarray, sink: np.ndarray, dt: float, couplings) -> np.ndarray:
+    """One lagged-diffusivity BE solve from u with c and sink built from u; not clipped.
+
+    The couplings are up = lam w_up c_up to u_{i+1} (the Dirichlet 0 ghost
+    for i = M-1) and dn = lam w_dn c_dn to u_{i-1}.
+    """
+    neg_up = couplings[0] * c[1:]
+    neg_dn = couplings[1] * c[:-1]
+    diag = 1.0 - neg_up
+    diag -= neg_dn
     # sink on the right-hand side: diffusion and absorption balance within
     # one solve (split stepping lets the diffusion alone overfill front
     # cells above the comparison bound before the sink acts)
-    sink = np.abs(_centered_gradients(u, dr)) ** (p - 1.0)
-    u_new = solve_banded((1, 1), ab, u - dt * sink)
-    sat = int(np.count_nonzero(u_new < 0.0))
-    np.clip(u_new, 0.0, None, out=u_new)
-    return u_new, sat
+    rhs = dt * sink
+    np.subtract(u, rhs, out=rhs)
+    return _tridiag_solve(neg_dn[1:], diag, neg_up[:-1], rhs)
 
 
-def _step_imex(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float, plain_be: bool = False):
-    """One implicit step: the Richardson extrapolation of BE, or plain BE."""
+def _clip_count(u: np.ndarray) -> int:
+    """Clip u at zero in place; returns the number of clipped cells."""
+    sat = int(np.count_nonzero(u < 0.0))
+    np.maximum(u, 0.0, out=u)  # np.clip(u, 0.0, None) without its dispatch
+    return sat
+
+
+def _be_sweep(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float, geom: _Geometry | None = None):
+    """Lagged-diffusivity backward Euler + exact frozen sink; returns (u_new, saturations)."""
+    g = geom if geom is not None else _geometry(config, grid)
+    u_new = _sweep(u, *_coefficients(g, u), dt, _couplings(g, dt))
+    return u_new, _clip_count(u_new)
+
+
+def _step_imex(
+    config: PdeConfig,
+    grid: RadialGrid,
+    u: np.ndarray,
+    dt: float,
+    plain_be: bool = False,
+    geom: _Geometry | None = None,
+):
+    """One implicit step: the Richardson extrapolation of BE, or plain BE.
+
+    The dt sweep and the first dt/2 sweep start from u and share its
+    coefficient build; the two dt/2 sweeps share their couplings.
+    """
     if plain_be:
-        return _be_sweep(config, grid, u, dt)
-    u_big, _ = _be_sweep(config, grid, u, dt)
-    u_half, _ = _be_sweep(config, grid, u, 0.5 * dt)
-    u_half, sat_half = _be_sweep(config, grid, u_half, 0.5 * dt)
-    u_new = 2.0 * u_half - u_big
-    sat = sat_half + int(np.count_nonzero(u_new < 0.0))
-    np.clip(u_new, 0.0, None, out=u_new)
-    return u_new, sat
+        return _be_sweep(config, grid, u, dt, geom)
+    g = geom if geom is not None else _geometry(config, grid)
+    half = 0.5 * dt
+    half_couplings = _couplings(g, half)
+    c, sink = _coefficients(g, u)
+    u_big = _sweep(u, c, sink, dt, _couplings(g, dt))
+    np.maximum(u_big, 0.0, out=u_big)
+    u_half = _sweep(u, c, sink, half, half_couplings)
+    np.maximum(u_half, 0.0, out=u_half)
+    u_half = _sweep(u_half, *_coefficients(g, u_half), half, half_couplings)
+    sat_half = _clip_count(u_half)
+    u_half *= 2.0
+    u_half -= u_big
+    return u_half, sat_half + _clip_count(u_half)
 
 
 def weighted_functionals(
@@ -340,17 +456,26 @@ def weighted_functionals(
     """(I, J, D, E): weighted L2 mass, weighted gradient energy, dissipation, J - I."""
     N, p = params.N, params.p
     dr = grid.dr
-    omega = sphere_area(N)
-    r_c = grid.centers
-    I = 0.5 * omega * float(np.sum(r_c ** (N - 1) * np.exp(r_c) * u * u)) * dr
+    omega, w_c, w_f = _functional_weights(grid, N)
+    I = 0.5 * omega * float(np.sum(w_c * u * u)) * dr
     Dg = _face_gradients(u, dr)
-    w_f = _face_weight(grid, N) * np.exp(grid.faces)
-    J = omega / p * float(np.sum(w_f[1:] * np.abs(Dg[1:]) ** p)) * dr
+    J = omega / p * float(np.sum(w_f * np.abs(Dg[1:]) ** p)) * dr
     Dfun = math.nan
     if u_prev is not None and dt is not None:
         du = (u - u_prev) / dt
-        Dfun = omega * float(np.sum(r_c ** (N - 1) * np.exp(r_c) * du * du)) * dr
+        Dfun = omega * float(np.sum(w_c * du * du)) * dr
     return I, J, Dfun, J - I
+
+
+@functools.lru_cache(maxsize=8)
+def _functional_weights(grid: RadialGrid, N: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """|S^(N-1)|, r^(N-1) e^r at the centers and r^(N-1) e^r at the faces j >= 1 (read-only)."""
+    r_c = grid.centers
+    w_c = r_c ** (N - 1) * np.exp(r_c)
+    w_f = (_face_weight(grid, N) * np.exp(grid.faces))[1:]
+    w_c.flags.writeable = False
+    w_f.flags.writeable = False
+    return sphere_area(N), w_c, w_f
 
 
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
@@ -372,55 +497,54 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
 
     frames = FrameSeries(params=params, grid=grid, config=config)
     rec_t, rec_sup, rec_I, rec_J, rec_D, rec_E = [], [], [], [], [], []
-    bound = config.kappa0 * np.exp(-grid.centers / (params.p - 1.0))
+    geom = _geometry(config, grid)
 
-    def record(u_prev=None, dt_rec=None):
+    def record(peak, u_prev=None, dt_rec=None):
         I, J, Df, E = weighted_functionals(params, grid, u, u_prev, dt_rec)
         rec_t.append(t)
-        rec_sup.append(float(u.max()))
+        rec_sup.append(peak)
         rec_I.append(I)
         rec_J.append(J)
         rec_D.append(Df)
         rec_E.append(E)
 
-    def monitor():
+    def monitor(peak):
         if config.init_kind == "exp_tail":
-            frames.supersolution_excess = max(
-                frames.supersolution_excess, float(np.max(u - bound))
-            )
+            frames.supersolution_excess = max(frames.supersolution_excess, float((u - geom.bound).max()))
         # instability monitor: flag new extrema at 1e-6 of the current peak;
         # the flux/sink balance zone carries O(dr^2) truncation texture far
         # below that, which is not an instability
-        if np.any(np.diff(u) > 1e-6 * max(float(u.max()), ext_tol)):
+        if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(peak, ext_tol)).any():
             frames.monotone_violations += 1
 
-    record()
-    monitor()
+    record(peak0)
+    monitor(peak0)
     frames.snapshots.append((t, u.copy()))
     snap_factor = 10.0 ** (-1.0 / SNAPSHOTS_PER_DECADE)
     next_snap = peak0 * snap_factor
 
     dt = explicit_dt(config, grid, u)
     n = 0
+    peak = peak0
     while True:
         if dt < 1e-16:
             raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
-        u_prev = u
+        u_prev, peak_prev = u, peak
         # plain-BE starter: the extrapolated step is not sign-damping on
         # stiff transients (its amplification dips to -0.02), which would
         # sprinkle percent-of-local dust on data that starts exactly on
         # the comparison bound; BE is monotone-damping, so use it until
         # the solution has pulled clear of its initial state
-        u, sat = _step_imex(config, grid, u_prev, dt, plain_be=float(u_prev.max()) > 0.995 * peak0)
+        u, sat = _step_imex(config, grid, u_prev, dt, plain_be=peak_prev > 0.995 * peak0, geom=geom)
         frames.sink_saturations += sat
         t += dt
         n += 1
         peak = float(u.max())
-        monitor()
+        monitor(peak)
 
         hit_snap = peak < next_snap
         if n % RECORD_EVERY == 0 or hit_snap or peak < ext_tol:
-            record(u_prev, dt)
+            record(peak, u_prev, dt)
         if hit_snap:
             frames.snapshots.append((t, u.copy()))
             while next_snap > peak:
@@ -430,7 +554,9 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         if n >= MAX_STEPS:
             raise MaxStepsExceededError(f"no extinction after {n} steps (peak={peak:.3e})")
         # accuracy controller: cap the per-step relative change at REL_CHANGE
-        change = float(np.max(np.abs(u - u_prev))) / max(float(u_prev.max()), ext_tol)
+        du = u - u_prev
+        np.abs(du, out=du)
+        change = float(du.max()) / max(peak_prev, ext_tol)
         dt *= min(1.25, max(0.3, 0.9 * REL_CHANGE / max(change, 1e-30)))
 
     frames.t = np.asarray(rec_t)

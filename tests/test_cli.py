@@ -186,6 +186,24 @@ class TestCommands:
         j_header, _ = read_csv(outdir / "g_J.csv")
         assert j_header == ["r", "J", "G", "gsq"]
 
+    def test_pde_run_summary_records_the_run_amplitude(self, tmp_path, capsys, monkeypatch):
+        # a coarser step controller keeps the runs short; the summary inputs are under test
+        monkeypatch.setattr(pde, "REL_CHANGE", 4e-3)
+        prefix = str(tmp_path / "sep")
+        code = run_cli("pde-run", "--N", "2", "--p", "1.5", "--init", "separable",
+                       "--M", "150", "--r-inf", "8", "--out", prefix)
+        assert code == 0
+        inputs = read_summary(prefix + "_summary.json")["inputs"]
+        # separable data peaks at ((2-p) T0)^(1/(2-p)) a_* = 0.25 a_* at (2, 1.5)
+        assert inputs["kappa0"] == pytest.approx(0.25 * 6.0353203, rel=1e-6)
+        assert inputs["T0"] == 1.0
+        prefix = str(tmp_path / "exp")
+        code = run_cli("pde-run", "--N", "2", "--p", "1.5", "--init", "exp_tail",
+                       "--M", "150", "--r-inf", "8", "--kappa0", "1.5", "--out", prefix)
+        assert code == 0
+        inputs = read_summary(prefix + "_summary.json")["inputs"]
+        assert inputs == {"N": 2, "p": 1.5, "M": 150, "R_inf": 8.0, "init": "exp_tail", "kappa0": 1.5}
+
     def test_pde_compare_meta_sidecar(self, tmp_path, capsys, monkeypatch):
         # a coarser step controller keeps the run short; the sidecar is under test
         monkeypatch.setattr(pde, "REL_CHANGE", 4e-3)

@@ -6,6 +6,12 @@ decayer), and A = (a_*, infinity) (sign change at finite radius). B has
 measure zero, so it is never a direct verdict: a run that neither crosses
 zero nor drives the Pohozaev functional negative stays "Unresolved", and a_*
 is produced only as the limit of a (C, A) bisection.
+
+The settings no caller varies are module constants: the J-negativity
+threshold J_NEG_THRESHOLD of the C verdict, the doubling budget
+BRACKET_MAX_STEPS of ``bracket_search``, the iteration budget
+BISECT_MAX_ITER of ``bisect_a_star``, and the plateau tolerance PLATEAU_TOL
+and minimum length PLATEAU_MIN_LEN of ``estimate_l``.
 """
 
 from __future__ import annotations
@@ -14,11 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-import mpmath
-
-from .params import Params, weight_rho
+from .params import Params
 from .profile_ode import (
     IntegratorOptions,
     StepSizeUnderflowError,
@@ -33,7 +36,6 @@ __all__ = [
     "GroundStateResult",
     "PlateauEstimate",
     "TailSlopes",
-    "TailIntegralResult",
     "BracketFailureError",
     "BisectionStallError",
     "NoPlateauError",
@@ -44,8 +46,14 @@ __all__ = [
     "find_ground_state",
     "estimate_l",
     "tail_slopes",
-    "tail_integral_check",
 ]
+
+# C verdict: J below -J_NEG_THRESHOLD * (1 + running max |J|) past r_G
+J_NEG_THRESHOLD = 1e-8
+BRACKET_MAX_STEPS = 60  # doublings (and halvings) of bracket_search
+BISECT_MAX_ITER = 200
+PLATEAU_TOL = 0.005  # relative variation of rho*g within a plateau window
+PLATEAU_MIN_LEN = 1.0
 
 
 class BracketFailureError(RuntimeError):
@@ -104,14 +112,6 @@ class GroundStateResult:
     traj: Trajectory  # run at the final bracket midpoint
 
 
-@dataclass
-class TailIntegralResult:
-    r: np.ndarray
-    deviation: np.ndarray  # |ratio - 1| against the asymptotic tail law
-    worst: float
-    gamma_vs_quad: float  # max mismatch between Gamma route and direct quadrature
-
-
 def classify(params: Params, a: float, opts: IntegratorOptions | None = None) -> Classification:
     """Classify one shooting height into A / C / Unresolved.
 
@@ -139,7 +139,7 @@ def classify_trajectory(params: Params, traj: Trajectory) -> Classification:
 
     series = J_along(params, traj)
     r_G = find_r_G(params)
-    thr = traj.opts.j_neg_threshold * (1.0 + np.maximum.accumulate(np.abs(series.J)))
+    thr = J_NEG_THRESHOLD * (1.0 + np.maximum.accumulate(np.abs(series.J)))
     negative = (series.J < -thr) & (series.r > r_G) & (traj.f > 0.0)
     idx = np.flatnonzero(negative)
     if idx.size and series.J[-1] < -thr[-1]:
@@ -162,7 +162,7 @@ def classify_trajectory(params: Params, traj: Trajectory) -> Classification:
 
 
 def bracket_search(
-    params: Params, opts: IntegratorOptions | None = None, a_init: float = 1.0, max_steps: int = 60
+    params: Params, opts: IntegratorOptions | None = None, a_init: float = 1.0
 ) -> tuple[float, float]:
     """Find a_lo in C and a_hi in A by doubling/halving from a_init."""
     opts = opts or IntegratorOptions()
@@ -175,7 +175,7 @@ def bracket_search(
 
     a_hi = None
     a = a_init
-    for _ in range(max_steps):
+    for _ in range(BRACKET_MAX_STEPS):
         if verdict(a) == "A":
             a_hi = a
             break
@@ -185,7 +185,7 @@ def bracket_search(
 
     a_lo = None
     a = a_init
-    for _ in range(max_steps):
+    for _ in range(BRACKET_MAX_STEPS):
         if verdict(a) == "C":
             a_lo = a
             break
@@ -210,7 +210,6 @@ def bisect_a_star(
     bracket: tuple[float, float],
     tol_a: float = 1e-10,
     opts: IntegratorOptions | None = None,
-    max_iter: int = 200,
 ) -> GroundStateResult:
     """Bisect the (C, A) bracket down to tol_a and extract l and c.
 
@@ -226,9 +225,9 @@ def bisect_a_star(
     iterations = 0
     while a_hi - a_lo > tol_a:
         iterations += 1
-        if iterations > max_iter:
+        if iterations > BISECT_MAX_ITER:
             raise BisectionStallError(
-                f"no convergence after {max_iter} iterations; width {a_hi - a_lo:.3g}"
+                f"no convergence after {BISECT_MAX_ITER} iterations; width {a_hi - a_lo:.3g}"
             )
         moved = False
         for frac in (0.5, 0.375, 0.625, 0.25, 0.75):
@@ -298,12 +297,10 @@ def _trust_radius(
     return float(r[k[0]]) if k.size else float(r_hi)
 
 
-def estimate_l(
-    params: Params, traj: Trajectory, tol: float = 0.005, min_len: float = 1.0
-) -> PlateauEstimate:
-    """Longest window where rho*g varies by < tol; its mean estimates l.
+def estimate_l(params: Params, traj: Trajectory) -> PlateauEstimate:
+    """Longest window where rho*g varies by < PLATEAU_TOL; its mean estimates l.
 
-    Returns found=False (soft failure) when no window of length min_len
+    Returns found=False (soft failure) when no window of length PLATEAU_MIN_LEN
     exists, e.g. for class-A trajectories where rho*g dives to zero.
     """
     valid = (traj.g > 0.0) & (traj.r >= 1.0)
@@ -315,13 +312,13 @@ def estimate_l(
     i = 0
     for j in range(1, r.size):
         seg = w[i : j + 1]
-        while seg.max() - seg.min() > tol * abs(seg.mean()):
+        while seg.max() - seg.min() > PLATEAU_TOL * abs(seg.mean()):
             i += 1
             seg = w[i : j + 1]
         if r[j] - r[i] > best[0]:
             best = (r[j] - r[i], i, j)
     length, i, j = best
-    if length < min_len:
+    if length < PLATEAU_MIN_LEN:
         return PlateauEstimate(found=False, l=math.nan, window=(math.nan, math.nan))
     return PlateauEstimate(
         found=True, l=float(np.mean(w[i : j + 1])), window=(float(r[i]), float(r[j]))
@@ -369,31 +366,3 @@ def tail_slopes(
         slope_exp=slope_exp, slope_alg=slope_alg, g_over_f=g_over_f, prefactor_ratio=pref
     )
 
-
-def tail_integral_check(params: Params, r_grid) -> TailIntegralResult:
-    """Deviation of rho(r) int_r^inf rho^(-1/(p-1)) from its asymptotic law.
-
-    The integral is evaluated both by adaptive quadrature and through the
-    upper incomplete Gamma function (which admits the negative first argument
-    (p-N)/(p-1)); the asymptotic comparison value is (p-1) rho^(-(2-p)/(p-1)).
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    N, p = params.N, params.p
-    k = (N - 1.0) / (p - 1.0)
-    sigma = (p - N) / (p - 1.0)
-    pref = (p - 1.0) ** sigma
-
-    def integrand(s):
-        return s**-k * np.exp(-s / (p - 1.0))
-
-    dev = np.empty_like(r_grid)
-    gamma_mismatch = 0.0
-    for i, r in enumerate(r_grid):
-        val_quad, _ = quad(integrand, r, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-        val_gamma = pref * float(mpmath.gammainc(sigma, r / (p - 1.0), mpmath.inf))
-        gamma_mismatch = max(gamma_mismatch, abs(val_gamma - val_quad) / abs(val_quad))
-        target = (p - 1.0) * weight_rho(params, r) ** (-(2.0 - p) / (p - 1.0))
-        dev[i] = abs(weight_rho(params, r) * val_quad / target - 1.0)
-    return TailIntegralResult(
-        r=r_grid, deviation=dev, worst=float(dev.max()), gamma_vs_quad=float(gamma_mismatch)
-    )

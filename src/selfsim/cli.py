@@ -435,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pde-compare", help="run + rescale + compare to the profile")
     _add_model_args(sp)
-    sp.add_argument("--init", choices=["exp_tail", "separable"], default="exp_tail")
-    sp.add_argument("--M", type=int, default=2000)
-    sp.add_argument("--r-inf", type=float, default=15.0)
-    sp.add_argument("--kappa0", type=float, default=1.0)
-    sp.add_argument("--T0", type=float, default=1.0)
+    sp.add_argument("--init", choices=["exp_tail", "separable"], default=PDE_RUN_DEFAULTS["init"])
+    sp.add_argument("--M", type=int, default=PDE_RUN_DEFAULTS["M"])
+    sp.add_argument("--r-inf", type=float, default=PDE_RUN_DEFAULTS["r_inf"])
+    sp.add_argument("--kappa0", type=float, default=PDE_RUN_DEFAULTS["kappa0"])
+    sp.add_argument("--T0", type=float, default=PDE_RUN_DEFAULTS["T0"])
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--meta", action="store_true")

@@ -15,7 +15,8 @@ c(s) = (s^2+eps^2)^((p-2)/2), giving an M-matrix tridiagonal solve
 solve's right-hand side and the result clipped at zero. Each step is the
 Richardson extrapolation of one dt sweep and two dt/2 sweeps, after a
 plain-BE start; the step size is controlled by the max relative change per
-step (REL_CHANGE).
+step (REL_CHANGE). ``_step_imex`` is the one implicit step: it takes the
+run's geometry and does either the extrapolated step or one plain BE sweep.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: face weights, the cell factors r^(N-1) dr^2,
@@ -37,6 +38,11 @@ bound by Phi'(0) = eps^(p-2) (some interface always sits at D ~ 0: the flat
 center, the far tail), so dt ~ 1e-9 at production resolution and it cannot
 finish an extinction run; it serves as the cross-validation oracle for the
 implicit step, and ``explicit_dt`` sets the implicit run's first dt.
+
+The settings no caller varies are module constants: CFL_SAFETY, REL_CHANGE,
+RECORD_EVERY, SNAPSHOTS_PER_DECADE, MAX_STEPS and EXTINCTION_FRACTION of the
+run, FIT_MIN_RECORDS of ``fit_extinction`` and RATE_DECADES of
+``rate_exponent``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 from scipy.special import gammaln
 
-from .params import Params
+from .params import Params, weight_rho
 from .profile_ode import Trajectory
 
 __all__ = [
@@ -86,6 +92,8 @@ RECORD_EVERY = 10  # steps between functional records
 SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
 MAX_STEPS = 20_000_000
 EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
+FIT_MIN_RECORDS = 20  # records the extinction fit needs in the final decade
+RATE_DECADES = 2.0  # decades of the sup norm the rate-exponent fit spans
 
 
 class NonMonotoneInitialDataError(ValueError):
@@ -215,10 +223,9 @@ def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | np.n
     supplied ground-state trajectory's dense output. custom: a length-M table
     of cell values, validated non-increasing.
     """
-    p = config.params.p
     r = grid.centers
     if config.init_kind == "exp_tail":
-        u = config.kappa0 * np.exp(-r / (p - 1.0))
+        u = _exp_tail(config, r)
     elif config.init_kind == "separable":
         if not isinstance(profile, Trajectory):
             raise ValueError("separable initial data needs the ground-state trajectory")
@@ -235,6 +242,11 @@ def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | np.n
     if np.any(np.diff(u) > 0.0):
         raise NonMonotoneInitialDataError("initial profile must be non-increasing in r")
     return Field(grid=grid, values=u, t=0.0)
+
+
+def _exp_tail(config: PdeConfig, r: np.ndarray) -> np.ndarray:
+    """kappa0 e^(-r/(p-1)): the exp_tail initial data and the supersolution that bounds its run."""
+    return config.kappa0 * np.exp(-r / (config.params.p - 1.0))
 
 
 def _face_gradients(u: np.ndarray, dr: float) -> np.ndarray:
@@ -334,7 +346,7 @@ def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
         eps2=config.eps_reg**2,
         c_exp=(p - 2.0) / 2.0,
         sink_exp=p - 1.0,
-        bound=config.kappa0 * np.exp(-r / (p - 1.0)),
+        bound=_exp_tail(config, r),
     )
 
 
@@ -409,37 +421,25 @@ def _clip_count(u: np.ndarray) -> int:
     return sat
 
 
-def _be_sweep(config: PdeConfig, grid: RadialGrid, u: np.ndarray, dt: float, geom: _Geometry | None = None):
-    """Lagged-diffusivity backward Euler + exact frozen sink; returns (u_new, saturations)."""
-    g = geom if geom is not None else _geometry(config, grid)
-    u_new = _sweep(u, *_coefficients(g, u), dt, _couplings(g, dt))
-    return u_new, _clip_count(u_new)
+def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, plain_be: bool = False):
+    """One implicit step from u; returns (u_new, saturations).
 
-
-def _step_imex(
-    config: PdeConfig,
-    grid: RadialGrid,
-    u: np.ndarray,
-    dt: float,
-    plain_be: bool = False,
-    geom: _Geometry | None = None,
-):
-    """One implicit step: the Richardson extrapolation of BE, or plain BE.
-
-    The dt sweep and the first dt/2 sweep start from u and share its
-    coefficient build; the two dt/2 sweeps share their couplings.
+    plain_be: one lagged-diffusivity backward-Euler sweep with the exact
+    frozen sink. Otherwise the Richardson extrapolation of one dt sweep and
+    two dt/2 sweeps: the dt sweep and the first dt/2 sweep start from u and
+    share its coefficient build; the two dt/2 sweeps share their couplings.
     """
     if plain_be:
-        return _be_sweep(config, grid, u, dt, geom)
-    g = geom if geom is not None else _geometry(config, grid)
+        u_new = _sweep(u, *_coefficients(geom, u), dt, _couplings(geom, dt))
+        return u_new, _clip_count(u_new)
     half = 0.5 * dt
-    half_couplings = _couplings(g, half)
-    c, sink = _coefficients(g, u)
-    u_big = _sweep(u, c, sink, dt, _couplings(g, dt))
+    half_couplings = _couplings(geom, half)
+    c, sink = _coefficients(geom, u)
+    u_big = _sweep(u, c, sink, dt, _couplings(geom, dt))
     np.maximum(u_big, 0.0, out=u_big)
     u_half = _sweep(u, c, sink, half, half_couplings)
     np.maximum(u_half, 0.0, out=u_half)
-    u_half = _sweep(u_half, *_coefficients(g, u_half), half, half_couplings)
+    u_half = _sweep(u_half, *_coefficients(geom, u_half), half, half_couplings)
     sat_half = _clip_count(u_half)
     u_half *= 2.0
     u_half -= u_big
@@ -454,9 +454,9 @@ def weighted_functionals(
     dt: float | None = None,
 ) -> tuple[float, float, float, float]:
     """(I, J, D, E): weighted L2 mass, weighted gradient energy, dissipation, J - I."""
-    N, p = params.N, params.p
+    p = params.p
     dr = grid.dr
-    omega, w_c, w_f = _functional_weights(grid, N)
+    omega, w_c, w_f = _functional_weights(grid, params)
     I = 0.5 * omega * float(np.sum(w_c * u * u)) * dr
     Dg = _face_gradients(u, dr)
     J = omega / p * float(np.sum(w_f * np.abs(Dg[1:]) ** p)) * dr
@@ -468,14 +468,13 @@ def weighted_functionals(
 
 
 @functools.lru_cache(maxsize=8)
-def _functional_weights(grid: RadialGrid, N: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """|S^(N-1)|, r^(N-1) e^r at the centers and r^(N-1) e^r at the faces j >= 1 (read-only)."""
-    r_c = grid.centers
-    w_c = r_c ** (N - 1) * np.exp(r_c)
-    w_f = (_face_weight(grid, N) * np.exp(grid.faces))[1:]
+def _functional_weights(grid: RadialGrid, params: Params) -> tuple[float, np.ndarray, np.ndarray]:
+    """|S^(N-1)|, rho = r^(N-1) e^r at the centers and at the faces j >= 1 (read-only)."""
+    w_c = weight_rho(params, grid.centers)
+    w_f = weight_rho(params, grid.faces[1:])
     w_c.flags.writeable = False
     w_f.flags.writeable = False
-    return sphere_area(N), w_c, w_f
+    return sphere_area(params.N), w_c, w_f
 
 
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
@@ -535,7 +534,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         # sprinkle percent-of-local dust on data that starts exactly on
         # the comparison bound; BE is monotone-damping, so use it until
         # the solution has pulled clear of its initial state
-        u, sat = _step_imex(config, grid, u_prev, dt, plain_be=peak_prev > 0.995 * peak0, geom=geom)
+        u, sat = _step_imex(geom, u_prev, dt, plain_be=peak_prev > 0.995 * peak0)
         frames.sink_saturations += sat
         t += dt
         n += 1
@@ -573,18 +572,18 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     return frames
 
 
-def fit_extinction(frames: FrameSeries, min_records: int = 20) -> tuple[float, float]:
+def fit_extinction(frames: FrameSeries) -> tuple[float, float]:
     """Extinction time from the linear law ||u||^(2-p) = m (T_e - t).
 
     Least squares over the final recorded decade of the sup norm; T_e is the
     root of the fit and rate_r2 its coefficient of determination.
     """
     sup, t = frames.sup, frames.t
-    if sup.size < min_records or sup[-1] <= 0.0 or sup[0] < 10.0 * sup[-1]:
-        raise InsufficientDecayError("need >= 20 records spanning the final decade")
+    if sup.size < FIT_MIN_RECORDS or sup[-1] <= 0.0 or sup[0] < 10.0 * sup[-1]:
+        raise InsufficientDecayError(f"need >= {FIT_MIN_RECORDS} records spanning the final decade")
     lo = sup[-1]
     mask = (sup <= 10.0 * lo) & (sup >= lo)
-    if np.count_nonzero(mask) < min_records:
+    if np.count_nonzero(mask) < FIT_MIN_RECORDS:
         raise InsufficientDecayError(
             f"only {np.count_nonzero(mask)} records in the final decade"
         )
@@ -592,10 +591,10 @@ def fit_extinction(frames: FrameSeries, min_records: int = 20) -> tuple[float, f
     return float(-b / m), r2
 
 
-def rate_exponent(frames: FrameSeries, T_e: float, decades: float = 2.0) -> tuple[float, float]:
-    """Fitted exponent of ||u||_inf against (T_e - t) over the late decades."""
+def rate_exponent(frames: FrameSeries, T_e: float) -> tuple[float, float]:
+    """Fitted exponent of ||u||_inf against (T_e - t) over the last RATE_DECADES decades."""
     sup, t = frames.sup, frames.t
-    mask = (t < T_e) & (sup > 0.0) & (sup <= frames.sup[-1] * 10.0**decades)
+    mask = (t < T_e) & (sup > 0.0) & (sup <= frames.sup[-1] * 10.0**RATE_DECADES)
     if np.count_nonzero(mask) < 10:
         raise InsufficientDecayError("too few records for the rate-exponent fit")
     m, _, r2 = _linear_fit(np.log(T_e - t[mask]), np.log(sup[mask]))

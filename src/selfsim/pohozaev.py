@@ -6,6 +6,11 @@ shooting parameter and changes sign exactly once, at r_G, the reciprocal of
 the unique positive root of an explicit cubic. The cubic form is the
 production path; the direct finite-difference form G_direct exists purely as
 an independent cross-check of the coefficient algebra.
+
+The settings no caller varies are module constants: the root-bracket limit
+CUBIC_Z_MAX of ``find_r_G``, the relative finite-difference step
+FD_STEP_REL of ``G_direct``, and the grid size WRONSKIAN_POINTS of
+``wronskian_check``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ __all__ = [
     "wronskian_check",
     "small_a_limit_z0",
 ]
+
+CUBIC_Z_MAX = 1e3  # find_r_G doubles z up to here looking for the cubic's sign change
+FD_STEP_REL = 1e-5  # central-difference step of G_direct, relative to r
+WRONSKIAN_POINTS = 4001  # common-grid size of wronskian_check
 
 
 class RootBracketFailureError(RuntimeError):
@@ -110,7 +119,7 @@ def _cubic_eval(params: Params, z):
     return ((M3 * n1 * z + M2 * n1) * z + M1 * n1) * z + M0
 
 
-def find_r_G(params: Params, z_max: float = 1e3) -> float:
+def find_r_G(params: Params) -> float:
     """Radius where G changes sign: the reciprocal of the cubic's positive root.
 
     For N = 1 the cubic degenerates to the negative constant M0 (G < 0
@@ -121,9 +130,9 @@ def find_r_G(params: Params, z_max: float = 1e3) -> float:
     z_hi = 1.0
     while _cubic_eval(params, z_hi) <= 0.0:
         z_hi *= 2.0
-        if z_hi > z_max:
+        if z_hi > CUBIC_Z_MAX:
             raise RootBracketFailureError(
-                f"cubic has no sign change in (0, {z_max}]; coefficients are wrong"
+                f"cubic has no sign change in (0, {CUBIC_Z_MAX}]; coefficients are wrong"
             )
     z_star = brentq(lambda z: _cubic_eval(params, z), 0.0, z_hi, xtol=1e-15, rtol=8.9e-16)
     return 1.0 / z_star
@@ -150,7 +159,7 @@ def G_cubic(params: Params, r):
     return params.p / q**3 * alpha * _cubic_eval(params, 1.0 / r)
 
 
-def G_direct(params: Params, r, fd_step_rel: float = 1e-5):
+def G_direct(params: Params, r):
     """G from its definition (N-1) beta / r^2 + gamma'/2, gamma' by central FD.
 
     Deliberately independent of the cubic form; the two must agree to
@@ -158,7 +167,7 @@ def G_direct(params: Params, r, fd_step_rel: float = 1e-5):
     """
     r = np.asarray(r, dtype=float)
     _, beta, _, _ = coeff_functions(params, r)
-    h = fd_step_rel * r
+    h = FD_STEP_REL * r
     gamma_p = coeff_functions(params, r + h)[2]
     gamma_m = coeff_functions(params, r - h)[2]
     dgamma = (gamma_p - gamma_m) / (2.0 * h)
@@ -210,7 +219,6 @@ def wronskian_check(
     traj1: Trajectory,
     traj2: Trajectory,
     r_hi: float | None = None,
-    n: int = 4001,
 ) -> PairSeries:
     """Residual of the Wronskian quadrature identity for a pair a1 < a2.
 
@@ -223,7 +231,7 @@ def wronskian_check(
     if not traj1.a <= traj2.a:
         raise ValueError("call with traj1.a <= traj2.a")
     lo, hi = _common_window(traj1, traj2, r_hi)
-    r = np.linspace(lo, hi, n)
+    r = np.linspace(lo, hi, WRONSKIAN_POINTS)
     f1, g1 = traj1.eval(r)
     f2, g2 = traj2.eval(r)
     _, gp1 = _rhs_arrays(params, r, f1, g1, absorption=True)

@@ -16,7 +16,11 @@ exactly for it).
 
 Integration is explicit adaptive Runge-Kutta (DOP853) with embedded error
 control, a series start at r = eps to clear the 1/r coordinate singularity,
-dense output, and sign-change events for f and g.
+dense output, and sign-change events for f and g. The settings no caller
+varies are module constants: the absolute tolerance ABS_TOL, the step cap
+and sample spacing SAMPLE_DR, and the radius DENSE_UNTIL where both relax;
+``IntegratorOptions`` keeps the ones that do vary (rel_tol, r_max,
+track_past_fzero).
 """
 
 from __future__ import annotations
@@ -56,24 +60,25 @@ class NoZeroWithinHorizonError(RuntimeError):
     """psi stayed positive up to r_max, which contradicts its finite first zero."""
 
 
+# near-pure relative control: an absolute floor at 1e-12 buries the
+# exponential tails that the near-a_* classification runs live on
+ABS_TOL = 1e-60
+# solver step cap and sample spacing for r <= DENSE_UNTIL; beyond that
+# steps are free and the sample spacing relaxes to bound sample counts
+SAMPLE_DR = 0.05
+DENSE_UNTIL = 20.0
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     rel_tol: float = 1e-10
-    # near-pure relative control: an absolute floor at 1e-12 buries the
-    # exponential tails that the near-a_* classification runs live on
-    abs_tol: float = 1e-60
     r_max: float = 50.0
-    # solver step cap and sample spacing for r <= dense_until; beyond that
-    # steps are free and the sample spacing relaxes to bound sample counts
-    sample_dr: float = 0.05
-    dense_until: float = 20.0
-    j_neg_threshold: float = 1e-8
     # continue past the first zero of f (f < 0 permitted) until g crosses zero
     track_past_fzero: bool = False
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.sample_dr <= 0:
-            raise ValueError("tolerances and sample_dr must be positive")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
 
@@ -98,7 +103,6 @@ class Trajectory:
 
     params: Params
     a: float
-    opts: IntegratorOptions
     r: np.ndarray
     f: np.ndarray
     g: np.ndarray
@@ -240,14 +244,14 @@ def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption:
     common = dict(
         method="DOP853",
         rtol=opts.rel_tol,
-        atol=opts.abs_tol,
+        atol=ABS_TOL,
         dense_output=True,
         events=events_fns,
     )
 
-    r_split = min(opts.dense_until, opts.r_max)
+    r_split = min(DENSE_UNTIL, opts.r_max)
     sol = solve_ivp(
-        odefun, (eps, r_split), [state0.f, state0.g], max_step=opts.sample_dr, **common
+        odefun, (eps, r_split), [state0.f, state0.g], max_step=SAMPLE_DR, **common
     )
     _check_underflow(sol, a)
     f_roots, g_roots = (list(t) for t in sol.t_events)
@@ -276,7 +280,7 @@ def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption:
     if (sol_far or sol).status == 0:
         events.append(TrajEvent("Truncated", r_end))
 
-    r_grid = _sample_grid(eps, r_end, opts)
+    r_grid = _sample_grid(eps, r_end)
     y = dense(r_grid)
     f, g = y[0], y[1]
     fprime, _ = _rhs_arrays(params, r_grid, f, g, absorption)
@@ -285,7 +289,6 @@ def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption:
     traj = Trajectory(
         params=params,
         a=a,
-        opts=opts,
         r=r_grid,
         f=f,
         g=g,
@@ -307,12 +310,12 @@ def _check_underflow(sol, a: float) -> None:
         )
 
 
-def _sample_grid(eps: float, r_end: float, opts: IntegratorOptions) -> np.ndarray:
-    near_end = min(r_end, opts.dense_until)
-    n_near = max(2, int(np.ceil((near_end - eps) / opts.sample_dr)) + 1)
+def _sample_grid(eps: float, r_end: float) -> np.ndarray:
+    near_end = min(r_end, DENSE_UNTIL)
+    n_near = max(2, int(np.ceil((near_end - eps) / SAMPLE_DR)) + 1)
     grid = np.linspace(eps, near_end, n_near)
     if r_end > near_end:
-        far_dr = max(opts.sample_dr, (r_end - near_end) / 4000.0)
+        far_dr = max(SAMPLE_DR, (r_end - near_end) / 4000.0)
         n_far = max(2, int(np.ceil((r_end - near_end) / far_dr)) + 1)
         grid = np.concatenate([grid, np.linspace(near_end, r_end, n_far)[1:]])
     return grid

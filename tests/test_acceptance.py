@@ -17,3 +17,10 @@ def test_criterion(ctx, index, title, fn, capsys):
             print(check.line(), flush=True)
     detail = "\n".join(c.line() for c in res.checks if not c.passed)
     assert res.passed, f"criterion {index} failed:\n{detail}"
+
+
+def test_runtime_check_is_appended_from_the_budget_table(ctx):
+    results = {res.index: res for res in run_acceptance(ctx, only={2, 3})}
+    last = results[2].checks[-1]
+    assert (last.name, last.tol) == ("runtime [s]", 1.0)
+    assert all(check.name != "runtime [s]" for check in results[3].checks)

@@ -10,7 +10,6 @@ from selfsim.classify import (
     bracket_search,
     classify,
     estimate_l,
-    tail_integral_check,
     tail_slopes,
 )
 
@@ -144,20 +143,3 @@ class TestTailSlopes:
         with pytest.raises(WindowTooShortError):
             tail_slopes(P2, gs2.traj, exp_window=(49.9, 50.0))
 
-
-class TestTailIntegral:
-    def test_decreasing_deviation_and_frozen_value(self, P2):
-        res = tail_integral_check(P2, np.array([5.0, 10.0, 20.0, 40.0]))
-        assert np.all(np.diff(res.deviation) < 0.0)
-        # computed by the quadrature oracle: 1/r - 3/(2 r^2) + O(r^-3) at r=40
-        assert res.deviation[-1] == pytest.approx(0.0241, rel=0.10)
-        assert res.gamma_vs_quad <= 1e-8
-
-    def test_dimension_one_is_exact(self):
-        res = tail_integral_check(make_params(1, 1.5), np.array([5.0, 20.0, 40.0]))
-        assert res.worst <= 1e-10
-
-    def test_second_point(self, P3):
-        res = tail_integral_check(P3, np.array([10.0, 40.0]))
-        assert np.all(np.diff(res.deviation) < 0.0)
-        assert res.gamma_vs_quad <= 1e-8

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from selfsim import pde
-from selfsim.cli import main
+from selfsim import cli, pde
+from selfsim.cli import PDE_RUN_DEFAULTS, build_parser, main
 from selfsim.reporting import format_value, read_summary, validate_config, write_csv, write_summary
 
 
@@ -215,6 +215,23 @@ class TestCommands:
         assert meta["command"] == "pde-compare"
         assert "written_at" in meta
         assert "written_at" not in read_summary(prefix + "_summary.json")
+
+    def test_pde_run_and_compare_resolve_the_same_defaults(self, monkeypatch):
+        class Resolved(Exception):
+            pass
+
+        def stop(config, field):
+            raise Resolved
+
+        # pde-run resolves its defaults inside the command: stop it at the run
+        monkeypatch.setattr(cli, "run_to_extinction", stop)
+        run_args = build_parser().parse_args(["pde-run", "--N", "2", "--p", "1.5", "--out", "x"])
+        with pytest.raises(Resolved):
+            run_args.fn(run_args)
+        cmp_args = build_parser().parse_args(["pde-compare", "--N", "2", "--p", "1.5", "--out", "x"])
+        keys = ("init", "M", "r_inf", "kappa0", "T0")
+        assert [getattr(cmp_args, k) for k in keys] == [PDE_RUN_DEFAULTS[k] for k in keys]
+        assert [getattr(run_args, k) for k in keys] == [PDE_RUN_DEFAULTS[k] for k in keys]
 
     def test_verify_single_fast_criterion(self, capsys):
         assert run_cli("verify", "--only", "3") == 0

@@ -27,7 +27,7 @@ from selfsim.pde import (
     step,
     weighted_functionals,
 )
-from selfsim.pde import CFL_SAFETY, _be_sweep, _step_imex, explicit_dt
+from selfsim.pde import CFL_SAFETY, _geometry, _step_imex, explicit_dt
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +172,11 @@ class TestCrossValidation:
         while fld.t < 0.05:
             fld, _ = step(cfg_e, fld)
 
-        cfg_i = PdeConfig(**kw)
+        geom = _geometry(PdeConfig(**kw), grid)
         u, t, dt = f0.values.copy(), 0.0, 1e-7
         while t < 0.05:
             dt = min(dt, 0.05 - t + 1e-16)
-            u, _ = _step_imex(cfg_i, grid, u, dt)
+            u, _ = _step_imex(geom, u, dt)
             t += dt
             dt = min(dt * 1.2, 2e-4)
 
@@ -295,7 +295,8 @@ class TestSweepProperties:
         M = data.draw(st.integers(min_value=4, max_value=64))
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
-        u_new, _ = _be_sweep(PdeConfig(params=P), make_grid(R_inf, M), u, 10.0**log_dt)
+        geom = _geometry(PdeConfig(params=P), make_grid(R_inf, M))
+        u_new, _ = _step_imex(geom, u, 10.0**log_dt, plain_be=True)
         assert np.all(u_new >= 0.0)
         # exact for the exact solve; the float solve may overshoot by roundoff
         assert u_new.max() <= u.max() * (1.0 + 1e-13)

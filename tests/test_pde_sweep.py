@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from selfsim import pde
 from selfsim.params import make_params
-from selfsim.pde import MaxStepsExceededError, PdeConfig, _be_sweep, _step_imex, make_grid, make_initial
+from selfsim.pde import MaxStepsExceededError, PdeConfig, _geometry, _step_imex, make_grid, make_initial
 
 
 def reference_be_sweep(config, grid, u, dt):
@@ -74,17 +74,13 @@ class TestBitIdentity:
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
         grid = make_grid(R_inf, M)
         dt = 10.0**log_dt
-        geom = pde._geometry(cfg, grid)
-        ref = reference_be_sweep(cfg, grid, u, dt)
-        ref_step = reference_step(cfg, grid, u, dt)
-        for g in (None, geom):
-            for got, want in (
-                (_be_sweep(cfg, grid, u, dt, g), ref),
-                (_step_imex(cfg, grid, u, dt, plain_be=True, geom=g), ref),
-                (_step_imex(cfg, grid, u, dt, geom=g), ref_step),
-            ):
-                assert np.array_equal(got[0], want[0])
-                assert got[1] == want[1]
+        geom = _geometry(cfg, grid)
+        for got, want in (
+            (_step_imex(geom, u, dt, plain_be=True), reference_be_sweep(cfg, grid, u, dt)),
+            (_step_imex(geom, u, dt), reference_step(cfg, grid, u, dt)),
+        ):
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
 
 
 class TestSolverChecks:
@@ -95,34 +91,32 @@ class TestSolverChecks:
         P = make_params(2, 1.5)
         cfg = PdeConfig(params=P)
         grid = make_grid(8.0, 40)
-        return cfg, grid, make_initial(cfg, grid).values
+        return _geometry(cfg, grid), make_initial(cfg, grid).values
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [0, 17, 39])
     def test_non_finite_data_raises(self, setup, bad, where):
-        cfg, grid, u = setup
+        geom, u = setup
         u = u.copy()
         u[where] = bad
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError):
-                _be_sweep(cfg, grid, u, 1e-3)
+                _step_imex(geom, u, 1e-3, plain_be=True)
             with pytest.raises(ValueError):
-                _step_imex(cfg, grid, u, 1e-3, plain_be=True)
-            with pytest.raises(ValueError):
-                _step_imex(cfg, grid, u, 1e-3)
+                _step_imex(geom, u, 1e-3)
 
     @pytest.mark.parametrize("info, error", [(3, LinAlgError), (-2, ValueError)])
     def test_lapack_failure_raises(self, setup, monkeypatch, info, error):
-        cfg, grid, u = setup
+        geom, u = setup
 
         def failing_gtsv(dl, d, du, b, **overwrite):
             return dl, d, du, b, info
 
         monkeypatch.setattr(pde, "dgtsv", failing_gtsv)
         with pytest.raises(error):
-            _be_sweep(cfg, grid, u, 1e-3)
+            _step_imex(geom, u, 1e-3, plain_be=True)
         with pytest.raises(error):
-            _step_imex(cfg, grid, u, 1e-3)
+            _step_imex(geom, u, 1e-3)
 
 
 class TestStepSequences:

@@ -223,6 +223,15 @@ PDE_RUN_DEFAULTS = {
 }
 
 
+def _pde_inputs(args, cfg: PdeConfig) -> dict:
+    """The summary inputs of a PDE run: grid, initial data and the run's amplitude."""
+    # kappa0 is the run's amplitude: for separable data it follows from T0 and a_*
+    inputs = {"M": args.M, "R_inf": args.r_inf, "init": args.init, "kappa0": cfg.kappa0}
+    if args.init == "separable":
+        inputs["T0"] = cfg.T0
+    return inputs
+
+
 def cmd_pde_run(args) -> int:
     # precedence: built-in defaults < --config file < explicit flags
     merged = {"N": None, "p": None, **PDE_RUN_DEFAULTS}
@@ -261,15 +270,14 @@ def cmd_pde_run(args) -> int:
     )
     for k, (t_k, u_k) in enumerate(frames.snapshots):
         write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(grid.centers, u_k))
-    # kappa0 is the run's amplitude: for separable data it follows from T0 and a_*
-    inputs = {"M": args.M, "R_inf": args.r_inf, "init": args.init, "kappa0": cfg.kappa0}
-    if args.init == "separable":
-        inputs["T0"] = cfg.T0
-    summary = _summary_skeleton(args, **inputs)
+    summary = _summary_skeleton(args, **_pde_inputs(args, cfg))
     summary["results"] = {
         "T_e": frames.T_e_estimate,
         "rate_r2": frames.rate_r2,
         "n_steps": frames.n_steps,
+        "rejected_steps": frames.rejected_steps,
+        "dt_min": frames.dt_min,
+        "dt_max": frames.dt_max,
         "snapshots": len(frames.snapshots),
         "clamp_events": frames.clamp_events,
         "sink_saturations": frames.sink_saturations,
@@ -301,7 +309,7 @@ def cmd_pde_compare(args) -> int:
     ]
     write_csv(f"{args.out}_compare.csv", ["s", "t", "sup_error"], rows)
     kept = [e for e, (tk, _) in zip(errs, frames.snapshots) if (T_e - tk) >= 0.01 * T_e]
-    summary = _summary_skeleton(args, M=args.M, R_inf=args.r_inf, init=args.init)
+    summary = _summary_skeleton(args, **_pde_inputs(args, cfg), tol=args.tol)
     summary["results"] = {
         "a_star": gs.a_star,
         "T_e": T_e,

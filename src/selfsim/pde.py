@@ -14,9 +14,25 @@ c(s) = (s^2+eps^2)^((p-2)/2), giving an M-matrix tridiagonal solve
 (positivity and max principle), with the gradient-absorption sink on the
 solve's right-hand side and the result clipped at zero. Each step is the
 Richardson extrapolation of one dt sweep and two dt/2 sweeps, after a
-plain-BE start; the step size is controlled by the max relative change per
-step (REL_CHANGE). ``_step_imex`` is the one implicit step: it takes the
-run's geometry and does either the extrapolated step or one plain BE sweep.
+plain-BE start. ``_step_imex`` is the one implicit step: it takes the run's
+geometry, runs the three sweeps and returns either the extrapolated step or
+the plain BE sweep, together with the step-doubling error estimate
+|u_half - u_big| (Hairer, Norsett and Wanner, Solving ODEs I, II.4).
+
+``_control`` chooses dt from that estimate, measured per cell in the mixed
+norm max_i |u_half - u_big|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
+An attempt above 1 is rejected and retried with a smaller dt, leaving the
+state, the clock, the step count and the records untouched; an accepted
+step sets the next dt from the same norm. The per-cell norm sees the far
+tail, where the supersolution bound kappa0 e^(-r/(p-1)) is itself ~1e-12, so
+ATOL sets the cost. Two limits on the change of u per step, relative to the
+peak, bracket the error control: REL_CHANGE caps the growth of dt, which
+keeps enough records in the final decade of the sup norm for
+``fit_extinction`` once ATOL dominates; a step that changes u by no more
+than REL_CHANGE_MIN is accepted whatever its estimate, so tail cells near
+ATOL kappa0 that no useful dt resolves cannot stall a run. The run refuses
+cells wider than MAX_CELL_WIDTH, where the centered sink breaks radial
+monotonicity.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: face weights, the cell factors r^(N-1) dr^2,
@@ -39,10 +55,10 @@ center, the far tail), so dt ~ 1e-9 at production resolution and it cannot
 finish an extinction run; it serves as the cross-validation oracle for the
 implicit step, and ``explicit_dt`` sets the implicit run's first dt.
 
-The settings no caller varies are module constants: CFL_SAFETY, REL_CHANGE,
-RECORD_EVERY, SNAPSHOTS_PER_DECADE, MAX_STEPS and EXTINCTION_FRACTION of the
-run, FIT_MIN_RECORDS of ``fit_extinction`` and RATE_DECADES of
-``rate_exponent``.
+The settings no caller varies are module constants: CFL_SAFETY, RTOL, ATOL,
+REL_CHANGE, REL_CHANGE_MIN, RECORD_EVERY, SNAPSHOTS_PER_DECADE, MAX_STEPS,
+MAX_CELL_WIDTH and EXTINCTION_FRACTION of the run, FIT_MIN_RECORDS of
+``fit_extinction`` and RATE_DECADES of ``rate_exponent``.
 """
 
 from __future__ import annotations
@@ -61,7 +77,11 @@ from .profile_ode import Trajectory
 
 __all__ = [
     "CFL_SAFETY",
+    "RTOL",
+    "ATOL",
     "REL_CHANGE",
+    "REL_CHANGE_MIN",
+    "MAX_CELL_WIDTH",
     "RadialGrid",
     "Field",
     "PdeConfig",
@@ -87,10 +107,27 @@ __all__ = [
 
 
 CFL_SAFETY = 0.4  # explicit stability rule: fraction of the bound
-REL_CHANGE = 4e-4  # implicit accuracy control: max |du| / ||u||_inf per step
+RTOL = 1e-2  # step-doubling error control: relative part of the per-cell scale
+ATOL = 1e-12  # absolute part, times kappa0; it, not RTOL, sets the step count
+# record-density cap: max |du| / ||u||_inf per step. Once ||u|| < ATOL/RTOL the
+# absolute tolerance dominates and the error control alone would cross the
+# final decade in a few dozen steps, too few records for fit_extinction; the
+# cap keeps ~ln(10)/REL_CHANGE = 230 steps, ~30 records, per decade
+REL_CHANGE = 1e-2
+# error-control floor: a step that changes u by at most this share of the peak
+# is accepted whatever its estimate. On coarse grids at small p the far tail
+# holds cells near ATOL kappa0 that appear and vanish on time scales ~u^(2-p),
+# which no useful dt resolves; without the floor such runs stall at dt ~1e-11.
+# The floor bounds a run by ~ln(1/EXTINCTION_FRACTION)/REL_CHANGE_MIN steps.
+REL_CHANGE_MIN = 4e-4
 RECORD_EVERY = 10  # steps between functional records
 SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
 MAX_STEPS = 20_000_000
+# the sink |Dbar|^(p-1) = |Dbar|^(p-2) |Dbar| is transport at a speed that
+# matches the diffusivity |D|^(p-2), and it is taken with centered
+# differences: u stays radially non-increasing only for cell Peclet numbers
+# (~ dr) below 2; 300 production steps break it from dr ~ 1.6 on
+MAX_CELL_WIDTH = 1.0
 EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
 FIT_MIN_RECORDS = 20  # records the extinction fit needs in the final decade
 RATE_DECADES = 2.0  # decades of the sup norm the rate-exponent fit spans
@@ -127,8 +164,9 @@ class RadialGrid:
     M: int
 
     def __post_init__(self):
-        if self.M < 4 or self.R_inf <= 0.0:
-            raise ValueError("need M >= 4 cells and R_inf > 0")
+        # below 8 cells the extrapolated step can break radial monotonicity
+        if self.M < 8 or self.R_inf <= 0.0:
+            raise ValueError("need M >= 8 cells and R_inf > 0")
 
     @property
     def dr(self) -> float:
@@ -210,6 +248,9 @@ class FrameSeries:
     T_e_estimate: float = math.nan
     rate_r2: float = math.nan
     n_steps: int = 0
+    rejected_steps: int = 0  # attempts the error control refused and retried
+    dt_min: float = math.inf  # range of the accepted steps' dt
+    dt_max: float = 0.0
     clamp_events: int = 0  # explicit-step clamps; the implicit path has none
     sink_saturations: int = 0
     monotone_violations: int = 0
@@ -422,28 +463,59 @@ def _clip_count(u: np.ndarray) -> int:
 
 
 def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, plain_be: bool = False):
-    """One implicit step from u; returns (u_new, saturations).
+    """One implicit step from u; returns (u_new, saturations, error).
 
-    plain_be: one lagged-diffusivity backward-Euler sweep with the exact
-    frozen sink. Otherwise the Richardson extrapolation of one dt sweep and
-    two dt/2 sweeps: the dt sweep and the first dt/2 sweep start from u and
-    share its coefficient build; the two dt/2 sweeps share their couplings.
+    Both branches run one dt sweep and two dt/2 sweeps: the dt sweep and the
+    first dt/2 sweep start from u and share its coefficient build; the two
+    dt/2 sweeps share their couplings. error is the step-doubling estimate
+    |u_half - u_big| of the two results, each clipped at zero. plain_be:
+    u_new is the dt sweep, one lagged-diffusivity backward-Euler sweep with
+    the exact frozen sink. Otherwise u_new is the Richardson extrapolation
+    2 u_half - u_big.
     """
-    if plain_be:
-        u_new = _sweep(u, *_coefficients(geom, u), dt, _couplings(geom, dt))
-        return u_new, _clip_count(u_new)
     half = 0.5 * dt
     half_couplings = _couplings(geom, half)
     c, sink = _coefficients(geom, u)
     u_big = _sweep(u, c, sink, dt, _couplings(geom, dt))
-    np.maximum(u_big, 0.0, out=u_big)
+    sat_big = _clip_count(u_big)
     u_half = _sweep(u, c, sink, half, half_couplings)
     np.maximum(u_half, 0.0, out=u_half)
     u_half = _sweep(u_half, *_coefficients(geom, u_half), half, half_couplings)
     sat_half = _clip_count(u_half)
+    error = np.subtract(u_half, u_big)
+    np.abs(error, out=error)
+    if plain_be:
+        return u_big, sat_big, error
     u_half *= 2.0
     u_half -= u_big
-    return u_half, sat_half + _clip_count(u_half)
+    return u_half, sat_half + _clip_count(u_half), error
+
+
+def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev: float, dt: float, atol: float):
+    """Step-size control for the attempt u_prev -> u_try: returns (accepted, next dt).
+
+    The error norm is e = max_i error_i / (RTOL max(u_prev_i, u_try_i) + atol).
+    An attempt with e > 1 is rejected and retried with dt scaled by
+    max(0.2, 0.9 e^(-1/2)). After an accepted step dt grows by at most 1.25
+    and is further capped so that the next step changes u by about REL_CHANGE
+    of the peak. An attempt that changes u by at most REL_CHANGE_MIN of the
+    peak is always accepted, and dt is never cut below the step that would
+    change u by that much. error is overwritten.
+    """
+    scale = np.maximum(u_prev, u_try)
+    scale *= RTOL
+    scale += atol
+    error /= scale
+    e = float(error.max())
+    du = np.subtract(u_try, u_prev)
+    np.abs(du, out=du)
+    change = max(float(du.max()) / peak_prev, 1e-30)
+    # the estimate is O(dt^2) (first-order sweeps), hence the exponent 1/2
+    factor = 0.9 / math.sqrt(max(e, 1e-30))
+    floor = 0.9 * REL_CHANGE_MIN / change
+    if e > 1.0 and change > REL_CHANGE_MIN:
+        return False, dt * max(0.2, factor, floor)
+    return True, dt * min(1.25, max(0.2, floor, min(factor, 0.9 * REL_CHANGE / change)))
 
 
 def weighted_functionals(
@@ -493,6 +565,8 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     peak0 = float(u.max())
     if peak0 <= ext_tol:
         raise ValueError("initial data already below the extinction threshold")
+    if grid.dr > MAX_CELL_WIDTH:
+        raise ValueError(f"cell width R_inf/M = {grid.dr:.6g} above {MAX_CELL_WIDTH}: the run would not stay monotone")
 
     frames = FrameSeries(params=params, grid=grid, config=config)
     rec_t, rec_sup, rec_I, rec_J, rec_D, rec_E = [], [], [], [], [], []
@@ -523,19 +597,27 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     next_snap = peak0 * snap_factor
 
     dt = explicit_dt(config, grid, u)
+    atol = ATOL * config.kappa0
     n = 0
     peak = peak0
     while True:
         if dt < 1e-16:
             raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
-        u_prev, peak_prev = u, peak
         # plain-BE starter: the extrapolated step is not sign-damping on
         # stiff transients (its amplification dips to -0.02), which would
         # sprinkle percent-of-local dust on data that starts exactly on
         # the comparison bound; BE is monotone-damping, so use it until
         # the solution has pulled clear of its initial state
-        u, sat = _step_imex(geom, u_prev, dt, plain_be=peak_prev > 0.995 * peak0)
+        u_try, sat, error = _step_imex(geom, u, dt, plain_be=peak > 0.995 * peak0)
+        accepted, dt_next = _control(error, u, u_try, peak, dt, atol)
+        if not accepted:
+            frames.rejected_steps += 1
+            dt = dt_next
+            continue
+        u_prev, u = u, u_try
         frames.sink_saturations += sat
+        frames.dt_min = min(frames.dt_min, dt)
+        frames.dt_max = max(frames.dt_max, dt)
         t += dt
         n += 1
         peak = float(u.max())
@@ -552,11 +634,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
             break
         if n >= MAX_STEPS:
             raise MaxStepsExceededError(f"no extinction after {n} steps (peak={peak:.3e})")
-        # accuracy controller: cap the per-step relative change at REL_CHANGE
-        du = u - u_prev
-        np.abs(du, out=du)
-        change = float(du.max()) / max(peak_prev, ext_tol)
-        dt *= min(1.25, max(0.3, 0.9 * REL_CHANGE / max(change, 1e-30)))
+        dt = dt_next
 
     frames.t = np.asarray(rec_t)
     frames.sup = np.asarray(rec_sup)

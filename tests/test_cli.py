@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from selfsim import cli, pde
+from selfsim import cli
 from selfsim.cli import PDE_RUN_DEFAULTS, build_parser, main
 from selfsim.reporting import format_value, read_summary, validate_config, write_csv, write_summary
 
@@ -146,6 +146,19 @@ class TestCommands:
         summary = read_summary(prefix + "_summary.json")
         assert summary["results"]["T_e"] > 0
         assert summary["results"]["clamp_events"] == 0
+        # the step controller's counters: deterministic, no wall clock
+        results = summary["results"]
+        assert results["rejected_steps"] >= 0
+        assert 0.0 < results["dt_min"] <= results["dt_max"]
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--init", "exp_tail",
+                       "--M", "150", "--r-inf", "8", "--out", prefix + "b") == 0
+        assert read_summary(prefix + "b_summary.json") == summary
+
+    def test_pde_run_rejects_too_few_cells(self, tmp_path, capsys):
+        # below 8 cells the extrapolated step can break radial monotonicity
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--M", "4", "--r-inf", "8",
+                       "--out", str(tmp_path / "run")) == 2
+        assert "M >= 8" in capsys.readouterr().err
 
     def test_pde_run_from_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -176,6 +189,14 @@ class TestCommands:
         summary = read_summary(prefix + "_summary.json")
         assert summary["results"]["a_star"] == pytest.approx(6.0353203, rel=1e-4)
         assert summary["results"]["T_e"] > 0
+        assert summary["inputs"] == {
+            "N": 2, "p": 1.5, "M": 150, "R_inf": 8.0, "init": "exp_tail", "kappa0": 1.0, "tol": 1e-6,
+        }
+        # a run that differs only in --tol says so in its inputs
+        code = run_cli("pde-compare", "--N", "2", "--p", "1.5", "--init", "exp_tail",
+                       "--M", "150", "--r-inf", "8", "--tol", "1e-7", "--out", prefix + "b")
+        assert code == 0
+        assert read_summary(prefix + "b_summary.json")["inputs"]["tol"] == 1e-7
 
     def test_pohozaev_J_path_under_csv_named_directory(self, tmp_path, capsys):
         outdir = tmp_path / "tables.csv.d"
@@ -186,9 +207,7 @@ class TestCommands:
         j_header, _ = read_csv(outdir / "g_J.csv")
         assert j_header == ["r", "J", "G", "gsq"]
 
-    def test_pde_run_summary_records_the_run_amplitude(self, tmp_path, capsys, monkeypatch):
-        # a coarser step controller keeps the runs short; the summary inputs are under test
-        monkeypatch.setattr(pde, "REL_CHANGE", 4e-3)
+    def test_pde_run_summary_records_the_run_amplitude(self, tmp_path, capsys):
         prefix = str(tmp_path / "sep")
         code = run_cli("pde-run", "--N", "2", "--p", "1.5", "--init", "separable",
                        "--M", "150", "--r-inf", "8", "--out", prefix)
@@ -204,9 +223,7 @@ class TestCommands:
         inputs = read_summary(prefix + "_summary.json")["inputs"]
         assert inputs == {"N": 2, "p": 1.5, "M": 150, "R_inf": 8.0, "init": "exp_tail", "kappa0": 1.5}
 
-    def test_pde_compare_meta_sidecar(self, tmp_path, capsys, monkeypatch):
-        # a coarser step controller keeps the run short; the sidecar is under test
-        monkeypatch.setattr(pde, "REL_CHANGE", 4e-3)
+    def test_pde_compare_meta_sidecar(self, tmp_path, capsys):
         prefix = str(tmp_path / "cmp")
         code = run_cli("pde-compare", "--N", "2", "--p", "1.5", "--M", "150", "--r-inf", "8",
                        "--tol", "1e-6", "--out", prefix, "--meta")

@@ -21,6 +21,7 @@ from selfsim.pde import (
     make_initial,
     rate_exponent,
     rescale_frames,
+    run_to_extinction,
     separable_amplitude,
     separable_config,
     sphere_area,
@@ -58,6 +59,17 @@ def test_grid_geometry():
     assert grid.faces[0] == 0.0 and grid.faces[-1] == pytest.approx(15.0)
     with pytest.raises(ValueError):
         make_grid(15.0, 2)
+    # below 8 cells the extrapolated step can break radial monotonicity
+    with pytest.raises(ValueError):
+        make_grid(12.0, 7)
+    assert make_grid(12.0, 8).M == 8
+
+
+def test_run_refuses_cells_wider_than_the_monotone_limit(P2):
+    # 8 cells of width 1.6 lose radial monotonicity within 300 steps
+    cfg = PdeConfig(params=P2)
+    with pytest.raises(ValueError, match="cell width"):
+        run_to_extinction(cfg, make_initial(cfg, make_grid(12.8, 8)))
 
 
 def test_default_domain_truncation_is_negligible(P2):
@@ -176,7 +188,7 @@ class TestCrossValidation:
         u, t, dt = f0.values.copy(), 0.0, 1e-7
         while t < 0.05:
             dt = min(dt, 0.05 - t + 1e-16)
-            u, _ = _step_imex(geom, u, dt)
+            u, _, _ = _step_imex(geom, u, dt)
             t += dt
             dt = min(dt * 1.2, 2e-4)
 
@@ -220,7 +232,7 @@ class TestFits:
         # log-spaced records so every decade of the sup norm is populated
         t = T_e - np.geomspace(0.4, 0.005, n)
         sup = (2.0 * (T_e - t)) ** P2.e_time
-        frames = FrameSeries(params=P2, grid=make_grid(1.0, 4), config=PdeConfig(params=P2))
+        frames = FrameSeries(params=P2, grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
         frames.t, frames.sup = t, sup
         return frames
 
@@ -233,7 +245,7 @@ class TestFits:
         assert m == pytest.approx(P2.e_time, rel=1e-8)
 
     def test_constant_input_is_insufficient(self, P2):
-        frames = FrameSeries(params=P2, grid=make_grid(1.0, 4), config=PdeConfig(params=P2))
+        frames = FrameSeries(params=P2, grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
         frames.t = np.linspace(0.0, 1.0, 100)
         frames.sup = np.ones(100)
         with pytest.raises(InsufficientDecayError):
@@ -292,11 +304,11 @@ class TestSweepProperties:
     def test_nonnegative_and_max_principle(self, N, frac, R_inf, log_dt, data):
         p_c = 2.0 * N / (N + 1.0)
         P = make_params(N, p_c + frac * (2.0 - p_c))
-        M = data.draw(st.integers(min_value=4, max_value=64))
+        M = data.draw(st.integers(min_value=8, max_value=64))
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
         geom = _geometry(PdeConfig(params=P), make_grid(R_inf, M))
-        u_new, _ = _step_imex(geom, u, 10.0**log_dt, plain_be=True)
+        u_new, _, _ = _step_imex(geom, u, 10.0**log_dt, plain_be=True)
         assert np.all(u_new >= 0.0)
         # exact for the exact solve; the float solve may overshoot by roundoff
         assert u_new.max() <= u.max() * (1.0 + 1e-13)

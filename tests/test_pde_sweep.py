@@ -42,15 +42,27 @@ def reference_be_sweep(config, grid, u, dt):
     return u_new, sat
 
 
-def reference_step(config, grid, u, dt):
-    """Richardson extrapolation of one dt sweep and two dt/2 sweeps."""
+def reference_pair(config, grid, u, dt):
+    """The step-doubling pair: one dt sweep and two dt/2 sweeps, each clipped at zero."""
     u_big, _ = reference_be_sweep(config, grid, u, dt)
     u_half, _ = reference_be_sweep(config, grid, u, 0.5 * dt)
     u_half, sat_half = reference_be_sweep(config, grid, u_half, 0.5 * dt)
+    return u_big, u_half, sat_half
+
+
+def reference_step(config, grid, u, dt):
+    """Richardson extrapolation of one dt sweep and two dt/2 sweeps."""
+    u_big, u_half, sat_half = reference_pair(config, grid, u, dt)
     u_new = 2.0 * u_half - u_big
     sat = sat_half + int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
     return u_new, sat
+
+
+def reference_error(config, grid, u, dt):
+    """The step-doubling error estimate |u_half - u_big|."""
+    u_big, u_half, _ = reference_pair(config, grid, u, dt)
+    return np.abs(u_half - u_big)
 
 
 def wedge_params(N, frac):
@@ -69,18 +81,20 @@ class TestBitIdentity:
     @settings(max_examples=30, deadline=None)
     def test_sweep_and_step_match_banded_reference(self, N, frac, R_inf, log_dt, data):
         cfg = PdeConfig(params=wedge_params(N, frac))
-        M = data.draw(st.integers(min_value=4, max_value=64))
+        M = data.draw(st.integers(min_value=8, max_value=64))
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
         grid = make_grid(R_inf, M)
         dt = 10.0**log_dt
         geom = _geometry(cfg, grid)
+        error = reference_error(cfg, grid, u, dt)
         for got, want in (
             (_step_imex(geom, u, dt, plain_be=True), reference_be_sweep(cfg, grid, u, dt)),
             (_step_imex(geom, u, dt), reference_step(cfg, grid, u, dt)),
         ):
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
+            assert np.array_equal(got[2], error)
 
 
 class TestSolverChecks:
@@ -122,12 +136,17 @@ class TestSolverChecks:
 class TestStepSequences:
     """Production steps keep the profile radially non-increasing and obey the max principle.
 
-    The run is the production loop (plain-BE starter, step controller) cut
-    after 300 steps. Grids start at 8 cells: on 4 cells of width 3 the
-    extrapolated step can raise a cell above its inner neighbour (by up to
-    5e-5 of the peak at N = 2, p = 1.83, R_inf = 12). The supersolution bound
-    kappa0 e^(-r/(p-1)) is not checked here: at M <= 64 the discretization
-    exceeds it by ~1e-10 kappa0.
+    The run is the production loop (plain-BE starter, error control with
+    rejection) cut after 300 accepted steps, or at extinction if that comes
+    first; every attempted step, accepted or not, is checked against its own
+    input. Grids are the ones the run accepts: at least 8 cells
+    (``RadialGrid``), at most MAX_CELL_WIDTH wide.
+    On 4 cells of width 3 the extrapolated step can raise a cell above its
+    inner neighbour (by up to 5e-5 of the peak at N = 2, p = 1.83,
+    R_inf = 12), and on 8 cells of width 1.6 or more within 300 steps (by up
+    to 5 % of the peak at N = 3, p = 1.97, R_inf = 15.3). The supersolution
+    bound kappa0 e^(-r/(p-1)) is not checked here: at M <= 64 the
+    discretization exceeds it by ~1e-10 kappa0.
     """
 
     @given(
@@ -139,20 +158,79 @@ class TestStepSequences:
     )
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_max_principle(self, N, frac, kappa0, R_inf, M):
+        assume(R_inf <= M * pde.MAX_CELL_WIDTH)  # grids the run accepts
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
         field = make_initial(cfg, make_grid(R_inf, M))
         assume(field.values.max() > cfg.extinction_threshold)  # data the run accepts
-        peaks = [float(field.values.max())]
+        attempts = []  # (input, output) of every attempted step
         production_step = pde._step_imex
 
-        def checked_step(*args, **kwargs):
-            u, sat = production_step(*args, **kwargs)
+        def checked_step(geom, u_in, dt, **kwargs):
+            u, sat, error = production_step(geom, u_in, dt, **kwargs)
             assert np.all(np.diff(u) <= 0.0)
-            assert u.max() <= peaks[-1]
-            peaks.append(float(u.max()))
-            return u, sat
+            assert u.max() <= u_in.max()
+            attempts.append((u_in, u))
+            return u, sat, error
 
         with mock.patch.object(pde, "_step_imex", checked_step), mock.patch.object(pde, "MAX_STEPS", 300):
-            with pytest.raises(MaxStepsExceededError):
-                pde.run_to_extinction(cfg, field)
-        assert len(peaks) == 301
+            try:
+                steps = pde.run_to_extinction(cfg, field).n_steps  # data starting near the threshold
+            except MaxStepsExceededError:
+                steps = 300
+        # an attempt was accepted when the next one starts from its output;
+        # the last one was accepted, since the run stopped after it
+        accepted = sum(nxt[0] is cur[1] for cur, nxt in zip(attempts, attempts[1:])) + 1
+        assert accepted == steps
+
+
+class TestErrorControl:
+    """The step-doubling controller rejects and retries, and runs end with a usable fit."""
+
+    def test_rejected_attempt_advances_nothing(self):
+        cfg = PdeConfig(params=make_params(2, 1.5))
+        field = make_initial(cfg, make_grid(8.0, 32))
+        attempts = []  # (input, output, dt) of every attempted step
+        production_step = pde._step_imex
+
+        def step_with_one_bad_estimate(geom, u_in, dt, plain_be=False):
+            u, sat, error = production_step(geom, u_in, dt, plain_be=plain_be)
+            if not plain_be and not any(a[3] for a in attempts):
+                error = np.full_like(error, 1.0)  # e ~ 1 / (RTOL peak) >> 1
+            attempts.append((u_in, u, dt, not plain_be))
+            return u, sat, error
+
+        with mock.patch.object(pde, "_step_imex", step_with_one_bad_estimate):
+            frames = pde.run_to_extinction(cfg, field)
+        assert frames.rejected_steps >= 1
+        accepted = [cur for cur, nxt in zip(attempts, attempts[1:]) if nxt[0] is cur[1]] + attempts[-1:]
+        assert frames.n_steps == len(accepted) == len(attempts) - frames.rejected_steps
+        first_bad = next(i for i, a in enumerate(attempts) if a[3])
+        assert attempts[first_bad + 1][0] is attempts[first_bad][0]  # retried from the same state
+        assert attempts[first_bad + 1][2] < attempts[first_bad][2]  # with a smaller dt
+        t = 0.0
+        for _, _, dt, _ in accepted:
+            t += dt
+        assert frames.t[-1] == t  # the rejected dt never reached the clock
+        assert frames.dt_min == min(a[2] for a in accepted)
+        assert frames.dt_max == max(a[2] for a in accepted)
+
+    @given(
+        N=st.integers(min_value=1, max_value=3),
+        frac=st.floats(min_value=0.01, max_value=0.99),
+        kappa0=st.floats(min_value=0.5, max_value=2.0),
+        R_inf=st.floats(min_value=4.0, max_value=20.0),
+        M=st.integers(min_value=8, max_value=64),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_final_decade_holds_enough_records(self, N, frac, kappa0, R_inf, M):
+        # REL_CHANGE caps the step where ATOL alone would cross the final
+        # decade in a few dozen steps, too few records for the fit
+        assume(R_inf <= M * pde.MAX_CELL_WIDTH)
+        cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
+        field = make_initial(cfg, make_grid(R_inf, M))
+        # the fit needs a whole final decade, so the data must start above it
+        # (at N = 1, p = 1.01 the first cell can hold only ~1e-10 kappa0)
+        assume(field.values.max() > 10.0 * cfg.extinction_threshold)
+        frames = pde.run_to_extinction(cfg, field)
+        assert np.isfinite(frames.T_e_estimate)
+        assert np.count_nonzero(frames.sup <= 10.0 * frames.sup[-1]) >= pde.FIT_MIN_RECORDS

@@ -140,13 +140,13 @@ class TestStepSequences:
     rejection) cut after 300 accepted steps, or at extinction if that comes
     first; every attempted step, accepted or not, is checked against its own
     input. Grids are the ones the run accepts: at least 8 cells
-    (``RadialGrid``), at most MAX_CELL_WIDTH wide.
-    On 4 cells of width 3 the extrapolated step can raise a cell above its
-    inner neighbour (by up to 5e-5 of the peak at N = 2, p = 1.83,
-    R_inf = 12), and on 8 cells of width 1.6 or more within 300 steps (by up
-    to 5 % of the peak at N = 3, p = 1.97, R_inf = 15.3). The supersolution
-    bound kappa0 e^(-r/(p-1)) is not checked here: at M <= 64 the
-    discretization exceeds it by ~1e-10 kappa0.
+    (``RadialGrid``), at most MAX_CELL_WIDTH wide. On 4 cells of width 3
+    the extrapolated step can raise a cell above its inner neighbour (by up
+    to 5e-5 of the peak at N = 2, p = 1.83, R_inf = 12), and on 8 cells of
+    width 1.6 or more within 300 steps (by up to 5 % of the peak at N = 3,
+    p = 1.97, R_inf = 15.3). The supersolution bound kappa0 e^(-r/(p-1)) is
+    not checked here: at M <= 64 the discretization exceeds it by ~1e-10
+    kappa0.
     """
 
     @given(
@@ -173,8 +173,9 @@ class TestStepSequences:
             return u, sat, error
 
         with mock.patch.object(pde, "_step_imex", checked_step), mock.patch.object(pde, "MAX_STEPS", 300):
+            # data that starts near the threshold dies out before MAX_STEPS
             try:
-                steps = pde.run_to_extinction(cfg, field).n_steps  # data starting near the threshold
+                steps = pde.run_to_extinction(cfg, field).n_steps
             except MaxStepsExceededError:
                 steps = 300
         # an attempt was accepted when the next one starts from its output;

@@ -28,7 +28,7 @@ from selfsim.pde import (
     step,
     weighted_functionals,
 )
-from selfsim.pde import CFL_SAFETY, _geometry, _step_imex, explicit_dt
+from selfsim.pde import CFL_SAFETY, _geometry, _step_imex, _upwind_cells, explicit_dt
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +65,26 @@ def test_grid_geometry():
     assert make_grid(12.0, 8).M == 8
 
 
-def test_run_refuses_cells_wider_than_the_monotone_limit(P2):
-    # 8 cells of width 1.6 lose radial monotonicity within 300 steps
-    cfg = PdeConfig(params=P2)
-    with pytest.raises(ValueError, match="cell width"):
-        run_to_extinction(cfg, make_initial(cfg, make_grid(12.8, 8)))
+def test_upwind_sink_only_on_coarse_cells():
+    # the production grid keeps the centered sink everywhere, so its step
+    # map is unchanged; coarse grids upwind the cells with Pe_i > 1
+    for N in (1, 2, 3):
+        assert _upwind_cells(make_grid(15.0, 2000), N) is None
+    assert _upwind_cells(make_grid(8.0, 8), 1) is None  # Pe_i = dr = 1
+    assert _upwind_cells(make_grid(6.0, 8), 2).tolist() == [False, True] + [False] * 6  # Pe_1 = 1.125
+    # cell 0 borders the symmetry face and stays centered
+    assert _upwind_cells(make_grid(20.0, 8), 3).tolist() == [False] + [True] * 7
+
+
+def test_coarse_run_stays_monotone():
+    # 8 cells of width 1.9: with centered sinks the profile rises outward
+    # from t = 1.08 on, whatever the dt
+    cfg = PdeConfig(params=make_params(3, 1.97))
+    field = make_initial(cfg, make_grid(15.3, 8))
+    frames = run_to_extinction(cfg, field)
+    assert frames.monotone_violations == 0
+    for _, u in frames.snapshots:
+        assert np.all(np.diff(u) <= 0.0)
 
 
 def test_default_domain_truncation_is_negligible(P2):
@@ -198,6 +213,25 @@ class TestCrossValidation:
         exact = f0.peak() * (1.0 - 0.05) ** 2
         assert fld.peak() == pytest.approx(exact, rel=1e-3)
         assert float(u.max()) == pytest.approx(exact, rel=1e-3)
+
+    def test_explicit_matches_imex_on_upwind_cells(self, P2):
+        # cells of width 2: every cell but the first takes the upwind sink
+        grid = make_grid(16.0, 8)
+        cfg = PdeConfig(params=P2, eps_reg=1e-4)
+        f0 = make_initial(cfg, grid)
+        fld = Field(grid, f0.values.copy(), 0.0)
+        while fld.t < 0.05:
+            fld, _ = step(cfg, fld, dt=min(1e-5, 0.05 - fld.t + 1e-16))
+
+        geom = _geometry(cfg, grid)
+        u, t, dt = f0.values.copy(), 0.0, 1e-7
+        while t < 0.05:
+            dt = min(dt, 0.05 - t + 1e-16)
+            u, _, _ = _step_imex(geom, u, dt)
+            t += dt
+            dt = min(dt * 1.2, 2e-4)
+
+        assert np.max(np.abs(fld.values - u)) / fld.peak() < 1e-4
 
 
 class TestFunctionals:

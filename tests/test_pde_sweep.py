@@ -25,7 +25,11 @@ def reference_be_sweep(config, grid, u, dt):
     if N == 1:
         w_face[0] = 0.0
     lam = dt / (grid.centers ** (N - 1) * dr * dr)
-    up = lam * w_face[1:] * c[1:]
+    # hybrid sink: cells i >= 1 with dr (r_i / r_{i-1/2})^(N-1) > 1 absorb
+    # c(D_{i+1/2}) |D_{i+1/2}| / dr, lagged, through the coupling to u_{i+1}
+    upwind = np.zeros(M, dtype=bool)
+    upwind[1:] = dr * (grid.centers[1:] / grid.faces[1:-1]) ** (N - 1) > 1.0
+    up = (lam * w_face[1:] + dt / dr * upwind) * c[1:]
     dn = lam * w_face[:-1] * c[:-1]
     ab = np.zeros((3, M))
     ab[0, 1:] = -up[:-1]
@@ -36,6 +40,7 @@ def reference_be_sweep(config, grid, u, dt):
     Db[0] = (u[1] - u[0]) / (2.0 * dr)
     Db[-1] = (0.0 - u[-2]) / (2.0 * dr)
     sink = np.abs(Db) ** (p - 1.0)
+    sink[upwind] = 0.0
     u_new = solve_banded((1, 1), ab, u - dt * sink)
     sat = int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
@@ -139,14 +144,14 @@ class TestStepSequences:
     The run is the production loop (plain-BE starter, error control with
     rejection) cut after 300 accepted steps, or at extinction if that comes
     first; every attempted step, accepted or not, is checked against its own
-    input. Grids are the ones the run accepts: at least 8 cells
-    (``RadialGrid``), at most MAX_CELL_WIDTH wide. On 4 cells of width 3
-    the extrapolated step can raise a cell above its inner neighbour (by up
-    to 5e-5 of the peak at N = 2, p = 1.83, R_inf = 12), and on 8 cells of
-    width 1.6 or more within 300 steps (by up to 5 % of the peak at N = 3,
-    p = 1.97, R_inf = 15.3). The supersolution bound kappa0 e^(-r/(p-1)) is
-    not checked here: at M <= 64 the discretization exceeds it by ~1e-10
-    kappa0.
+    input. Grids start at 8 cells (``RadialGrid``): on 4 cells of width 3 the
+    extrapolated step can raise a cell above its inner neighbour (by up to
+    5e-5 of the peak at N = 2, p = 1.83, R_inf = 12). The coarse grids here
+    (cells up to 2.5 wide) need the upwind sink of ``_upwind_cells``: with
+    centered sinks, 8 cells of width 1.9 at N = 3, p = 1.97 lose
+    monotonicity at t = 1.08 whatever the dt. The supersolution bound
+    kappa0 e^(-r/(p-1)) is not checked here: at M <= 64 the discretization
+    exceeds it by ~1e-10 kappa0.
     """
 
     @given(
@@ -158,7 +163,6 @@ class TestStepSequences:
     )
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_max_principle(self, N, frac, kappa0, R_inf, M):
-        assume(R_inf <= M * pde.MAX_CELL_WIDTH)  # grids the run accepts
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
         field = make_initial(cfg, make_grid(R_inf, M))
         assume(field.values.max() > cfg.extinction_threshold)  # data the run accepts
@@ -226,7 +230,6 @@ class TestErrorControl:
     def test_final_decade_holds_enough_records(self, N, frac, kappa0, R_inf, M):
         # REL_CHANGE caps the step where ATOL alone would cross the final
         # decade in a few dozen steps, too few records for the fit
-        assume(R_inf <= M * pde.MAX_CELL_WIDTH)
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
         field = make_initial(cfg, make_grid(R_inf, M))
         # the fit needs a whole final decade, so the data must start above it

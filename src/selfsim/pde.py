@@ -474,7 +474,8 @@ def _sweep(u: np.ndarray, c: np.ndarray, sink: np.ndarray, dt: float, couplings)
     """One lagged-diffusivity BE solve from u with c and sink built from u; not clipped.
 
     The couplings are up = lam w_up c_up to u_{i+1} (the Dirichlet 0 ghost
-    for i = M-1) and dn = lam w_dn c_dn to u_{i-1}.
+    for i = M-1), plus dt/dr c_up on upwind cells, and dn = lam w_dn c_dn to
+    u_{i-1}.
     """
     neg_up = couplings[0] * c[1:]
     neg_dn = couplings[1] * c[:-1]

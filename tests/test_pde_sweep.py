@@ -26,7 +26,7 @@ def reference_be_sweep(config, grid, u, dt):
         w_face[0] = 0.0
     lam = dt / (grid.centers ** (N - 1) * dr * dr)
     # hybrid sink: cells i >= 1 with dr (r_i / r_{i-1/2})^(N-1) > 1 absorb
-    # c(D_{i+1/2}) |D_{i+1/2}| / dr, lagged, through the coupling to u_{i+1}
+    # c(D_{i+1/2}) |D_{i+1/2}|, lagged, through a coupling dt/dr c to u_{i+1}
     upwind = np.zeros(M, dtype=bool)
     upwind[1:] = dr * (grid.centers[1:] / grid.faces[1:-1]) ** (N - 1) > 1.0
     up = (lam * w_face[1:] + dt / dr * upwind) * c[1:]

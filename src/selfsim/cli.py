@@ -232,6 +232,23 @@ def _pde_inputs(args, cfg: PdeConfig) -> dict:
     return inputs
 
 
+def _run_results(frames) -> dict:
+    """The summary results of a PDE run: the T_e fit, the step controller's counters and the monitors."""
+    return {
+        "T_e": frames.T_e_estimate,
+        "rate_r2": frames.rate_r2,
+        "n_steps": frames.n_steps,
+        "rejected_steps": frames.rejected_steps,
+        "dt_min": frames.dt_min,
+        "dt_max": frames.dt_max,
+        "snapshots": len(frames.snapshots),
+        "clamp_events": frames.clamp_events,
+        "sink_saturations": frames.sink_saturations,
+        "monotone_violations": frames.monotone_violations,
+        "supersolution_excess": frames.supersolution_excess,
+    }
+
+
 def cmd_pde_run(args) -> int:
     # precedence: built-in defaults < --config file < explicit flags
     merged = {"N": None, "p": None, **PDE_RUN_DEFAULTS}
@@ -271,19 +288,7 @@ def cmd_pde_run(args) -> int:
     for k, (t_k, u_k) in enumerate(frames.snapshots):
         write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(grid.centers, u_k))
     summary = _summary_skeleton(args, **_pde_inputs(args, cfg))
-    summary["results"] = {
-        "T_e": frames.T_e_estimate,
-        "rate_r2": frames.rate_r2,
-        "n_steps": frames.n_steps,
-        "rejected_steps": frames.rejected_steps,
-        "dt_min": frames.dt_min,
-        "dt_max": frames.dt_max,
-        "snapshots": len(frames.snapshots),
-        "clamp_events": frames.clamp_events,
-        "sink_saturations": frames.sink_saturations,
-        "monotone_violations": frames.monotone_violations,
-        "supersolution_excess": frames.supersolution_excess,
-    }
+    summary["results"] = _run_results(frames)
     write_summary(f"{args.out}_summary.json", summary)
     if args.meta:
         write_sidecar(f"{args.out}_summary.json", {"command": "pde-run"})
@@ -311,12 +316,10 @@ def cmd_pde_compare(args) -> int:
     kept = [e for e, (tk, _) in zip(errs, frames.snapshots) if (T_e - tk) >= 0.01 * T_e]
     summary = _summary_skeleton(args, **_pde_inputs(args, cfg), tol=args.tol)
     summary["results"] = {
+        **_run_results(frames),
         "a_star": gs.a_star,
-        "T_e": T_e,
-        "rate_r2": frames.rate_r2,
         "final_sup_error": kept[-1] if kept else float("nan"),
         "final_sup_error_rel_astar": (kept[-1] / gs.a_star) if kept else float("nan"),
-        "supersolution_excess": frames.supersolution_excess,
     }
     write_summary(f"{args.out}_summary.json", summary)
     if args.meta:

@@ -160,6 +160,15 @@ class TestCommands:
                        "--out", str(tmp_path / "run")) == 2
         assert "M >= 8" in capsys.readouterr().err
 
+    def test_pde_run_rejects_data_too_close_to_extinction(self, tmp_path, capsys):
+        # at N = 1, p = 1.01 the first cell holds ~2.2 times the extinction
+        # threshold: less than the decade the T_e fit reads
+        prefix = tmp_path / "run"
+        assert run_cli("pde-run", "--N", "1", "--p", "1.01", "--M", "18", "--r-inf", "8",
+                       "--out", str(prefix)) == 2
+        assert "final decade" in capsys.readouterr().err
+        assert not (tmp_path / "run_summary.json").exists()
+
     def test_pde_run_from_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({
@@ -189,6 +198,9 @@ class TestCommands:
         summary = read_summary(prefix + "_summary.json")
         assert summary["results"]["a_star"] == pytest.approx(6.0353203, rel=1e-4)
         assert summary["results"]["T_e"] > 0
+        # the run's counters, as pde-run reports them
+        assert summary["results"]["rejected_steps"] >= 0
+        assert 0.0 < summary["results"]["dt_min"] <= summary["results"]["dt_max"]
         assert summary["inputs"] == {
             "N": 2, "p": 1.5, "M": 150, "R_inf": 8.0, "init": "exp_tail", "kappa0": 1.0, "tol": 1e-6,
         }

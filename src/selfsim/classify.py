@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import Params
+from .params import Params, require_positive
 from .profile_ode import (
     IntegratorOptions,
     StepSizeUnderflowError,
@@ -221,6 +221,7 @@ def bisect_a_star(
     a_lo, a_hi = bracket
     if not 0.0 < a_lo < a_hi:
         raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
+    require_positive("tol_a", tol_a)  # tol_a <= 0 never ends the loop, a NaN skips it
 
     iterations = 0
     while a_hi - a_lo > tol_a:

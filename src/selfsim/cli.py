@@ -26,7 +26,7 @@ from .profile_ode import (
     integrate,
 )
 from .pohozaev import J_along, coeff_functions, pohozaev_coeffs, G_cubic, G_direct
-from .classify import BisectionStallError, BracketFailureError, classify, find_ground_state
+from .classify import BisectionStallError, BracketFailureError, NoPlateauError, classify, find_ground_state
 from .pde import (
     MaxStepsExceededError,
     PdeConfig,
@@ -38,7 +38,7 @@ from .pde import (
     run_to_extinction,
     separable_config,
 )
-from .reporting import SCHEMA_VERSION, write_csv, write_sidecar, write_summary
+from .reporting import SCHEMA_VERSION, read_summary, validate_config, write_csv, write_sidecar, write_summary
 from .acceptance import AcceptanceContext, run_acceptance
 
 EXIT_OK = 0
@@ -50,6 +50,7 @@ NUMERICAL_ERRORS = (
     StepSizeUnderflowError,
     BracketFailureError,
     BisectionStallError,
+    NoPlateauError,
     TimestepUnderflowError,
     MaxStepsExceededError,
 )
@@ -69,18 +70,18 @@ def _opts(args) -> IntegratorOptions:
     return IntegratorOptions(rel_tol=args.rtol, r_max=args.rmax)
 
 
-def _summary_skeleton(args, **inputs) -> dict:
+def _summary_skeleton(N, p, **inputs) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "version": __version__,
-        "inputs": {"N": args.N, "p": args.p, **inputs},
+        "inputs": {"N": N, "p": p, **inputs},
         "results": {},
     }
 
 
 def cmd_params(args) -> int:
     P = make_params(args.N, args.p)
-    summary = _summary_skeleton(args)
+    summary = _summary_skeleton(args.N, args.p)
     summary["results"] = {k: getattr(P, k) for k in ("p_c", "e_flux", "e_g", "e_slow", "e_time", "e_weight")}
     _emit(args, summary)
     return EXIT_OK
@@ -102,7 +103,7 @@ def cmd_profile(args) -> int:
 def cmd_classify(args) -> int:
     P = make_params(args.N, args.p)
     c = classify(P, args.a, _opts(args))
-    summary = _summary_skeleton(args, a=args.a, rmax=args.rmax, rtol=args.rtol)
+    summary = _summary_skeleton(args.N, args.p, a=args.a, rmax=args.rmax, rtol=args.rtol)
     summary["results"] = {
         "verdict": c.verdict,
         "R": c.R,
@@ -174,7 +175,7 @@ def _nan(x):
 def cmd_find_astar(args) -> int:
     P = make_params(args.N, args.p)
     gs = find_ground_state(P, _opts(args), tol_a=args.tol)
-    summary = _summary_skeleton(args, tol=args.tol, rmax=args.rmax, rtol=args.rtol)
+    summary = _summary_skeleton(args.N, args.p, tol=args.tol, rmax=args.rmax, rtol=args.rtol)
     summary["results"] = {
         "a_lo": gs.a_lo,
         "a_hi": gs.a_hi,
@@ -203,7 +204,7 @@ def cmd_pohozaev(args) -> int:
         j_path = out.with_name(out.name.removesuffix(".csv") + "_J.csv")
         write_csv(j_path, ["r", "J", "G", "gsq"], zip(series.r, series.J, series.G, series.gsq))
         print(f"wrote {j_path}")
-    summary = _summary_skeleton(args)
+    summary = _summary_skeleton(args.N, args.p)
     summary["results"] = {
         "M0": co.M0, "M1": co.M1, "M2": co.M2, "M3": co.M3,
         "r_G": co.r_G, "degenerate": co.degenerate,
@@ -213,28 +214,60 @@ def cmd_pohozaev(args) -> int:
     return EXIT_OK
 
 
-PDE_RUN_DEFAULTS = {
-    "init": "exp_tail",
-    "M": 2000,
-    "r_inf": 15.0,
-    "kappa0": 1.0,
-    "T0": 1.0,
-    "eps_reg": 1e-12,
-}
+PDE_RUN_DEFAULTS = {"init": "exp_tail", "M": 2000, "r_inf": 15.0, "kappa0": 1.0, "T0": 1.0}
 
 
-def _pde_inputs(args, cfg: PdeConfig) -> dict:
-    """The summary inputs of a PDE run: grid, initial data and the run's amplitude."""
+def _add_pde_args(sp):
+    """The run flags pde-run and pde-compare share; an unset flag resolves in ``_pde_settings``."""
+    sp.add_argument("--init", choices=["exp_tail", "separable"])
+    sp.add_argument("--M", type=int)
+    sp.add_argument("--r-inf", dest="r_inf", type=float)
+    sp.add_argument("--kappa0", type=float)
+    sp.add_argument("--T0", type=float)
+
+
+def _pde_settings(args) -> dict:
+    """N, p and the run settings, kept as given: explicit flags, then the --config file, then PDE_RUN_DEFAULTS."""
+    settings = {"N": None, "p": None, **PDE_RUN_DEFAULTS}
+    config = getattr(args, "config", None)
+    if config:
+        loaded = validate_config(read_summary(config), set(settings), config)
+        settings.update({k: v for k, v in loaded.items() if k != "schema"})
+    for key in settings:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = flag
+    if settings["N"] is None or settings["p"] is None:
+        raise ValueError("--N and --p are required (flags or --config)")
+    return settings
+
+
+def _run_pde(settings: dict, gs=None):
+    """Build the params, grid and config of a run and run it to extinction; returns (config, frames).
+
+    Separable data starts from the ground state gs, found here at the
+    default tolerance when none is given; exp_tail data ignores it. Every
+    setting is checked before the ground-state search.
+    """
+    P = make_params(settings["N"], settings["p"])
+    grid = make_grid(settings["r_inf"], settings["M"])
+    cfg = PdeConfig(params=P, kappa0=settings["kappa0"], init_kind=settings["init"], T0=settings["T0"])
+    if cfg.init_kind == "separable":
+        if gs is None:
+            gs = find_ground_state(P)
+        cfg = separable_config(P, gs.a_star, T0=cfg.T0)
+    frames = run_to_extinction(cfg, make_initial(cfg, grid, None if gs is None else gs.traj))
+    return cfg, frames
+
+
+def _pde_summary(settings: dict, cfg: PdeConfig, frames, **inputs) -> dict:
+    """A PDE run's summary: grid, initial data and amplitude in, T_e fit, step counters and monitors out."""
     # kappa0 is the run's amplitude: for separable data it follows from T0 and a_*
-    inputs = {"M": args.M, "R_inf": args.r_inf, "init": args.init, "kappa0": cfg.kappa0}
-    if args.init == "separable":
+    inputs.update(M=settings["M"], R_inf=settings["r_inf"], init=settings["init"], kappa0=cfg.kappa0)
+    if settings["init"] == "separable":
         inputs["T0"] = cfg.T0
-    return inputs
-
-
-def _run_results(frames) -> dict:
-    """The summary results of a PDE run: the T_e fit, the step controller's counters and the monitors."""
-    return {
+    summary = _summary_skeleton(settings["N"], settings["p"], **inputs)
+    summary["results"] = {
         "T_e": frames.T_e_estimate,
         "rate_r2": frames.rate_r2,
         "n_steps": frames.n_steps,
@@ -247,49 +280,20 @@ def _run_results(frames) -> dict:
         "monotone_violations": frames.monotone_violations,
         "supersolution_excess": frames.supersolution_excess,
     }
+    return summary
 
 
 def cmd_pde_run(args) -> int:
-    # precedence: built-in defaults < --config file < explicit flags
-    merged = {"N": None, "p": None, **PDE_RUN_DEFAULTS}
-    if args.config:
-        from .reporting import read_summary, validate_config
-
-        loaded = validate_config(read_summary(args.config), set(merged), args.config)
-        merged.update({k: v for k, v in loaded.items() if k != "schema"})
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if merged["N"] is None or merged["p"] is None:
-        print("error: --N and --p are required (flags or --config)", file=sys.stderr)
-        return EXIT_USAGE
-    P = make_params(merged["N"], merged["p"])
-    grid = make_grid(merged["r_inf"], merged["M"])
-    args.M, args.r_inf, args.init, args.kappa0, args.T0 = (
-        merged["M"], merged["r_inf"], merged["init"], merged["kappa0"], merged["T0"],
-    )
-    args.N, args.p = merged["N"], merged["p"]
-    profile = None
-    if args.init == "separable":
-        gs = find_ground_state(P)
-        profile = gs.traj
-        cfg = separable_config(P, gs.a_star, T0=args.T0, eps_reg=merged["eps_reg"])
-    else:
-        cfg = PdeConfig(
-            params=P, kappa0=args.kappa0, init_kind=args.init, T0=args.T0, eps_reg=merged["eps_reg"]
-        )
-    frames = run_to_extinction(cfg, make_initial(cfg, grid, profile))
+    settings = _pde_settings(args)
+    cfg, frames = _run_pde(settings)
     write_csv(
         f"{args.out}_records.csv",
         ["t", "sup", "I", "J", "D", "E"],
         zip(frames.t, frames.sup, frames.I, frames.J, frames.D, frames.E),
     )
     for k, (t_k, u_k) in enumerate(frames.snapshots):
-        write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(grid.centers, u_k))
-    summary = _summary_skeleton(args, **_pde_inputs(args, cfg))
-    summary["results"] = _run_results(frames)
-    write_summary(f"{args.out}_summary.json", summary)
+        write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(frames.grid.centers, u_k))
+    write_summary(f"{args.out}_summary.json", _pde_summary(settings, cfg, frames))
     if args.meta:
         write_sidecar(f"{args.out}_summary.json", {"command": "pde-run"})
     print(f"wrote {args.out}_records.csv, {len(frames.snapshots)} frames, {args.out}_summary.json")
@@ -297,14 +301,9 @@ def cmd_pde_run(args) -> int:
 
 
 def cmd_pde_compare(args) -> int:
-    P = make_params(args.N, args.p)
-    gs = find_ground_state(P, tol_a=args.tol)
-    grid = make_grid(args.r_inf, args.M)
-    if args.init == "separable":
-        cfg = separable_config(P, gs.a_star, T0=args.T0)
-    else:
-        cfg = PdeConfig(params=P, kappa0=args.kappa0, init_kind=args.init, T0=args.T0)
-    frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))  # exp_tail ignores the profile
+    settings = _pde_settings(args)
+    gs = find_ground_state(make_params(settings["N"], settings["p"]), tol_a=args.tol)
+    cfg, frames = _run_pde(settings, gs)
     T_e = frames.T_e_estimate
     rescaled = rescale_frames(frames, T_e)
     errs = compare_to_profile(frames, rescaled, gs.traj)
@@ -314,13 +313,12 @@ def cmd_pde_compare(args) -> int:
     ]
     write_csv(f"{args.out}_compare.csv", ["s", "t", "sup_error"], rows)
     kept = [e for e, (tk, _) in zip(errs, frames.snapshots) if (T_e - tk) >= 0.01 * T_e]
-    summary = _summary_skeleton(args, **_pde_inputs(args, cfg), tol=args.tol)
-    summary["results"] = {
-        **_run_results(frames),
-        "a_star": gs.a_star,
-        "final_sup_error": kept[-1] if kept else float("nan"),
-        "final_sup_error_rel_astar": (kept[-1] / gs.a_star) if kept else float("nan"),
-    }
+    summary = _pde_summary(settings, cfg, frames, tol=args.tol)
+    summary["results"].update(
+        a_star=gs.a_star,
+        final_sup_error=kept[-1] if kept else float("nan"),
+        final_sup_error_rel_astar=(kept[-1] / gs.a_star) if kept else float("nan"),
+    )
     write_summary(f"{args.out}_summary.json", summary)
     if args.meta:
         write_sidecar(f"{args.out}_summary.json", {"command": "pde-compare"})
@@ -434,23 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, help="space dimension (>= 1)")
     sp.add_argument("--p", type=float, help="diffusion exponent in (2N/(N+1), 2)")
     sp.add_argument("--config", help="JSON run configuration (unknown keys rejected; flags override)")
-    sp.add_argument("--init", choices=["exp_tail", "separable"])
-    sp.add_argument("--M", type=int)
-    sp.add_argument("--r-inf", dest="r_inf", type=float)
-    sp.add_argument("--kappa0", type=float)
-    sp.add_argument("--T0", type=float)
-    sp.add_argument("--eps-reg", dest="eps_reg", type=float)
+    _add_pde_args(sp)
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_pde_run)
 
     sp = sub.add_parser("pde-compare", help="run + rescale + compare to the profile")
     _add_model_args(sp)
-    sp.add_argument("--init", choices=["exp_tail", "separable"], default=PDE_RUN_DEFAULTS["init"])
-    sp.add_argument("--M", type=int, default=PDE_RUN_DEFAULTS["M"])
-    sp.add_argument("--r-inf", type=float, default=PDE_RUN_DEFAULTS["r_inf"])
-    sp.add_argument("--kappa0", type=float, default=PDE_RUN_DEFAULTS["kappa0"])
-    sp.add_argument("--T0", type=float, default=PDE_RUN_DEFAULTS["T0"])
+    _add_pde_args(sp)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--meta", action="store_true")

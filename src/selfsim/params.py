@@ -8,15 +8,22 @@ re-derives them from ``(N, p)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Params", "OutOfRangeError", "make_params", "weight_rho", "rho_antideriv"]
+__all__ = ["Params", "OutOfRangeError", "make_params", "require_positive", "weight_rho", "rho_antideriv"]
 
 
 class OutOfRangeError(ValueError):
     """Raised when (N, p) falls outside the admissible fast-diffusion wedge."""
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ValueError naming the setting unless value is a real, finite number > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,13 +66,15 @@ def make_params(N: int, p: float) -> Params:
     Raises
     ------
     OutOfRangeError
-        If N < 1, N is not an integer, p is not finite, or p lies outside
+        If N < 1, N is not an integer, p is not a finite real, or p lies outside
         (2N/(N+1), 2). The construction never clamps.
     """
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
         raise OutOfRangeError(f"N must be an integer >= 1, got {N!r}")
     if N < 1:
         raise OutOfRangeError(f"N must be >= 1, got {N}")
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise OutOfRangeError(f"p must be a real number, got {p!r}")
     p = float(p)
     if not math.isfinite(p):
         raise OutOfRangeError(f"p must be finite, got {p}")

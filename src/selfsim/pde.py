@@ -72,16 +72,18 @@ center, the far tail), so dt ~ 1e-9 at production resolution and it cannot
 finish an extinction run; it serves as the cross-validation oracle for the
 implicit step, and ``explicit_dt`` sets the implicit run's first dt.
 
-The settings no caller varies are module constants: CFL_SAFETY, RTOL, ATOL,
-REL_CHANGE, REL_CHANGE_MIN, RECORD_EVERY, SNAPSHOTS_PER_DECADE, MAX_STEPS
-and EXTINCTION_FRACTION of the run, FIT_MIN_RECORDS of
-``fit_extinction`` and RATE_DECADES of ``rate_exponent``.
+The settings no caller varies are module constants: EPS_REG of the flux,
+CFL_SAFETY, RTOL, ATOL, REL_CHANGE, REL_CHANGE_MIN, RECORD_EVERY,
+SNAPSHOTS_PER_DECADE, MAX_STEPS and EXTINCTION_FRACTION of the run,
+FIT_MIN_RECORDS of ``fit_extinction`` and RATE_DECADES of
+``rate_exponent``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -89,10 +91,11 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 from scipy.special import gammaln
 
-from .params import Params, weight_rho
+from .params import Params, require_positive, weight_rho
 from .profile_ode import Trajectory
 
 __all__ = [
+    "EPS_REG",
     "CFL_SAFETY",
     "RTOL",
     "ATOL",
@@ -122,6 +125,12 @@ __all__ = [
 ]
 
 
+# flux regularization eps: with the implicit stepper a large eps buys no
+# stability and only displaces the operator where gradients are small;
+# 1e-12 keeps the endgame (peaks near the extinction threshold) inside
+# the genuine p-Laplacian regime and the capped-diffusivity crossover
+# overfeed of the far tail below the 1e-12 comparison slack
+EPS_REG = 1e-12
 CFL_SAFETY = 0.4  # explicit stability rule: fraction of the bound
 RTOL = 1e-2  # step-doubling error control: relative part of the per-cell scale
 ATOL = 1e-12  # absolute part, times kappa0; it, not RTOL, sets the step count
@@ -176,8 +185,9 @@ class RadialGrid:
 
     def __post_init__(self):
         # below 8 cells the extrapolated step can break radial monotonicity
-        if self.M < 8 or self.R_inf <= 0.0:
-            raise ValueError("need M >= 8 cells and R_inf > 0")
+        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral) or self.M < 8:
+            raise ValueError(f"need an integer M >= 8 cells, got {self.M!r}")
+        require_positive("R_inf", self.R_inf)
 
     @property
     def dr(self) -> float:
@@ -212,16 +222,10 @@ class PdeConfig:
     kappa0: float = 1.0
     init_kind: str = "exp_tail"  # "exp_tail" | "separable" | "custom"
     T0: float = 1.0  # separable only
-    # regularization default: with the implicit stepper a large eps buys no
-    # stability and only displaces the operator where gradients are small;
-    # 1e-12 keeps the endgame (peaks near the extinction threshold) inside
-    # the genuine p-Laplacian regime and the capped-diffusivity crossover
-    # overfeed of the far tail below the 1e-12 comparison slack
-    eps_reg: float = 1e-12
 
     def __post_init__(self):
-        if self.kappa0 <= 0 or self.eps_reg <= 0:
-            raise ValueError("kappa0 and eps_reg must be positive")
+        require_positive("kappa0", self.kappa0)
+        require_positive("T0", self.T0)
         if self.init_kind not in ("exp_tail", "separable", "custom"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
 
@@ -235,11 +239,10 @@ def separable_amplitude(params: Params, tau: float) -> float:
     return ((2.0 - params.p) * tau) ** params.e_time
 
 
-def separable_config(params: Params, a_star: float, T0: float = 1.0, **kw) -> PdeConfig:
+def separable_config(params: Params, a_star: float, T0: float = 1.0) -> PdeConfig:
     """Separable data that extinguishes at T0: peak separable_amplitude(T0) * a_*."""
-    return PdeConfig(
-        params=params, kappa0=separable_amplitude(params, T0) * a_star, init_kind="separable", T0=T0, **kw
-    )
+    require_positive("T0", T0)  # before a negative T0 makes a complex or a wrong amplitude
+    return PdeConfig(params=params, kappa0=separable_amplitude(params, T0) * a_star, init_kind="separable", T0=T0)
 
 
 @dataclass
@@ -353,7 +356,7 @@ def explicit_dt(config: PdeConfig, grid: RadialGrid, u: np.ndarray) -> float:
     dr = grid.dr
     D = _face_gradients(u, dr)
     Dbar = _centered_gradients(u, dr)
-    diff_bound = dr * dr / (2.0 * float(np.max(_flux_slope(D, config.eps_reg, p))))
+    diff_bound = dr * dr / (2.0 * float(np.max(_flux_slope(D, EPS_REG, p))))
     sink = float(np.max(np.abs(Dbar) ** (p - 1.0)))
     return CFL_SAFETY * min(diff_bound, dr / max(1.0, sink))
 
@@ -373,7 +376,7 @@ def step(config: PdeConfig, field: Field, dt: float | None = None) -> tuple[Fiel
     if dt < 1e-16:
         raise TimestepUnderflowError(f"dt={dt:.3e} below 1e-16 at t={field.t:.6g}")
     D = _face_gradients(u, dr)
-    phi = _flux(D, config.eps_reg, p)
+    phi = _flux(D, EPS_REG, p)
     div = np.diff(_face_weight(grid, N) * phi) / (grid.centers ** (N - 1) * dr)
     sink = np.abs(_centered_gradients(u, dr)) ** (p - 1.0)
     upwind = _upwind_cells(grid, N)
@@ -410,7 +413,7 @@ def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
         w_up=w_face[1:],
         w_dn=w_face[:-1],
         denom=r ** (N - 1) * dr * dr,
-        eps2=config.eps_reg**2,
+        eps2=EPS_REG**2,
         c_exp=(p - 2.0) / 2.0,
         sink_exp=p - 1.0,
         bound=_exp_tail(config, r),

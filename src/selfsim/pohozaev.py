@@ -190,13 +190,9 @@ def J_eval(params: Params, r, f, g):
     )
 
 
-def J_along(params: Params, traj: Trajectory, r=None) -> JSeries:
-    """J, G and g^2 along a trajectory (at its samples unless r is given)."""
-    if r is None:
-        r, f, g = traj.r, traj.f, traj.g
-    else:
-        r = np.asarray(r, dtype=float)
-        f, g = traj.eval(r)
+def J_along(params: Params, traj: Trajectory) -> JSeries:
+    """J, G and g^2 at a trajectory's samples."""
+    r, f, g = traj.r, traj.f, traj.g
     return JSeries(r=r, J=J_eval(params, r, f, g), G=G_cubic(params, r), gsq=g * g)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .params import Params, weight_rho
+from .params import Params, require_positive, weight_rho
 
 __all__ = [
     "IntegratorOptions",
@@ -77,10 +77,9 @@ class IntegratorOptions:
     track_past_fzero: bool = False
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        # a NaN passes a plain <= 0 test and an infinite horizon never ends
+        require_positive("rel_tol", self.rel_tol)
+        require_positive("r_max", self.r_max)
 
 
 @dataclass(frozen=True)

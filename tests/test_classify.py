@@ -108,6 +108,12 @@ class TestBracketAndBisection:
         with pytest.raises(ValueError):
             bisect_a_star(P2, (2.0, 1.0))
 
+    @pytest.mark.parametrize("tol_a", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, P2, tol_a):
+        # 0 and -1 would bisect to BISECT_MAX_ITER, a NaN would skip the loop
+        with pytest.raises(ValueError, match="tol_a"):
+            bisect_a_star(P2, (1.0, 100.0), tol_a=tol_a)
+
 
 class TestPlateau:
     def test_ground_state_plateau(self, P2, gs2):

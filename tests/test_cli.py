@@ -1,6 +1,9 @@
 import concurrent.futures
+import importlib
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,18 +252,83 @@ class TestCommands:
         class Resolved(Exception):
             pass
 
-        def stop(config, field):
-            raise Resolved
+        def stop(settings, gs=None):
+            raise Resolved(settings)
 
-        # pde-run resolves its defaults inside the command: stop it at the run
-        monkeypatch.setattr(cli, "run_to_extinction", stop)
-        run_args = build_parser().parse_args(["pde-run", "--N", "2", "--p", "1.5", "--out", "x"])
-        with pytest.raises(Resolved):
-            run_args.fn(run_args)
-        cmp_args = build_parser().parse_args(["pde-compare", "--N", "2", "--p", "1.5", "--out", "x"])
-        keys = ("init", "M", "r_inf", "kappa0", "T0")
-        assert [getattr(cmp_args, k) for k in keys] == [PDE_RUN_DEFAULTS[k] for k in keys]
-        assert [getattr(run_args, k) for k in keys] == [PDE_RUN_DEFAULTS[k] for k in keys]
+        # both commands hand `_run_pde` what they resolved: stop them there
+        monkeypatch.setattr(cli, "_run_pde", stop)
+        monkeypatch.setattr(cli, "find_ground_state", lambda P, tol_a: None)
+        flags = ["--init", "separable", "--M", "150", "--r-inf", "8", "--kappa0", "2", "--T0", "0.5"]
+        explicit = {"init": "separable", "M": 150, "r_inf": 8.0, "kappa0": 2.0, "T0": 0.5}
+        for given, expected in (([], PDE_RUN_DEFAULTS), (flags, explicit)):
+            resolved = []
+            for command in ("pde-run", "pde-compare"):
+                args = build_parser().parse_args([command, "--N", "2", "--p", "1.5", *given, "--out", "x"])
+                with pytest.raises(Resolved) as stopped:
+                    args.fn(args)
+                resolved.append(stopped.value.args[0])
+            assert resolved[0] == resolved[1] == {"N": 2, "p": 1.5, **expected}
+
+    @pytest.mark.parametrize(
+        "config, flags, name",
+        [
+            ({"M": 120.5}, [], "M"),
+            ({"M": "abc"}, [], "M"),
+            ({"kappa0": "x"}, [], "kappa0"),
+            ({"p": "1.6"}, [], "p must be"),  # a string is not a number
+            ({"eps_reg": 1e-12}, [], "eps_reg"),  # EPS_REG is a module constant, not a setting
+            (None, ["--p", "1.7", "--init", "separable", "--T0", "-1"], "T0"),  # complex amplitude
+            (None, ["--p", "1.5", "--init", "separable", "--T0", "-1"], "T0"),  # the amplitude of T0 = +1
+            (None, ["--p", "1.5", "--kappa0", "inf"], "kappa0"),
+            (None, ["--p", "1.5", "--r-inf", "nan"], "R_inf"),
+        ],
+    )
+    def test_pde_run_bad_setting_is_usage_error(self, tmp_path, capsys, config, flags, name):
+        argv = ["pde-run", "--N", "2", *flags, "--out", str(tmp_path / "run")]
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"N": 2, "p": 1.5, **config}))
+            argv += ["--config", str(path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not (tmp_path / "run_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["profile", "--a", "1", "--rmax", "inf"], "r_max"),
+            (["classify", "--a", "1", "--rtol", "nan"], "rel_tol"),
+            (["classify", "--a", "1", "--rmax", "nan"], "r_max"),
+            (["find-astar", "--tol", "0"], "tol_a"),
+            (["find-astar", "--tol", "-1"], "tol_a"),
+            (["find-astar", "--tol", "nan"], "tol_a"),
+        ],
+    )
+    def test_bad_integrator_or_bisection_setting_is_usage_error(self, tmp_path, capsys, argv, name):
+        command, *rest = argv
+        assert run_cli(command, "--N", "2", "--p", "1.5", *rest, "--out", str(tmp_path / "x")) == 2
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_plateau_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # the package re-exports the function classify under the module's name
+        classify_module = importlib.import_module("selfsim.classify")
+        no_plateau = classify_module.PlateauEstimate(False, np.nan, (np.nan, np.nan))
+        monkeypatch.setattr(classify_module, "estimate_l", lambda params, traj: no_plateau)
+        assert run_cli("find-astar", "--N", "2", "--p", "1.5", "--tol", "1e-2",
+                       "--out", str(tmp_path / "a.json")) == 3
+        assert "no rho*g plateau" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
+    def test_readme_cli_lines_parse(self):
+        # every documented invocation still parses; none is run
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("selfsim ")]
+        assert len(lines) >= 11
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
     def test_verify_single_fast_criterion(self, capsys):
         assert run_cli("verify", "--only", "3") == 0

@@ -26,7 +26,8 @@ def test_derived_exponents_3_17():
 
 @pytest.mark.parametrize(
     "N,p",
-    [(2, 1.2), (2, 4.0 / 3.0), (2, 2.0), (2, 2.5), (1, 1.0), (3, 1.5), (2, float("nan")), (2, float("inf"))],
+    [(2, 1.2), (2, 4.0 / 3.0), (2, 2.0), (2, 2.5), (1, 1.0), (3, 1.5), (2, float("nan")), (2, float("inf")),
+     (2, "1.6"), (2, True)],
 )
 def test_out_of_range_p(N, p):
     with pytest.raises(OutOfRangeError):

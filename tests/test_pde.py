@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from selfsim import pde
 from selfsim.params import make_params
 from selfsim.profile_ode import IntegratorOptions, integrate
 from selfsim.pde import (
@@ -73,6 +74,33 @@ def test_grid_geometry():
     with pytest.raises(ValueError):
         make_grid(12.0, 7)
     assert make_grid(12.0, 8).M == 8
+
+
+@pytest.mark.parametrize(
+    "R_inf, M, name",
+    [(8.0, 120.5, "M"), (8.0, "abc", "M"), (8.0, True, "M"), (float("nan"), 100, "R_inf"),
+     (float("inf"), 100, "R_inf"), (-1.0, 100, "R_inf"), ("8", 100, "R_inf")],
+)
+def test_grid_checks_its_fields(R_inf, M, name):
+    with pytest.raises(ValueError, match=name):
+        make_grid(R_inf, M)
+
+
+@pytest.mark.parametrize(
+    "kw, name",
+    [({"kappa0": "x"}, "kappa0"), ({"kappa0": math.inf}, "kappa0"), ({"kappa0": 0.0}, "kappa0"),
+     ({"kappa0": True}, "kappa0"), ({"T0": -1.0}, "T0"), ({"T0": math.nan}, "T0")],
+)
+def test_config_checks_its_fields(P2, kw, name):
+    with pytest.raises(ValueError, match=name):
+        PdeConfig(params=P2, **kw)
+
+
+@pytest.mark.parametrize("p", [1.5, 1.7])
+def test_separable_config_checks_T0_before_the_amplitude(p):
+    # at p = 1.7 a negative T0 gives a complex amplitude, at p = 1.5 the one of -T0
+    with pytest.raises(ValueError, match="T0"):
+        separable_config(make_params(2, p), 6.0, T0=-1.0)
 
 
 def test_upwind_sink_only_on_coarse_cells():
@@ -156,22 +184,18 @@ class TestExplicitStep:
         assert np.array_equal(new.values, np.zeros(64))
         assert clamped == 0
 
-    def test_separable_one_step_decay_rate(self, P2, gs2, grid2000):
+    def test_separable_one_step_decay_rate(self, P2, gs2, grid2000, monkeypatch):
         # d/dt log ||u|| = -1/((2-p) T0) = -2 at t = 0, up to discretization
-        cfg = PdeConfig(
-            params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star,
-            eps_reg=1e-8,
-        )
+        monkeypatch.setattr(pde, "EPS_REG", 1e-8)
+        cfg = PdeConfig(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
         f0 = make_initial(cfg, grid2000, gs2.traj)
         f1, _ = step(cfg, f0)
         rate = (f1.peak() - f0.peak()) / (f1.t - f0.t) / f0.peak()
         assert rate == pytest.approx(-2.0, rel=0.10)
 
-    def test_monotone_preserved_over_1000_steps(self, P2, gs2, grid2000):
-        cfg = PdeConfig(
-            params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star,
-            eps_reg=1e-8,
-        )
+    def test_monotone_preserved_over_1000_steps(self, P2, gs2, grid2000, monkeypatch):
+        monkeypatch.setattr(pde, "EPS_REG", 1e-8)
+        cfg = PdeConfig(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
         field = make_initial(cfg, grid2000, gs2.traj)
         clamps = 0
         for _ in range(1000):
@@ -181,9 +205,10 @@ class TestExplicitStep:
         # clamp monitor: < 0.1% of cell updates
         assert clamps / (1000 * grid2000.M) < 1e-3
 
-    def test_dt_rule_uses_both_bounds(self, P2):
+    def test_dt_rule_uses_both_bounds(self, P2, monkeypatch):
+        monkeypatch.setattr(pde, "EPS_REG", 1e-4)
         grid = make_grid(10.0, 100)
-        cfg = PdeConfig(params=P2, eps_reg=1e-4)
+        cfg = PdeConfig(params=P2)
         steep = np.linspace(100.0, 0.0, 100)  # |Dbar|^(p-1) > 1 engages the sink bound
         dt_steep = explicit_dt(cfg, grid, steep)
         assert dt_steep <= CFL_SAFETY * grid.dr / np.max(np.abs(np.gradient(steep, grid.dr))) ** (P2.p - 1.0) * 1.01
@@ -197,11 +222,12 @@ class TestExplicitStep:
 
 
 class TestCrossValidation:
-    def test_explicit_matches_imex(self, P2, gs2):
+    def test_explicit_matches_imex(self, P2, gs2, monkeypatch):
         # same spatial operator, two steppers; coarse grid, eps large enough
         # for the explicit dt rule to be affordable
+        monkeypatch.setattr(pde, "EPS_REG", 1e-4)
         grid = make_grid(10.0, 250)
-        kw = dict(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star, eps_reg=1e-4)
+        kw = dict(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
         f0 = make_initial(PdeConfig(**kw), grid, gs2.traj)
 
         cfg_e = PdeConfig(**kw)
@@ -224,10 +250,11 @@ class TestCrossValidation:
         assert fld.peak() == pytest.approx(exact, rel=1e-3)
         assert float(u.max()) == pytest.approx(exact, rel=1e-3)
 
-    def test_explicit_matches_imex_on_upwind_cells(self, P2):
+    def test_explicit_matches_imex_on_upwind_cells(self, P2, monkeypatch):
         # cells of width 2: every cell but the first takes the upwind sink
+        monkeypatch.setattr(pde, "EPS_REG", 1e-4)
         grid = make_grid(16.0, 8)
-        cfg = PdeConfig(params=P2, eps_reg=1e-4)
+        cfg = PdeConfig(params=P2)
         f0 = make_initial(cfg, grid)
         fld = Field(grid, f0.values.copy(), 0.0)
         while fld.t < 0.05:

@@ -31,7 +31,7 @@ def reference_be_sweep(config, grid, u, dt):
     D[1:-1] = np.diff(u) / dr
     D[0] = 0.0
     D[-1] = -u[-1] / dr
-    c = (D * D + config.eps_reg**2) ** ((p - 2.0) / 2.0)
+    c = (D * D + pde.EPS_REG**2) ** ((p - 2.0) / 2.0)
     w_face = grid.faces ** (N - 1)
     if N == 1:
         w_face[0] = 0.0

@@ -103,6 +103,13 @@ class TestIntegrate:
             f10.append(traj.eval(10.0)[0])
         assert abs(f10[0] - f10[1]) / abs(f10[1]) < 10.0 * 1e-10
 
+    @pytest.mark.parametrize("field", ["rel_tol", "r_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_options_reject_non_finite_or_non_positive(self, field, value):
+        # an infinite horizon never ends a run, a NaN one ends it at once
+        with pytest.raises(ValueError, match=field):
+            IntegratorOptions(**{field: value})
+
     def test_sample_spacing_dense_region(self, P2):
         traj = integrate(P2, 1.0)
         near = traj.r[traj.r <= 20.0]

@@ -13,7 +13,7 @@ import argparse
 
 from selfsim.params import make_params
 from selfsim.classify import find_ground_state
-from selfsim.pde import compare_to_profile, make_grid, make_initial, rescale_frames, run_to_extinction, separable_config
+from selfsim.pde import make_grid, make_initial, profile_errors, run_to_extinction, separable_config
 from selfsim.reporting import write_csv
 
 
@@ -36,9 +36,8 @@ def main():
         grid = make_grid(args.r_inf, M)
         cfg = separable_config(P, gs.a_star)
         frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))
-        rescaled = rescale_frames(frames, frames.T_e_estimate)
-        errs = compare_to_profile(frames, rescaled, gs.traj)
-        err = max(e for e, (tk, _) in zip(errs, frames.snapshots) if tk <= 0.9)
+        cmp = profile_errors(frames, gs.traj)
+        err = cmp.sup_error[cmp.oracle].max()
         ratio = float("nan") if prev_err is None else prev_err / err
         prev_err = err
         rows.append((M, frames.T_e_estimate, abs(frames.T_e_estimate - 1.0), err, ratio))

@@ -27,12 +27,12 @@ from .pohozaev import (
 )
 from .classify import GroundStateResult, classify, estimate_l, find_ground_state, tail_slopes
 from .pde import (
+    ORACLE_HORIZON,
     PdeConfig,
-    compare_to_profile,
     make_grid,
     make_initial,
+    profile_errors,
     rate_exponent,
-    rescale_frames,
     run_to_extinction,
     separable_config,
     weighted_functionals,
@@ -377,11 +377,9 @@ def criterion_11(ctx: AcceptanceContext, res: CriterionResult):
     gs = ctx.ground_state(2, 1.5)
     frames = ctx.pde_separable(M=2000)
     res.add("|T_e - 1|", abs(frames.T_e_estimate - 1.0), 0.02)
-    rescaled = rescale_frames(frames, frames.T_e_estimate)
-    errs = compare_to_profile(frames, rescaled, gs.traj)
-    kept = [e for e, (tk, _) in zip(errs, frames.snapshots) if tk <= 0.9]
-    res.add("max sup_error for t <= 0.9 T0 [fraction of a_*]",
-            max(kept) / gs.a_star, 0.03)
+    cmp = profile_errors(frames, gs.traj)
+    res.add(f"max sup_error for t <= {ORACLE_HORIZON:g} T0 [fraction of a_*]",
+            cmp.sup_error[cmp.oracle].max() / gs.a_star, 0.03)
 
 
 def criterion_12(ctx: AcceptanceContext, res: CriterionResult):
@@ -390,14 +388,8 @@ def criterion_12(ctx: AcceptanceContext, res: CriterionResult):
     gs = ctx.ground_state(2, 1.5)
     frames = ctx.pde_exp_tail()
     T_e = frames.T_e_estimate
-    rescaled = rescale_frames(frames, T_e)
-    errs = compare_to_profile(frames, rescaled, gs.traj)
-    kept = [
-        (e, v)
-        for e, (s, v), (tk, _) in zip(errs, rescaled, frames.snapshots)
-        if (T_e - tk) >= 0.01 * T_e
-    ]
-    last3 = [e for e, _ in kept[-3:]]
+    cmp = profile_errors(frames, gs.traj)
+    last3 = cmp.sup_error[cmp.before_endgame][-3:]
     res.add("sup_error nonincreasing over last 3 frames", last3[-1], None,
             last3[0] >= last3[1] >= last3[2])
     res.add("final sup_error [fraction of a_*]", last3[-1] / gs.a_star, 0.05)
@@ -408,7 +400,7 @@ def criterion_12(ctx: AcceptanceContext, res: CriterionResult):
     mid = np.flatnonzero((t > 0.25 * T_e) & (t < 0.7 * T_e))[5:-5]
     dIdt = (I[mid + 1] - I[mid - 1]) / (t[mid + 1] - t[mid - 1])
     res.add("max mid-run |dI/dt + pJ| / pJ", np.max(np.abs(dIdt + P.p * J[mid]) / (P.p * J[mid])), 0.02)
-    E_v = np.array([weighted_functionals(P, frames.grid, v)[3] for _, v in kept])
+    E_v = np.array([weighted_functionals(P, frames.grid, v)[3] for v in cmp.v[cmp.before_endgame]])
     res.add("E(v(s_k)) increase beyond 1e-3 slack", float(np.max(np.diff(E_v))), 1e-3 * E_v[0],
             bool(np.max(np.diff(E_v)) <= 1e-3 * E_v[0]))
     res.add("supersolution excess beyond bound", frames.supersolution_excess, 1e-12)
@@ -419,10 +411,8 @@ def criterion_13(ctx: AcceptanceContext, res: CriterionResult):
     gs = ctx.ground_state(2, 1.5)
 
     def sup_err(M):
-        frames = ctx.pde_separable(M=M)
-        rescaled = rescale_frames(frames, frames.T_e_estimate)
-        errs = compare_to_profile(frames, rescaled, gs.traj)
-        return max(e for e, (tk, _) in zip(errs, frames.snapshots) if tk <= 0.9)
+        cmp = profile_errors(ctx.pde_separable(M=M), gs.traj)
+        return cmp.sup_error[cmp.oracle].max()
 
     ratio = sup_err(2000) / sup_err(4000)
     res.add("sup_error(M=2000) / sup_error(M=4000)", ratio, None, ratio >= 1.5)

@@ -25,7 +25,6 @@ from .params import Params, require_positive
 from .profile_ode import (
     IntegratorOptions,
     StepSizeUnderflowError,
-    TrajEvent,
     Trajectory,
     integrate,
 )
@@ -144,11 +143,7 @@ def classify_trajectory(params: Params, traj: Trajectory) -> Classification:
     idx = np.flatnonzero(negative)
     if idx.size and series.J[-1] < -thr[-1]:
         k = idx[0]
-        r_bar = float(series.r[k])
-        if traj.event("JNegative") is None:
-            traj.events.insert(0, TrajEvent("JNegative", r_bar, {"J": float(series.J[k])}))
-            traj.events.sort(key=lambda ev: ev.r)
-        return Classification(a=a, verdict="C", r_bar=r_bar, J_at_rbar=float(series.J[k]))
+        return Classification(a=a, verdict="C", r_bar=float(series.r[k]), J_at_rbar=float(series.J[k]))
 
     tail = slice(max(0, len(traj.r) - 8), None)
     diag = {
@@ -277,6 +272,7 @@ def find_ground_state(
     params: Params, opts: IntegratorOptions | None = None, tol_a: float = 1e-10
 ) -> GroundStateResult:
     """The ground state a_*: bracket from a = 1, then bisect down to tol_a."""
+    require_positive("tol_a", tol_a)  # a bad tolerance exits before seconds of bracket shooting
     opts = opts or IntegratorOptions()
     return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)
 

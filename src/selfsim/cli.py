@@ -31,10 +31,9 @@ from .pde import (
     MaxStepsExceededError,
     PdeConfig,
     TimestepUnderflowError,
-    compare_to_profile,
     make_grid,
     make_initial,
-    rescale_frames,
+    profile_errors,
     run_to_extinction,
     separable_config,
 )
@@ -242,22 +241,25 @@ def _pde_settings(args) -> dict:
     return settings
 
 
-def _run_pde(settings: dict, gs=None):
-    """Build the params, grid and config of a run and run it to extinction; returns (config, frames).
+def _run_pde(settings: dict, tol_a: float | None = None):
+    """Build the params, grid and config of a run and run it to extinction; returns (config, frames, gs).
 
-    Separable data starts from the ground state gs, found here at the
-    default tolerance when none is given; exp_tail data ignores it. Every
-    setting is checked before the ground-state search.
+    Every setting is checked before the ground state gs is sought: at tol_a
+    when one is given (pde-compare), else at the default tolerance and only
+    for separable data, which starts from it.
     """
     P = make_params(settings["N"], settings["p"])
     grid = make_grid(settings["r_inf"], settings["M"])
     cfg = PdeConfig(params=P, kappa0=settings["kappa0"], init_kind=settings["init"], T0=settings["T0"])
+    gs = None
+    if tol_a is not None:
+        gs = find_ground_state(P, tol_a=tol_a)
+    elif cfg.init_kind == "separable":
+        gs = find_ground_state(P)
     if cfg.init_kind == "separable":
-        if gs is None:
-            gs = find_ground_state(P)
         cfg = separable_config(P, gs.a_star, T0=cfg.T0)
     frames = run_to_extinction(cfg, make_initial(cfg, grid, None if gs is None else gs.traj))
-    return cfg, frames
+    return cfg, frames, gs
 
 
 def _pde_summary(settings: dict, cfg: PdeConfig, frames, **inputs) -> dict:
@@ -285,7 +287,7 @@ def _pde_summary(settings: dict, cfg: PdeConfig, frames, **inputs) -> dict:
 
 def cmd_pde_run(args) -> int:
     settings = _pde_settings(args)
-    cfg, frames = _run_pde(settings)
+    cfg, frames, _ = _run_pde(settings)
     write_csv(
         f"{args.out}_records.csv",
         ["t", "sup", "I", "J", "D", "E"],
@@ -302,22 +304,15 @@ def cmd_pde_run(args) -> int:
 
 def cmd_pde_compare(args) -> int:
     settings = _pde_settings(args)
-    gs = find_ground_state(make_params(settings["N"], settings["p"]), tol_a=args.tol)
-    cfg, frames = _run_pde(settings, gs)
-    T_e = frames.T_e_estimate
-    rescaled = rescale_frames(frames, T_e)
-    errs = compare_to_profile(frames, rescaled, gs.traj)
-    rows = [
-        (s_k, t_k, float(e))
-        for (s_k, _), (t_k, _), e in zip(rescaled, frames.snapshots, errs)
-    ]
-    write_csv(f"{args.out}_compare.csv", ["s", "t", "sup_error"], rows)
-    kept = [e for e, (tk, _) in zip(errs, frames.snapshots) if (T_e - tk) >= 0.01 * T_e]
+    cfg, frames, gs = _run_pde(settings, tol_a=args.tol)
+    cmp = profile_errors(frames, gs.traj)
+    write_csv(f"{args.out}_compare.csv", ["s", "t", "sup_error"], zip(cmp.s, cmp.t, cmp.sup_error))
+    kept = cmp.sup_error[cmp.before_endgame]
     summary = _pde_summary(settings, cfg, frames, tol=args.tol)
     summary["results"].update(
         a_star=gs.a_star,
-        final_sup_error=kept[-1] if kept else float("nan"),
-        final_sup_error_rel_astar=(kept[-1] / gs.a_star) if kept else float("nan"),
+        final_sup_error=kept[-1] if kept.size else float("nan"),
+        final_sup_error_rel_astar=(kept[-1] / gs.a_star) if kept.size else float("nan"),
     )
     write_summary(f"{args.out}_summary.json", summary)
     if args.meta:

@@ -75,8 +75,8 @@ implicit step, and ``explicit_dt`` sets the implicit run's first dt.
 The settings no caller varies are module constants: EPS_REG of the flux,
 CFL_SAFETY, RTOL, ATOL, REL_CHANGE, REL_CHANGE_MIN, RECORD_EVERY,
 SNAPSHOTS_PER_DECADE, MAX_STEPS and EXTINCTION_FRACTION of the run,
-FIT_MIN_RECORDS of ``fit_extinction`` and RATE_DECADES of
-``rate_exponent``.
+FIT_MIN_RECORDS of ``fit_extinction``, RATE_DECADES of ``rate_exponent``,
+and ENDGAME_FRACTION and ORACLE_HORIZON, the windows of ``profile_errors``.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ __all__ = [
     "rate_exponent",
     "rescale_frames",
     "compare_to_profile",
+    "ProfileErrors",
+    "profile_errors",
 ]
 
 
@@ -151,6 +153,11 @@ MAX_STEPS = 20_000_000
 EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
 FIT_MIN_RECORDS = 20  # records the extinction fit needs in the final decade
 RATE_DECADES = 2.0  # decades of the sup norm the rate-exponent fit spans
+# the windows of ``profile_errors``. Rescaling by (T_e - t)^(-1/(2-p)) magnifies
+# the error of the fitted T_e as t -> T_e: before_endgame leaves out T_e - t <
+# ENDGAME_FRACTION T_e, oracle leaves out t > ORACLE_HORIZON T0 (separable data ends at T0)
+ENDGAME_FRACTION = 0.01
+ORACLE_HORIZON = 0.9
 
 
 class NonMonotoneInitialDataError(ValueError):
@@ -220,13 +227,13 @@ class Field:
 class PdeConfig:
     params: Params
     kappa0: float = 1.0
-    init_kind: str = "exp_tail"  # "exp_tail" | "separable" | "custom"
+    init_kind: str = "exp_tail"  # "exp_tail" | "separable"
     T0: float = 1.0  # separable only
 
     def __post_init__(self):
         require_positive("kappa0", self.kappa0)
         require_positive("T0", self.T0)
-        if self.init_kind not in ("exp_tail", "separable", "custom"):
+        if self.init_kind not in ("exp_tail", "separable"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
 
     @property
@@ -249,7 +256,6 @@ def separable_config(params: Params, a_star: float, T0: float = 1.0) -> PdeConfi
 class FrameSeries:
     """Per-record functionals, stored snapshots and run tallies."""
 
-    params: Params
     grid: RadialGrid
     config: PdeConfig
     t: np.ndarray = dfield(default_factory=lambda: np.empty(0))
@@ -271,29 +277,20 @@ class FrameSeries:
     supersolution_excess: float = 0.0  # max of u - kappa0 e^(-r/(p-1)) over records
 
 
-def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | np.ndarray | None = None) -> Field:
-    """Initial field: exponential tail, separable profile slice, or a table.
+def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None = None) -> Field:
+    """Initial field: exponential tail or separable profile slice, validated non-increasing.
 
     separable: u = separable_amplitude(T0) f(r; a_*), with f read off the
-    supplied ground-state trajectory's dense output. custom: a length-M table
-    of cell values, validated non-increasing.
+    supplied ground-state trajectory's dense output.
     """
     r = grid.centers
     if config.init_kind == "exp_tail":
         u = _exp_tail(config, r)
-    elif config.init_kind == "separable":
-        if not isinstance(profile, Trajectory):
+    else:
+        if profile is None:
             raise ValueError("separable initial data needs the ground-state trajectory")
         _check_covers(profile, grid)
         u = separable_amplitude(config.params, config.T0) * np.clip(_profile_on_grid(profile, r), 0.0, None)
-    else:
-        if profile is None:
-            raise ValueError("custom initial data needs a value table")
-        u = np.asarray(profile, dtype=float).copy()
-        if u.shape != (grid.M,):
-            raise ValueError(f"table must have shape ({grid.M},)")
-        if np.any(u < 0.0):
-            raise NonMonotoneInitialDataError("custom table has negative values")
     if np.any(np.diff(u) > 0.0):
         raise NonMonotoneInitialDataError("initial profile must be non-increasing in r")
     return Field(grid=grid, values=u, t=0.0)
@@ -603,7 +600,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     if peak0 <= 10.0 * ext_tol:
         raise ValueError("initial peak must exceed 10x the extinction threshold: the T_e fit reads the final decade")
 
-    frames = FrameSeries(params=params, grid=grid, config=config)
+    frames = FrameSeries(grid=grid, config=config)
     rec_t, rec_sup, rec_I, rec_J, rec_D, rec_E = [], [], [], [], [], []
     geom = _geometry(config, grid)
 
@@ -695,7 +692,7 @@ def fit_extinction(frames: FrameSeries) -> tuple[float, float]:
         raise InsufficientDecayError(
             f"only {np.count_nonzero(mask)} records in the final decade"
         )
-    m, b, r2 = _linear_fit(t[mask], sup[mask] ** (2.0 - frames.params.p))
+    m, b, r2 = _linear_fit(t[mask], sup[mask] ** (2.0 - frames.config.params.p))
     return float(-b / m), r2
 
 
@@ -723,14 +720,14 @@ def rescale_frames(frames: FrameSeries, T_e: float) -> list[tuple[float, np.ndar
 
     v = u / separable_amplitude(T_e - t) and s = -log((T_e - t)/T_e)/(2-p).
     """
-    p = frames.params.p
+    params = frames.config.params
     out = []
     for t_k, u_k in frames.snapshots:
         if t_k >= T_e:
             raise BadExtinctionTimeError(f"snapshot at t={t_k} is not before T_e={T_e}")
         tau = T_e - t_k
-        s_k = -math.log(tau / T_e) / (2.0 - p)
-        v_k = u_k / separable_amplitude(frames.params, tau)
+        s_k = -math.log(tau / T_e) / (2.0 - params.p)
+        v_k = u_k / separable_amplitude(params, tau)
         out.append((s_k, v_k))
     return out
 
@@ -779,3 +776,25 @@ def compare_to_profile(
     _check_covers(profile, grid)
     f_ref = np.clip(_profile_on_grid(profile, grid.centers), 0.0, None)
     return np.array([float(np.max(np.abs(v_k - f_ref))) for _, v_k in rescaled])
+
+
+@dataclass(frozen=True)
+class ProfileErrors:
+    """A run against the profile, one entry per stored snapshot, with its two judging windows."""
+
+    t: np.ndarray
+    s: np.ndarray  # self-similar time -log((T_e - t)/T_e)/(2-p)
+    v: np.ndarray  # rescaled fields, one row per snapshot
+    sup_error: np.ndarray  # sup |v_k - f_*|
+    before_endgame: np.ndarray  # T_e - t >= ENDGAME_FRACTION T_e
+    oracle: np.ndarray  # t <= ORACLE_HORIZON T0
+
+
+def profile_errors(frames: FrameSeries, profile: Trajectory) -> ProfileErrors:
+    """Rescale the snapshots with the run's own T_e estimate and measure each against the profile."""
+    T_e = frames.T_e_estimate
+    rescaled = rescale_frames(frames, T_e)
+    t = np.array([t_k for t_k, _ in frames.snapshots])
+    s, v = (np.array(column) for column in zip(*rescaled))
+    errors = compare_to_profile(frames, rescaled, profile)
+    return ProfileErrors(t, s, v, errors, (T_e - t) >= ENDGAME_FRACTION * T_e, t <= ORACLE_HORIZON * frames.config.T0)

@@ -26,16 +26,6 @@ class TestClassify:
         assert c.r_bar > find_r_G(P2)
         assert c.J_at_rbar < 0.0
 
-    def test_C_annotates_trajectory_with_JNegative(self, P2):
-        from selfsim.classify import classify_trajectory
-        from selfsim.profile_ode import integrate
-
-        traj = integrate(P2, 0.5)
-        c = classify_trajectory(P2, traj)
-        assert c.verdict == "C"
-        ev = traj.event("JNegative")
-        assert ev is not None and ev.r == c.r_bar
-
     def test_near_ground_state_unresolved_at_short_horizon(self, P2, gs2):
         # a height within the final bracket is numerically indistinguishable
         # from B until the trajectory peels off; at a short horizon the

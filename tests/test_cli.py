@@ -252,12 +252,11 @@ class TestCommands:
         class Resolved(Exception):
             pass
 
-        def stop(settings, gs=None):
+        def stop(settings, tol_a=None):
             raise Resolved(settings)
 
         # both commands hand `_run_pde` what they resolved: stop them there
         monkeypatch.setattr(cli, "_run_pde", stop)
-        monkeypatch.setattr(cli, "find_ground_state", lambda P, tol_a: None)
         flags = ["--init", "separable", "--M", "150", "--r-inf", "8", "--kappa0", "2", "--T0", "0.5"]
         explicit = {"init": "separable", "M": 150, "r_inf": 8.0, "kappa0": 2.0, "T0": 0.5}
         for given, expected in (([], PDE_RUN_DEFAULTS), (flags, explicit)):
@@ -281,6 +280,7 @@ class TestCommands:
             (None, ["--p", "1.5", "--init", "separable", "--T0", "-1"], "T0"),  # the amplitude of T0 = +1
             (None, ["--p", "1.5", "--kappa0", "inf"], "kappa0"),
             (None, ["--p", "1.5", "--r-inf", "nan"], "R_inf"),
+            ({"init": "custom"}, [], "init"),  # the --init choices hold for a config file too
         ],
     )
     def test_pde_run_bad_setting_is_usage_error(self, tmp_path, capsys, config, flags, name):
@@ -309,6 +309,25 @@ class TestCommands:
         command, *rest = argv
         assert run_cli(command, "--N", "2", "--p", "1.5", *rest, "--out", str(tmp_path / "x")) == 2
         assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["pde-compare", "--M", "4"], "M"),
+            (["pde-compare", "--kappa0", "0"], "kappa0"),
+            (["find-astar", "--tol", "0"], "tol_a"),
+        ],
+    )
+    def test_bad_setting_exits_before_the_bracket_search(self, tmp_path, capsys, monkeypatch, argv, name):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bracket_search ran before the settings were checked")
+
+        monkeypatch.setattr(importlib.import_module("selfsim.classify"), "bracket_search", unreachable)
+        command, *rest = argv
+        assert run_cli(command, "--N", "2", "--p", "1.5", *rest, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_no_plateau_is_numerical_failure(self, tmp_path, capsys, monkeypatch):

@@ -13,13 +13,13 @@ from selfsim.pde import (
     Field,
     FrameSeries,
     InsufficientDecayError,
-    NonMonotoneInitialDataError,
     PdeConfig,
     TimestepUnderflowError,
     compare_to_profile,
     fit_extinction,
     make_grid,
     make_initial,
+    profile_errors,
     rate_exponent,
     rescale_frames,
     run_to_extinction,
@@ -153,21 +153,10 @@ class TestInitialData:
 
     def test_separable_peak(self, P2, gs2, grid2000):
         # ((2-p) T0)^(1/(2-p)) = 0.25 at p = 3/2, T0 = 1
-        cfg = PdeConfig(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
+        cfg = separable_config(P2, gs2.a_star)
+        assert cfg.kappa0 == 0.25 * gs2.a_star
         field = make_initial(cfg, grid2000, gs2.traj)
         assert field.peak() == pytest.approx(0.25 * gs2.a_star, rel=1e-4)
-
-    def test_custom_table_validation(self, P2):
-        grid = make_grid(5.0, 16)
-        cfg = PdeConfig(params=P2, init_kind="custom")
-        good = np.linspace(1.0, 0.0, 16)
-        assert make_initial(cfg, grid, good).peak() == 1.0
-        with pytest.raises(NonMonotoneInitialDataError):
-            make_initial(cfg, grid, good[::-1].copy())
-        bad = good.copy()
-        bad[3] = -0.1
-        with pytest.raises(NonMonotoneInitialDataError):
-            make_initial(cfg, grid, bad)
 
     def test_separable_needs_profile(self, P2, grid2000):
         cfg = PdeConfig(params=P2, init_kind="separable")
@@ -187,7 +176,7 @@ class TestExplicitStep:
     def test_separable_one_step_decay_rate(self, P2, gs2, grid2000, monkeypatch):
         # d/dt log ||u|| = -1/((2-p) T0) = -2 at t = 0, up to discretization
         monkeypatch.setattr(pde, "EPS_REG", 1e-8)
-        cfg = PdeConfig(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
+        cfg = separable_config(P2, gs2.a_star)
         f0 = make_initial(cfg, grid2000, gs2.traj)
         f1, _ = step(cfg, f0)
         rate = (f1.peak() - f0.peak()) / (f1.t - f0.t) / f0.peak()
@@ -195,7 +184,7 @@ class TestExplicitStep:
 
     def test_monotone_preserved_over_1000_steps(self, P2, gs2, grid2000, monkeypatch):
         monkeypatch.setattr(pde, "EPS_REG", 1e-8)
-        cfg = PdeConfig(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
+        cfg = separable_config(P2, gs2.a_star)
         field = make_initial(cfg, grid2000, gs2.traj)
         clamps = 0
         for _ in range(1000):
@@ -227,15 +216,14 @@ class TestCrossValidation:
         # for the explicit dt rule to be affordable
         monkeypatch.setattr(pde, "EPS_REG", 1e-4)
         grid = make_grid(10.0, 250)
-        kw = dict(params=P2, init_kind="separable", T0=1.0, kappa0=0.25 * gs2.a_star)
-        f0 = make_initial(PdeConfig(**kw), grid, gs2.traj)
+        cfg = separable_config(P2, gs2.a_star)
+        f0 = make_initial(cfg, grid, gs2.traj)
 
-        cfg_e = PdeConfig(**kw)
         fld = Field(grid, f0.values.copy(), 0.0)
         while fld.t < 0.05:
-            fld, _ = step(cfg_e, fld)
+            fld, _ = step(cfg, fld)
 
-        geom = _geometry(PdeConfig(**kw), grid)
+        geom = _geometry(cfg, grid)
         u, t, dt = f0.values.copy(), 0.0, 1e-7
         while t < 0.05:
             dt = min(dt, 0.05 - t + 1e-16)
@@ -303,7 +291,7 @@ class TestFits:
         # log-spaced records so every decade of the sup norm is populated
         t = T_e - np.geomspace(0.4, 0.005, n)
         sup = (2.0 * (T_e - t)) ** P2.e_time
-        frames = FrameSeries(params=P2, grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
+        frames = FrameSeries(grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
         frames.t, frames.sup = t, sup
         return frames
 
@@ -316,7 +304,7 @@ class TestFits:
         assert m == pytest.approx(P2.e_time, rel=1e-8)
 
     def test_constant_input_is_insufficient(self, P2):
-        frames = FrameSeries(params=P2, grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
+        frames = FrameSeries(grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
         frames.t = np.linspace(0.0, 1.0, 100)
         frames.sup = np.ones(100)
         with pytest.raises(InsufficientDecayError):
@@ -339,6 +327,21 @@ class TestRescale:
     def test_bad_extinction_time(self, P2, sep_frames):
         with pytest.raises(BadExtinctionTimeError):
             rescale_frames(sep_frames, sep_frames.snapshots[1][0])
+
+    def test_profile_errors_is_built_from_the_parts(self, gs2, sep_frames):
+        cmp = profile_errors(sep_frames, gs2.traj)
+        rescaled = rescale_frames(sep_frames, sep_frames.T_e_estimate)
+        assert np.array_equal(cmp.t, [t_k for t_k, _ in sep_frames.snapshots])
+        assert np.array_equal(cmp.s, [s_k for s_k, _ in rescaled])
+        assert np.array_equal(cmp.v, [v_k for _, v_k in rescaled])
+        assert np.array_equal(cmp.sup_error, compare_to_profile(sep_frames, rescaled, gs2.traj))
+        # both windows keep a leading run of snapshots; T_e ~ T0, so the oracle
+        # window lies inside the pre-endgame one
+        assert pde.ORACLE_HORIZON < 1.0 - pde.ENDGAME_FRACTION
+        for mask in (cmp.oracle, cmp.before_endgame):
+            assert mask[0] and not mask[-1] and np.all(np.diff(mask.astype(int)) <= 0)
+        assert np.all(cmp.before_endgame[cmp.oracle])
+        assert cmp.oracle.sum() < cmp.before_endgame.sum()
 
     def test_profile_must_cover_grid(self, P2, gs2, sep_frames):
         short = integrate(P2, gs2.a_star, IntegratorOptions(r_max=10.0))
@@ -396,17 +399,12 @@ class TestSeparableRun:
         assert np.all(np.diff(sep_frames.I) <= 1e-12 * sep_frames.I[0])
 
     def test_frames_stay_on_profile(self, gs2, sep_frames):
-        rescaled = rescale_frames(sep_frames, sep_frames.T_e_estimate)
-        errs = compare_to_profile(sep_frames, rescaled, gs2.traj)
-        kept = [e for e, (tk, _) in zip(errs, sep_frames.snapshots) if tk <= 0.9]
-        assert max(kept) <= 0.03 * gs2.a_star
+        cmp = profile_errors(sep_frames, gs2.traj)
+        assert cmp.sup_error[cmp.oracle].max() <= 0.03 * gs2.a_star
 
     def test_rescaled_norm_floor(self, gs2, sep_frames):
-        T_e = sep_frames.T_e_estimate
-        rescaled = rescale_frames(sep_frames, T_e)
-        kept = [v for (s, v), (tk, _) in zip(rescaled, sep_frames.snapshots)
-                if (T_e - tk) >= 0.01 * T_e]
-        assert min(float(v.max()) for v in kept) > 0.5 * gs2.a_star
+        cmp = profile_errors(sep_frames, gs2.traj)
+        assert cmp.v[cmp.before_endgame].max(axis=1).min() > 0.5 * gs2.a_star
 
     def test_mass_balance_law(self, P2, sep_frames):
         # dI/dt = -p J mid-run, central differences over records
@@ -432,21 +430,13 @@ class TestExpTailRun:
         assert m == pytest.approx(P2.e_time, rel=0.10)
 
     def test_convergence_to_profile(self, gs2, exp_frames):
-        T_e = exp_frames.T_e_estimate
-        rescaled = rescale_frames(exp_frames, T_e)
-        errs = compare_to_profile(exp_frames, rescaled, gs2.traj)
-        kept = [e for e, (tk, _) in zip(errs, exp_frames.snapshots)
-                if (T_e - tk) >= 0.01 * T_e]
+        cmp = profile_errors(exp_frames, gs2.traj)
+        kept = cmp.sup_error[cmp.before_endgame]
         assert kept[-1] <= 0.05 * gs2.a_star
         assert kept[-3] >= kept[-2] >= kept[-1]
 
-    def test_energy_chain_nonincreasing(self, P2, exp_frames):
-        T_e = exp_frames.T_e_estimate
-        rescaled = rescale_frames(exp_frames, T_e)
-        E_v = np.array([
-            weighted_functionals(P2, exp_frames.grid, v)[3]
-            for (s, v), (tk, _) in zip(rescaled, exp_frames.snapshots)
-            if (T_e - tk) >= 0.01 * T_e
-        ])
+    def test_energy_chain_nonincreasing(self, P2, gs2, exp_frames):
+        cmp = profile_errors(exp_frames, gs2.traj)
+        E_v = np.array([weighted_functionals(P2, exp_frames.grid, v)[3] for v in cmp.v[cmp.before_endgame]])
         assert np.all(E_v >= 0.0)
         assert np.max(np.diff(E_v)) <= 1e-3 * E_v[0]

@@ -8,72 +8,66 @@ cell, justified by the exponential decay of admissible data. The flux is
 regularized, Phi(s) = (s^2 + eps^2)^((p-2)/2) s, to cap the fast-diffusion
 singularity |grad u|^(p-2) -> inf at flat points.
 
-The absorption |u_r|^(p-1) takes the centered gradient, the mean of a cell's
-two face gradients. That is second order, but the sink is a transport term,
-and centered transport keeps u radially non-increasing only while diffusion
-outweighs it: where cell i touches its outer neighbour, its inflow
-(r_{i-1/2}/r_i)^(N-1) |D|^(p-1) / dr must exceed its sink |D/2|^(p-1), so the
-cell Peclet number Pe_i = dr (r_i/r_{i-1/2})^(N-1) must stay below 2^(p-1).
-Cells with Pe_i > 1 (``_upwind_cells``) take the sink from their outer face
-instead, the upwind side of a non-increasing profile: the hybrid scheme of
-Spalding (1972; Patankar, Numerical Heat Transfer and Fluid Flow, 5.2). The
-production grid (R_inf = 15, M = 2000: Pe_i < 0.02) has no such cell. With
-centered sinks, coarse cells lose monotonicity even as dt -> 0 (8 cells of
-width 1.9 at N = 3, p = 1.97: at t = 1.08 for every dt). The price is the
-supersolution bound: on a decaying profile the outer face gradient is
-smaller than the centered one, so upwind cells under-absorb, and exp_tail
-runs on such grids exceed kappa0 e^(-r/(p-1)) by up to 2e-2 kappa0 (at
-N = 1 the bound is itself a steady state, so any under-absorption shows).
+The absorption |u_r|^(p-1) is written in flux form. On a non-increasing
+profile it equals the flux magnitude |Phi(u_r)|, so cell i absorbs
+S_i = theta_i |Phi_{i+1/2}| + (1 - theta_i) |Phi_{i-1/2}|, a weighted mean of
+its two face fluxes, with theta_i = max(1/2, 1 - (r_{i-1/2}/r_i)^(N-1) / dr)
+(``_sink_weights``); the symmetry face adds nothing to cell 0. theta = 1/2 on
+fine grids, so the sink stays second order there. Cells wider than
+2 (r_{i-1/2}/r_i)^(N-1) lean on the outer face, the upwind side of a decaying
+profile, just far enough that the inner coupling stays non-negative; with
+theta = 1/2 there the sink would outweigh the inflow from the inner
+neighbour and the profile could rise outward whatever the dt. At N = 1 with theta = 1/2 the discrete
+kappa0 e^(-r/(p-1)) is a supersolution iff dr >= 2 tanh(dr/2), which always
+holds (slack dr^2/12), and N >= 2 adds slack, so the bound holds for the
+spatial operator on every grid.
 
 Production time stepping (``run_to_extinction``) is lagged-diffusivity
 backward Euler: the face flux is c(D^n) D^(n+1) with the secant diffusivity
-c(s) = (s^2+eps^2)^((p-2)/2), giving an M-matrix tridiagonal solve
-(positivity and max principle), with the gradient-absorption sink on the
-solve's right-hand side and the result clipped at zero. An upwind cell's
-sink is lagged the same way, c(D^n_{i+1/2}) |D^(n+1)_{i+1/2}|, so it joins
-the coupling to the outer neighbour and the solve stays an M-matrix at any
-dt. Each step is the Richardson extrapolation of one dt sweep and two dt/2
-sweeps. ``_step_imex`` is the one implicit step: it takes the run's
-geometry, runs the three sweeps and returns the extrapolated step together
-with the step-doubling error estimate |u_half - u_big| (Hairer, Norsett and
-Wanner, Solving ODEs I, II.4).
+c(s) = (s^2+eps^2)^((p-2)/2), and the sink is lagged the same way,
+c(D^n) |D^(n+1)|. Both join the couplings of a tridiagonal solve whose
+right-hand side is u^n. The couplings k_up, k_dn (``_geometry``) are
+non-negative, so every sweep is an M-matrix at any dt (positivity and max
+principle); the result is clipped at zero. Each step is the Richardson
+extrapolation of one dt sweep and two dt/2 sweeps. ``_step_imex`` is the one
+implicit step: it takes the run's geometry, runs the three sweeps and
+returns the extrapolated step together with the step-doubling error
+estimate |u_half - u_big| (Hairer, Norsett and Wanner, Solving ODEs I,
+II.4). On stiff cells the extrapolation's amplification factor tends to 0
+from below, so a tail cell it drives to zero or below (or into the
+subnormal range) zeroes the tail beyond it.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
 norm max_i |u_half - u_big|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
 An attempt above 1 is rejected and retried with a smaller dt, leaving the
 state, the clock, the step count and the records untouched; an accepted
-step sets the next dt from the same norm. The per-cell norm sees the far
-tail, where the supersolution bound kappa0 e^(-r/(p-1)) is itself ~1e-12, so
-ATOL sets the cost. Two limits on the change of u per step, relative to the
-peak, bracket the error control: REL_CHANGE caps the growth of dt, which
-keeps enough records in the final decade of the sup norm for
-``fit_extinction`` once ATOL dominates; a step that changes u by no more
-than REL_CHANGE_MIN is accepted whatever its estimate, so tail cells near
-ATOL kappa0 that no useful dt resolves cannot stall a run.
+step sets the next dt from the same norm. The records of the functionals
+follow the sup norm, RECORDS_PER_DECADE per decade, as the snapshots do.
+REL_CHANGE, one record interval of the sup norm, caps the change of u per
+step relative to the peak, so once ATOL dominates the step still crosses
+at most about one record threshold and the final decade keeps enough
+records for ``fit_extinction``.
 
 A step does only the work whose result changes. The run builds its
-geometry once (``_geometry``: face weights, the cell factors r^(N-1) dr^2,
-eps^2, the two exponents and the supersolution bound), and the weights of
+geometry once (``_geometry``: the couplings, eps^2, the diffusivity's
+exponent and the supersolution bound), and the weights of
 ``weighted_functionals`` are cached per grid. Each sweep hands its three
 diagonals to LAPACK gtsv directly (the routine ``solve_banded`` calls for
 one sub- and one superdiagonal, so the bits are the same) and keeps that
 wrapper's checks: a non-finite entry raises ValueError, a singular system
 LinAlgError. The dt sweep and the first dt/2 sweep of a Richardson step
-start from the same state and share its gradients, diffusivity and sink.
-Every floating-point operation that reaches a stored value is the one of
-the plain formulation, in the same order, so the outputs are unchanged to
-the bit.
+start from the same state and share its diffusivity.
 
 ``step`` is the explicit forward-Euler update on the same spatial operator,
-with the stability rule ``explicit_dt``
-cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Dbar|^(p-1))). It is
+with the same two-face sink and the stability rule ``explicit_dt``
+cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Phi(D)|)). It is
 bound by Phi'(0) = eps^(p-2) (some interface always sits at D ~ 0: the flat
 center, the far tail), so dt ~ 1e-9 at production resolution and it cannot
 finish an extinction run; it serves as the cross-validation oracle for the
 implicit step, and ``explicit_dt`` sets the implicit run's first dt.
 
 The settings no caller varies are module constants: EPS_REG of the flux,
-CFL_SAFETY, RTOL, ATOL, REL_CHANGE, REL_CHANGE_MIN, RECORD_EVERY,
+CFL_SAFETY, RTOL, ATOL, RECORDS_PER_DECADE (REL_CHANGE derives from it),
 SNAPSHOTS_PER_DECADE, MAX_STEPS and EXTINCTION_FRACTION of the run,
 FIT_MIN_RECORDS of ``fit_extinction``, RATE_DECADES of ``rate_exponent``,
 and ENDGAME_FRACTION and ORACLE_HORIZON, the windows of ``profile_errors``.
@@ -100,7 +94,7 @@ __all__ = [
     "RTOL",
     "ATOL",
     "REL_CHANGE",
-    "REL_CHANGE_MIN",
+    "RECORDS_PER_DECADE",
     "RadialGrid",
     "Field",
     "PdeConfig",
@@ -134,20 +128,14 @@ __all__ = [
 # overfeed of the far tail below the 1e-12 comparison slack
 EPS_REG = 1e-12
 CFL_SAFETY = 0.4  # explicit stability rule: fraction of the bound
-RTOL = 1e-2  # step-doubling error control: relative part of the per-cell scale
-ATOL = 1e-12  # absolute part, times kappa0; it, not RTOL, sets the step count
-# record-density cap: max |du| / ||u||_inf per step. Once ||u|| < ATOL/RTOL the
-# absolute tolerance dominates and the error control alone would cross the
-# final decade in a few dozen steps, too few records for fit_extinction; the
-# cap keeps ~ln(10)/REL_CHANGE = 230 steps, ~30 records, per decade
-REL_CHANGE = 1e-2
-# error-control floor: a step that changes u by at most this share of the peak
-# is accepted whatever its estimate. On coarse grids at small p the far tail
-# holds cells near ATOL kappa0 that appear and vanish on time scales ~u^(2-p),
-# which no useful dt resolves; without the floor such runs stall at dt ~1e-11.
-# The floor bounds a run by ~ln(1/EXTINCTION_FRACTION)/REL_CHANGE_MIN steps.
-REL_CHANGE_MIN = 4e-4
-RECORD_EVERY = 10  # steps between functional records
+RTOL = 2e-6  # step-doubling error control: relative part of the per-cell scale
+ATOL = 1e-12  # absolute part, times kappa0
+RECORDS_PER_DECADE = 40  # functional records per decade of the sup norm
+# record-density cap: max |du| / ||u||_inf per step, one record interval of the
+# sup norm. Once ||u|| < ATOL/RTOL the absolute tolerance dominates and the
+# error control alone would cross the final decade in a few dozen steps, too
+# few records for fit_extinction
+REL_CHANGE = 1.0 - 10.0 ** (-1.0 / RECORDS_PER_DECADE)
 SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
 MAX_STEPS = 20_000_000
 EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
@@ -158,6 +146,7 @@ RATE_DECADES = 2.0  # decades of the sup norm the rate-exponent fit spans
 # ENDGAME_FRACTION T_e, oracle leaves out t > ORACLE_HORIZON T0 (separable data ends at T0)
 ENDGAME_FRACTION = 0.01
 ORACLE_HORIZON = 0.9
+_TINY = np.finfo(float).tiny  # the smallest normal float: a step zeroes the tail from the first cell below it
 
 
 class NonMonotoneInitialDataError(ValueError):
@@ -319,24 +308,15 @@ def _face_weight(grid: RadialGrid, N: int) -> np.ndarray:
     return w
 
 
-def _upwind_cells(grid: RadialGrid, N: int) -> np.ndarray | None:
-    """The cells with Pe_i = dr (r_i/r_{i-1/2})^(N-1) > 1, whose sink takes the outer face; None if none.
+def _sink_weights(grid: RadialGrid, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, theta) per cell: q_i = (r_{i-1/2}/r_i)^(N-1) / dr and theta_i = max(1/2, 1 - q_i).
 
-    Cell 0 stays centered: its inner face is the symmetry face, where the
-    centered gradient already vanishes when u_0 = u_1.
+    Cell i absorbs theta_i |Phi_{i+1/2}| + (1 - theta_i) |Phi_{i-1/2}|. On a
+    non-increasing profile |Phi| = |u_r|^(p-1), and 1 - theta_i <= q_i keeps the
+    inner face's diffusive coupling q_i/dr above the sink's (1 - theta_i)/dr.
     """
-    upwind = np.zeros(grid.M, dtype=bool)
-    upwind[1:] = grid.dr * (grid.centers[1:] / grid.faces[1:-1]) ** (N - 1) > 1.0
-    return upwind if upwind.any() else None
-
-
-def _centered_gradients(u: np.ndarray, dr: float) -> np.ndarray:
-    Db = np.empty_like(u)
-    np.subtract(u[2:], u[:-2], out=Db[1:-1])
-    Db[1:-1] /= 2.0 * dr
-    Db[0] = (u[1] - u[0]) / (2.0 * dr)
-    Db[-1] = (0.0 - u[-2]) / (2.0 * dr)
-    return Db
+    q = (grid.faces[:-1] / grid.centers) ** (N - 1) / grid.dr
+    return q, np.maximum(0.5, 1.0 - q)
 
 
 def _flux(D: np.ndarray, eps: float, p: float) -> np.ndarray:
@@ -352,9 +332,8 @@ def explicit_dt(config: PdeConfig, grid: RadialGrid, u: np.ndarray) -> float:
     p = config.params.p
     dr = grid.dr
     D = _face_gradients(u, dr)
-    Dbar = _centered_gradients(u, dr)
     diff_bound = dr * dr / (2.0 * float(np.max(_flux_slope(D, EPS_REG, p))))
-    sink = float(np.max(np.abs(Dbar) ** (p - 1.0)))
+    sink = float(np.max(np.abs(_flux(D, EPS_REG, p))))
     return CFL_SAFETY * min(diff_bound, dr / max(1.0, sink))
 
 
@@ -375,10 +354,9 @@ def step(config: PdeConfig, field: Field, dt: float | None = None) -> tuple[Fiel
     D = _face_gradients(u, dr)
     phi = _flux(D, EPS_REG, p)
     div = np.diff(_face_weight(grid, N) * phi) / (grid.centers ** (N - 1) * dr)
-    sink = np.abs(_centered_gradients(u, dr)) ** (p - 1.0)
-    upwind = _upwind_cells(grid, N)
-    if upwind is not None:
-        sink[upwind] = np.abs(phi[1:][upwind])
+    theta = _sink_weights(grid, N)[1]
+    np.abs(phi, out=phi)  # phi_0 = 0: the symmetry face adds nothing to cell 0's sink
+    sink = theta * phi[1:] + (1.0 - theta) * phi[:-1]
     u_new = u + dt * (div - sink)
     clamped = int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
@@ -390,49 +368,45 @@ class _Geometry:
     """The per-run constants of the implicit sweep, built once by ``_geometry``."""
 
     dr: float
-    w_up: np.ndarray  # r^(N-1) at each cell's outer face
-    w_dn: np.ndarray  # r^(N-1) at each cell's inner face
-    denom: np.ndarray  # r_i^(N-1) dr^2, so that lam = dt / denom
+    k_up: np.ndarray  # coupling to u_{i+1} per unit dt and diffusivity: diffusion plus sink
+    k_dn: np.ndarray  # coupling to u_{i-1}, likewise; >= 0, so every sweep is an M-matrix
     eps2: float
     c_exp: float  # (p-2)/2: the secant diffusivity's exponent
-    sink_exp: float  # p-1
     bound: np.ndarray  # the supersolution kappa0 e^(-r/(p-1)) at the centers
-    upwind: np.ndarray | None  # ``_upwind_cells``: sink from the outer face, in the matrix
 
 
 def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
+    """The couplings of the flux-form sink lagged into the sweep.
+
+    Cell i's row of a sweep is u_i - dt [c_up k_up (u_{i+1} - u_i) - c_dn k_dn (u_i - u_{i-1})] = u^n_i
+    with k_up = r_{i+1/2}^(N-1) / (r_i^(N-1) dr^2) + theta_i / dr and
+    k_dn = r_{i-1/2}^(N-1) / (r_i^(N-1) dr^2) - (1 - theta_i) / dr, written as
+    max(q_i - 1/2, 0) / dr so that rounding cannot make it negative. Cell 0
+    has no inner coupling: its inner face is the symmetry face.
+    """
     p, N = config.params.p, config.params.N
     dr = grid.dr
     r = grid.centers
-    w_face = _face_weight(grid, N)
+    q, theta = _sink_weights(grid, N)
+    k_dn = np.maximum(q - 0.5, 0.0) / dr
+    k_dn[0] = 0.0
     return _Geometry(
         dr=dr,
-        w_up=w_face[1:],
-        w_dn=w_face[:-1],
-        denom=r ** (N - 1) * dr * dr,
+        k_up=_face_weight(grid, N)[1:] / (r ** (N - 1) * dr * dr) + theta / dr,
+        k_dn=k_dn,
         eps2=EPS_REG**2,
         c_exp=(p - 2.0) / 2.0,
-        sink_exp=p - 1.0,
         bound=_exp_tail(config, r),
-        upwind=_upwind_cells(grid, N),
     )
 
 
-def _coefficients(g: _Geometry, u: np.ndarray):
-    """The lagged diffusivity c(D) = (D^2 + eps^2)^((p-2)/2) at the faces and the sink |Dbar|^(p-1).
-
-    The sink is zero on upwind cells, whose absorption the couplings carry.
-    """
+def _diffusivity(g: _Geometry, u: np.ndarray) -> np.ndarray:
+    """The lagged diffusivity c(D) = (D^2 + eps^2)^((p-2)/2) at the faces."""
     c = _face_gradients(u, g.dr)
     c *= c
     c += g.eps2
     c **= g.c_exp
-    sink = _centered_gradients(u, g.dr)
-    np.abs(sink, out=sink)
-    sink **= g.sink_exp
-    if g.upwind is not None:
-        sink[g.upwind] = 0.0
-    return c, sink
+    return c
 
 
 def _tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -459,37 +433,26 @@ def _tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray)
 
 
 def _couplings(g: _Geometry, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(-lam w_up, -lam w_dn) with lam = dt / denom: a sweep's couplings before the diffusivity.
+    """(-dt k_up, -dt k_dn): a sweep's couplings before the diffusivity.
 
-    Built from -lam = (-dt) / denom: negation is exact, so a sweep's matrix
-    rows (-dn, 1 + up + dn, -up) carry the bits of the unnegated build
-    without two negation passes. An upwind cell's outer coupling also
-    carries its sink: -(lam w_up + dt / dr).
+    Negation is exact, so a sweep's matrix rows (-dn, 1 + up + dn, -up) carry
+    the bits of the unnegated build without two negation passes.
     """
-    neg_lam = -dt / g.denom
-    neg_up = neg_lam * g.w_up
-    if g.upwind is not None:
-        neg_up += (-dt / g.dr) * g.upwind
-    return neg_up, neg_lam * g.w_dn
+    return (-dt) * g.k_up, (-dt) * g.k_dn
 
 
-def _sweep(u: np.ndarray, c: np.ndarray, sink: np.ndarray, dt: float, couplings) -> np.ndarray:
-    """One lagged-diffusivity BE solve from u with c and sink built from u; not clipped.
+def _sweep(u: np.ndarray, c: np.ndarray, couplings) -> np.ndarray:
+    """One lagged-diffusivity BE solve from u with c built from u; not clipped.
 
-    The couplings are up = lam w_up c_up to u_{i+1} (the Dirichlet 0 ghost
-    for i = M-1), plus dt/dr c_up on upwind cells, and dn = lam w_dn c_dn to
-    u_{i-1}.
+    The couplings are up = dt k_up c_up to u_{i+1} (the Dirichlet 0 ghost for
+    i = M-1) and dn = dt k_dn c_dn to u_{i-1}; diffusion and absorption
+    balance within the one solve, whose right-hand side is u.
     """
     neg_up = couplings[0] * c[1:]
     neg_dn = couplings[1] * c[:-1]
     diag = 1.0 - neg_up
     diag -= neg_dn
-    # sink on the right-hand side: diffusion and absorption balance within
-    # one solve (split stepping lets the diffusion alone overfill front
-    # cells above the comparison bound before the sink acts)
-    rhs = dt * sink
-    np.subtract(u, rhs, out=rhs)
-    return _tridiag_solve(neg_dn[1:], diag, neg_up[:-1], rhs)
+    return _tridiag_solve(neg_dn[1:], diag, neg_up[:-1], u.copy())
 
 
 def _clip_count(u: np.ndarray) -> int:
@@ -504,25 +467,31 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
 
     u_new is the Richardson extrapolation 2 u_half - u_big of one dt sweep
     and two dt/2 sweeps: the dt sweep and the first dt/2 sweep start from u
-    and share its coefficient build; the two dt/2 sweeps share their
-    couplings. error is the step-doubling estimate |u_half - u_big| of the
-    two results, each clipped at zero. saturations counts the cells clipped
-    after the second dt/2 sweep and after the extrapolation.
+    and share its diffusivity; the two dt/2 sweeps share their couplings.
+    error is the step-doubling estimate |u_half - u_big| of the two results,
+    each clipped at zero. The extrapolation's amplification factor tends to
+    0 from below on stiff cells, so it can drive a tail cell to zero or
+    below; such a cell zeroes the whole tail beyond it, which keeps the
+    profile non-increasing. So does a subnormal cell (below _TINY), whose few
+    bits cannot order a tail. saturations counts the cells clipped after the
+    second dt/2 sweep and those the extrapolation drives negative.
     """
     half = 0.5 * dt
     half_couplings = _couplings(geom, half)
-    c, sink = _coefficients(geom, u)
-    u_big = _sweep(u, c, sink, dt, _couplings(geom, dt))
+    c = _diffusivity(geom, u)
+    u_big = _sweep(u, c, _couplings(geom, dt))
     np.maximum(u_big, 0.0, out=u_big)
-    u_half = _sweep(u, c, sink, half, half_couplings)
+    u_half = _sweep(u, c, half_couplings)
     np.maximum(u_half, 0.0, out=u_half)
-    u_half = _sweep(u_half, *_coefficients(geom, u_half), half, half_couplings)
+    u_half = _sweep(u_half, _diffusivity(geom, u_half), half_couplings)
     sat_half = _clip_count(u_half)
     error = np.subtract(u_half, u_big)
     np.abs(error, out=error)
     u_half *= 2.0
     u_half -= u_big
-    return u_half, sat_half + _clip_count(u_half), error
+    sat = sat_half + int(np.count_nonzero(u_half < 0.0))
+    u_half[np.logical_or.accumulate(u_half < _TINY)] = 0.0
+    return u_half, sat, error
 
 
 def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev: float, dt: float, atol: float):
@@ -532,24 +501,21 @@ def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev
     An attempt with e > 1 is rejected and retried with dt scaled by
     max(0.2, 0.9 e^(-1/2)). After an accepted step dt grows by at most 1.25
     and is further capped so that the next step changes u by about REL_CHANGE
-    of the peak. An attempt that changes u by at most REL_CHANGE_MIN of the
-    peak is always accepted, and dt is never cut below the step that would
-    change u by that much. error is overwritten.
+    of the peak. error is overwritten.
     """
     scale = np.maximum(u_prev, u_try)
     scale *= RTOL
     scale += atol
     error /= scale
     e = float(error.max())
+    # the estimate is O(dt^2) (first-order sweeps), hence the exponent 1/2
+    factor = 0.9 / math.sqrt(max(e, 1e-30))
+    if e > 1.0:
+        return False, dt * max(0.2, factor)
     du = np.subtract(u_try, u_prev)
     np.abs(du, out=du)
     change = max(float(du.max()) / peak_prev, 1e-30)
-    # the estimate is O(dt^2) (first-order sweeps), hence the exponent 1/2
-    factor = 0.9 / math.sqrt(max(e, 1e-30))
-    floor = 0.9 * REL_CHANGE_MIN / change
-    if e > 1.0 and change > REL_CHANGE_MIN:
-        return False, dt * max(0.2, factor, floor)
-    return True, dt * min(1.25, max(0.2, floor, min(factor, 0.9 * REL_CHANGE / change)))
+    return True, dt * min(1.25, max(0.2, min(factor, 0.9 * REL_CHANGE / change)))
 
 
 def weighted_functionals(
@@ -586,10 +552,11 @@ def _functional_weights(grid: RadialGrid, params: Params) -> tuple[float, np.nda
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     """March to ||u||_inf < ext_tol, recording functionals and snapshots.
 
-    Records are appended every RECORD_EVERY steps plus whenever the sup
-    norm crosses the next logarithmic snapshot threshold (snapshots store the
-    full field). The extinction estimate and rate fit are filled in at the
-    end from the final recorded decade.
+    Records are appended whenever the sup norm crosses the next of
+    RECORDS_PER_DECADE logarithmic thresholds per decade, or the next of
+    SNAPSHOTS_PER_DECADE snapshot thresholds (snapshots store the full
+    field), and at the end. The extinction estimate and rate fit are filled
+    in at the end from the final recorded decade.
     """
     grid = field.grid
     params = config.params
@@ -627,6 +594,8 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     frames.snapshots.append((t, u.copy()))
     snap_factor = 10.0 ** (-1.0 / SNAPSHOTS_PER_DECADE)
     next_snap = peak0 * snap_factor
+    rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
+    next_rec = peak0 * rec_factor
 
     dt = explicit_dt(config, grid, u)
     atol = ATOL * config.kappa0
@@ -651,8 +620,10 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         monitor(peak)
 
         hit_snap = peak < next_snap
-        if n % RECORD_EVERY == 0 or hit_snap or peak < ext_tol:
+        if peak < next_rec or hit_snap or peak < ext_tol:
             record(peak, u_prev, dt)
+            while next_rec > peak:
+                next_rec *= rec_factor
         if hit_snap:
             frames.snapshots.append((t, u.copy()))
             while next_snap > peak:

@@ -32,12 +32,11 @@ from selfsim.pde import (
 from selfsim.pde import (
     CFL_SAFETY,
     _clip_count,
-    _coefficients,
     _couplings,
+    _diffusivity,
     _geometry,
     _step_imex,
     _sweep,
-    _upwind_cells,
     explicit_dt,
 )
 
@@ -101,17 +100,6 @@ def test_separable_config_checks_T0_before_the_amplitude(p):
     # at p = 1.7 a negative T0 gives a complex amplitude, at p = 1.5 the one of -T0
     with pytest.raises(ValueError, match="T0"):
         separable_config(make_params(2, p), 6.0, T0=-1.0)
-
-
-def test_upwind_sink_only_on_coarse_cells():
-    # the production grid keeps the centered sink everywhere, so its step
-    # map is unchanged; coarse grids upwind the cells with Pe_i > 1
-    for N in (1, 2, 3):
-        assert _upwind_cells(make_grid(15.0, 2000), N) is None
-    assert _upwind_cells(make_grid(8.0, 8), 1) is None  # Pe_i = dr = 1
-    assert _upwind_cells(make_grid(6.0, 8), 2).tolist() == [False, True] + [False] * 6  # Pe_1 = 1.125
-    # cell 0 borders the symmetry face and stays centered
-    assert _upwind_cells(make_grid(20.0, 8), 3).tolist() == [False] + [True] * 7
 
 
 def test_coarse_run_stays_monotone():
@@ -238,8 +226,8 @@ class TestCrossValidation:
         assert fld.peak() == pytest.approx(exact, rel=1e-3)
         assert float(u.max()) == pytest.approx(exact, rel=1e-3)
 
-    def test_explicit_matches_imex_on_upwind_cells(self, P2, monkeypatch):
-        # cells of width 2: every cell but the first takes the upwind sink
+    def test_explicit_matches_imex_theta_sink_on_width_2_cells(self, P2, monkeypatch):
+        # cells of width 2: every cell leans its sink on the outer face (theta > 1/2)
         monkeypatch.setattr(pde, "EPS_REG", 1e-4)
         grid = make_grid(16.0, 8)
         cfg = PdeConfig(params=P2)
@@ -365,7 +353,7 @@ class TestRescale:
 
 
 class TestSweepProperties:
-    """One BE sweep: an M-matrix solve with the sink on the right-hand side."""
+    """One BE sweep: an M-matrix solve with the sink in the matrix."""
 
     @given(
         N=st.integers(min_value=1, max_value=3),
@@ -382,8 +370,9 @@ class TestSweepProperties:
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
         geom = _geometry(PdeConfig(params=P), make_grid(R_inf, M))
+        assert (geom.k_dn >= 0).all()
         dt = 10.0**log_dt
-        u_new = _sweep(u, *_coefficients(geom, u), dt, _couplings(geom, dt))
+        u_new = _sweep(u, _diffusivity(geom, u), _couplings(geom, dt))
         _clip_count(u_new)
         assert np.all(u_new >= 0.0)
         # exact for the exact solve; the float solve may overshoot by roundoff

@@ -1,10 +1,11 @@
 """The implicit sweep: bit identity with a banded-solver reference, its error checks, step sequences."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from selfsim import pde
@@ -13,8 +14,8 @@ from selfsim.pde import (
     MaxStepsExceededError,
     PdeConfig,
     _clip_count,
-    _coefficients,
     _couplings,
+    _diffusivity,
     _geometry,
     _step_imex,
     _sweep,
@@ -35,24 +36,20 @@ def reference_be_sweep(config, grid, u, dt):
     w_face = grid.faces ** (N - 1)
     if N == 1:
         w_face[0] = 0.0
-    lam = dt / (grid.centers ** (N - 1) * dr * dr)
-    # hybrid sink: cells i >= 1 with dr (r_i / r_{i-1/2})^(N-1) > 1 absorb
-    # c(D_{i+1/2}) |D_{i+1/2}|, lagged, through a coupling dt/dr c to u_{i+1}
-    upwind = np.zeros(M, dtype=bool)
-    upwind[1:] = dr * (grid.centers[1:] / grid.faces[1:-1]) ** (N - 1) > 1.0
-    up = (lam * w_face[1:] + dt / dr * upwind) * c[1:]
-    dn = lam * w_face[:-1] * c[:-1]
+    # theta sink: cell i absorbs theta c(D_{i+1/2}) |D_{i+1/2}| + (1 - theta) c(D_{i-1/2}) |D_{i-1/2}|,
+    # lagged, through couplings dt/dr theta c to u_{i+1} and -dt/dr (1 - theta) c to u_{i-1}
+    q = (grid.faces[:-1] / grid.centers) ** (N - 1) / dr
+    theta = np.maximum(0.5, 1.0 - q)
+    k_up = w_face[1:] / (grid.centers ** (N - 1) * dr * dr) + theta / dr
+    k_dn = np.maximum(q - 0.5, 0.0) / dr  # = r_{i-1/2}^(N-1) / (r_i^(N-1) dr^2) - (1 - theta) / dr
+    k_dn[0] = 0.0  # the symmetry face
+    up = dt * k_up * c[1:]
+    dn = dt * k_dn * c[:-1]
     ab = np.zeros((3, M))
     ab[0, 1:] = -up[:-1]
     ab[1, :] = 1.0 + up + dn
     ab[2, :-1] = -dn[1:]
-    Db = np.empty_like(u)
-    Db[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-    Db[0] = (u[1] - u[0]) / (2.0 * dr)
-    Db[-1] = (0.0 - u[-2]) / (2.0 * dr)
-    sink = np.abs(Db) ** (p - 1.0)
-    sink[upwind] = 0.0
-    u_new = solve_banded((1, 1), ab, u - dt * sink)
+    u_new = solve_banded((1, 1), ab, u)
     sat = int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
     return u_new, sat
@@ -71,7 +68,10 @@ def reference_step(config, grid, u, dt):
     u_big, u_half, sat_half = reference_pair(config, grid, u, dt)
     u_new = 2.0 * u_half - u_big
     sat = sat_half + int(np.count_nonzero(u_new < 0.0))
-    np.clip(u_new, 0.0, None, out=u_new)
+    # a cell driven to zero or below, or below the smallest normal float, zeroes the tail beyond it
+    dead = np.flatnonzero(u_new < np.finfo(float).tiny)
+    if dead.size:
+        u_new[dead[0]:] = 0.0
     return u_new, sat
 
 
@@ -104,7 +104,7 @@ class TestBitIdentity:
         dt = 10.0**log_dt
         geom = _geometry(cfg, grid)
         # one BE sweep, composed from the parts the step is built of
-        u_be = _sweep(u, *_coefficients(geom, u), dt, _couplings(geom, dt))
+        u_be = _sweep(u, _diffusivity(geom, u), _couplings(geom, dt))
         sat_be = _clip_count(u_be)
         want_be = reference_be_sweep(cfg, grid, u, dt)
         assert np.array_equal(u_be, want_be[0])
@@ -148,20 +148,21 @@ class TestSolverChecks:
 
 
 class TestStepSequences:
-    """Production steps keep the profile radially non-increasing and obey the max principle.
+    """Production steps keep the profile radially non-increasing, obey the max principle and stay under the bound.
 
     The run is the production loop (error control with rejection) cut
     after 300 accepted steps, or at extinction if that comes first; every
-    attempted step, accepted or not, is checked against its own input.
-    Grids start at 8 cells (``RadialGrid``): on 4 cells of width 3 the
-    extrapolated step can raise a cell above its inner neighbour (by up to
-    5e-5 of the peak at N = 2, p = 1.83, R_inf = 12). The coarse grids here
-    (cells up to 2.5 wide) need the upwind sink of ``_upwind_cells``: with
+    attempted step, accepted or not, is checked against its own input. The
+    accepted ones must also stay under the supersolution kappa0 e^(-r/(p-1))
+    (the exp_tail data itself), up to 1e-6 kappa0 for the time error; a
+    rejected attempt's error is above tolerance, and the first attempt at
+    N = 1, p = 1.99, kappa0 = 0.5, R_inf = 4, M = 64 exceeds the bound by
+    1.7e-6 kappa0 before the control cuts its dt. Grids start at 8 cells (``RadialGrid``): on 4 cells of
+    width 3 the extrapolated step can raise a cell above its inner
+    neighbour (by up to 5e-5 of the peak at N = 2, p = 1.83, R_inf = 12).
+    The coarse grids here (cells up to 2.5 wide) need the theta sink: with
     centered sinks, 8 cells of width 1.9 at N = 3, p = 1.97 lose
-    monotonicity at t = 1.08 whatever the dt. The supersolution bound
-    kappa0 e^(-r/(p-1)) is not checked here. The upwind sink under-absorbs
-    on a decaying profile, so grids with upwind cells exceed the bound by up
-    to 2e-2 kappa0; grids without them exceed it by a few 1e-10 kappa0.
+    monotonicity at t = 1.08 whatever the dt.
     """
 
     @given(
@@ -172,6 +173,11 @@ class TestStepSequences:
         M=st.integers(min_value=8, max_value=64),
     )
     @settings(max_examples=40, deadline=None)
+    # cells of width 2.2: without the zeroed tail the extrapolation clips cell 7
+    # at attempt 18 and cell 8 rises above it
+    @example(N=2, frac=0.01, kappa0=1.0, R_inf=20.0, M=9)
+    @example(N=1, frac=0.5, kappa0=1.0, R_inf=16.75, M=8)  # cells of width 2.1 at N = 1
+    @example(N=1, frac=0.99, kappa0=0.5, R_inf=4.0, M=64)  # a rejected first attempt above the bound
     def test_monotone_and_max_principle(self, N, frac, kappa0, R_inf, M):
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
         field = make_initial(cfg, make_grid(R_inf, M))
@@ -198,8 +204,10 @@ class TestStepSequences:
                 steps = 300
         # an attempt was accepted when the next one starts from its output;
         # the last one was accepted, since the run stopped after it
-        accepted = sum(nxt[0] is cur[1] for cur, nxt in zip(attempts, attempts[1:])) + 1
-        assert accepted == steps
+        accepted = [cur[1] for cur, nxt in zip(attempts, attempts[1:]) if nxt[0] is cur[1]] + [attempts[-1][1]]
+        assert len(accepted) == steps
+        for u in accepted:
+            assert np.all(u <= field.values + 1e-6 * kappa0)
 
 
 class TestErrorControl:
@@ -213,13 +221,9 @@ class TestErrorControl:
 
         def step_with_one_bad_estimate(geom, u_in, dt):
             u, sat, error = production_step(geom, u_in, dt)
-            # the control accepts any attempt that changes u by at most
-            # REL_CHANGE_MIN of the peak, so the bad estimate goes to the
-            # first attempt that changes it by more
-            bad = not any(a[3] for a in attempts) and np.abs(u - u_in).max() / u_in.max() > pde.REL_CHANGE_MIN
-            if bad:
+            if not attempts:
                 error = np.full_like(error, 1.0)  # e ~ 1 / (RTOL peak) >> 1
-            attempts.append((u_in, u, dt, bad))
+            attempts.append((u_in, u, dt))
             return u, sat, error
 
         with mock.patch.object(pde, "_step_imex", step_with_one_bad_estimate):
@@ -227,11 +231,10 @@ class TestErrorControl:
         assert frames.rejected_steps >= 1
         accepted = [cur for cur, nxt in zip(attempts, attempts[1:]) if nxt[0] is cur[1]] + attempts[-1:]
         assert frames.n_steps == len(accepted) == len(attempts) - frames.rejected_steps
-        first_bad = next(i for i, a in enumerate(attempts) if a[3])
-        assert attempts[first_bad + 1][0] is attempts[first_bad][0]  # retried from the same state
-        assert attempts[first_bad + 1][2] < attempts[first_bad][2]  # with a smaller dt
+        assert attempts[1][0] is attempts[0][0]  # the first attempt is retried from the same state
+        assert attempts[1][2] < attempts[0][2]  # with a smaller dt
         t = 0.0
-        for _, _, dt, _ in accepted:
+        for _, _, dt in accepted:
             t += dt
         assert frames.t[-1] == t  # the rejected dt never reached the clock
         assert frames.dt_min == min(a[2] for a in accepted)
@@ -247,7 +250,8 @@ class TestErrorControl:
     @settings(max_examples=20, deadline=None)
     def test_final_decade_holds_enough_records(self, N, frac, kappa0, R_inf, M):
         # REL_CHANGE caps the step where ATOL alone would cross the final
-        # decade in a few dozen steps, too few records for the fit
+        # decade in a few dozen steps, too few records for the fit; records
+        # follow the sup norm, so their count does not grow with the steps
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
         field = make_initial(cfg, make_grid(R_inf, M))
         # the fit needs a whole final decade, so the run refuses data that
@@ -257,3 +261,5 @@ class TestErrorControl:
         frames = pde.run_to_extinction(cfg, field)
         assert np.isfinite(frames.T_e_estimate)
         assert np.count_nonzero(frames.sup <= 10.0 * frames.sup[-1]) >= pde.FIT_MIN_RECORDS
+        decades = math.log10(frames.sup[0] / frames.sup[-1])
+        assert frames.t.size <= pde.RECORDS_PER_DECADE * decades + len(frames.snapshots) + 1

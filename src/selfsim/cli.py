@@ -61,8 +61,9 @@ def _add_model_args(sp):
 
 
 def _add_ode_args(sp):
-    sp.add_argument("--rmax", type=float, default=50.0, help="integration horizon")
-    sp.add_argument("--rtol", type=float, default=1e-10, help="integrator relative tolerance")
+    default = IntegratorOptions()
+    sp.add_argument("--rmax", type=float, default=default.r_max, help="integration horizon")
+    sp.add_argument("--rtol", type=float, default=default.rel_tol, help="integrator relative tolerance")
 
 
 def _opts(args) -> IntegratorOptions:

@@ -14,13 +14,14 @@ slope g'(0) = a/N > 0 and with the second-order equation satisfied by g; it is
 adopted everywhere (see the h = f/g and w = rho*g identities, which hold
 exactly for it).
 
-Integration is explicit adaptive Runge-Kutta (DOP853) with embedded error
-control, a series start at r = eps to clear the 1/r coordinate singularity,
-dense output, and sign-change events for f and g. The settings no caller
-varies are module constants: the absolute tolerance ABS_TOL, the step cap
-and sample spacing SAMPLE_DR, and the radius DENSE_UNTIL where both relax;
-``IntegratorOptions`` keeps the ones that do vary (rel_tol, r_max,
-track_past_fzero).
+Each run is one call of explicit adaptive Runge-Kutta (DOP853) over
+(eps, r_max), with a series start at r = eps to clear the 1/r coordinate
+singularity, dense output, and sign-change events for f and g. The embedded
+error control alone sets the accuracy: there is no step cap, so rel_tol is
+what a tighter or looser run changes. The settings no caller varies are
+module constants: the absolute tolerance ABS_TOL, and the sample spacing
+SAMPLE_DR with the radius DENSE_UNTIL where it relaxes; ``IntegratorOptions``
+keeps the ones that do vary (rel_tol, r_max, track_past_fzero).
 """
 
 from __future__ import annotations
@@ -63,15 +64,18 @@ class NoZeroWithinHorizonError(RuntimeError):
 # near-pure relative control: an absolute floor at 1e-12 buries the
 # exponential tails that the near-a_* classification runs live on
 ABS_TOL = 1e-60
-# solver step cap and sample spacing for r <= DENSE_UNTIL; beyond that
-# steps are free and the sample spacing relaxes to bound sample counts
+# spacing of the stored samples for r <= DENSE_UNTIL; beyond that it
+# relaxes to bound sample counts (the solver's steps are not tied to it)
 SAMPLE_DR = 0.05
 DENSE_UNTIL = 20.0
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    rel_tol: float = 1e-10
+    # the coarsest decade that resolves the separatrix: at 1e-10 a_* moves by
+    # 1e-10 to 2e-10, and at 1e-11 the (2, 1.5) bisection midpoint turns A at
+    # r = 15.5, where 1e-12 and 1e-13 keep it unresolved past r = 25
+    rel_tol: float = 1e-12
     r_max: float = 50.0
     # continue past the first zero of f (f < 0 permitted) until g crosses zero
     track_past_fzero: bool = False
@@ -110,7 +114,7 @@ class Trajectory:
     w: np.ndarray
     h: np.ndarray
     events: list[TrajEvent]
-    dense: object  # scipy OdeSolution over [eps_start, r_end]
+    dense: object  # callable dense output over [eps_start, r_end]; see _DenseOutput
 
     @property
     def r_end(self) -> float:
@@ -199,27 +203,22 @@ def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Traj
     return traj
 
 
-class _DenseSplice:
-    """Dense output stitched from the capped-step and free-step phases."""
+class _DenseOutput:
+    """The run's one scipy OdeSolution, callable like it.
 
-    def __init__(self, sol_near, sol_far, r_split: float):
-        self.sol_near = sol_near
-        self.sol_far = sol_far
-        self.r_split = r_split
+    perfbench/tracing.py counts accepted steps through the attributes
+    ``sol_near`` and ``sol_far`` of ``Trajectory.dense``, the names of the
+    two integration phases a run once had. A run now has one phase:
+    ``sol_near`` is its OdeSolution and ``sol_far`` is always None.
+    """
+
+    sol_far = None
+
+    def __init__(self, sol):
+        self.sol_near = sol
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.sol_far is None:
-            return self.sol_near(r)
-        if r.ndim == 0:
-            return self.sol_near(r) if r <= self.r_split else self.sol_far(r)
-        out = np.empty((2, r.size))
-        near = r <= self.r_split
-        if near.any():
-            out[:, near] = self.sol_near(r[near])
-        if (~near).any():
-            out[:, ~near] = self.sol_far(r[~near])
-        return out
+        return self.sol_near(r)
 
 
 def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption: bool) -> Trajectory:
@@ -239,44 +238,35 @@ def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption:
     ev_fzero.terminal = not opts.track_past_fzero
     ev_gzero.direction = -1.0
     ev_gzero.terminal = True
-    events_fns = [ev_fzero, ev_gzero]
-    common = dict(
+
+    sol = solve_ivp(
+        odefun,
+        (eps, opts.r_max),
+        [state0.f, state0.g],
         method="DOP853",
         rtol=opts.rel_tol,
         atol=ABS_TOL,
         dense_output=True,
-        events=events_fns,
-    )
-
-    r_split = min(DENSE_UNTIL, opts.r_max)
-    sol = solve_ivp(
-        odefun, (eps, r_split), [state0.f, state0.g], max_step=SAMPLE_DR, **common
+        events=[ev_fzero, ev_gzero],
     )
     _check_underflow(sol, a)
-    f_roots, g_roots = (list(t) for t in sol.t_events)
-    sol_far = None
-    if sol.status == 0 and opts.r_max > r_split:
-        y_split = [float(sol.y[0, -1]), float(sol.y[1, -1])]
-        sol_far = solve_ivp(odefun, (r_split, opts.r_max), y_split, **common)
-        _check_underflow(sol_far, a)
-        f_roots += list(sol_far.t_events[0])
-        g_roots += list(sol_far.t_events[1])
-    dense = _DenseSplice(sol.sol, sol_far.sol if sol_far is not None else None, r_split)
-    r_end = float((sol_far or sol).t[-1])
+    dense = _DenseOutput(sol.sol)
+    r_end = float(sol.t[-1])
+    f_roots, g_roots = sol.t_events
 
     events: list[TrajEvent] = []
-    if f_roots:
-        rf = float(min(f_roots))
+    if f_roots.size:
+        rf = float(f_roots.min())
         yf = dense(rf)
         dff, _ = _rhs_arrays(params, rf, yf[0], yf[1], absorption)
         events.append(TrajEvent("FZero", rf, {"slope": float(dff), "g": float(yf[1])}))
-    if g_roots:
-        rg = float(min(g_roots))
+    if g_roots.size:
+        rg = float(g_roots.min())
         yg = dense(rg)
         _, dgg = _rhs_arrays(params, rg, yg[0], yg[1], absorption)
         events.append(TrajEvent("GZero", rg, {"gprime": float(dgg), "f": float(yg[0])}))
     events.sort(key=lambda ev: ev.r)
-    if (sol_far or sol).status == 0:
+    if sol.status == 0:
         events.append(TrajEvent("Truncated", r_end))
 
     r_grid = _sample_grid(eps, r_end)

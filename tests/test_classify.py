@@ -84,9 +84,9 @@ class TestBracketAndBisection:
         assert abs(alt.a_star - gs2.a_star) <= 10.0 * 1e-10
 
     def test_tolerance_agreement(self, ctx):
-        gs10 = ctx.ground_state(2, 1.5)
-        gs12 = ctx.ground_state(2, 1.5, rel_tol=1e-12)
-        assert min(gs10.a_hi, gs12.a_hi) > max(gs10.a_lo, gs12.a_lo)
+        gs = ctx.ground_state(2, 1.5)
+        gs13 = ctx.ground_state(2, 1.5, rel_tol=1e-13)
+        assert min(gs.a_hi, gs13.a_hi) > max(gs.a_lo, gs13.a_lo)
 
     def test_dimension_one_converges(self):
         P = make_params(1, 1.5)

@@ -194,10 +194,11 @@ def test_eps_start_rule():
 @settings(max_examples=15, deadline=None)
 def test_solution_insensitive_to_series_start_radius(a):
     # the eps-start truncation is below integrator tolerance: launching from
-    # eps/4 instead of eps moves f(1) by less than ~10 rel_tol
+    # eps/4 instead of eps moves f(1) by less than 1e-9 relative, with the
+    # production solver settings
     P = make_params(2, 1.5)
     from scipy.integrate import solve_ivp
-    from selfsim.profile_ode import _rhs_arrays
+    from selfsim.profile_ode import ABS_TOL, _rhs_arrays
 
     vals = []
     for eps in (eps_start(a), eps_start(a) / 4.0):
@@ -207,9 +208,8 @@ def test_solution_insensitive_to_series_start_radius(a):
             (eps, 1.0),
             [st0.f, st0.g],
             method="DOP853",
-            rtol=1e-10,
-            atol=1e-60,
-            max_step=0.05,
+            rtol=IntegratorOptions().rel_tol,
+            atol=ABS_TOL,
         )
         vals.append(sol.y[0, -1])
     assert abs(vals[0] - vals[1]) <= 1e-9 * abs(vals[1]) + 1e-300

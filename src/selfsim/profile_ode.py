@@ -65,7 +65,7 @@ class NoZeroWithinHorizonError(RuntimeError):
 # exponential tails that the near-a_* classification runs live on
 ABS_TOL = 1e-60
 # spacing of the stored samples for r <= DENSE_UNTIL; beyond that it
-# relaxes to bound sample counts (the solver's steps are not tied to it)
+# relaxes to bound sample counts
 SAMPLE_DR = 0.05
 DENSE_UNTIL = 20.0
 

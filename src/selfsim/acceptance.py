@@ -25,7 +25,7 @@ from .pohozaev import (
     small_a_limit_z0,
     wronskian_check,
 )
-from .classify import GroundStateResult, classify, estimate_l, find_ground_state, tail_slopes
+from .classify import TOL_A, GroundStateResult, classify, estimate_l, find_ground_state, tail_slopes
 from .pde import (
     ORACLE_HORIZON,
     PdeConfig,
@@ -184,7 +184,7 @@ def criterion_4(ctx: AcceptanceContext, res: CriterionResult):
     """Ground-state bisection: width, structure, and tolerance-agreement."""
     for N, p in POINTS:
         gs = ctx.ground_state(N, p)
-        res.add(f"bracket width, ({N},{p})", gs.a_hi - gs.a_lo, 1e-10)
+        res.add(f"bracket width, ({N},{p})", gs.a_hi - gs.a_lo, TOL_A)
         res.add(f"iterations, ({N},{p})", gs.iterations, 200.0, gs.iterations <= 200)
         opts = IntegratorOptions()
         res.add(

@@ -11,7 +11,8 @@ The settings no caller varies are module constants: the J-negativity
 threshold J_NEG_THRESHOLD of the C verdict, the doubling budget
 BRACKET_MAX_STEPS of ``bracket_search``, the iteration budget
 BISECT_MAX_ITER of ``bisect_a_star``, and the plateau tolerance PLATEAU_TOL
-and minimum length PLATEAU_MIN_LEN of ``estimate_l``.
+and minimum length PLATEAU_MIN_LEN of ``estimate_l``. TOL_A is the one
+default of the bisection tolerance tol_a.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import Params, require_positive
-from .profile_ode import (
-    IntegratorOptions,
-    StepSizeUnderflowError,
-    Trajectory,
-    integrate,
-)
-from .pohozaev import J_along, find_r_G
+from .profile_ode import IntegratorOptions, Trajectory, integrate, shoot
+# J_along is unused here, but perfbench/tracing.py wraps it on this module
+from .pohozaev import J_along, J_eval, find_r_G  # noqa: F401
 
 __all__ = [
     "Classification",
@@ -47,10 +44,16 @@ __all__ = [
     "tail_slopes",
 ]
 
-# C verdict: J below -J_NEG_THRESHOLD * (1 + running max |J|) past r_G
+# C verdict: J below -J_NEG_THRESHOLD * (1 + running max |J|) past r_G, the
+# running max taken over the probe's accepted step ends so far
 J_NEG_THRESHOLD = 1e-8
 BRACKET_MAX_STEPS = 60  # doublings (and halvings) of bracket_search
 BISECT_MAX_ITER = 200
+# default bisection tolerance on the bracket width; criterion 4 gates at it
+TOL_A = 1e-10
+# step ends per vectorised J evaluation of a probe: J_eval on one state at a
+# time costs about a quarter of the probe's time
+_J_BLOCK = 16
 PLATEAU_TOL = 0.005  # relative variation of rho*g within a plateau window
 PLATEAU_MIN_LEN = 1.0
 
@@ -75,11 +78,13 @@ class WindowTooShortError(ValueError):
 class Classification:
     a: float
     verdict: str  # "A" | "C" | "Unresolved"
+    r_end: float  # where the probe stopped integrating
+    steps: int  # accepted DOP853 steps of the probe
     R: float | None = None  # A: first zero of f
     slope: float | None = None  # A: f'(R) < 0
-    r_bar: float | None = None  # C: first J-negativity radius
+    r_bar: float | None = None  # C: first J-negativity radius, between step ends
     J_at_rbar: float | None = None
-    diagnostics: dict | None = None  # Unresolved: h/g-f/J state at r_max
+    diagnostics: dict | None = None  # Unresolved: why, and the h/g-f/J state at r_end
 
 
 @dataclass
@@ -112,48 +117,91 @@ class GroundStateResult:
 
 
 def classify(params: Params, a: float, opts: IntegratorOptions | None = None) -> Classification:
-    """Classify one shooting height into A / C / Unresolved.
+    """Classify one shooting height into A / C / Unresolved, stopping once proven.
 
-    A requires the f-zero event with negative crossing slope; C requires the
-    Pohozaev functional to fall below -threshold at some radius past r_G and
-    stay there (it is provably decreasing on that range), with f still
-    positive. Step-size underflow is reported as Unresolved, never guessed.
+    A requires the f-zero event with negative crossing slope. C requires the
+    Pohozaev functional to fall below -threshold at an accepted step end past
+    r_G with f still positive: J is provably decreasing on that range, so it
+    stays there and the run stops. r_bar is the root of J + threshold, linear
+    between the two step ends that bracket it. A run that ends at r_max, at a
+    g-zero or on step-size underflow is Unresolved, never guessed; its
+    diagnostics say which and give the end state.
     """
     if a <= 0:
         raise ValueError("shooting parameter a must be positive")
     opts = opts or IntegratorOptions()
-    try:
-        traj = integrate(params, a, opts)
-    except StepSizeUnderflowError as exc:
-        diag = {"status": "underflow", "r_end": exc.last_state.r if exc.last_state else None}
-        return Classification(a=a, verdict="Unresolved", diagnostics=diag)
-    return classify_trajectory(params, traj)
-
-
-def classify_trajectory(params: Params, traj: Trajectory) -> Classification:
-    a = traj.a
-    ev = traj.event("FZero")
+    proof = _SlowDecayProof(params, find_r_G(params))
+    shot = shoot(params, a, replace(opts, track_past_fzero=False), stop=proof)
+    done = {"a": a, "r_end": shot.end.r, "steps": shot.steps}
+    ev = shot.events.get("FZero")
     if ev is not None and ev.info["slope"] < 0.0:
-        return Classification(a=a, verdict="A", R=ev.r, slope=ev.info["slope"])
+        return Classification(verdict="A", R=ev.r, slope=ev.info["slope"], **done)
+    if shot.status == "stopped" or proof.check():
+        return Classification(verdict="C", r_bar=proof.r_bar, J_at_rbar=proof.J_at_rbar, **done)
 
-    series = J_along(params, traj)
-    r_G = find_r_G(params)
-    thr = J_NEG_THRESHOLD * (1.0 + np.maximum.accumulate(np.abs(series.J)))
-    negative = (series.J < -thr) & (series.r > r_G) & (traj.f > 0.0)
-    idx = np.flatnonzero(negative)
-    if idx.size and series.J[-1] < -thr[-1]:
-        k = idx[0]
-        return Classification(a=a, verdict="C", r_bar=float(series.r[k]), J_at_rbar=float(series.J[k]))
+    end = shot.end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = {
+            "status": shot.status,
+            "h_end": float(np.float64(end.f) / end.g) if end.g > 0.0 else math.nan,
+            "g_over_f_end": float(np.float64(end.g) / end.f),
+            "J_end": float(J_eval(params, end.r, end.f, end.g)),
+        }
+    return Classification(verdict="Unresolved", diagnostics=diag, **done)
 
-    tail = slice(max(0, len(traj.r) - 8), None)
-    diag = {
-        "status": "horizon",
-        "r_end": traj.r_end,
-        "h_end": float(np.nanmean(traj.h[tail])),
-        "g_over_f_end": float(np.mean(traj.g[tail] / traj.f[tail])),
-        "J_end": float(series.J[-1]),
-    }
-    return Classification(a=a, verdict="Unresolved", diagnostics=diag)
+
+class _SlowDecayProof:
+    """Stop test of a probe: proves the C verdict at accepted step ends.
+
+    Step ends are buffered and J is evaluated _J_BLOCK at a time, so a probe
+    runs at most _J_BLOCK - 1 steps past its proof; ``check`` tests what is
+    still buffered when the run ends otherwise.
+    """
+
+    def __init__(self, params: Params, r_G: float):
+        self.params, self.r_G = params, r_G
+        self.r: list[float] = []
+        self.f: list[float] = []
+        self.g: list[float] = []
+        self.J: list[float] = []  # J at the checked step ends
+        self.v: list[float] = []  # J + threshold there
+        self.J_max = 0.0
+        self.r_bar: float | None = None
+        self.J_at_rbar: float | None = None
+
+    def __call__(self, r: float, f: float, g: float) -> bool:
+        self.r.append(r)
+        self.f.append(f)
+        self.g.append(g)
+        return len(self.r) - len(self.J) >= _J_BLOCK and self.check()
+
+    def check(self) -> bool:
+        """Test the buffered step ends; True (with r_bar set) once C is proven."""
+        n = len(self.J)
+        r, f, g = (np.array(x[n:]) for x in (self.r, self.f, self.g))
+        if not r.size:
+            return False
+        J = J_eval(self.params, r, f, g)
+        running = np.maximum.accumulate(np.maximum(np.abs(J), self.J_max))
+        thr = J_NEG_THRESHOLD * (1.0 + running)
+        self.J_max = float(running[-1])
+        self.J.extend(J)
+        self.v.extend(J + thr)
+        hit = np.flatnonzero((J < -thr) & (r > self.r_G) & (f > 0.0))
+        if not hit.size:
+            return False
+        k = n + int(hit[0])
+        if k == 0:
+            self.r_bar, self.J_at_rbar = float(self.r[0]), float(self.J[0])
+            return True
+        r0, r1 = self.r[k - 1], self.r[k]
+        v0, v1 = self.v[k - 1], self.v[k]
+        # the root of J + threshold; where the step before failed the test
+        # only by lying inside r_G, the test turns true at r_G itself
+        r_bar = max(r0 + (r1 - r0) * v0 / (v0 - v1), self.r_G) if v0 > 0.0 else self.r_G
+        self.r_bar = float(r_bar)
+        self.J_at_rbar = float(self.J[k - 1] + (self.J[k] - self.J[k - 1]) * (r_bar - r0) / (r1 - r0))
+        return True
 
 
 def bracket_search(
@@ -203,7 +251,7 @@ def _classify_resolving(params: Params, a: float, opts: IntegratorOptions) -> Cl
 def bisect_a_star(
     params: Params,
     bracket: tuple[float, float],
-    tol_a: float = 1e-10,
+    tol_a: float = TOL_A,
     opts: IntegratorOptions | None = None,
 ) -> GroundStateResult:
     """Bisect the (C, A) bracket down to tol_a and extract l and c.
@@ -269,7 +317,7 @@ def bisect_a_star(
 
 
 def find_ground_state(
-    params: Params, opts: IntegratorOptions | None = None, tol_a: float = 1e-10
+    params: Params, opts: IntegratorOptions | None = None, tol_a: float = TOL_A
 ) -> GroundStateResult:
     """The ground state a_*: bracket from a = 1, then bisect down to tol_a."""
     require_positive("tol_a", tol_a)  # a bad tolerance exits before seconds of bracket shooting

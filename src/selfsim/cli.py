@@ -26,7 +26,7 @@ from .profile_ode import (
     integrate,
 )
 from .pohozaev import J_along, coeff_functions, pohozaev_coeffs, G_cubic, G_direct
-from .classify import BisectionStallError, BracketFailureError, NoPlateauError, classify, find_ground_state
+from .classify import TOL_A, BisectionStallError, BracketFailureError, NoPlateauError, classify, find_ground_state
 from .pde import (
     MaxStepsExceededError,
     PdeConfig,
@@ -111,6 +111,8 @@ def cmd_classify(args) -> int:
         "r_bar": c.r_bar,
         "J_at_rbar": c.J_at_rbar,
         "diagnostics": c.diagnostics,
+        "r_end": c.r_end,
+        "steps": c.steps,
     }
     _emit(args, summary)
     return EXIT_OK
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("find-astar", help="bisect the ground-state height")
     _add_model_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=TOL_A)
     _add_ode_args(sp)
     sp.add_argument("--out", help="write JSON here instead of stdout")
     sp.add_argument("--meta", action="store_true")
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pde-compare", help="run + rescale + compare to the profile")
     _add_model_args(sp)
     _add_pde_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=TOL_A)
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_pde_compare)

@@ -14,14 +14,18 @@ slope g'(0) = a/N > 0 and with the second-order equation satisfied by g; it is
 adopted everywhere (see the h = f/g and w = rho*g identities, which hold
 exactly for it).
 
-Each run is one call of explicit adaptive Runge-Kutta (DOP853) over
-(eps, r_max), with a series start at r = eps to clear the 1/r coordinate
-singularity, dense output, and sign-change events for f and g. The embedded
-error control alone sets the accuracy: there is no step cap, so rel_tol is
-what a tighter or looser run changes. The settings no caller varies are
-module constants: the absolute tolerance ABS_TOL, and the sample spacing
-SAMPLE_DR with the radius DENSE_UNTIL where it relaxes; ``IntegratorOptions``
-keeps the ones that do vary (rel_tol, r_max, track_past_fzero).
+Each run is one stepping loop of explicit adaptive Runge-Kutta (DOP853,
+``shoot``) over (eps, r_max), with a series start at r = eps to clear the
+1/r coordinate singularity and sign-change events for f and g, located on
+the dense output of the step that brackets them. A kept trajectory
+(``integrate``, ``psi_integrate``) stores every step's dense output; a
+classification probe stores none and may end the run early through its stop
+test. The embedded error control alone sets the accuracy: there is no step
+cap, so rel_tol is what a tighter or looser run changes. The settings no
+caller varies are module constants: the absolute tolerance ABS_TOL, and the
+sample spacing SAMPLE_DR with the radius DENSE_UNTIL where it relaxes;
+``IntegratorOptions`` keeps the ones that do vary (rel_tol, r_max,
+track_past_fzero).
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize import brentq
 
 from .params import Params, require_positive, weight_rho
 
@@ -38,11 +43,13 @@ __all__ = [
     "ProfileState",
     "TrajEvent",
     "Trajectory",
+    "Shot",
     "StepSizeUnderflowError",
     "NoZeroWithinHorizonError",
     "rhs",
     "series_start",
     "integrate",
+    "shoot",
     "energy",
     "w_and_h",
     "psi_integrate",
@@ -68,6 +75,8 @@ ABS_TOL = 1e-60
 # relaxes to bound sample counts
 SAMPLE_DR = 0.05
 DENSE_UNTIL = 20.0
+# event roots to 4 ulp, the brentq tolerance of solve_ivp's event location
+_ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -182,10 +191,10 @@ def integrate(params: Params, a: float, opts: IntegratorOptions | None = None) -
 
     The trajectory ends at the first of: FZero (f crosses zero, slope
     recorded), GZero (g crosses zero; only reachable with track_past_fzero),
-    or Truncated at r_max. Events are root-resolved by the integrator's
-    dense-output bracketing.
+    or Truncated at r_max. Events are root-resolved on the dense output of
+    the step that brackets them.
     """
-    return _integrate_fg(params, a, opts or IntegratorOptions(), absorption=True)
+    return _trajectory(params, a, opts or IntegratorOptions(), absorption=True)
 
 
 def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Trajectory:
@@ -195,12 +204,104 @@ def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Traj
     has one, so running out of horizon raises NoZeroWithinHorizonError.
     """
     opts = opts or IntegratorOptions()
-    traj = _integrate_fg(params, 1.0, opts, absorption=False)
+    traj = _trajectory(params, 1.0, opts, absorption=False)
     if traj.event("FZero") is None:
         raise NoZeroWithinHorizonError(
             f"psi stayed positive up to r_max={opts.r_max}; this signals a bug"
         )
     return traj
+
+
+@dataclass
+class Shot:
+    """How one shooting run ended.
+
+    ``status`` names what ended it: "horizon" (r_max), the kind of a terminal
+    event ("FZero" or "GZero"), "stopped" (the caller's stop test) or
+    "underflow" (the step size fell below the spacing of floats). ``end`` is
+    the state there: the event root for an event, else the last accepted
+    step end. ``events`` maps each kind to its first root, in order of
+    radius. ``dense`` is the run's OdeSolution when it was kept.
+    """
+
+    status: str
+    end: ProfileState
+    steps: int
+    events: dict[str, TrajEvent]
+    dense: OdeSolution | None = None
+
+
+def shoot(
+    params: Params,
+    a: float,
+    opts: IntegratorOptions,
+    absorption: bool = True,
+    keep_dense: bool = False,
+    stop=None,
+) -> Shot:
+    """Step DOP853 from the series start to r_max, a terminal event or ``stop``.
+
+    This is the loop ``solve_ivp(method="DOP853", events=...)`` runs, with
+    the same steps, event roots and dense output: the signs of f and g are
+    compared at each accepted step end, and a downward crossing is resolved
+    by brentq to 4 ulp on that step's dense output. FZero ends the run unless
+    ``opts.track_past_fzero``; GZero always does. With ``keep_dense`` every
+    step's interpolant goes into the OdeSolution; otherwise one is built only
+    for a step that holds an event. ``stop(r, f, g)`` sees each accepted step
+    end that no terminal event cut short, and a true return ends the run.
+    """
+    eps = eps_start(a)
+    state0 = series_start(params, a, eps)
+
+    def odefun(r, y):
+        return _rhs_arrays(params, r, y[0], y[1], absorption)
+
+    solver = DOP853(odefun, eps, [state0.f, state0.g], opts.r_max, rtol=opts.rel_tol, atol=ABS_TOL)
+    terminal = {"FZero": not opts.track_past_fzero, "GZero": True}
+    events: dict[str, TrajEvent] = {}
+    ts, interpolants = [eps], []
+    r, y = eps, solver.y
+    status, steps = None, 0
+    while status is None:
+        solver.step()
+        if solver.status == "failed":
+            status = "underflow"
+            break
+        steps += 1
+        (f_old, g_old), r, y = y, solver.t, solver.y
+        sol = solver.dense_output() if keep_dense else None
+        crossed = [k for k, (old, new) in enumerate(((f_old, y[0]), (g_old, y[1]))) if old >= 0.0 >= new]
+        if crossed:
+            sol = sol or solver.dense_output()
+            roots = sorted(
+                (brentq(lambda s, k=k: sol(s)[k], solver.t_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL), k)
+                for k in crossed
+            )
+            for root, k in roots:
+                kind, y_root = ("FZero", "GZero")[k], sol(root)
+                events.setdefault(kind, _event(params, kind, root, y_root, absorption))
+                if terminal[kind]:
+                    status, r, y = kind, root, y_root
+                    break
+        if status is None:
+            if stop is not None and stop(r, y[0], y[1]):
+                status = "stopped"
+            elif solver.status == "finished":
+                status = "horizon"
+        # a terminal root on the step's start adds no segment, as in solve_ivp
+        if keep_dense and not (len(ts) > 1 and ts[-1] == r):
+            ts.append(r)
+            interpolants.append(sol)
+    end = ProfileState(r=float(r), f=float(y[0]), g=float(y[1]))
+    dense = OdeSolution(ts, interpolants) if keep_dense and interpolants else None
+    return Shot(status=status, end=end, steps=steps, events=events, dense=dense)
+
+
+def _event(params: Params, kind: str, r: float, y, absorption: bool) -> TrajEvent:
+    df, dg = _rhs_arrays(params, r, y[0], y[1], absorption)
+    if kind == "FZero":
+        return TrajEvent(kind, r, {"slope": float(df), "g": float(y[1])})
+    return TrajEvent(kind, r, {"gprime": float(dg), "f": float(y[0])})
 
 
 class _DenseOutput:
@@ -221,55 +322,18 @@ class _DenseOutput:
         return self.sol_near(r)
 
 
-def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption: bool) -> Trajectory:
-    eps = eps_start(a)
-    state0 = series_start(params, a, eps)
+def _trajectory(params: Params, a: float, opts: IntegratorOptions, absorption: bool) -> Trajectory:
+    shot = shoot(params, a, opts, absorption, keep_dense=True)
+    if shot.status == "underflow":
+        raise StepSizeUnderflowError(
+            f"step size underflow at r={shot.end.r:.6g} (a={a:.17g})", shot.end
+        )
+    events = list(shot.events.values())
+    if shot.status == "horizon":
+        events.append(TrajEvent("Truncated", shot.end.r))
 
-    def odefun(r, y):
-        return _rhs_arrays(params, r, y[0], y[1], absorption)
-
-    def ev_fzero(r, y):
-        return y[0]
-
-    def ev_gzero(r, y):
-        return y[1]
-
-    ev_fzero.direction = -1.0
-    ev_fzero.terminal = not opts.track_past_fzero
-    ev_gzero.direction = -1.0
-    ev_gzero.terminal = True
-
-    sol = solve_ivp(
-        odefun,
-        (eps, opts.r_max),
-        [state0.f, state0.g],
-        method="DOP853",
-        rtol=opts.rel_tol,
-        atol=ABS_TOL,
-        dense_output=True,
-        events=[ev_fzero, ev_gzero],
-    )
-    _check_underflow(sol, a)
-    dense = _DenseOutput(sol.sol)
-    r_end = float(sol.t[-1])
-    f_roots, g_roots = sol.t_events
-
-    events: list[TrajEvent] = []
-    if f_roots.size:
-        rf = float(f_roots.min())
-        yf = dense(rf)
-        dff, _ = _rhs_arrays(params, rf, yf[0], yf[1], absorption)
-        events.append(TrajEvent("FZero", rf, {"slope": float(dff), "g": float(yf[1])}))
-    if g_roots.size:
-        rg = float(g_roots.min())
-        yg = dense(rg)
-        _, dgg = _rhs_arrays(params, rg, yg[0], yg[1], absorption)
-        events.append(TrajEvent("GZero", rg, {"gprime": float(dgg), "f": float(yg[0])}))
-    events.sort(key=lambda ev: ev.r)
-    if sol.status == 0:
-        events.append(TrajEvent("Truncated", r_end))
-
-    r_grid = _sample_grid(eps, r_end)
+    dense = _DenseOutput(shot.dense)
+    r_grid = _sample_grid(shot.dense.t_min, shot.end.r)
     y = dense(r_grid)
     f, g = y[0], y[1]
     fprime, _ = _rhs_arrays(params, r_grid, f, g, absorption)
@@ -289,14 +353,6 @@ def _integrate_fg(params: Params, a: float, opts: IntegratorOptions, absorption:
         dense=dense,
     )
     return w_and_h(params, traj)
-
-
-def _check_underflow(sol, a: float) -> None:
-    if sol.status == -1:
-        last = ProfileState(r=float(sol.t[-1]), f=float(sol.y[0, -1]), g=float(sol.y[1, -1]))
-        raise StepSizeUnderflowError(
-            f"step size underflow at r={last.r:.6g} (a={a:.17g}): {sol.message}", last
-        )
 
 
 def _sample_grid(eps: float, r_end: float) -> np.ndarray:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from selfsim.params import make_params
-from selfsim.profile_ode import IntegratorOptions, integrate
-from selfsim.pohozaev import find_r_G
+from selfsim.profile_ode import SAMPLE_DR, IntegratorOptions, integrate
+from selfsim.pohozaev import J_along, find_r_G
 from selfsim.classify import (
+    J_NEG_THRESHOLD,
     WindowTooShortError,
     bisect_a_star,
     bracket_search,
@@ -12,6 +13,24 @@ from selfsim.classify import (
     estimate_l,
     tail_slopes,
 )
+
+
+def sample_oracle(params, traj):
+    """(verdict, R, slope, r_bar) by the rule on a whole trajectory's samples.
+
+    A at a falling f-zero. C if J < -J_NEG_THRESHOLD (1 + running max |J|)
+    at some sample past r_G with f > 0, and still at the last sample; r_bar
+    is the first such sample. Otherwise Unresolved.
+    """
+    ev = traj.event("FZero")
+    if ev is not None and ev.info["slope"] < 0.0:
+        return "A", ev.r, ev.info["slope"], None
+    series = J_along(params, traj)
+    thr = J_NEG_THRESHOLD * (1.0 + np.maximum.accumulate(np.abs(series.J)))
+    idx = np.flatnonzero((series.J < -thr) & (series.r > find_r_G(params)) & (traj.f > 0.0))
+    if idx.size and series.J[-1] < -thr[-1]:
+        return "C", None, None, float(series.r[idx[0]])
+    return "Unresolved", None, None, None
 
 
 class TestClassify:
@@ -48,6 +67,40 @@ class TestClassify:
             assert classify(P2, a).verdict == "C"
         for a in (gs2.a_hi * 1.01, gs2.a_hi * 4.0):
             assert classify(P2, a).verdict == "A"
+
+    @pytest.mark.parametrize("point", [(2, 1.5), (3, 1.7)])
+    def test_verdicts_match_the_sample_oracle(self, ctx, point):
+        # seeded heights on both sides of a_*, far off and within 1e-8: the
+        # probe that stops at its proof agrees with the rule applied to the
+        # whole trajectory; r_bar, interpolated between step ends, lies within
+        # one sample spacing of the oracle's first negative sample
+        P, gs = ctx.params(*point), ctx.ground_state(*point)
+        rng = np.random.default_rng(15)
+        verdicts = []
+        for side in (-1.0, 1.0):
+            far = gs.a_star * (1.0 + side * rng.uniform(0.05, 0.8, 2))
+            near = gs.a_star + side * rng.uniform(1e-9, 1e-8, 2)
+            for a in (*far, *near):
+                c = classify(P, a)
+                verdict, R, slope, r_bar = sample_oracle(P, integrate(P, a))
+                assert c.verdict == verdict
+                assert (c.R, c.slope) == (R, slope)
+                if verdict == "C":
+                    assert abs(c.r_bar - r_bar) <= SAMPLE_DR + 0.01
+                    assert c.J_at_rbar < 0.0
+                verdicts.append(verdict)
+        assert verdicts == ["C"] * 4 + ["A"] * 4
+
+    def test_probe_stops_at_its_verdict(self, P2):
+        opts = IntegratorOptions()
+        c = classify(P2, 1.0, opts)
+        assert c.verdict == "C"
+        assert c.r_bar < c.r_end < opts.r_max
+        assert 0 < c.steps < len(integrate(P2, 1.0, opts).dense.sol_near.ts) - 1
+        c = classify(P2, 100.0, opts)
+        assert c.verdict == "A"
+        assert c.r_end == c.R
+        assert c.steps == len(integrate(P2, 100.0, opts).dense.sol_near.ts) - 1
 
     def test_off_default_parameter_point(self):
         # nothing in the machinery is tuned to the two default points

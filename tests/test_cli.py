@@ -97,6 +97,9 @@ class TestCommands:
         data = read_summary(out)
         assert data["results"]["verdict"] == "A"
         assert data["results"]["R"] > 0
+        # the probe stops at the zero it proves, and says how far and how long it ran
+        assert data["results"]["r_end"] == data["results"]["R"]
+        assert data["results"]["steps"] > 0
 
     def test_sweep_ordering_and_parallel(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SELFSIM_THREADS", "2")

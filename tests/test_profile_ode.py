@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.integrate import solve_ivp
+
 from selfsim.params import make_params, weight_rho
 from selfsim.profile_ode import (
+    ABS_TOL,
     IntegratorOptions,
     ProfileState,
+    _rhs_arrays,
+    _sample_grid,
     energy,
     eps_start,
     integrate,
     psi_integrate,
     rhs,
     series_start,
+    shoot,
 )
 
 
@@ -114,6 +120,98 @@ class TestIntegrate:
         traj = integrate(P2, 1.0)
         near = traj.r[traj.r <= 20.0]
         assert np.max(np.diff(near)) <= 0.05 + 1e-12
+
+
+def solve_ivp_run(params, a, opts, absorption):
+    """The same run as one solve_ivp call with dense output and f/g events."""
+    eps = eps_start(a)
+    st0 = series_start(params, a, eps)
+
+    def f_zero(r, y):
+        return y[0]
+
+    def g_zero(r, y):
+        return y[1]
+
+    f_zero.direction = g_zero.direction = -1.0
+    f_zero.terminal = not opts.track_past_fzero
+    g_zero.terminal = True
+    return solve_ivp(
+        lambda r, y: _rhs_arrays(params, r, y[0], y[1], absorption),
+        (eps, opts.r_max),
+        [st0.f, st0.g],
+        method="DOP853",
+        rtol=opts.rel_tol,
+        atol=ABS_TOL,
+        dense_output=True,
+        events=[f_zero, g_zero],
+    )
+
+
+class TestSteppingLoop:
+    """The hand-stepped DOP853 loop against solve_ivp at production settings."""
+
+    CASES = {
+        "truncated": (1.0, {}, True),
+        "fzero": (7.0, {}, True),
+        "gzero": (7.0, {"track_past_fzero": True}, True),
+        "psi": (1.0, {}, False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical_to_solve_ivp(self, P2, case):
+        a, kw, absorption = self.CASES[case]
+        opts = IntegratorOptions(**kw)
+        traj = integrate(P2, a, opts) if absorption else psi_integrate(P2, opts)
+        ref = solve_ivp_run(P2, a, opts, absorption)
+        assert ref.status >= 0
+        assert len(traj.dense.sol_near.ts) == len(ref.sol.ts)
+        assert np.array_equal(traj.r, _sample_grid(ref.t[0], ref.t[-1]))
+        y = ref.sol(traj.r)
+        assert np.array_equal(traj.f, y[0]) and np.array_equal(traj.g, y[1])
+
+        kinds = []
+        for kind, roots in zip(("FZero", "GZero"), ref.t_events):
+            if roots.size:
+                root = float(roots.min())
+                yr = ref.sol(root)
+                df, dg = _rhs_arrays(P2, root, yr[0], yr[1], absorption)
+                if kind == "FZero":
+                    info = {"slope": float(df), "g": float(yr[1])}
+                else:
+                    info = {"gprime": float(dg), "f": float(yr[0])}
+                ev = traj.event(kind)
+                assert ev.r == root and ev.info == info
+                kinds.append(kind)
+        if ref.status == 0:
+            kinds.append("Truncated")
+            assert traj.event("Truncated").r == ref.t[-1]
+        assert [ev.kind for ev in traj.events] == kinds
+        expected = {"truncated": ["Truncated"], "fzero": ["FZero"], "gzero": ["FZero", "GZero"], "psi": ["FZero"]}
+        assert kinds == expected[case]
+
+    @pytest.mark.parametrize("case", ["truncated", "fzero", "gzero"])
+    def test_run_without_dense_output_takes_the_same_steps(self, P2, case):
+        a, kw, _ = self.CASES[case]
+        opts = IntegratorOptions(**kw)
+        traj = integrate(P2, a, opts)
+        shot = shoot(P2, a, opts)
+        assert shot.dense is None
+        assert shot.steps == len(traj.dense.sol_near.ts) - 1
+        assert list(shot.events.values()) == [ev for ev in traj.events if ev.kind != "Truncated"]
+        assert shot.end.r == traj.r_end
+
+    def test_stop_ends_the_run_at_a_step_end(self, P2):
+        seen = []
+
+        def stop(r, f, g):
+            seen.append(r)
+            return r > 10.0
+
+        shot = shoot(P2, 1.0, IntegratorOptions(), stop=stop)
+        assert shot.status == "stopped"
+        assert shot.end.r == seen[-1] > 10.0 >= seen[-2]
+        assert shot.steps == len(seen)
 
 
 class TestEnergy:

@@ -75,7 +75,7 @@ ABS_TOL = 1e-60
 # relaxes to bound sample counts
 SAMPLE_DR = 0.05
 DENSE_UNTIL = 20.0
-# event roots to 4 ulp, the brentq tolerance of solve_ivp's event location
+# event roots to 4 ulp, the brentq tolerance of scipy's own event location
 _ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
@@ -241,14 +241,15 @@ def shoot(
 ) -> Shot:
     """Step DOP853 from the series start to r_max, a terminal event or ``stop``.
 
-    This is the loop ``solve_ivp(method="DOP853", events=...)`` runs, with
-    the same steps, event roots and dense output: the signs of f and g are
-    compared at each accepted step end, and a downward crossing is resolved
-    by brentq to 4 ulp on that step's dense output. FZero ends the run unless
-    ``opts.track_past_fzero``; GZero always does. With ``keep_dense`` every
-    step's interpolant goes into the OdeSolution; otherwise one is built only
-    for a step that holds an event. ``stop(r, f, g)`` sees each accepted step
-    end that no terminal event cut short, and a true return ends the run.
+    This is the loop scipy's IVP front end runs around DOP853 with events,
+    with the same steps, event roots and dense output: the signs of f and g
+    are compared at each accepted step end, and a downward crossing is
+    resolved by brentq to 4 ulp on that step's dense output. FZero ends the
+    run unless ``opts.track_past_fzero``; GZero always does. With
+    ``keep_dense`` every step's interpolant goes into the OdeSolution;
+    otherwise one is built only for a step that holds an event.
+    ``stop(r, f, g)`` sees each accepted step end that no terminal event cut
+    short, and a true return ends the run.
     """
     eps = eps_start(a)
     state0 = series_start(params, a, eps)
@@ -288,7 +289,7 @@ def shoot(
                 status = "stopped"
             elif solver.status == "finished":
                 status = "horizon"
-        # a terminal root on the step's start adds no segment, as in solve_ivp
+        # a terminal root on the step's start adds no segment, as in scipy
         if keep_dense and not (len(ts) > 1 and ts[-1] == r):
             ts.append(r)
             interpolants.append(sol)

@@ -28,25 +28,30 @@ c(s) = (s^2+eps^2)^((p-2)/2), and the sink is lagged the same way,
 c(D^n) |D^(n+1)|. Both join the couplings of a tridiagonal solve whose
 right-hand side is u^n. The couplings k_up, k_dn (``_geometry``) are
 non-negative, so every sweep is an M-matrix at any dt (positivity and max
-principle); the result is clipped at zero. Each step is the Richardson
-extrapolation of one dt sweep and two dt/2 sweeps. ``_step_imex`` is the one
-implicit step: it takes the run's geometry, runs the three sweeps and
-returns the extrapolated step together with the step-doubling error
-estimate |u_half - u_big| (Hairer, Norsett and Wanner, Solving ODEs I,
-II.4). On stiff cells the extrapolation's amplification factor tends to 0
-from below, so a tail cell it drives to zero or below (or into the
-subnormal range) zeroes the tail beyond it.
+principle); each sweep's result is clipped at zero. Each step is the
+extrapolated linearly implicit Euler method with the harmonic sequence
+1, 2, 3 (Deuflhard, SIAM Review 27, 1985; Hairer and Wanner, Solving ODEs
+II, IV.9): one dt sweep u1, two dt/2 sweeps u2 and three dt/3 sweeps u3
+fill the Aitken-Neville tableau T22 = 2 u2 - u1, T32 = 3 u3 - 2 u2,
+T33 = T32 + (T32 - T22)/2, whose columns are of order 1, 2 and 3.
+``_step_imex`` is the one implicit step: it takes the run's geometry, runs
+the six sweeps and returns T33 together with the error estimate
+|T33 - T32|, the local error of the second-order T32 (the step advances the
+highest column, as extrapolation codes do). On stiff cells the
+extrapolation can drive a tail cell to zero or below (or into the subnormal
+range); such a cell zeroes the tail beyond it.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
-norm max_i |u_half - u_big|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
-An attempt above 1 is rejected and retried with a smaller dt, leaving the
-state, the clock, the step count and the records untouched; an accepted
-step sets the next dt from the same norm. The records of the functionals
-follow the sup norm, RECORDS_PER_DECADE per decade, as the snapshots do.
-REL_CHANGE, one record interval of the sup norm, caps the change of u per
-step relative to the peak, so once ATOL dominates the step still crosses
-at most about one record threshold and the final decade keeps enough
-records for ``fit_extinction``.
+norm max_i |T33 - T32|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
+The estimate is O(dt^3), so dt scales with the cube root of the norm's
+inverse. An attempt above 1 is rejected and retried with a smaller dt,
+leaving the state, the clock, the step count and the records untouched; an
+accepted step sets the next dt from the same norm. The records of the
+functionals follow the sup norm, RECORDS_PER_DECADE per decade, as the
+snapshots do. REL_CHANGE, one record interval of the sup norm, caps the
+change of u per step relative to the peak, so once ATOL dominates the step
+still crosses at most about one record threshold and the final decade keeps
+enough records for ``fit_extinction``.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: the couplings, eps^2, the diffusivity's
@@ -55,8 +60,9 @@ exponent and the supersolution bound), and the weights of
 diagonals to LAPACK gtsv directly (the routine ``solve_banded`` calls for
 one sub- and one superdiagonal, so the bits are the same) and keeps that
 wrapper's checks: a non-finite entry raises ValueError, a singular system
-LinAlgError. The dt sweep and the first dt/2 sweep of a Richardson step
-start from the same state and share its diffusivity.
+LinAlgError. The first sweep of each column starts from the step's state
+and shares its diffusivity, and the sweeps of one column share their
+couplings.
 
 ``step`` is the explicit forward-Euler update on the same spatial operator,
 with the same two-face sink and the stability rule ``explicit_dt``
@@ -128,7 +134,7 @@ __all__ = [
 # overfeed of the far tail below the 1e-12 comparison slack
 EPS_REG = 1e-12
 CFL_SAFETY = 0.4  # explicit stability rule: fraction of the bound
-RTOL = 2e-6  # step-doubling error control: relative part of the per-cell scale
+RTOL = 2e-6  # error control on |T33 - T32|: relative part of the per-cell scale
 ATOL = 1e-12  # absolute part, times kappa0
 RECORDS_PER_DECADE = 40  # functional records per decade of the sup norm
 # record-density cap: max |du| / ||u||_inf per step, one record interval of the
@@ -462,36 +468,45 @@ def _clip_count(u: np.ndarray) -> int:
     return sat
 
 
+def _substeps(geom: _Geometry, u: np.ndarray, c: np.ndarray, n: int, dt: float) -> tuple[np.ndarray, int]:
+    """n sweeps of dt/n from u, each clipped at zero: (result, cells the last sweep clipped).
+
+    The first sweep takes c = c(u); the n sweeps share their couplings.
+    """
+    couplings = _couplings(geom, dt / n)
+    for k in range(n):
+        u = _sweep(u, c if k == 0 else _diffusivity(geom, u), couplings)
+        sat = _clip_count(u)
+    return u, sat
+
+
 def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     """One implicit step from u; returns (u_new, saturations, error).
 
-    u_new is the Richardson extrapolation 2 u_half - u_big of one dt sweep
-    and two dt/2 sweeps: the dt sweep and the first dt/2 sweep start from u
-    and share its diffusivity; the two dt/2 sweeps share their couplings.
-    error is the step-doubling estimate |u_half - u_big| of the two results,
-    each clipped at zero. The extrapolation's amplification factor tends to
-    0 from below on stiff cells, so it can drive a tail cell to zero or
-    below; such a cell zeroes the whole tail beyond it, which keeps the
-    profile non-increasing. So does a subnormal cell (below _TINY), whose few
-    bits cannot order a tail. saturations counts the cells clipped after the
-    second dt/2 sweep and those the extrapolation drives negative.
+    u_new is the corner T33 of the Aitken-Neville tableau over the step
+    counts 1, 2, 3: u1, u2 and u3 are one dt sweep, two dt/2 sweeps and
+    three dt/3 sweeps, each clipped at zero, and
+    T22 = 2 u2 - u1, T32 = 3 u3 - 2 u2, T33 = T32 + (T32 - T22)/2.
+    The three first sweeps start from u and share its diffusivity. error is
+    |T33 - T32|: T32 is second order, so this estimates its local error,
+    O(dt^3), and T33 is one order better. On stiff cells the extrapolation
+    can drive a tail cell to zero or below; such a cell zeroes the whole
+    tail beyond it, which keeps the profile
+    non-increasing. So does a subnormal cell (below _TINY), whose few bits
+    cannot order a tail. saturations counts the cells u3's last sweep
+    clipped and those the extrapolation drives negative.
     """
-    half = 0.5 * dt
-    half_couplings = _couplings(geom, half)
     c = _diffusivity(geom, u)
-    u_big = _sweep(u, c, _couplings(geom, dt))
-    np.maximum(u_big, 0.0, out=u_big)
-    u_half = _sweep(u, c, half_couplings)
-    np.maximum(u_half, 0.0, out=u_half)
-    u_half = _sweep(u_half, _diffusivity(geom, u_half), half_couplings)
-    sat_half = _clip_count(u_half)
-    error = np.subtract(u_half, u_big)
-    np.abs(error, out=error)
-    u_half *= 2.0
-    u_half -= u_big
-    sat = sat_half + int(np.count_nonzero(u_half < 0.0))
-    u_half[np.logical_or.accumulate(u_half < _TINY)] = 0.0
-    return u_half, sat, error
+    u1, _ = _substeps(geom, u, c, 1, dt)
+    u2, _ = _substeps(geom, u, c, 2, dt)
+    u3, sat = _substeps(geom, u, c, 3, dt)
+    t22 = 2.0 * u2 - u1
+    t32 = 3.0 * u3 - 2.0 * u2
+    u_new = t32 + 0.5 * (t32 - t22)
+    error = np.abs(u_new - t32)
+    sat += int(np.count_nonzero(u_new < 0.0))
+    u_new[np.logical_or.accumulate(u_new < _TINY)] = 0.0
+    return u_new, sat, error
 
 
 def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev: float, dt: float, atol: float):
@@ -499,7 +514,7 @@ def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev
 
     The error norm is e = max_i error_i / (RTOL max(u_prev_i, u_try_i) + atol).
     An attempt with e > 1 is rejected and retried with dt scaled by
-    max(0.2, 0.9 e^(-1/2)). After an accepted step dt grows by at most 1.25
+    max(0.2, 0.9 e^(-1/3)). After an accepted step dt grows by at most 1.25
     and is further capped so that the next step changes u by about REL_CHANGE
     of the peak. error is overwritten.
     """
@@ -508,8 +523,9 @@ def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev
     scale += atol
     error /= scale
     e = float(error.max())
-    # the estimate is O(dt^2) (first-order sweeps), hence the exponent 1/2
-    factor = 0.9 / math.sqrt(max(e, 1e-30))
+    # the estimate |T33 - T32| is the local error of the second-order T32,
+    # O(dt^3), hence the exponent 1/3
+    factor = 0.9 * max(e, 1e-30) ** (-1.0 / 3.0)
     if e > 1.0:
         return False, dt * max(0.2, factor)
     du = np.subtract(u_try, u_prev)

@@ -29,18 +29,19 @@ def format_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return f"{x:.17g}"
+        return "%.17g" % x  # the bytes of f"{x:.17g}", at less cost per cell
     return str(x)
 
 
 def write_csv(path, header, rows) -> None:
-    """RFC-4180-style CSV: comma separated, '.' decimal point, LF lines."""
+    """RFC-4180-style CSV: comma separated, '.' decimal point, LF lines; the file is written at once."""
     path = Path(path)
+    lines = [",".join(header)]
+    lines.extend(",".join([format_value(x) for x in row]) for row in rows)
+    lines.append("")  # the final LF
     try:
         with path.open("w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(format_value(x) for x in row) + "\n")
+            fh.write("\n".join(lines))
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import importlib
 import json
+import math
 import os
 import shlex
 from pathlib import Path
@@ -31,6 +32,38 @@ class TestReporting:
             assert float(format_value(float(x))) == x
         for x in (1e-300, 5e-324, 1.0 / 3.0, np.pi):
             assert float(format_value(float(x))) == float(x)
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"), (0.0, "0"),
+            (5e-324, "4.9406564584124654e-324"),  # the smallest subnormal
+            (2.225073858507201e-308, "2.2250738585072009e-308"),  # the largest subnormal
+            (2.2250738585072014e-308, "2.2250738585072014e-308"),  # the smallest normal
+            (1.0 / 3.0, "0.33333333333333331"), (1.0, "1"), (1e17, "1e+17"),
+            (1e300, "1.0000000000000001e+300"),
+            (np.float64(0.1), "0.10000000000000001"), (np.float64(math.nan), "nan"),
+            (np.float64(-0.0), "-0"),
+            (True, "true"), (False, "false"),  # bool before int and float
+            (7, "7"), (-3, "-3"), (np.int64(42), "42"), (np.int64(-1), "-1"),
+            ("C", "C"), ("", ""),
+        ],
+    )
+    def test_format_value_pinned(self, x, text):
+        assert format_value(x) == text
+
+    def test_format_value_matches_format_spec(self):
+        # the 17-digit %-format carries the bits of f"{x:.17g}" for every float
+        bits = np.random.default_rng(11).integers(0, 2**64, size=20_000, dtype=np.uint64)
+        for x in bits.view(np.float64):
+            assert format_value(x) == f"{x:.17g}" == format_value(float(x))
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "verdict", "ok", "n"], [(0.1, "A", True, 3), (np.float64(-0.0), "C", False, np.int64(7))])
+        assert path.read_bytes() == b"a,verdict,ok,n\n0.10000000000000001,A,true,3\n-0,C,false,7\n"
+        write_csv(path, ["x"], [])
+        assert path.read_bytes() == b"x\n"
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -424,6 +424,25 @@ class TestExpTailRun:
         assert kept[-1] <= 0.05 * gs2.a_star
         assert kept[-3] >= kept[-2] >= kept[-1]
 
+    def test_mass_balance_law_second_order(self, P2, exp_frames):
+        # dI/dt = -p J over criterion 12's mid-run window, with the three-point
+        # derivative that is second order on uneven record intervals (records
+        # follow the sup norm and land a few steps apart, so neighbouring
+        # intervals differ by up to 1.35:1)
+        t, I, J = exp_frames.t, exp_frames.I, exp_frames.J
+        T_e = exp_frames.T_e_estimate
+        k = np.flatnonzero((t > 0.25 * T_e) & (t < 0.7 * T_e))[5:-5]
+        h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
+        dIdt = (-h2 / (h1 * (h1 + h2)) * I[k - 1] + (h2 - h1) / (h1 * h2) * I[k]
+                + h1 / (h2 * (h1 + h2)) * I[k + 1])
+        assert np.max(np.abs(dIdt + P2.p * J[k]) / (P2.p * J[k])) < 2e-3
+
+    def test_step_count(self, exp_frames):
+        # the production run: 1,180 steps of the third-order extrapolation
+        assert exp_frames.n_steps <= 1500
+        assert exp_frames.rejected_steps == 0
+        assert exp_frames.t.size == 401
+
     def test_energy_chain_nonincreasing(self, P2, gs2, exp_frames):
         cmp = profile_errors(exp_frames, gs2.traj)
         E_v = np.array([weighted_functionals(P2, exp_frames.grid, v)[3] for v in cmp.v[cmp.before_endgame]])

@@ -55,19 +55,28 @@ def reference_be_sweep(config, grid, u, dt):
     return u_new, sat
 
 
-def reference_pair(config, grid, u, dt):
-    """The step-doubling pair: one dt sweep and two dt/2 sweeps, each clipped at zero."""
-    u_big, _ = reference_be_sweep(config, grid, u, dt)
-    u_half, _ = reference_be_sweep(config, grid, u, 0.5 * dt)
-    u_half, sat_half = reference_be_sweep(config, grid, u_half, 0.5 * dt)
-    return u_big, u_half, sat_half
+def reference_substeps(config, grid, u, dt, n):
+    """n reference sweeps of dt/n from u, each clipped at zero; returns the result and the last clip count."""
+    for _ in range(n):
+        u, sat = reference_be_sweep(config, grid, u, dt / n)
+    return u, sat
+
+
+def reference_tableau(config, grid, u, dt):
+    """T32 and T33 of the Aitken-Neville tableau over one dt sweep, two dt/2 sweeps and three dt/3 sweeps."""
+    u1, _ = reference_substeps(config, grid, u, dt, 1)
+    u2, _ = reference_substeps(config, grid, u, dt, 2)
+    u3, sat3 = reference_substeps(config, grid, u, dt, 3)
+    T22 = 2.0 * u2 - u1
+    T32 = 3.0 * u3 - 2.0 * u2
+    T33 = T32 + 0.5 * (T32 - T22)
+    return T32, T33, sat3
 
 
 def reference_step(config, grid, u, dt):
-    """Richardson extrapolation of one dt sweep and two dt/2 sweeps."""
-    u_big, u_half, sat_half = reference_pair(config, grid, u, dt)
-    u_new = 2.0 * u_half - u_big
-    sat = sat_half + int(np.count_nonzero(u_new < 0.0))
+    """The extrapolated step T33."""
+    _, u_new, sat3 = reference_tableau(config, grid, u, dt)
+    sat = sat3 + int(np.count_nonzero(u_new < 0.0))
     # a cell driven to zero or below, or below the smallest normal float, zeroes the tail beyond it
     dead = np.flatnonzero(u_new < np.finfo(float).tiny)
     if dead.size:
@@ -76,9 +85,9 @@ def reference_step(config, grid, u, dt):
 
 
 def reference_error(config, grid, u, dt):
-    """The step-doubling error estimate |u_half - u_big|."""
-    u_big, u_half, _ = reference_pair(config, grid, u, dt)
-    return np.abs(u_half - u_big)
+    """The error estimate |T33 - T32|."""
+    T32, T33, _ = reference_tableau(config, grid, u, dt)
+    return np.abs(T33 - T32)
 
 
 def wedge_params(N, frac):
@@ -211,7 +220,7 @@ class TestStepSequences:
 
 
 class TestErrorControl:
-    """The step-doubling controller rejects and retries, and runs end with a usable fit."""
+    """The error controller rejects and retries, and runs end with a usable fit."""
 
     def test_rejected_attempt_advances_nothing(self):
         cfg = PdeConfig(params=make_params(2, 1.5))

@@ -491,10 +491,10 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     |T33 - T32|: T32 is second order, so this estimates its local error,
     O(dt^3), and T33 is one order better. On stiff cells the extrapolation
     can drive a tail cell to zero or below; such a cell zeroes the whole
-    tail beyond it, which keeps the profile
-    non-increasing. So does a subnormal cell (below _TINY), whose few bits
-    cannot order a tail. saturations counts the cells u3's last sweep
-    clipped and those the extrapolation drives negative.
+    tail beyond it, which keeps the profile non-increasing. So does a
+    subnormal cell (below _TINY), whose few bits cannot order a tail.
+    saturations counts the cells u3's last sweep clipped and those the
+    extrapolation drives negative.
     """
     c = _diffusivity(geom, u)
     u1, _ = _substeps(geom, u, c, 1, dt)

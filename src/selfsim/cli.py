@@ -38,7 +38,7 @@ from .pde import (
     separable_config,
 )
 from .reporting import SCHEMA_VERSION, read_summary, validate_config, write_csv, write_sidecar, write_summary
-from .acceptance import AcceptanceContext, run_acceptance
+from .acceptance import CRITERIA, AcceptanceContext, run_acceptance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -229,18 +229,28 @@ def _add_pde_args(sp):
 
 
 def _pde_settings(args) -> dict:
-    """N, p and the run settings, kept as given: explicit flags, then the --config file, then PDE_RUN_DEFAULTS."""
+    """N, p and the run settings, kept as given: explicit flags, then the --config file, then PDE_RUN_DEFAULTS.
+
+    A setting given explicitly (flag or config key) that the chosen initial
+    data ignores is refused, rather than dropped without a word.
+    """
     settings = {"N": None, "p": None, **PDE_RUN_DEFAULTS}
+    given = {}
     config = getattr(args, "config", None)
     if config:
         loaded = validate_config(read_summary(config), set(settings), config)
-        settings.update({k: v for k, v in loaded.items() if k != "schema"})
+        given.update({k: v for k, v in loaded.items() if k != "schema"})
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = flag
+            given[key] = flag
+    settings.update(given)
     if settings["N"] is None or settings["p"] is None:
         raise ValueError("--N and --p are required (flags or --config)")
+    # separable data's amplitude follows from T0 and a_*; exp_tail data has no T0
+    ignored = {"exp_tail": "T0", "separable": "kappa0"}.get(settings["init"])
+    if ignored in given:
+        raise ValueError(f"{ignored} does not apply to {settings['init']} initial data")
     return settings
 
 
@@ -445,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.add_argument("--quick", action="store_true", help="skip the production PDE criteria")
-    sp.add_argument("--only", type=int, nargs="+", help="run only these criterion numbers")
+    sp.add_argument("--only", type=int, nargs="+", choices=[index for index, _, _ in CRITERIA],
+                    metavar="N", help="run only these criterion numbers")
     sp.add_argument("--out", help="write a JSON report here")
     sp.set_defaults(fn=cmd_verify)
     return ap

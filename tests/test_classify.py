@@ -141,6 +141,20 @@ class TestBracketAndBisection:
         gs13 = ctx.ground_state(2, 1.5, rel_tol=1e-13)
         assert min(gs.a_hi, gs13.a_hi) > max(gs.a_lo, gs13.a_lo)
 
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+    @pytest.mark.parametrize(
+        "point, bracket",
+        [
+            ((2, 1.5), (6.035320330374816, 6.035320330425748)),
+            ((3, 1.7), (9.386778033382143, 9.386778033436713)),
+        ],
+    )
+    def test_bracket_bits_pinned(self, ctx, point, bracket, rel_tol):
+        # the bisection sees only verdicts, so the bracket keeps its bits
+        # while the steps of its probes change in their rounding
+        gs = ctx.ground_state(*point, rel_tol=rel_tol)
+        assert (gs.a_lo, gs.a_hi) == bracket
+
     def test_dimension_one_converges(self):
         P = make_params(1, 1.5)
         gs = bisect_a_star(P, bracket_search(P), tol_a=1e-8)

@@ -348,12 +348,12 @@ class TestCommands:
             (["profile", "--a", "1", "--rmax", "inf"], "r_max"),
             (["classify", "--a", "1", "--rtol", "nan"], "rel_tol"),
             (["classify", "--a", "1", "--rmax", "nan"], "r_max"),
-            (["classify", "--a", "1", "--rtol", "1e-15"], "rel_tol"),  # below the 100 eps floor
-            (["classify", "--a", "1", "--rtol", "2.2e-14"], "rel_tol"),
-            (["classify", "--a", "1", "--rmax", "1e-9"], "r_max"),  # below the series start
             (["find-astar", "--tol", "0"], "tol_a"),
             (["find-astar", "--tol", "-1"], "tol_a"),
             (["find-astar", "--tol", "nan"], "tol_a"),
+            (["classify", "--a", "1", "--rtol", "1e-15"], "rel_tol"),  # below the 100 eps floor
+            (["classify", "--a", "1", "--rtol", "2.2e-14"], "rel_tol"),
+            (["classify", "--a", "1", "--rmax", "1e-9"], "r_max"),  # below the series start
         ],
     )
     def test_bad_integrator_or_bisection_setting_is_usage_error(self, tmp_path, capsys, argv, name):

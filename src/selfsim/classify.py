@@ -5,14 +5,19 @@ algebraic decay), the singleton B = {a_*} (the unique fast exponential
 decayer), and A = (a_*, infinity) (sign change at finite radius). B has
 measure zero, so it is never a direct verdict: a run that neither crosses
 zero nor drives the Pohozaev functional negative stays "Unresolved", and a_*
-is produced only as the limit of a (C, A) bisection.
+is produced only as the limit of a (C, A) bracket whose endpoints move only
+onto proven verdicts. Near a_* the search reads how far each probe ran as
+well as its verdict: the zero radius R of an A probe and the J-negativity
+radius r_bar of a C probe grow linearly in -log|a - a_*|, so the search
+probes where the model through its last probes puts a_* (``bisect_a_star``).
 
 The settings no caller varies are module constants: the J-negativity
 threshold J_NEG_THRESHOLD of the C verdict, the doubling budget
-BRACKET_MAX_STEPS of ``bracket_search``, the iteration budget
-BISECT_MAX_ITER of ``bisect_a_star``, and the plateau tolerance PLATEAU_TOL
-and minimum length PLATEAU_MIN_LEN of ``estimate_l``. TOL_A is the one
-default of the bisection tolerance tol_a.
+BRACKET_MAX_STEPS of ``bracket_search``, the probe budget BISECT_MAX_ITER,
+the model settings MODEL_WIDTH, PAIR_FRAC and PAIR_MIN and the final width
+END_WIDTH of ``bisect_a_star``, and the plateau tolerance PLATEAU_TOL and
+minimum length PLATEAU_MIN_LEN of ``estimate_l``. TOL_A is the one default
+of the search tolerance tol_a.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .params import Params, require_positive
 from .profile_ode import IntegratorOptions, Trajectory, integrate, shoot
@@ -48,8 +54,20 @@ __all__ = [
 # running max taken over the probe's accepted step ends so far
 J_NEG_THRESHOLD = 1e-8
 BRACKET_MAX_STEPS = 60  # doublings (and halvings) of bracket_search
-BISECT_MAX_ITER = 200
-# default bisection tolerance on the bracket width; criterion 4 gates at it
+BISECT_MAX_ITER = 200  # shooting runs of one ground-state search
+# model steps take over once the bracket is narrower than MODEL_WIDTH * a_hi
+MODEL_WIDTH = 1e-2
+# half-width of a model pair: PAIR_FRAC of the bracket width, at least
+# PAIR_MIN * tol_a; the model misses a_* by a few percent of the distance
+# to its nearest probe
+PAIR_FRAC = 0.02
+PAIR_MIN = 0.2
+# the search ends once the bracket is at most END_WIDTH * tol_a wide, so the
+# midpoint lies within 0.225 tol_a of every height in it: at tol_a = 1e-10
+# that keeps a_* inside the README's stated errors from every start tried
+# (a_init in [0.5, 2])
+END_WIDTH = 0.45
+# default search tolerance on the bracket width; criterion 4 gates at it
 TOL_A = 1e-10
 # step ends per vectorised J evaluation of a probe: J_eval on one state
 # costs about 60 us, twice a DOP853 step, so one state at a time would take
@@ -65,7 +83,7 @@ class BracketFailureError(RuntimeError):
 
 
 class BisectionStallError(RuntimeError):
-    """Bisection exceeded its iteration budget."""
+    """The ground-state search exceeded its probe budget or met an unresolvable bracket."""
 
 
 class NoPlateauError(RuntimeError):
@@ -114,7 +132,8 @@ class GroundStateResult:
     c_star: float
     trust_radius: float
     plateau_window: tuple[float, float]
-    iterations: int
+    iterations: int  # shooting runs of the search, horizon retries included
+    probe_steps: int  # their accepted DOP853 steps
     traj: Trajectory  # run at the final bracket midpoint
 
 
@@ -240,27 +259,29 @@ def bracket_search(
     return a_lo, a_hi
 
 
-def _classify_resolving(params: Params, a: float, opts: IntegratorOptions) -> Classification:
-    """Classify, extending the horizon up to 10x before giving up."""
-    c = classify(params, a, opts)
-    for scale in (2.0, 5.0, 10.0):
-        if c.verdict != "Unresolved":
-            return c
-        c = classify(params, a, replace(opts, r_max=scale * opts.r_max))
-    return c
-
-
 def bisect_a_star(
     params: Params,
     bracket: tuple[float, float],
     tol_a: float = TOL_A,
     opts: IntegratorOptions | None = None,
 ) -> GroundStateResult:
-    """Bisect the (C, A) bracket down to tol_a and extract l and c.
+    """Narrow the (C, A) bracket to at most END_WIDTH * tol_a; extract l and c there.
 
-    The (C, A) invariant is preserved strictly: an endpoint moves only onto a
-    height with a proven verdict. Unresolved midpoints are retried at longer
-    horizons, then sidestepped by probing off-center points.
+    The search bisects until the bracket is narrower than MODEL_WIDTH * a_hi.
+    From there it also reads how far its probes ran: near a_* the deviation
+    from f_* grows like e^(mu r), so an A probe's zero radius R and a C
+    probe's J-negativity radius r_bar grow linearly in -log|a - a_*|. The
+    model a - a_* = K e^(-mu R) through the last three A probes (else
+    a_* - a = K' e^(-nu r_bar) through the last three C probes) estimates
+    a_*, and the search probes the pair a_est -+ max(PAIR_FRAC * width,
+    PAIR_MIN * tol_a) around it, so a good estimate ends on a straddling pair
+    0.4 tol_a wide. It bisects instead whenever no model fits inside the
+    bracket or the last model round failed to quarter the width: the
+    safeguard of Brent's method. The (C, A) invariant is preserved strictly:
+    an endpoint moves only onto a height with a proven verdict. Unresolved
+    probes are retried at longer horizons; a bisection step sidesteps one by
+    probing off-center points. ``iterations`` counts the search's shooting
+    runs and ``probe_steps`` their accepted steps.
     """
     opts = opts or IntegratorOptions()
     a_lo, a_hi = bracket
@@ -268,28 +289,9 @@ def bisect_a_star(
         raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
     require_positive("tol_a", tol_a)  # tol_a <= 0 never ends the loop, a NaN skips it
 
-    iterations = 0
-    while a_hi - a_lo > tol_a:
-        iterations += 1
-        if iterations > BISECT_MAX_ITER:
-            raise BisectionStallError(
-                f"no convergence after {BISECT_MAX_ITER} iterations; width {a_hi - a_lo:.3g}"
-            )
-        moved = False
-        for frac in (0.5, 0.375, 0.625, 0.25, 0.75):
-            a_mid = a_lo + frac * (a_hi - a_lo)
-            c = _classify_resolving(params, a_mid, opts)
-            if c.verdict == "A":
-                a_hi, moved = a_mid, True
-                break
-            if c.verdict == "C":
-                a_lo, moved = a_mid, True
-                break
-        if not moved:
-            raise BisectionStallError(
-                f"bracket [{a_lo}, {a_hi}] unresolvable at 10x horizon; "
-                "tighten tolerances or extend r_max"
-            )
+    search = _Search(params, a_lo, a_hi, opts)
+    search.run(tol_a)
+    a_lo, a_hi = search.a_lo, search.a_hi
 
     a_star = 0.5 * (a_lo + a_hi)
     traj = integrate(params, a_star, opts)
@@ -313,15 +315,113 @@ def bisect_a_star(
         c_star=c_star,
         trust_radius=trust,
         plateau_window=plateau.window,
-        iterations=iterations,
+        iterations=len(search.probes),
+        probe_steps=sum(c.steps for c in search.probes),
         traj=traj,
     )
+
+
+class _Search:
+    """The (C, A) bracket of ``bisect_a_star`` and the probes that narrow it."""
+
+    def __init__(self, params: Params, a_lo: float, a_hi: float, opts: IntegratorOptions):
+        self.params, self.opts = params, opts
+        self.a_lo, self.a_hi = a_lo, a_hi
+        self.probes: list[Classification] = []  # every shooting run, retries included
+        # (a, R) of the A verdicts and (a, r_bar) of the C verdicts, in order
+        self.radii: dict[str, list[tuple[float, float]]] = {"A": [], "C": []}
+
+    def run(self, tol_a: float) -> None:
+        model_failed = False
+        while self.a_hi - self.a_lo > END_WIDTH * tol_a:
+            width = self.a_hi - self.a_lo
+            a_est = None
+            if not model_failed and width < MODEL_WIDTH * self.a_hi:
+                a_est = self.estimate(tol_a)
+            if a_est is None:
+                self.bisect()
+                model_failed = False
+                continue
+            half = max(PAIR_MIN * tol_a, PAIR_FRAC * width)
+            for a in (a_est - half, a_est + half):
+                # the first probe may have moved an endpoint past the second
+                if self.a_lo < a < self.a_hi:
+                    self.probe(a)
+            model_failed = self.a_hi - self.a_lo > 0.25 * width
+
+    def probe(self, a: float) -> str:
+        """Classify a, extending the horizon up to 10x, and move the endpoint it proves."""
+        for scale in (1.0, 2.0, 5.0, 10.0):
+            if len(self.probes) >= BISECT_MAX_ITER:
+                raise BisectionStallError(
+                    f"no convergence after {BISECT_MAX_ITER} probes; "
+                    f"width {self.a_hi - self.a_lo:.3g}"
+                )
+            opts = self.opts if scale == 1.0 else replace(self.opts, r_max=scale * self.opts.r_max)
+            c = classify(self.params, a, opts)
+            self.probes.append(c)
+            if c.verdict == "A":
+                self.a_hi = a
+                self.radii["A"].append((a, c.R))
+                break
+            if c.verdict == "C":
+                self.a_lo = a
+                self.radii["C"].append((a, c.r_bar))
+                break
+        return c.verdict
+
+    def bisect(self) -> None:
+        a_lo, a_hi = self.a_lo, self.a_hi
+        for frac in (0.5, 0.375, 0.625, 0.25, 0.75):
+            if self.probe(a_lo + frac * (a_hi - a_lo)) != "Unresolved":
+                return
+        raise BisectionStallError(
+            f"bracket [{a_lo}, {a_hi}] unresolvable at 10x horizon; "
+            "tighten tolerances or extend r_max"
+        )
+
+    def estimate(self, tol_a: float) -> float | None:
+        """a_* from the model through the last three A probes, else the last three C probes.
+
+        The zero radius R of an A probe is a root to 4 ulp; r_bar is
+        interpolated between step ends, so the A model is the sharper one.
+        """
+        for kind, side in (("A", 1.0), ("C", -1.0)):
+            pts = self.radii[kind][-3:]
+            if len(pts) == 3:
+                a_fit = _model_root(pts, side, self.a_lo, self.a_hi, 1e-3 * tol_a)
+                if a_fit is not None:
+                    return a_fit
+        return None
+
+
+def _model_root(pts, side: float, a_lo: float, a_hi: float, xtol: float) -> float | None:
+    """The a_* of side * (a - a_*) = K e^(-mu x) through three (a, x) probes, or None.
+
+    side is +1 for A probes (above a_*, x = R) and -1 for C probes (below,
+    x = r_bar). The radii must grow toward a_*; the root is sought between
+    the nearest probe and the far end of the bracket, and None means the
+    three points fit no such model there.
+    """
+    (a1, x1), (a2, x2), (a3, x3) = pts
+    if not x1 < x2 < x3:
+        return None
+
+    def mismatch(s):
+        l1, l2, l3 = (math.log(side * (a - s)) for a in (a1, a2, a3))
+        return (l1 - l2) / (x1 - x2) - (l2 - l3) / (x2 - x3)
+
+    far = a_lo if side > 0 else a_hi
+    close = math.nextafter(a3, far)
+    if not mismatch(far) < 0.0 < mismatch(close):
+        return None
+    return brentq(mismatch, far, close, xtol=xtol)
 
 
 def find_ground_state(
     params: Params, opts: IntegratorOptions | None = None, tol_a: float = TOL_A
 ) -> GroundStateResult:
-    """The ground state a_*: bracket from a = 1, then bisect down to tol_a."""
+    """The ground state a_*: bracket from a = 1, then narrow the bracket to tol_a."""
     require_positive("tol_a", tol_a)  # a bad tolerance exits before seconds of bracket shooting
     opts = opts or IntegratorOptions()
     return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)

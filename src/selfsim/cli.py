@@ -187,6 +187,7 @@ def cmd_find_astar(args) -> int:
         "trust_radius": gs.trust_radius,
         "plateau_window": list(gs.plateau_window),
         "iterations": gs.iterations,
+        "probe_steps": gs.probe_steps,
     }
     _emit(args, summary)
     return EXIT_OK

@@ -20,9 +20,12 @@ Each run is one stepping loop of explicit adaptive Runge-Kutta (DOP853,
 the dense output of the step that brackets them. The state is two numbers,
 so the steps are taken in plain floats: scipy's DOP853 tableau, read from
 the public class, with scipy's initial-step rule, error norm and control
-law. A kept trajectory (``integrate``, ``psi_integrate``) stores every
-step's interpolant; a classification probe builds one only for a step that
-holds an event, and may end the run early through its stop test. The
+law. A kept trajectory (``integrate``, ``psi_integrate``) keeps every
+step's interpolant coefficients as floats and stacks them into one array
+at the end (``_DenseOutput``), which evaluates any number of radii in one
+vectorised Horner sum, to the bits of scipy's per-segment OdeSolution; a
+classification probe computes the coefficients only for a step that holds
+an event, and may end the run early through its stop test. The
 embedded error control alone sets the accuracy: there is no step cap, so
 rel_tol is what a tighter or looser run changes. The settings no caller
 varies are module constants: the absolute tolerance ABS_TOL, and the sample
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, OdeSolution
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .params import Params, require_positive, weight_rho
@@ -231,14 +234,14 @@ class Shot:
     "underflow" (the step size fell below 10 ulp of r). ``end`` is
     the state there: the event root for an event, else the last accepted
     step end. ``events`` maps each kind to its first root, in order of
-    radius. ``dense`` is the run's OdeSolution when it was kept.
+    radius. ``dense`` is the run's dense output when it was kept.
     """
 
     status: str
     end: ProfileState
     steps: int
     events: dict[str, TrajEvent]
-    dense: OdeSolution | None = None
+    dense: _DenseOutput | None = None
 
 
 def shoot(
@@ -257,8 +260,9 @@ def shoot(
     f and g are compared at each accepted step end, and a downward crossing is
     resolved by brentq to 4 ulp on that step's interpolant, as scipy's IVP
     front end does. FZero ends the run unless ``opts.track_past_fzero``; GZero
-    always does. With ``keep_dense`` every step's interpolant goes into the
-    OdeSolution; otherwise one is built only for a step that holds an event.
+    always does. With ``keep_dense`` every step's interpolant coefficients are
+    kept and become one ``_DenseOutput`` at the end; otherwise they are
+    computed only for a step that holds an event.
     ``stop(r, f, g)`` sees each accepted step end that no terminal event cut
     short, and a true return ends the run.
     """
@@ -273,7 +277,7 @@ def shoot(
     rtol, r_max = opts.rel_tol, opts.r_max
     terminal = {"FZero": not opts.track_past_fzero, "GZero": True}
     events: dict[str, TrajEvent] = {}
-    ts, interpolants = [eps], []
+    ts, coefs = [eps], []
     r, y = eps, (state0.f, state0.g)
     k = fun(r, *y)
     h_abs = _first_step(fun, r, y, k, r_max, rtol)
@@ -286,16 +290,16 @@ def shoot(
         steps += 1
         r_old, y_old = r, y
         r, y, k, h_abs, stages = step
-        sol = _dense(fun, r_old, y_old, r, y, stages) if keep_dense else None
+        coef = _dense(fun, r_old, y_old, r, y, stages) if keep_dense else None
         crossed = [i for i in (0, 1) if y_old[i] >= 0.0 >= y[i]]
         if crossed:
-            sol = sol or _dense(fun, r_old, y_old, r, y, stages)
+            coef = coef or _dense(fun, r_old, y_old, r, y, stages)
             roots = sorted(
-                (brentq(lambda s, i=i: sol(s)[i], r_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                (brentq(lambda s, i=i: _horner(coef, s)[i], r_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
                 for i in crossed
             )
             for root, i in roots:
-                kind, y_root = ("FZero", "GZero")[i], sol(root)
+                kind, y_root = ("FZero", "GZero")[i], _horner(coef, root)
                 events.setdefault(kind, _event(params, kind, root, y_root, absorption))
                 if terminal[kind]:
                     status, r, y = kind, root, y_root
@@ -308,9 +312,9 @@ def shoot(
         # a terminal root on the step's start adds no segment, as in scipy
         if keep_dense and not (len(ts) > 1 and ts[-1] == r):
             ts.append(r)
-            interpolants.append(sol)
+            coefs.append(coef)
     end = ProfileState(r=float(r), f=float(y[0]), g=float(y[1]))
-    dense = OdeSolution(ts, interpolants) if keep_dense and interpolants else None
+    dense = _DenseOutput(ts, coefs) if coefs else None
     return Shot(status=status, end=end, steps=steps, events=events, dense=dense)
 
 
@@ -401,8 +405,13 @@ def _trial(fun, r, y, k, h, rtol):
     return (f_new, g_new), k_new, (kf, kg), err
 
 
-def _dense(fun, r_old, y_old, r, y, stages) -> "_Interpolant":
-    """The step's interpolant: three extra stages, then scipy's F coefficients."""
+def _dense(fun, r_old, y_old, r, y, stages) -> tuple[float, ...]:
+    """The step's interpolant: three extra stages, then scipy's F coefficients.
+
+    The coefficients are the floats (r_old, h, f_old, g_old, F0, ..., F6)
+    with each F_k an (f, g) pair, the layout ``_horner`` and ``_DenseOutput``
+    read.
+    """
     (f_old, g_old), (f, g), (kf, kg) = y_old, y, stages
     h = r - r_old
     kf, kg = list(kf), list(kg)
@@ -412,36 +421,29 @@ def _dense(fun, r_old, y_old, r, y, stages) -> "_Interpolant":
         kf.append(slope[0])
         kg.append(slope[1])
     df, dg = f - f_old, g - g_old
-    F = [
-        (df, dg),
-        (h * kf[0] - df, h * kg[0] - dg),
-        (2 * df - h * (kf[12] + kf[0]), 2 * dg - h * (kg[12] + kg[0])),
-        *((h * sum(map(mul, row, kf)), h * sum(map(mul, row, kg))) for row in _D),
-    ]
-    return _Interpolant(r_old, r, np.array(y_old), np.array(F))
+    coef = [r_old, h, f_old, g_old, df, dg, h * kf[0] - df, h * kg[0] - dg]
+    coef += [2 * df - h * (kf[12] + kf[0]), 2 * dg - h * (kg[12] + kg[0])]
+    for row in _D:
+        coef += [h * sum(map(mul, row, kf)), h * sum(map(mul, row, kg))]
+    return tuple(coef)
 
 
-class _Interpolant(DenseOutput):
-    """One step's DOP853 interpolant, evaluated as scipy's Dop853DenseOutput."""
+def _horner(coef, r):
+    """(f, g) at r on a step's interpolant, in the operation order of scipy's
+    Dop853DenseOutput: from F6 down to F0, times x and 1 - x by turns, then
+    plus the step's start.
 
-    def __init__(self, r_old, r, y_old, F):
-        super().__init__(r_old, r)
-        self.h = r - r_old
-        self.y_old = y_old
-        self.F = F
-
-    def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
-        return y.T
+    ``coef[k]`` is the k-th number of ``_dense``'s layout: a float for one
+    step, as brentq calls it, or an array holding it for each radius of an
+    array ``r``. The arithmetic is elementwise, so both give the same bits.
+    """
+    x = (r - coef[0]) / coef[1]
+    f = g = 0.0
+    for i in range(7):
+        w = x if i % 2 == 0 else 1 - x
+        f = (f + coef[16 - 2 * i]) * w
+        g = (g + coef[17 - 2 * i]) * w
+    return f + coef[2], g + coef[3]
 
 
 def _event(params: Params, kind: str, r: float, y, absorption: bool) -> TrajEvent:
@@ -452,21 +454,34 @@ def _event(params: Params, kind: str, r: float, y, absorption: bool) -> TrajEven
 
 
 class _DenseOutput:
-    """The run's one scipy OdeSolution, callable like it.
+    """A kept run's interpolants, one row of ``_dense`` coefficients per step.
+
+    Called with radii, it evaluates them all at once as scipy's OdeSolution
+    did one segment at a time: each radius takes the first segment whose end
+    it does not exceed (``searchsorted`` on the step ends, side "left"),
+    clipped to the first and last segment, and ``_horner`` runs on the
+    gathered coefficients, so the values are the same bits.
 
     perfbench/tracing.py counts accepted steps through the attributes
-    ``sol_near`` and ``sol_far`` of ``Trajectory.dense``, the names of the
-    two integration phases a run once had. A run now has one phase:
-    ``sol_near`` is its OdeSolution and ``sol_far`` is always None.
+    ``sol_near`` and ``sol_far``, the names of the two integration phases a
+    run once had. A run now has one phase: ``sol_near`` is this object, whose
+    ``ts`` holds the step ends, and ``sol_far`` is always None.
     """
 
     sol_far = None
 
-    def __init__(self, sol):
-        self.sol_near = sol
+    def __init__(self, ts, coefs):
+        self.ts = np.array(ts)
+        self.coef = np.array(coefs)
+
+    @property
+    def sol_near(self) -> "_DenseOutput":
+        return self
 
     def __call__(self, r):
-        return self.sol_near(r)
+        r = np.asarray(r, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, len(self.coef) - 1)
+        return np.array(_horner(np.moveaxis(self.coef[seg], -1, 0), r))
 
 
 def _trajectory(params: Params, a: float, opts: IntegratorOptions, absorption: bool) -> Trajectory:
@@ -479,8 +494,8 @@ def _trajectory(params: Params, a: float, opts: IntegratorOptions, absorption: b
     if shot.status == "horizon":
         events.append(TrajEvent("Truncated", shot.end.r))
 
-    dense = _DenseOutput(shot.dense)
-    r_grid = _sample_grid(shot.dense.t_min, shot.end.r)
+    dense = shot.dense
+    r_grid = _sample_grid(dense.ts[0], shot.end.r)
     y = dense(r_grid)
     f, g = y[0], y[1]
     fprime, _ = _rhs_arrays(params, r_grid, f, g, absorption)

@@ -15,18 +15,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from scipy.integrate import solve_ivp
-
 from selfsim.classify import GroundStateResult
 from selfsim.pde import FrameSeries
-from selfsim.profile_ode import (
-    ABS_TOL,
-    IntegratorOptions,
-    _rhs_arrays,
-    eps_start,
-    integrate,
-    series_start,
-)
+from selfsim.profile_ode import IntegratorOptions, integrate, shoot
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -50,22 +41,11 @@ def test_ode_steps_counts_the_accepted_steps(P2):
     tracing = _load("tracing")
     traj = integrate(P2, 1.0)
     # a = 1 is far below a_*: the run is truncated at r_max, so no terminal
-    # event cuts it short and a plain solve over the horizon takes the same steps
+    # event cuts it short; the same run without dense output counts its steps
     assert traj.event("Truncated") is not None
-    opts = IntegratorOptions()
-    eps = eps_start(1.0)
-    st0 = series_start(P2, 1.0, eps)
-    sol = solve_ivp(
-        lambda r, y: _rhs_arrays(P2, r, y[0], y[1], True),
-        (eps, opts.r_max),
-        [st0.f, st0.g],
-        method="DOP853",
-        rtol=opts.rel_tol,
-        atol=ABS_TOL,
-    )
     steps = tracing.ode_steps(traj)
     assert steps > 0
-    assert steps == len(sol.t) - 1
+    assert steps == shoot(P2, 1.0, IntegratorOptions()).steps
 
 
 def test_workloads_import_and_read_only_what_the_library_offers():

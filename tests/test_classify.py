@@ -1,12 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfsim.params import make_params
 from selfsim.profile_ode import SAMPLE_DR, IntegratorOptions, integrate
 from selfsim.pohozaev import J_along, find_r_G
 from selfsim.classify import (
+    END_WIDTH,
     J_NEG_THRESHOLD,
     WindowTooShortError,
+    _Search,
     bisect_a_star,
     bracket_search,
     classify,
@@ -141,19 +146,64 @@ class TestBracketAndBisection:
         gs13 = ctx.ground_state(2, 1.5, rel_tol=1e-13)
         assert min(gs.a_hi, gs13.a_hi) > max(gs.a_lo, gs13.a_lo)
 
-    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+    # the brackets of the plain bisection this search replaced, at both tolerances
+    BISECTION = {(2, 1.5): (6.035320330374816, 6.035320330425748), (3, 1.7): (9.386778033382143, 9.386778033436713)}
+
     @pytest.mark.parametrize(
-        "point, bracket",
+        "point, rel_tol, bracket",
         [
-            ((2, 1.5), (6.035320330374816, 6.035320330425748)),
-            ((3, 1.7), (9.386778033382143, 9.386778033436713)),
+            ((2, 1.5), 1e-12, (6.035320330385179, 6.035320330407329)),
+            ((2, 1.5), 1e-13, (6.035320330385837, 6.035320330408745)),
+            ((3, 1.7), 1e-12, (9.386778033380871, 9.386778033418418)),
+            ((3, 1.7), 1e-13, (9.38677803337808, 9.386778033415231)),
         ],
     )
-    def test_bracket_bits_pinned(self, ctx, point, bracket, rel_tol):
-        # the bisection sees only verdicts, so the bracket keeps its bits
-        # while the steps of its probes change in their rounding
+    def test_bracket_bits_pinned(self, ctx, point, rel_tol, bracket):
+        # the search reads the probes' radii as well as their verdicts, so each
+        # tolerance has its own bracket; every one overlaps the bisection's
         gs = ctx.ground_state(*point, rel_tol=rel_tol)
         assert (gs.a_lo, gs.a_hi) == bracket
+        assert gs.a_hi - gs.a_lo <= 0.45e-10
+        old_lo, old_hi = self.BISECTION[point]
+        assert min(gs.a_hi, old_hi) > max(gs.a_lo, old_lo)
+
+    @pytest.mark.parametrize("point", [(2, 1.5), (3, 1.7)])
+    def test_search_moves_endpoints_only_onto_proven_verdicts(self, ctx, monkeypatch, point):
+        P = ctx.params(*point)
+        start = bracket_search(P)
+        module = importlib.import_module("selfsim.classify")
+        probes = []
+
+        def recorded(params, a, opts=None):
+            probes.append(classify(params, a, opts))
+            return probes[-1]
+
+        monkeypatch.setattr(module, "classify", recorded)
+        gs = bisect_a_star(P, start)
+        # replay: every probe lies inside the bracket the proven verdicts
+        # before it leave, and only a proven verdict moves an endpoint
+        a_lo, a_hi = start
+        for c in probes:
+            assert a_lo < c.a < a_hi
+            if c.verdict == "C":
+                a_lo = c.a
+            elif c.verdict == "A":
+                a_hi = c.a
+        assert (a_lo, a_hi) == (gs.a_lo, gs.a_hi)
+        assert gs.a_hi - gs.a_lo <= END_WIDTH * 1e-10
+        assert gs.iterations == len(probes) <= 28
+        assert gs.probe_steps == sum(c.steps for c in probes)
+
+    @given(k=st.integers(0, 3), tol_a=st.floats(1e-10, 1e-6))
+    @settings(max_examples=12, deadline=None)
+    def test_search_from_widened_brackets(self, P2, gs2, k, tol_a):
+        search = _Search(P2, gs2.a_lo / 2.0**k, gs2.a_hi * 2.0**k, IntegratorOptions())
+        search.run(tol_a)
+        assert search.a_hi - search.a_lo <= END_WIDTH * tol_a
+        assert min(search.a_hi, gs2.a_hi) > max(search.a_lo, gs2.a_lo)
+        proven = {(c.a, c.verdict) for c in search.probes}
+        assert search.a_lo == gs2.a_lo / 2.0**k or (search.a_lo, "C") in proven
+        assert search.a_hi == gs2.a_hi * 2.0**k or (search.a_hi, "A") in proven
 
     def test_dimension_one_converges(self):
         P = make_params(1, 1.5)

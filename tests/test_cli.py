@@ -65,6 +65,26 @@ class TestReporting:
         write_csv(path, ["x"], [])
         assert path.read_bytes() == b"x\n"
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # all floats: the file goes through one "%.17g" template
+            [(math.nan, math.inf), (-math.inf, -0.0), (5e-324, 2.225073858507201e-308), (np.float64(0.1), 1.0 / 3.0)],
+            list(zip(*np.random.default_rng(3).integers(0, 2**64, size=(2, 500), dtype=np.uint64).view(np.float64))),
+            # anything else goes cell by cell
+            [(0.1, -0.0), (True, 2.0)],
+            [(1.0, 7), (np.int64(-1), math.nan)],
+            [(1.0, "C"), ("", 5e-324)],
+            [(np.float32(0.1), 1.0)],
+            [(1.0, 2.0), (3.0,)],
+        ],
+    )
+    def test_csv_bytes_are_the_per_cell_rule(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x", "y"], rows)
+        want = "x,y\n" + "".join(",".join(format_value(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
+
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"
         rows = [(1.0, 2.0), (np.pi, 1e-17)]
@@ -158,6 +178,8 @@ class TestCommands:
         for key in ("a_lo", "a_hi", "a_star", "l_star", "c_star"):
             assert key in data["results"]
         assert data["results"]["a_hi"] - data["results"]["a_lo"] <= 1e-6
+        # the search reports its shooting runs and their accepted steps
+        assert 0 < data["results"]["iterations"] < data["results"]["probe_steps"]
 
     def test_pohozaev_tables(self, tmp_path, capsys):
         out = tmp_path / "g.csv"

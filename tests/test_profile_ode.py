@@ -15,6 +15,7 @@ from selfsim.profile_ode import (
     IntegratorOptions,
     ProfileState,
     StepSizeUnderflowError,
+    _horner,
     _rhs_arrays,
     energy,
     eps_start,
@@ -272,6 +273,66 @@ class TestSteppingLoop:
         assert shot.status == "stopped"
         assert shot.end.r == seen[-1] > 10.0 >= seen[-2]
         assert shot.steps == len(seen)
+
+
+def segment_oracle(dense, r: float) -> np.ndarray:
+    """(f, g) at one radius as scipy's OdeSolution and Dop853DenseOutput gave it.
+
+    The segment is searchsorted(ts, r, "left") - 1 clipped to the segments;
+    its Horner sum runs on numpy values, from F6 down to F0, times x and
+    1 - x by turns, then plus the step's start.
+    """
+    k = min(max(int(np.searchsorted(dense.ts, r, side="left")) - 1, 0), len(dense.ts) - 2)
+    r_old, h, f_old, g_old, *F = dense.coef[k]
+    x = (np.asarray(r) - r_old) / h
+    y = np.zeros(2)
+    for i, f in enumerate(reversed(np.reshape(F, (7, 2)))):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    y += np.array([f_old, g_old])
+    return y
+
+
+class TestDenseOutput:
+    """The vectorised dense output against the per-segment formula it replaced."""
+
+    @pytest.mark.parametrize("point, a", [((2, 1.5), 1.0), ((2, 1.5), 100.0), ((2, 1.5), None), ((3, 1.7), None)])
+    def test_eval_is_the_per_segment_formula_bit_for_bit(self, ctx, point, a):
+        P = ctx.params(*point)
+        traj = integrate(P, ctx.ground_state(*point).a_star if a is None else a)
+        ts = traj.dense.sol_near.ts
+        # 4,000 radii reaching past both ends, and every segment end
+        r = np.concatenate([np.linspace(ts[0] - 1.0, ts[-1] + 1.0, 4000), ts])
+        want = np.array([segment_oracle(traj.dense, x) for x in r]).T
+        f, g = traj.eval(r)
+        assert f.tobytes() == want[0].tobytes()
+        assert g.tobytes() == want[1].tobytes()
+        # one radius at a time, as brentq calls it on the step that holds an event
+        for x in r[::41]:
+            k = min(max(int(np.searchsorted(ts, x, side="left")) - 1, 0), len(ts) - 2)
+            got = np.array(_horner(tuple(traj.dense.coef[k]), float(x)))
+            assert got.tobytes() == segment_oracle(traj.dense, x).tobytes()
+
+    def test_scalar_eval_keeps_the_shape(self, P2):
+        traj = integrate(P2, 1.0)
+        f, g = traj.eval(2.0)
+        assert np.ndim(f) == np.ndim(g) == 0
+        assert (float(f), float(g)) == tuple(float(v) for v in segment_oracle(traj.dense, 2.0))
+
+    @pytest.mark.parametrize(
+        "a, kw, roots",
+        [
+            (100.0, {}, {"FZero": 0.7255126829577537}),
+            (7.0, {}, {"FZero": 3.1106755746826167}),
+            (7.0, {"track_past_fzero": True}, {"FZero": 3.1106755746826167, "GZero": 4.955940239778427}),
+        ],
+    )
+    def test_event_roots_pinned(self, P2, a, kw, roots):
+        # brentq runs on one step's interpolant; its roots keep the bits they
+        # had when each step was a scipy DenseOutput
+        traj = integrate(P2, a, IntegratorOptions(**kw))
+        assert {ev.kind: ev.r for ev in traj.events} == roots
+        assert psi_integrate(P2).event("FZero").r == 2.8307852700958747
 
 
 class TestEnergy:

@@ -149,20 +149,25 @@ class TestBracketAndBisection:
     # the brackets of the plain bisection this search replaced, at both tolerances
     BISECTION = {(2, 1.5): (6.035320330374816, 6.035320330425748), (3, 1.7): (9.386778033382143, 9.386778033436713)}
 
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
     @pytest.mark.parametrize(
-        "point, rel_tol, bracket",
+        "point, bracket",
         [
-            ((2, 1.5), 1e-12, (6.035320330385179, 6.035320330407329)),
-            ((2, 1.5), 1e-13, (6.035320330385837, 6.035320330408745)),
-            ((3, 1.7), 1e-12, (9.386778033380871, 9.386778033418418)),
-            ((3, 1.7), 1e-13, (9.38677803337808, 9.386778033415231)),
+            (
+                (2, 1.5),
+                {1e-12: (6.035320330385179, 6.035320330407329), 1e-13: (6.035320330385837, 6.035320330408745)},
+            ),
+            (
+                (3, 1.7),
+                {1e-12: (9.386778033380871, 9.386778033418418), 1e-13: (9.38677803337808, 9.386778033415231)},
+            ),
         ],
     )
-    def test_bracket_bits_pinned(self, ctx, point, rel_tol, bracket):
+    def test_bracket_bits_pinned(self, ctx, point, bracket, rel_tol):
         # the search reads the probes' radii as well as their verdicts, so each
         # tolerance has its own bracket; every one overlaps the bisection's
         gs = ctx.ground_state(*point, rel_tol=rel_tol)
-        assert (gs.a_lo, gs.a_hi) == bracket
+        assert (gs.a_lo, gs.a_hi) == bracket[rel_tol]
         assert gs.a_hi - gs.a_lo <= 0.45e-10
         old_lo, old_hi = self.BISECTION[point]
         assert min(gs.a_hi, old_hi) > max(gs.a_lo, old_lo)

@@ -25,7 +25,7 @@ from .profile_ode import (
     StepSizeUnderflowError,
     integrate,
 )
-from .pohozaev import J_along, coeff_functions, pohozaev_coeffs, G_cubic, G_direct
+from .pohozaev import J_along, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, BisectionStallError, BracketFailureError, NoPlateauError, classify, find_ground_state
 from .pde import (
     MaxStepsExceededError,
@@ -83,7 +83,7 @@ def cmd_params(args) -> int:
     P = make_params(args.N, args.p)
     summary = _summary_skeleton(args.N, args.p)
     summary["results"] = {k: getattr(P, k) for k in ("p_c", "e_flux", "e_g", "e_slow", "e_time", "e_weight")}
-    _emit(args, summary)
+    _emit(args, summary, args.out)
     return EXIT_OK
 
 
@@ -95,8 +95,8 @@ def cmd_profile(args) -> int:
     write_csv(args.out, ["r", "f", "g", "fprime", "E", "w", "h", "J"], rows)
     if args.meta:
         write_sidecar(args.out, {"command": "profile", "a": args.a})
-    print(f"wrote {args.out}: {len(traj.r)} samples, events "
-          f"{[(ev.kind, round(ev.r, 6)) for ev in traj.events]}")
+    print(f"wrote {args.out}: {len(traj.r)} samples, status {traj.status}, events "
+          f"{[(ev.kind, round(ev.r, 6)) for ev in traj.events.values()]}")
     return EXIT_OK
 
 
@@ -114,7 +114,7 @@ def cmd_classify(args) -> int:
         "r_end": c.r_end,
         "steps": c.steps,
     }
-    _emit(args, summary)
+    _emit(args, summary, args.out)
     return EXIT_OK
 
 
@@ -189,13 +189,12 @@ def cmd_find_astar(args) -> int:
         "iterations": gs.iterations,
         "probe_steps": gs.probe_steps,
     }
-    _emit(args, summary)
+    _emit(args, summary, args.out)
     return EXIT_OK
 
 
 def cmd_pohozaev(args) -> int:
     P = make_params(args.N, args.p)
-    co = pohozaev_coeffs(P)
     r = np.linspace(args.r_min, args.r_max, args.num)
     alpha, beta, gamma, delta = coeff_functions(P, r)
     rows = zip(r, alpha, beta, gamma, delta, G_cubic(P, r), G_direct(P, r))
@@ -208,12 +207,11 @@ def cmd_pohozaev(args) -> int:
         write_csv(j_path, ["r", "J", "G", "gsq"], zip(series.r, series.J, series.G, series.gsq))
         print(f"wrote {j_path}")
     summary = _summary_skeleton(args.N, args.p)
-    summary["results"] = {
-        "M0": co.M0, "M1": co.M1, "M2": co.M2, "M3": co.M3,
-        "r_G": co.r_G, "degenerate": co.degenerate,
-    }
+    M0, M1, M2, M3 = cubic_coeffs(P)
+    # N = 1: the cubic collapses to the constant M0 < 0, G < 0 everywhere
+    summary["results"] = {"M0": M0, "M1": M1, "M2": M2, "M3": M3, "r_G": find_r_G(P), "degenerate": P.N == 1}
     print(f"wrote {args.out}")
-    _emit(args, summary, to_stdout=True)
+    _emit(args, summary, args.json)
     return EXIT_OK
 
 
@@ -364,8 +362,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILURE
 
 
-def _emit(args, summary: dict, to_stdout: bool = False) -> None:
-    out = getattr(args, "out", None) if not to_stdout else getattr(args, "json", None)
+def _emit(args, summary: dict, out: str | None) -> None:
+    """Write the summary JSON to ``out``, or print it when no path is given."""
     if out:
         write_summary(out, summary)
         if getattr(args, "meta", False):

@@ -216,9 +216,6 @@ class Field:
     values: np.ndarray
     t: float = 0.0
 
-    def peak(self) -> float:
-        return float(self.values.max(initial=0.0))
-
 
 @dataclass(frozen=True)
 class PdeConfig:
@@ -740,19 +737,18 @@ def _check_covers(profile: Trajectory, grid: RadialGrid) -> None:
     default R_inf; past the trust radius the ground state is below ~1e-10,
     so reading it as 0 there is exact to that level.
     """
-    if profile.r_end < grid.R_inf and profile.events[-1].kind != "FZero":
+    if profile.r_end < grid.R_inf and profile.status != "FZero":
         raise ValueError("profile trajectory does not cover the grid")
 
 
 def compare_to_profile(
-    frames_or_grid,
+    frames: FrameSeries,
     rescaled: list[tuple[float, np.ndarray]],
     profile: Trajectory,
 ) -> np.ndarray:
     """Sup-norm distance of each rescaled frame from the ground-state profile."""
-    grid = frames_or_grid.grid if isinstance(frames_or_grid, FrameSeries) else frames_or_grid
-    _check_covers(profile, grid)
-    f_ref = np.clip(_profile_on_grid(profile, grid.centers), 0.0, None)
+    _check_covers(profile, frames.grid)
+    f_ref = np.clip(_profile_on_grid(profile, frames.grid.centers), 0.0, None)
     return np.array([float(np.max(np.abs(v_k - f_ref))) for _, v_k in rescaled])
 
 

@@ -25,7 +25,6 @@ from .params import Params, rho_antideriv, weight_rho
 from .profile_ode import Trajectory, _rhs_arrays
 
 __all__ = [
-    "PohozaevCoeffs",
     "JSeries",
     "PairSeries",
     "RootBracketFailureError",
@@ -33,7 +32,6 @@ __all__ = [
     "coeff_functions",
     "cubic_coeffs",
     "find_r_G",
-    "pohozaev_coeffs",
     "G_cubic",
     "G_direct",
     "J_eval",
@@ -53,17 +51,6 @@ class RootBracketFailureError(RuntimeError):
 
 class GridMismatchError(ValueError):
     """Two trajectories do not share a usable common radius window."""
-
-
-@dataclass(frozen=True)
-class PohozaevCoeffs:
-    params: Params
-    M0: float
-    M1: float
-    M2: float
-    M3: float
-    r_G: float
-    degenerate: bool  # N = 1: cubic collapses to the constant M0 < 0, G < 0 everywhere
 
 
 @dataclass
@@ -136,19 +123,6 @@ def find_r_G(params: Params) -> float:
             )
     z_star = brentq(lambda z: _cubic_eval(params, z), 0.0, z_hi, xtol=1e-15, rtol=8.9e-16)
     return 1.0 / z_star
-
-
-def pohozaev_coeffs(params: Params) -> PohozaevCoeffs:
-    M0, M1, M2, M3 = cubic_coeffs(params)
-    return PohozaevCoeffs(
-        params=params,
-        M0=M0,
-        M1=M1,
-        M2=M2,
-        M3=M3,
-        r_G=find_r_G(params),
-        degenerate=params.N == 1,
-    )
 
 
 def G_cubic(params: Params, r):

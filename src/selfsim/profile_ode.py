@@ -20,12 +20,14 @@ Each run is one stepping loop of explicit adaptive Runge-Kutta (DOP853,
 the dense output of the step that brackets them. The state is two numbers,
 so the steps are taken in plain floats: scipy's DOP853 tableau, read from
 the public class, with scipy's initial-step rule, error norm and control
-law. A kept trajectory (``integrate``, ``psi_integrate``) keeps every
-step's interpolant coefficients as floats and stacks them into one array
-at the end (``_DenseOutput``), which evaluates any number of radii in one
-vectorised Horner sum, to the bits of scipy's per-segment OdeSolution; a
-classification probe computes the coefficients only for a step that holds
-an event, and may end the run early through its stop test. The
+law. Every run is one ``Trajectory``: how it ended, its end state, step
+count and events. A kept run (``integrate``, ``psi_integrate``) also keeps
+every step's interpolant coefficients as floats and stacks them into one
+array at the end (``_DenseOutput``), which evaluates any number of radii in
+one vectorised Horner sum, to the bits of scipy's per-segment OdeSolution;
+its sampled columns are read from it on first use. A classification probe
+computes the coefficients only for a step that holds an event, and may end
+the run early through its stop test. The
 embedded error control alone sets the accuracy: there is no step cap, so
 rel_tol is what a tighter or looser run changes. The settings no caller
 varies are module constants: the absolute tolerance ABS_TOL, and the sample
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -51,15 +54,11 @@ __all__ = [
     "ProfileState",
     "TrajEvent",
     "Trajectory",
-    "Shot",
     "StepSizeUnderflowError",
     "NoZeroWithinHorizonError",
-    "rhs",
     "series_start",
     "integrate",
     "shoot",
-    "energy",
-    "w_and_h",
     "psi_integrate",
 ]
 
@@ -117,36 +116,38 @@ class ProfileState:
 
 @dataclass(frozen=True)
 class TrajEvent:
-    kind: str  # "FZero" | "GZero" | "Truncated"
+    kind: str  # "FZero" | "GZero"
     r: float
     info: dict = field(default_factory=dict)
 
 
 @dataclass
 class Trajectory:
-    """Sampled shooting run plus its dense interpolant and detected events."""
+    """One shooting run: how it ended, its events and, when kept, its dense output.
+
+    ``status`` names what ended it: "horizon" (r_max), the kind of a terminal
+    event ("FZero" or "GZero"), "stopped" (the caller's stop test) or
+    "underflow" (the step size fell below 10 ulp of r). ``end`` is the state
+    there: the event root for an event, else the last accepted step end.
+    ``events`` maps each kind to its first root, in order of radius. ``dense``
+    is the run's dense output when it was kept; the sampled columns (``r``
+    to ``h``) are read from it on first use.
+    """
 
     params: Params
     a: float
-    r: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    fprime: np.ndarray
-    E: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-    events: list[TrajEvent]
-    dense: object  # callable dense output over [eps_start, r_end]; see _DenseOutput
+    status: str
+    end: ProfileState
+    steps: int
+    events: dict[str, TrajEvent]
+    dense: _DenseOutput | None = None
 
     @property
     def r_end(self) -> float:
-        return float(self.r[-1])
+        return self.end.r
 
     def event(self, kind: str) -> TrajEvent | None:
-        for ev in self.events:
-            if ev.kind == kind:
-                return ev
-        return None
+        return self.events.get(kind)
 
     def eval(self, r):
         """Evaluate (f, g) anywhere in the integrated range via dense output."""
@@ -154,19 +155,54 @@ class Trajectory:
         y = self.dense(r)
         return y[0], y[1]
 
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _sample_grid(self.dense.ts[0], self.end.r)
+
+    @cached_property
+    def _sampled(self) -> np.ndarray:
+        return self.dense(self.r)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self._sampled[0]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self._sampled[1]
+
+    @cached_property
+    def fprime(self) -> np.ndarray:
+        # f' does not depend on the absorption term
+        return _rhs_arrays(self.params, self.r, self.f, self.g, absorption=True)[0]
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        return _energy_arrays(self.params, self.f, self.g)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """w = rho*g, whose slope is w' = rho*f."""
+        with np.errstate(over="ignore"):
+            # rho overflows past r ~ 700 on slow-decay horizons; w is a
+            # moderate-r diagnostic, inf is acceptable there
+            return weight_rho(self.params, self.r) * self.g
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """h = w'/w = f/g, NaN wherever g <= 0: past the GZero event the ratio
+        has no meaning for the dichotomy diagnostics."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.g > 0.0, self.f / self.g, np.nan)
+
 
 def eps_start(a: float) -> float:
     """Series-start radius; shrinks for large a where f bends faster."""
     return max(1e-8, 1e-6 / max(1.0, a))
 
 
-def rhs(params: Params, state: ProfileState) -> tuple[float, float]:
-    """Right-hand side (df, dg) of the first-order system at one state."""
-    df, dg = _rhs_arrays(params, state.r, state.f, state.g, absorption=True)
-    return float(df), float(dg)
-
-
 def _rhs_arrays(params: Params, r, f, g, absorption: bool):
+    """Right-hand side (df, dg) of the first-order system, elementwise."""
     absg = abs(g)
     df = -(absg**params.e_flux) * g
     dg = f - (params.N - 1) * g / r
@@ -189,25 +225,22 @@ def series_start(params: Params, a: float, eps: float) -> ProfileState:
     return ProfileState(r=eps, f=f0, g=g0)
 
 
-def energy(params: Params, state: ProfileState) -> float:
-    """E = (p-1)/p |f'|^p + f^2/2 with |f'|^p = |g|^(p/(p-1))."""
-    return float(_energy_arrays(params, state.f, state.g))
-
-
 def _energy_arrays(params: Params, f, g):
+    """E = (p-1)/p |f'|^p + f^2/2 with |f'|^p = |g|^(p/(p-1)), elementwise."""
     p = params.p
     return (p - 1.0) / p * np.abs(g) ** (p * params.e_g) + 0.5 * f * f
 
 
 def integrate(params: Params, a: float, opts: IntegratorOptions | None = None) -> Trajectory:
-    """Shoot from f(0)=a, f'(0)=0 until an f/g sign change or r_max.
+    """Shoot from f(0)=a, f'(0)=0 until an f/g sign change or r_max, and keep the run.
 
     The trajectory ends at the first of: FZero (f crosses zero, slope
     recorded), GZero (g crosses zero; only reachable with track_past_fzero),
-    or Truncated at r_max. Events are root-resolved on the dense output of
-    the step that brackets them.
+    or r_max (status "horizon"). Events are root-resolved on the dense
+    output of the step that brackets them. Step-size underflow raises
+    StepSizeUnderflowError.
     """
-    return _trajectory(params, a, opts or IntegratorOptions(), absorption=True)
+    return _kept_run(params, a, opts or IntegratorOptions(), absorption=True)
 
 
 def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Trajectory:
@@ -217,7 +250,7 @@ def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Traj
     has one, so running out of horizon raises NoZeroWithinHorizonError.
     """
     opts = opts or IntegratorOptions()
-    traj = _trajectory(params, 1.0, opts, absorption=False)
+    traj = _kept_run(params, 1.0, opts, absorption=False)
     if traj.event("FZero") is None:
         raise NoZeroWithinHorizonError(
             f"psi stayed positive up to r_max={opts.r_max}; this signals a bug"
@@ -225,23 +258,13 @@ def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Traj
     return traj
 
 
-@dataclass
-class Shot:
-    """How one shooting run ended.
-
-    ``status`` names what ended it: "horizon" (r_max), the kind of a terminal
-    event ("FZero" or "GZero"), "stopped" (the caller's stop test) or
-    "underflow" (the step size fell below 10 ulp of r). ``end`` is
-    the state there: the event root for an event, else the last accepted
-    step end. ``events`` maps each kind to its first root, in order of
-    radius. ``dense`` is the run's dense output when it was kept.
-    """
-
-    status: str
-    end: ProfileState
-    steps: int
-    events: dict[str, TrajEvent]
-    dense: _DenseOutput | None = None
+def _kept_run(params: Params, a: float, opts: IntegratorOptions, absorption: bool) -> Trajectory:
+    traj = shoot(params, a, opts, absorption, keep_dense=True)
+    if traj.status == "underflow":
+        raise StepSizeUnderflowError(
+            f"step size underflow at r={traj.end.r:.6g} (a={a:.17g})", traj.end
+        )
+    return traj
 
 
 def shoot(
@@ -251,7 +274,7 @@ def shoot(
     absorption: bool = True,
     keep_dense: bool = False,
     stop=None,
-) -> Shot:
+) -> Trajectory:
     """Step DOP853 from the series start to r_max, a terminal event or ``stop``.
 
     The steps are scipy's DOP853 steps in plain floats (``_first_step``,
@@ -315,7 +338,7 @@ def shoot(
             coefs.append(coef)
     end = ProfileState(r=float(r), f=float(y[0]), g=float(y[1]))
     dense = _DenseOutput(ts, coefs) if coefs else None
-    return Shot(status=status, end=end, steps=steps, events=events, dense=dense)
+    return Trajectory(params, a, status, end, steps, events, dense)
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -484,39 +507,6 @@ class _DenseOutput:
         return np.array(_horner(np.moveaxis(self.coef[seg], -1, 0), r))
 
 
-def _trajectory(params: Params, a: float, opts: IntegratorOptions, absorption: bool) -> Trajectory:
-    shot = shoot(params, a, opts, absorption, keep_dense=True)
-    if shot.status == "underflow":
-        raise StepSizeUnderflowError(
-            f"step size underflow at r={shot.end.r:.6g} (a={a:.17g})", shot.end
-        )
-    events = list(shot.events.values())
-    if shot.status == "horizon":
-        events.append(TrajEvent("Truncated", shot.end.r))
-
-    dense = shot.dense
-    r_grid = _sample_grid(dense.ts[0], shot.end.r)
-    y = dense(r_grid)
-    f, g = y[0], y[1]
-    fprime, _ = _rhs_arrays(params, r_grid, f, g, absorption)
-    E = _energy_arrays(params, f, g)
-
-    traj = Trajectory(
-        params=params,
-        a=a,
-        r=r_grid,
-        f=f,
-        g=g,
-        fprime=fprime,
-        E=E,
-        w=np.empty(0),
-        h=np.empty(0),
-        events=events,
-        dense=dense,
-    )
-    return w_and_h(params, traj)
-
-
 def _sample_grid(eps: float, r_end: float) -> np.ndarray:
     near_end = min(r_end, DENSE_UNTIL)
     n_near = max(2, int(np.ceil((near_end - eps) / SAMPLE_DR)) + 1)
@@ -526,20 +516,3 @@ def _sample_grid(eps: float, r_end: float) -> np.ndarray:
         n_far = max(2, int(np.ceil((r_end - near_end) / far_dr)) + 1)
         grid = np.concatenate([grid, np.linspace(near_end, r_end, n_far)[1:]])
     return grid
-
-
-def w_and_h(params: Params, traj: Trajectory) -> Trajectory:
-    """Annotate a trajectory with w = rho*g and h = w'/w = f/g.
-
-    The identity w' = rho*f makes h = f/g; h is NaN wherever g <= 0 (past the
-    GZero event the ratio has no meaning for the dichotomy diagnostics).
-    """
-    with np.errstate(over="ignore"):
-        # rho overflows past r ~ 700 on slow-decay horizons; w is a
-        # moderate-r diagnostic, inf is acceptable there
-        rho = weight_rho(params, traj.r)
-        traj.w = rho * traj.g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(traj.g > 0.0, traj.f / traj.g, np.nan)
-    traj.h = h
-    return traj

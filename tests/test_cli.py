@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import importlib
 import json
 import math
@@ -137,6 +138,23 @@ class TestCommands:
             assert run_cli("profile", "--N", "2", "--p", "1.5", "--a", "0.5",
                            "--rmax", "10", "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, status, sha256",
+        [
+            (["--N", "2", "--p", "1.5", "--a", "0.5", "--rmax", "10"], "horizon",
+             "b23d5bc590f2eece6b4f73e9501909b44f87afca86ba3daab46f8f381e0869e3"),
+            (["--N", "3", "--p", "1.7", "--a", "20"], "FZero",
+             "5237bdd9275b45f96c53dc70d81f92921388a1afbe630bc1141b0cb5c174a002"),
+        ],
+    )
+    def test_profile_csv_bytes_pinned(self, tmp_path, capsys, argv, status, sha256):
+        # every column of a kept run, to the bit: the sample grid, the dense
+        # output on it, f', E, w, h and J
+        out = tmp_path / "traj.csv"
+        assert run_cli("profile", *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        assert f"status {status}," in capsys.readouterr().out
 
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -184,14 +184,14 @@ class TestInitialData:
         field = make_initial(cfg, grid2000)
         expect = np.exp(-grid2000.centers / (P2.p - 1.0))
         assert np.array_equal(field.values, expect)
-        assert field.peak() > 0.99  # u -> kappa0 at the center
+        assert field.values.max() > 0.99  # u -> kappa0 at the center
 
     def test_separable_peak(self, P2, gs2, grid2000):
         # ((2-p) T0)^(1/(2-p)) = 0.25 at p = 3/2, T0 = 1
         cfg = separable_config(P2, gs2.a_star)
         assert cfg.kappa0 == 0.25 * gs2.a_star
         field = make_initial(cfg, grid2000, gs2.traj)
-        assert field.peak() == pytest.approx(0.25 * gs2.a_star, rel=1e-4)
+        assert field.values.max() == pytest.approx(0.25 * gs2.a_star, rel=1e-4)
 
     def test_separable_needs_profile(self, P2, grid2000):
         cfg = PdeConfig(params=P2, init_kind="separable")
@@ -406,14 +406,16 @@ class TestRescale:
         # the zero-extended profile still stands in for the ground state
         a_side = integrate(P2, gs2.a_star + 1e-9)
         zero = a_side.event("FZero")
-        assert zero is not None and a_side.r_end == zero.r < 15.0
+        assert zero is not None and a_side.status == "FZero" and a_side.r_end == zero.r < 15.0
         grid = make_grid(15.0, 300)
+        cfg = separable_config(P2, gs2.a_star)
         u = make_initial(separable_config(P2, a_side.a), grid, a_side).values
-        u_star = make_initial(separable_config(P2, gs2.a_star), grid, gs2.traj).values
+        u_star = make_initial(cfg, grid, gs2.traj).values
         assert np.all(u[grid.centers > zero.r] == 0.0)
         assert np.max(np.abs(u - u_star)) < 1e-8
         v_star = u_star / separable_amplitude(P2, 1.0)
-        assert compare_to_profile(grid, [(0.0, v_star)], a_side)[0] < 1e-8
+        frames = FrameSeries(grid=grid, config=cfg)
+        assert compare_to_profile(frames, [(0.0, v_star)], a_side)[0] < 1e-8
 
 
 class TestSweepProperties:

@@ -163,7 +163,10 @@ class TestStepSequences:
     after 300 accepted steps, or at extinction if that comes first; every
     attempted step, accepted or not, is checked against its own input. The
     accepted ones must also stay under the supersolution kappa0 e^(-r/(p-1))
-    (the exp_tail data itself), up to 1e-6 kappa0 for the time error; a
+    (the exp_tail data itself), up to 1e-11 kappa0: the error control lets
+    each cell's error reach ATOL = 1e-12 times kappa0, and the excess sits in
+    the far tail where the bound is itself about 1e-11 kappa0 (at most
+    3.7e-12 kappa0 over four hypothesis seeds of 300 draws each). A
     rejected attempt's error is above tolerance, and the first attempt at
     N = 1, p = 1.99, kappa0 = 0.5, R_inf = 4, M = 64 exceeds the bound by
     1.7e-6 kappa0 before the control cuts its dt. Grids start at 8 cells (``RadialGrid``): on 4 cells of
@@ -216,7 +219,7 @@ class TestStepSequences:
         accepted = [cur[1] for cur, nxt in zip(attempts, attempts[1:]) if nxt[0] is cur[1]] + [attempts[-1][1]]
         assert len(accepted) == steps
         for u in accepted:
-            assert np.all(u <= field.values + 1e-6 * kappa0)
+            assert np.all(u <= field.values + 1e-11 * kappa0)
 
 
 class TestErrorControl:

@@ -14,7 +14,6 @@ from selfsim.pohozaev import (
     coeff_functions,
     cubic_coeffs,
     find_r_G,
-    pohozaev_coeffs,
     small_a_limit_z0,
     wronskian_check,
 )
@@ -90,8 +89,7 @@ class TestCubic:
 
     def test_degenerate_dimension_one(self):
         P = make_params(1, 1.5)
-        co = pohozaev_coeffs(P)
-        assert co.degenerate and co.r_G == 0.0
+        assert find_r_G(P) == 0.0
         r = np.linspace(0.2, 10.0, 50)
         assert np.all(G_direct(P, r) < 0.0)
         mism = np.abs(G_direct(P, r) - G_cubic(P, r)) / (np.abs(G_cubic(P, r)) + 1.0)

@@ -13,15 +13,15 @@ from selfsim.params import make_params, weight_rho
 from selfsim.profile_ode import (
     ABS_TOL,
     IntegratorOptions,
-    ProfileState,
     StepSizeUnderflowError,
+    DENSE_UNTIL,
+    _energy_arrays,
     _horner,
     _rhs_arrays,
-    energy,
+    _sample_grid,
     eps_start,
     integrate,
     psi_integrate,
-    rhs,
     series_start,
     shoot,
 )
@@ -33,7 +33,7 @@ def fd4(fun, r, h):
 
 class TestRhs:
     def test_g_zero_kills_two_terms(self, P2):
-        df, dg = rhs(P2, ProfileState(r=1.0, f=1.0, g=0.0))
+        df, dg = _rhs_arrays(P2, 1.0, 1.0, 0.0, absorption=True)
         assert df == 0.0
         assert dg == 1.0
 
@@ -42,13 +42,13 @@ class TestRhs:
         for N, p, a in [(2, 1.5, 1.0), (3, 1.7, 2.5), (1, 1.5, 0.3)]:
             P = make_params(N, p)
             r = 1e-9
-            _, dg = rhs(P, ProfileState(r=r, f=a, g=a * r / N))
+            _, dg = _rhs_arrays(P, r, a, a * r / N, absorption=True)
             assert dg == pytest.approx(a / N, rel=1e-8)
 
     def test_direct_evaluation(self, P2):
         # |f'| = |g|^(1/(p-1)) = 0.25^2, so df = -0.0625 (and the exponent on
         # |g| in df = -|g|^e g is e = (2-p)/(p-1) = 1 at p = 3/2)
-        df, dg = rhs(P2, ProfileState(r=2.0, f=0.5, g=0.25))
+        df, dg = _rhs_arrays(P2, 2.0, 0.5, 0.25, absorption=True)
         assert df == pytest.approx(-0.0625, abs=0)
         assert dg == pytest.approx(0.5 - 0.25 - 0.125, abs=0)
 
@@ -90,7 +90,8 @@ class TestIntegrate:
         traj = integrate(P2, 1e-3)
         assert traj.event("FZero") is None
         assert np.all(traj.f > 0.0)
-        assert traj.event("Truncated").r == pytest.approx(50.0)
+        assert traj.status == "horizon" and traj.events == {}
+        assert traj.r_end == pytest.approx(50.0)
 
     @pytest.mark.parametrize("a", [1e-3, 0.5, 2.0])
     def test_f1_bounds_hold(self, P2, a):
@@ -146,7 +147,7 @@ class TestIntegrate:
         # stages of large steps; the step is rejected and the run goes on
         P = make_params(1, 1.01)
         traj = integrate(P, 10.0)
-        assert [ev.kind for ev in traj.events] == ["FZero"]
+        assert traj.status == "FZero" and list(traj.events) == ["FZero"]
         assert traj.event("FZero").info["slope"] < 0.0
 
     def test_nan_rhs_ends_in_underflow(self, P2, monkeypatch):
@@ -232,18 +233,24 @@ class TestSteppingLoop:
             if roots.size:
                 assert traj.event(kind).r == pytest.approx(float(roots.min()), rel=1e-12, abs=0)
                 kinds.append(kind)
+        # a run that no terminal event ends stops at r_max, where solve_ivp stops
+        assert (traj.status == "horizon") == (ref.status == 0)
         if ref.status == 0:
-            kinds.append("Truncated")
-            assert traj.event("Truncated").r == ref.t[-1]
-        assert [ev.kind for ev in traj.events] == kinds
-        expected = {"truncated": ["Truncated"], "fzero": ["FZero"], "gzero": ["FZero", "GZero"], "psi": ["FZero"]}
-        assert kinds == expected[case]
+            assert traj.r_end == ref.t[-1]
+        assert [ev.kind for ev in traj.events.values()] == list(traj.events) == kinds
+        expected = {
+            "truncated": ([], "horizon"),
+            "fzero": (["FZero"], "FZero"),
+            "gzero": (["FZero", "GZero"], "GZero"),
+            "psi": (["FZero"], "FZero"),
+        }
+        assert (kinds, traj.status) == expected[case]
 
     @pytest.mark.parametrize("case", ["fzero", "gzero"])
     def test_event_info_is_the_rhs_at_the_root(self, P2, case):
         a, kw, _ = self.CASES[case]
         traj = integrate(P2, a, IntegratorOptions(**kw))
-        for ev in traj.events:
+        for ev in traj.events.values():
             f, g = traj.eval(ev.r)
             df, dg = _rhs_arrays(P2, ev.r, f, g, True)
             if ev.kind == "FZero":
@@ -258,9 +265,10 @@ class TestSteppingLoop:
         traj = integrate(P2, a, opts)
         shot = shoot(P2, a, opts)
         assert shot.dense is None
-        assert shot.steps == len(traj.dense.sol_near.ts) - 1
-        assert list(shot.events.values()) == [ev for ev in traj.events if ev.kind != "Truncated"]
-        assert shot.end.r == traj.r_end
+        assert shot.steps == traj.steps == len(traj.dense.sol_near.ts) - 1
+        assert shot.events == traj.events
+        assert shot.status == traj.status
+        assert shot.end == traj.end
 
     def test_stop_ends_the_run_at_a_step_end(self, P2):
         seen = []
@@ -273,6 +281,41 @@ class TestSteppingLoop:
         assert shot.status == "stopped"
         assert shot.end.r == seen[-1] > 10.0 >= seen[-2]
         assert shot.steps == len(seen)
+
+
+class TestSampledColumns:
+    """A kept run's sampled columns are read from its dense output on first use."""
+
+    @pytest.mark.parametrize(
+        "a, kw", [(1.0, {}), (7.0, {}), (7.0, {"track_past_fzero": True}), (0.5, {"r_max": 15.0})]
+    )
+    def test_columns_are_the_dense_output_on_the_sample_grid(self, P2, a, kw):
+        traj = integrate(P2, a, IntegratorOptions(**kw))
+        columns = ("r", "f", "g", "fprime", "E", "w", "h")
+        assert not set(columns) & set(vars(traj))
+        r = _sample_grid(traj.dense.ts[0], traj.end.r)
+        f, g = traj.dense(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = {
+                "r": r,
+                "f": f,
+                "g": g,
+                "fprime": _rhs_arrays(P2, r, f, g, absorption=True)[0],
+                "E": _energy_arrays(P2, f, g),
+                "w": weight_rho(P2, r) * g,
+                "h": np.where(g > 0.0, f / g, np.nan),
+            }
+        for name in columns:
+            assert getattr(traj, name).tobytes() == want[name].tobytes(), name
+            assert getattr(traj, name) is getattr(traj, name)
+        # linspace writes its endpoint exactly: the last sample is the end radius
+        assert traj.r_end == traj.r[-1]
+        assert (traj.r_end > DENSE_UNTIL) == (traj.status == "horizon" and a == 1.0)
+
+    def test_psi_columns_use_the_same_rules(self, P2):
+        psi = psi_integrate(P2)
+        assert psi.status == "FZero" and psi.r_end == psi.r[-1] == psi.event("FZero").r
+        assert psi.fprime.tobytes() == _rhs_arrays(P2, psi.r, psi.f, psi.g, absorption=False)[0].tobytes()
 
 
 def segment_oracle(dense, r: float) -> np.ndarray:
@@ -331,16 +374,16 @@ class TestDenseOutput:
         # brentq runs on one step's interpolant; its roots keep the bits they
         # had when each step was a scipy DenseOutput
         traj = integrate(P2, a, IntegratorOptions(**kw))
-        assert {ev.kind: ev.r for ev in traj.events} == roots
+        assert {kind: ev.r for kind, ev in traj.events.items()} == roots
         assert psi_integrate(P2).event("FZero").r == 2.8307852700958747
 
 
 class TestEnergy:
     def test_at_the_center(self, P2):
-        assert energy(P2, ProfileState(r=1e-12, f=3.0, g=0.0)) == pytest.approx(4.5)
+        assert _energy_arrays(P2, 3.0, 0.0) == pytest.approx(4.5)
 
     def test_direct_value(self, P2):
-        assert energy(P2, ProfileState(r=1.0, f=0.0, g=1.0)) == pytest.approx(1.0 / 3.0)
+        assert _energy_arrays(P2, 0.0, 1.0) == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
     def test_nonincreasing_along_trajectories(self, P2, a):

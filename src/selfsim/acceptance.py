@@ -62,7 +62,6 @@ class CriterionResult:
     title: str
     checks: list[Check] = field(default_factory=list)
     runtime: float = 0.0
-    skipped: bool = False
 
     @property
     def passed(self) -> bool:
@@ -74,8 +73,7 @@ class CriterionResult:
         self.checks.append(Check(name, float(value), tol, bool(passed)))
 
     def line(self) -> str:
-        status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
-        return f"[{self.index:2d}] {status}  {self.title}  ({self.runtime:.1f}s)"
+        return f"[{self.index:2d}] {'PASS' if self.passed else 'FAIL'}  {self.title}  ({self.runtime:.1f}s)"
 
 
 class AcceptanceContext:
@@ -449,15 +447,12 @@ CRITERIA = [
     (13, "grid-refinement sanity (M=2000 vs 4000)", criterion_13),
 ]
 
-QUICK_SKIP = {11, 12, 13}
-
 # wall-time budgets [s]: the criterion's last check is its runtime against this
 RUNTIME_BUDGET = {1: 5.0, 2: 1.0, 4: 60.0, 9: 5.0, 11: 300.0, 12: 600.0}
 
 
 def run_acceptance(
     ctx: AcceptanceContext | None = None,
-    quick: bool = False,
     echo=None,
     only: set[int] | None = None,
 ) -> list[CriterionResult]:
@@ -468,12 +463,6 @@ def run_acceptance(
         if only is not None and index not in only:
             continue
         res = CriterionResult(index=index, title=title)
-        if quick and index in QUICK_SKIP:
-            res.skipped = True
-            results.append(res)
-            if echo:
-                echo(res.line())
-            continue
         start = time.perf_counter()
         fn(ctx, res)
         res.runtime = time.perf_counter() - start

@@ -335,11 +335,9 @@ def cmd_pde_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     only = set(args.only) if args.only else None
-    results = run_acceptance(AcceptanceContext(), quick=args.quick, echo=print, only=only)
-    failed = [r for r in results if not r.skipped and not r.passed]
-    ran = [r for r in results if not r.skipped]
-    print(f"acceptance: {len(ran) - len(failed)}/{len(ran)} criteria passed"
-          + (f", {len(results) - len(ran)} skipped (--quick)" if len(ran) < len(results) else ""))
+    results = run_acceptance(AcceptanceContext(), echo=print, only=only)
+    failed = [r for r in results if not r.passed]
+    print(f"acceptance: {len(results) - len(failed)}/{len(results)} criteria passed")
     if args.out:
         summary = {
             "schema": SCHEMA_VERSION,
@@ -348,7 +346,6 @@ def cmd_verify(args) -> int:
                 str(r.index): {
                     "title": r.title,
                     "passed": r.passed,
-                    "skipped": r.skipped,
                     "runtime_s": r.runtime,
                     "checks": [
                         {"name": c.name, "value": c.value, "tol": c.tol, "passed": c.passed}
@@ -453,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_pde_compare)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--quick", action="store_true", help="skip the production PDE criteria")
     sp.add_argument("--only", type=int, nargs="+", choices=[index for index, _, _ in CRITERIA],
                     metavar="N", help="run only these criterion numbers")
     sp.add_argument("--out", help="write a JSON report here")

@@ -46,12 +46,13 @@ norm max_i |T33 - T32|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
 The estimate is O(dt^3), so dt scales with the cube root of the norm's
 inverse. An attempt above 1 is rejected and retried with a smaller dt,
 leaving the state, the clock, the step count and the records untouched; an
-accepted step sets the next dt from the same norm. The records of the
-functionals follow the sup norm, RECORDS_PER_DECADE per decade, as the
-snapshots do. REL_CHANGE, one record interval of the sup norm, caps the
-change of u per step relative to the peak, so once ATOL dominates the step
-still crosses at most about one record threshold and the final decade keeps
-enough records for ``fit_extinction``.
+accepted step sets the next dt from the same norm. A run starts at t = 0;
+its initial data is the first record (with D = nan, as no step precedes it)
+and the first snapshot. The records of the functionals follow the sup norm,
+RECORDS_PER_DECADE per decade, as the snapshots do. REL_CHANGE, one record
+interval of the sup norm, caps the change of u per step relative to the
+peak, so once ATOL dominates the step still crosses at most about one record
+threshold and the final decade keeps enough records for ``fit_extinction``.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: the couplings, eps^2, p, the diffusivity's
@@ -214,7 +215,6 @@ def make_grid(R_inf: float, M: int) -> RadialGrid:
 class Field:
     grid: RadialGrid
     values: np.ndarray
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -277,17 +277,15 @@ def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None
     separable: u = separable_amplitude(T0) f(r; a_*), with f read off the
     supplied ground-state trajectory's dense output.
     """
-    r = grid.centers
     if config.init_kind == "exp_tail":
-        u = _exp_tail(config, r)
+        u = _exp_tail(config, grid.centers)
     else:
         if profile is None:
             raise ValueError("separable initial data needs the ground-state trajectory")
-        _check_covers(profile, grid)
-        u = separable_amplitude(config.params, config.T0) * np.clip(_profile_on_grid(profile, r), 0.0, None)
+        u = separable_amplitude(config.params, config.T0) * _profile_on_grid(profile, grid)
     if np.any(np.diff(u) > 0.0):
         raise NonMonotoneInitialDataError("initial profile must be non-increasing in r")
-    return Field(grid=grid, values=u, t=0.0)
+    return Field(grid=grid, values=u)
 
 
 def _exp_tail(config: PdeConfig, r: np.ndarray) -> np.ndarray:
@@ -554,37 +552,34 @@ def _functional_weights(grid: RadialGrid, params: Params) -> tuple[float, np.nda
 
 
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
-    """March to ||u||_inf < ext_tol, recording functionals and snapshots.
+    """March from t = 0 to ||u||_inf < ext_tol, recording functionals and snapshots.
 
-    Records are appended whenever the sup norm crosses the next of
-    RECORDS_PER_DECADE logarithmic thresholds per decade, or the next of
-    SNAPSHOTS_PER_DECADE snapshot thresholds (snapshots store the full
-    field), and at the end. The extinction estimate and rate fit are filled
-    in at the end from the final recorded decade.
+    The initial data is the first record (its dissipation D is nan: there is
+    no step yet) and the first snapshot. After that a record is appended
+    whenever the sup norm crosses the next of RECORDS_PER_DECADE logarithmic
+    thresholds per decade, or the next of SNAPSHOTS_PER_DECADE snapshot
+    thresholds (snapshots store the full field), and at the end. The
+    extinction estimate and rate fit are filled in at the end from the final
+    recorded decade.
     """
     grid = field.grid
-    params = config.params
     u = field.values.copy()
-    t = field.t
     ext_tol = config.extinction_threshold
-    peak0 = float(u.max())
-    if peak0 <= 10.0 * ext_tol:
+    peak = float(u.max())
+    if peak <= 10.0 * ext_tol:
         raise ValueError("initial peak must exceed 10x the extinction threshold: the T_e fit reads the final decade")
 
     frames = FrameSeries(grid=grid, config=config)
-    rec_t, rec_sup, rec_I, rec_J, rec_D, rec_E = [], [], [], [], [], []
     geom = _geometry(config, grid)
-
-    def record(peak, u_prev=None, dt_rec=None):
-        I, J, Df, E = weighted_functionals(params, grid, u, u_prev, dt_rec)
-        rec_t.append(t)
-        rec_sup.append(peak)
-        rec_I.append(I)
-        rec_J.append(J)
-        rec_D.append(Df)
-        rec_E.append(E)
-
-    def monitor(peak):
+    rows = []  # (t, sup, I, J, D, E) per record
+    snap_factor = 10.0 ** (-1.0 / SNAPSHOTS_PER_DECADE)
+    next_snap = peak * snap_factor
+    rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
+    next_rec = peak * rec_factor
+    dt = explicit_dt(geom, u)
+    atol = ATOL * config.kappa0
+    t, u_prev, dt_step = 0.0, None, None  # u_prev and dt_step: the last accepted step
+    while True:
         if config.init_kind == "exp_tail":
             frames.supersolution_excess = max(frames.supersolution_excess, float((u - geom.bound).max()))
         # instability monitor: flag new extrema at 1e-6 of the current peak;
@@ -593,39 +588,9 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(peak, ext_tol)).any():
             frames.monotone_violations += 1
 
-    record(peak0)
-    monitor(peak0)
-    frames.snapshots.append((t, u.copy()))
-    snap_factor = 10.0 ** (-1.0 / SNAPSHOTS_PER_DECADE)
-    next_snap = peak0 * snap_factor
-    rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
-    next_rec = peak0 * rec_factor
-
-    dt = explicit_dt(geom, u)
-    atol = ATOL * config.kappa0
-    n = 0
-    peak = peak0
-    while True:
-        if dt < 1e-16:
-            raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
-        u_try, sat, error = _step_imex(geom, u, dt)
-        accepted, dt_next = _control(error, u, u_try, peak, dt, atol)
-        if not accepted:
-            frames.rejected_steps += 1
-            dt = dt_next
-            continue
-        u_prev, u = u, u_try
-        frames.sink_saturations += sat
-        frames.dt_min = min(frames.dt_min, dt)
-        frames.dt_max = max(frames.dt_max, dt)
-        t += dt
-        n += 1
-        peak = float(u.max())
-        monitor(peak)
-
-        hit_snap = peak < next_snap
+        hit_snap = u_prev is None or peak < next_snap
         if peak < next_rec or hit_snap or peak < ext_tol:
-            record(peak, u_prev, dt)
+            rows.append((t, peak, *weighted_functionals(config.params, grid, u, u_prev, dt_step)))
             while next_rec > peak:
                 next_rec *= rec_factor
         if hit_snap:
@@ -634,17 +599,28 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
                 next_snap *= snap_factor
         if peak < ext_tol:
             break
-        if n >= MAX_STEPS:
-            raise MaxStepsExceededError(f"no extinction after {n} steps (peak={peak:.3e})")
-        dt = dt_next
+        if frames.n_steps >= MAX_STEPS:
+            raise MaxStepsExceededError(f"no extinction after {frames.n_steps} steps (peak={peak:.3e})")
 
-    frames.t = np.asarray(rec_t)
-    frames.sup = np.asarray(rec_sup)
-    frames.I = np.asarray(rec_I)
-    frames.J = np.asarray(rec_J)
-    frames.D = np.asarray(rec_D)
-    frames.E = np.asarray(rec_E)
-    frames.n_steps = n
+        while True:  # a rejected attempt leaves the state and the clock untouched
+            if dt < 1e-16:
+                raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
+            u_try, sat, error = _step_imex(geom, u, dt)
+            accepted, dt_next = _control(error, u, u_try, peak, dt, atol)
+            if accepted:
+                break
+            frames.rejected_steps += 1
+            dt = dt_next
+        u_prev, u = u, u_try
+        frames.sink_saturations += sat
+        frames.dt_min = min(frames.dt_min, dt)
+        frames.dt_max = max(frames.dt_max, dt)
+        frames.n_steps += 1
+        t += dt
+        peak = float(u.max())
+        dt_step, dt = dt, dt_next
+
+    frames.t, frames.sup, frames.I, frames.J, frames.D, frames.E = (np.asarray(column) for column in zip(*rows))
     try:
         frames.T_e_estimate, frames.rate_r2 = fit_extinction(frames)
     except InsufficientDecayError:
@@ -707,16 +683,21 @@ def rescale_frames(frames: FrameSeries, T_e: float) -> list[tuple[float, np.ndar
     return out
 
 
-def _profile_on_grid(profile: Trajectory, r: np.ndarray) -> np.ndarray:
-    """Profile values at the cell centers through the dense ODE output.
+def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
+    """Profile values at the cell centers through the dense ODE output, clipped at zero.
 
-    The trajectory's own dense interpolant is exact to integrator tolerance
-    everywhere, including between the coarse samples near r = 0 where the
-    cubic top would defeat a shape-preserving fit of the sample table.
-    Past the trajectory's first zero (where an A-side run stops) the value
-    is 0.
+    The trajectory must reach R_inf, or end at its first zero inside the
+    grid, past which the value is 0: a bisection midpoint a hair above a_*
+    crosses zero a little short of the default R_inf, and past the trust
+    radius the ground state is below ~1e-10, so reading it as 0 there is
+    exact to that level. The trajectory's own dense interpolant is exact to
+    integrator tolerance everywhere, including between the coarse samples
+    near r = 0 where the cubic top would defeat a shape-preserving fit of the
+    sample table.
     """
-    r = np.asarray(r, dtype=float)
+    if profile.r_end < grid.R_inf and profile.status != "FZero":
+        raise ValueError("profile trajectory does not cover the grid")
+    r = grid.centers
     lo = profile.r[0]
     zero = profile.event("FZero")
     below = r < lo
@@ -727,18 +708,7 @@ def _profile_on_grid(profile: Trajectory, r: np.ndarray) -> np.ndarray:
     if below.any():
         # below the series-start radius the profile is flat to O(eps^2)
         out[below] = profile.eval(lo)[0]
-    return out
-
-
-def _check_covers(profile: Trajectory, grid: RadialGrid) -> None:
-    """The trajectory must reach R_inf, or end at its first zero inside the grid.
-
-    A bisection midpoint a hair above a_* crosses zero a little short of the
-    default R_inf; past the trust radius the ground state is below ~1e-10,
-    so reading it as 0 there is exact to that level.
-    """
-    if profile.r_end < grid.R_inf and profile.status != "FZero":
-        raise ValueError("profile trajectory does not cover the grid")
+    return np.clip(out, 0.0, None)
 
 
 def compare_to_profile(
@@ -747,8 +717,7 @@ def compare_to_profile(
     profile: Trajectory,
 ) -> np.ndarray:
     """Sup-norm distance of each rescaled frame from the ground-state profile."""
-    _check_covers(profile, frames.grid)
-    f_ref = np.clip(_profile_on_grid(profile, frames.grid.centers), 0.0, None)
+    f_ref = _profile_on_grid(profile, frames.grid)
     return np.array([float(np.max(np.abs(v_k - f_ref))) for _, v_k in rescaled])
 
 

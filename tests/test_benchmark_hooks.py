@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -63,3 +64,31 @@ def test_workloads_import_and_read_only_what_the_library_offers():
         fields = {f.name for f in dataclasses.fields(record)}
         assert read[name], f"workloads.py reads no field of {name}"
         assert read[name] <= fields, f"{name}.{sorted(read[name] - fields)}"
+
+
+def test_workload_calls_bind_to_the_library_signatures():
+    # perfbench changes only with the benchmark: a renamed or dropped
+    # parameter would otherwise show only as failed benchmark operations
+    workloads = _load("workloads")
+    tree = ast.parse(Path(workloads.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "selfsim"
+        for alias in node.names
+    }
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported
+        # a starred call's arity is known only at run time
+        and not any(isinstance(arg, ast.Starred) for arg in node.args)
+        and all(kw.arg is not None for kw in node.keywords)
+    ]
+    assert calls, "workloads.py calls nothing it imports from selfsim"
+    for call in calls:
+        signature = inspect.signature(getattr(workloads, call.func.id))
+        try:
+            signature.bind(*(object() for _ in call.args), **{kw.arg: object() for kw in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"workloads.py:{call.lineno} {call.func.id}: {exc}") from None

@@ -233,6 +233,32 @@ class TestCommands:
                        "--M", "150", "--r-inf", "8", "--out", prefix + "b") == 0
         assert read_summary(prefix + "b_summary.json") == summary
 
+    @pytest.mark.parametrize(
+        "init, n_frames, records, summary, frames",
+        [
+            ("exp_tail", 40,
+             "cc39d7e5454d9ab11de5b1279bb359da7d6fae9e68888e4d3198af6643478b26",
+             "5efd30c58064589d874fbc698820f76192e2318819b9d7241f66db59cf5b5bbc",
+             "b4fb46da9af8a248b3576eb1770b681ee55a74b331c1a2637ac2fe7cc42dee0e"),
+            ("separable", 41,
+             "d680c2c10075f3c0f635de6799f430a88905ee2934123f8f521e529854713f13",
+             "2e51a1f8f7cfc9f6efd43d0baef3bab7529750751849f2c8caf72dfa489d29cc",
+             "b343da48327144dad79b656d68a3a45133f15829b762bb58e5bd96e50b185d88"),
+        ],
+    )
+    def test_pde_run_bytes_pinned(self, tmp_path, capsys, init, n_frames, records, summary, frames):
+        # every data file of a run, to the bit: the records, each snapshot
+        # (frames: the sha256 of the "name digest" lines of all frame files)
+        # and the summary with its step counts
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--M", "150", "--r-inf", "8",
+                       "--init", init, "--out", str(tmp_path / "run")) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests.pop("run_records.csv") == records
+        assert digests.pop("run_summary.json") == summary
+        assert sorted(digests) == [f"run_frame{k:03d}.csv" for k in range(n_frames)]
+        listing = "".join(f"{name} {digest}\n" for name, digest in sorted(digests.items()))
+        assert hashlib.sha256(listing.encode()).hexdigest() == frames
+
     def test_pde_run_rejects_too_few_cells(self, tmp_path, capsys):
         # below 8 cells the extrapolated step can break radial monotonicity
         assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--M", "4", "--r-inf", "8",
@@ -459,10 +485,12 @@ class TestCommands:
         assert "[ 3] PASS" in out
 
     def test_verify_only_an_unknown_criterion_is_usage_error(self, capsys):
-        # a check that runs nothing must not report success
-        assert run_cli("verify", "--only", "3", "99") == 2
-        captured = capsys.readouterr()
-        assert "99" in captured.err and "acceptance:" not in captured.out
+        # a check that runs nothing must not report success; --quick is gone
+        # (--only 1 2 ... 10 runs what it ran)
+        for argv, word in ((["--only", "3", "99"], "99"), (["--quick"], "--quick")):
+            assert run_cli("verify", *argv) == 2
+            captured = capsys.readouterr()
+            assert word in captured.err and "acceptance:" not in captured.out
 
 
 class TestSweepThreads:

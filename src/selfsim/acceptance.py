@@ -38,6 +38,7 @@ from .pde import (
     separable_config,
     weighted_functionals,
 )
+from .roots import brentq
 
 __all__ = ["Check", "CriterionResult", "AcceptanceContext", "CRITERIA", "mass_balance_defect", "run_acceptance"]
 
@@ -151,8 +152,6 @@ def criterion_1(ctx: AcceptanceContext, res: CriterionResult):
 
 def criterion_2(ctx: AcceptanceContext, res: CriterionResult):
     """Direct G agrees with the cubic form; r_G matches the observed sign flip."""
-    from scipy.optimize import brentq
-
     for N, p in POINTS:
         P = ctx.params(N, p)
         r = np.linspace(0.1, 20.0, 4000)

@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import Params, require_positive
 from .profile_ode import IntegratorOptions, Trajectory, integrate, shoot
 # J_along is unused here, but perfbench/tracing.py wraps it on this module
 from .pohozaev import J_along, J_eval, find_r_G  # noqa: F401
+from .roots import brentq
 
 __all__ = [
     "Classification",

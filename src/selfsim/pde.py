@@ -93,7 +93,6 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
-from scipy.special import gammaln
 
 from .params import Params, require_positive, weight_rho
 from .profile_ode import Trajectory
@@ -180,7 +179,7 @@ class InsufficientDecayError(RuntimeError):
 
 def sphere_area(N: int) -> float:
     """Surface area of the unit sphere S^(N-1)."""
-    return 2.0 * math.pi ** (N / 2.0) / math.exp(gammaln(N / 2.0))
+    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
 @dataclass(frozen=True)

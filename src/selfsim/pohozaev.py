@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.optimize import brentq
 
 from .params import Params, rho_antideriv, weight_rho
 from .profile_ode import Trajectory, _rhs_arrays
+from .roots import brentq
 
 __all__ = [
     "JSeries",
@@ -198,6 +197,8 @@ def wronskian_check(
     Returns the pairwise series; ``residual`` is the max mismatch relative to
     the scale of W on the window where both g > 0.
     """
+    from scipy.integrate import cumulative_simpson
+
     if not traj1.a <= traj2.a:
         raise ValueError("call with traj1.a <= traj2.a")
     lo, hi = _common_window(traj1, traj2, r_hi)

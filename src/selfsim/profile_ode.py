@@ -18,10 +18,12 @@ Each run is one stepping loop of explicit adaptive Runge-Kutta (DOP853,
 ``shoot``) over (eps, r_max), with a series start at r = eps to clear the
 1/r coordinate singularity and sign-change events for f and g, located on
 the dense output of the step that brackets them. The state is two numbers,
-so the steps are taken in plain floats: scipy's DOP853 tableau, read from
-the public class, with scipy's initial-step rule, error norm and control
-law. Every run is one ``Trajectory``: how it ended, its end state, step
-count and events. A kept run (``integrate``, ``psi_integrate``) also keeps
+so the steps are taken in plain floats: scipy's DOP853 tableau, copied
+literal for literal into ``dop853_coefficients``, with scipy's initial-step
+rule, error norm and control law, and events located by the Brent port in
+``roots``; neither ``scipy.integrate`` nor ``scipy.optimize`` is imported.
+Every run is one ``Trajectory``: how it ended, its end state, step count
+and events. A kept run (``integrate``, ``psi_integrate``) also keeps
 every step's interpolant coefficients as floats and stacks them into one
 array at the end (``_DenseOutput``), which evaluates any number of radii in
 one vectorised Horner sum, to the bits of scipy's per-segment OdeSolution;
@@ -44,10 +46,10 @@ from functools import cached_property
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
+from . import dop853_coefficients as dop
 from .params import Params, require_positive, weight_rho
+from .roots import RTOL, brentq
 
 __all__ = [
     "IntegratorOptions",
@@ -83,7 +85,7 @@ ABS_TOL = 1e-60
 SAMPLE_DR = 0.05
 DENSE_UNTIL = 20.0
 # event roots to 4 ulp, the brentq tolerance of scipy's own event location
-_ROOT_TOL = 4.0 * np.finfo(float).eps
+_ROOT_TOL = RTOL
 
 
 @dataclass(frozen=True)
@@ -281,11 +283,12 @@ def shoot(
     ``_step``, ``_dense``): the same tableau, error norm and control law, so
     the same step sequence up to the rounding of the stage sums. The signs of
     f and g are compared at each accepted step end, and a downward crossing is
-    resolved by brentq to 4 ulp on that step's interpolant, as scipy's IVP
-    front end does. FZero ends the run unless ``opts.track_past_fzero``; GZero
-    always does. With ``keep_dense`` every step's interpolant coefficients are
-    kept and become one ``_DenseOutput`` at the end; otherwise they are
-    computed only for a step that holds an event.
+    resolved by ``roots.brentq`` to 4 ulp on that step's interpolant, as
+    scipy's IVP front end does. FZero ends the run unless
+    ``opts.track_past_fzero``; GZero always does. With ``keep_dense`` every
+    step's interpolant coefficients are kept and become one ``_DenseOutput``
+    at the end; otherwise they are computed only for a step that holds an
+    event.
     ``stop(r, f, g)`` sees each accepted step end that no terminal event cut
     short, and a true return ends the run.
     """
@@ -341,17 +344,13 @@ def shoot(
     return Trajectory(params, a, status, end, steps, events, dense)
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(map(float, values))
-
-
-# scipy's DOP853 tableau in floats: (c, row of A) for each stage after the
-# first, and for the interpolant's three extra stages; map cuts a row short
-# at the stages computed so far
-_STAGES = tuple(zip(_floats(DOP853.C[1:]), map(_floats, DOP853.A[1:])))
-_EXTRA = tuple(zip(_floats(DOP853.C_EXTRA), map(_floats, DOP853.A_EXTRA)))
-_B, _E3, _E5 = _floats(DOP853.B), _floats(DOP853.E3), _floats(DOP853.E5)
-_D = tuple(map(_floats, DOP853.D))
+# the DOP853 tableau: (c, row of A) for each stage after the first, and for
+# the interpolant's three extra stages; map cuts a row short at the stages
+# computed so far
+_STAGES = tuple(zip(dop.C[1 : dop.N_STAGES], map(tuple, dop.A[1 : dop.N_STAGES])))
+_EXTRA = tuple(zip(dop.C[dop.N_STAGES + 1 :], map(tuple, dop.A[dop.N_STAGES + 1 :])))
+_B, _E3, _E5 = tuple(dop.B), tuple(dop.E3), tuple(dop.E5)
+_D = tuple(map(tuple, dop.D))
 
 
 def _rms(u: float, v: float) -> float:

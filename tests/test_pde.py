@@ -91,9 +91,10 @@ def exp_frames(ctx):
 
 
 def test_sphere_area():
-    assert sphere_area(1) == pytest.approx(2.0)
-    assert sphere_area(2) == pytest.approx(2.0 * math.pi)
-    assert sphere_area(3) == pytest.approx(4.0 * math.pi)
+    # math.gamma rounds these three correctly
+    assert sphere_area(1) == 2.0
+    assert sphere_area(2) == 2.0 * math.pi
+    assert sphere_area(3) == 4.0 * math.pi
 
 
 def test_grid_geometry():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from selfsim import profile_ode
+from selfsim import dop853_coefficients as dop, profile_ode
 from selfsim.classify import classify
 from selfsim.params import make_params, weight_rho
 from selfsim.profile_ode import (
@@ -199,6 +199,24 @@ def solve_ivp_run(params, a, opts, absorption):
         dense_output=True,
         events=[f_zero, g_zero],
     )
+
+
+def test_tableau_is_scipys_to_the_bit():
+    n = dop.N_STAGES
+    ours = {
+        "C": dop.C[:n],
+        "A": [row[:n] for row in dop.A[:n]],
+        "B": dop.B,
+        "E3": dop.E3,
+        "E5": dop.E5,
+        "D": dop.D,
+        "C_EXTRA": dop.C[n + 1 :],
+        "A_EXTRA": dop.A[n + 1 :],
+    }
+    for name, values in ours.items():
+        theirs = getattr(DOP853, name)
+        assert np.array(values).shape == theirs.shape, name
+        assert np.array(values).tobytes() == theirs.tobytes(), name
 
 
 class TestSteppingLoop:

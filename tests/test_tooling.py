@@ -1,11 +1,17 @@
-"""The library steps its ODEs in one place and uses public scipy only.
+"""The library steps its ODEs in one place and imports only the scipy it runs.
 
-``profile_ode.shoot`` is the one stepping loop; it reads scipy's DOP853
-tableau from the public class but never builds the solver object, and no
-module imports from scipy's private ``_``-prefixed modules.
+``profile_ode.shoot`` is the one stepping loop; it reads the DOP853 tableau
+from the in-repo copy ``dop853_coefficients`` and never builds scipy's solver
+object, and no module imports from scipy's private ``_``-prefixed modules.
+Importing the library loads no ``scipy.integrate``, ``scipy.optimize`` or
+``scipy.special``: only the PDE module needs scipy, for LAPACK's ``dgtsv``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +55,22 @@ def test_the_guard_sees_what_it_bans():
         "A = DOP853.A\n"
     )
     assert len(violations(source)) == 4
+
+
+def modules_after(statement: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``statement``."""
+    code = f"import json, sys; {statement}; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_the_library_import_skips_integrate_optimize_and_special():
+    loaded = modules_after("import selfsim, selfsim.pde, selfsim.reporting")
+    subpackages = {m.split(".")[1] for m in loaded if "." in m}
+    assert "linalg" in subpackages
+    assert subpackages.isdisjoint({"integrate", "optimize", "special"})
+
+
+def test_the_profile_side_imports_no_scipy():
+    assert modules_after("import selfsim") == []

@@ -69,10 +69,12 @@ PAIR_MIN = 0.2
 END_WIDTH = 0.45
 # default search tolerance on the bracket width; criterion 4 gates at it
 TOL_A = 1e-10
-# step ends per vectorised J evaluation of a probe: J_eval on one state
-# costs about 60 us, twice a DOP853 step, so one state at a time would take
-# two thirds of the probe's time; blocks of 16 to 64 run within 2 % of each
-# other
+# step ends per vectorised J evaluation of a probe: J_eval costs about 50 us
+# on one state and on 64 alike, five trial steps of DOP853 (9 us each), so one
+# state at a time would take most of the probe's time. In the two-point
+# ground-state search, blocks of 32 and 64 ran 3 to 10 % faster than 16, within
+# the host's spread, and cost more steps past the proof (probe_steps 9,181 at
+# 16, 9,421 at 32, 9,848 at 64), so the block stays at 16
 _J_BLOCK = 16
 PLATEAU_TOL = 0.005  # relative variation of rho*g within a plateau window
 PLATEAU_MIN_LEN = 1.0

@@ -61,7 +61,8 @@ exponent and the supersolution bound), and the weights of
 diagonals to LAPACK gtsv directly (the routine ``solve_banded`` calls for
 one sub- and one superdiagonal, so the bits are the same) and keeps that
 wrapper's checks: a non-finite entry raises ValueError, a singular system
-LinAlgError. The first sweep of each column starts from the step's state
+LinAlgError. ``scipy.linalg``, where gtsv lives, is imported by the first
+sweep, not with the module. The first sweep of each column starts from the step's state
 and shares its diffusivity, and the sweeps of one column share their
 couplings.
 
@@ -91,8 +92,7 @@ import numbers
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from .params import Params, require_positive, weight_rho
 from .profile_ode import Trajectory
@@ -400,6 +400,16 @@ def explicit_dt(g: _Geometry, u: np.ndarray) -> float:
     return CFL_SAFETY * min(diff_bound, g.dr / max(1.0, sink))
 
 
+@functools.cache
+def _lapack_gtsv():
+    """LAPACK's dgtsv, loaded by the first sweep: importing scipy.linalg takes
+    most of the library's import time, which a process that never sweeps
+    should not pay."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def _tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``solve_banded((1, 1), ...)`` without its wrapper: LAPACK gtsv in place.
 
@@ -415,7 +425,7 @@ def _tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray)
         np.isfinite(d).all() and np.isfinite(b).all()
     ):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    _, _, _, x, info = _lapack_gtsv()(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

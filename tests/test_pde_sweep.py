@@ -151,7 +151,7 @@ class TestSolverChecks:
         def failing_gtsv(dl, d, du, b, **overwrite):
             return dl, d, du, b, info
 
-        monkeypatch.setattr(pde, "dgtsv", failing_gtsv)
+        monkeypatch.setattr(pde, "_lapack_gtsv", lambda: failing_gtsv)
         with pytest.raises(error):
             _step_imex(geom, u, 1e-3)
 

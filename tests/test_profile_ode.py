@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scipy.integrate import DOP853, solve_ivp
 
@@ -15,10 +16,12 @@ from selfsim.profile_ode import (
     IntegratorOptions,
     StepSizeUnderflowError,
     DENSE_UNTIL,
+    _dense,
     _energy_arrays,
     _horner,
     _rhs_arrays,
     _sample_grid,
+    _trial,
     eps_start,
     integrate,
     psi_integrate,
@@ -217,6 +220,114 @@ def test_tableau_is_scipys_to_the_bit():
         theirs = getattr(DOP853, name)
         assert np.array(values).shape == theirs.shape, name
         assert np.array(values).tobytes() == theirs.tobytes(), name
+
+
+def trial_oracle(fun, r, y, k, h, rtol):
+    """``_trial`` as a loop over the full tableau rows, each sum ``sum(map(mul, row, k))``."""
+    f, g = y
+    kf, kg = [k[0]], [k[1]]
+    for c, row in zip(dop.C[1 : dop.N_STAGES], dop.A[1 : dop.N_STAGES]):
+        slope = fun(r + c * h, f + sum(map(mul, row, kf)) * h, g + sum(map(mul, row, kg)) * h)
+        kf.append(slope[0])
+        kg.append(slope[1])
+    f_new, g_new = f + h * sum(map(mul, dop.B, kf)), g + h * sum(map(mul, dop.B, kg))
+    k_new = fun(r + h, f_new, g_new)
+    kf.append(k_new[0])
+    kg.append(k_new[1])
+    sf = ABS_TOL + max(abs(f), abs(f_new)) * rtol
+    sg = ABS_TOL + max(abs(g), abs(g_new)) * rtol
+    e5f, e5g = sum(map(mul, dop.E5, kf)) / sf, sum(map(mul, dop.E5, kg)) / sg
+    e3f, e3g = sum(map(mul, dop.E3, kf)) / sf, sum(map(mul, dop.E3, kg)) / sg
+    e5, e3 = e5f * e5f + e5g * e5g, e3f * e3f + e3g * e3g
+    err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+    return (f_new, g_new), k_new, (kf, kg), err
+
+
+def dense_oracle(fun, r_old, y_old, r, y, stages):
+    """``_dense`` as a loop over the full rows of the extra stages and of D."""
+    (f_old, g_old), (f, g), (kf, kg) = y_old, y, stages
+    h = r - r_old
+    kf, kg = list(kf), list(kg)
+    for c, row in zip(dop.C[dop.N_STAGES + 1 :], dop.A[dop.N_STAGES + 1 :]):
+        f_s, g_s = f_old + sum(map(mul, row, kf)) * h, g_old + sum(map(mul, row, kg)) * h
+        slope = fun(r_old + c * h, f_s, g_s)
+        kf.append(slope[0])
+        kg.append(slope[1])
+    df, dg = f - f_old, g - g_old
+    coef = [r_old, h, f_old, g_old, df, dg, h * kf[0] - df, h * kg[0] - dg]
+    coef += [2 * df - h * (kf[12] + kf[0]), 2 * dg - h * (kg[12] + kg[0])]
+    for row in dop.D:
+        coef += [h * sum(map(mul, row, kf)), h * sum(map(mul, row, kg))]
+    return tuple(coef)
+
+
+def float_bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def outcome(step, *args):
+    """A step function's result, or the type of the exception it raised."""
+    try:
+        return step(*args)
+    except OverflowError as exc:
+        return type(exc)
+
+
+signed_magnitude = st.builds(
+    lambda m, sign: sign * m, st.floats(min_value=1e-12, max_value=1e3), st.sampled_from([1.0, -1.0])
+)
+
+
+@st.composite
+def wedge_points(draw):
+    """(N, p) with N in 1..5 and p inside (2N/(N+1), 2)."""
+    N = draw(st.integers(min_value=1, max_value=5))
+    return N, draw(st.floats(min_value=2 * N / (N + 1), max_value=2.0, exclude_min=True, exclude_max=True))
+
+
+@given(
+    point=wedge_points(),
+    absorption=st.booleans(),
+    r=st.floats(min_value=1e-8, max_value=50.0),
+    f=signed_magnitude,
+    g=signed_magnitude,
+    h=st.floats(min_value=1e-9, max_value=2.0),
+    rtol=st.floats(min_value=100 * np.finfo(float).eps, max_value=1e-3),
+)
+@settings(max_examples=400, deadline=None)
+def test_written_out_stages_are_the_tableau_loop_to_the_bit(point, absorption, r, f, g, h, rtol):
+    P = make_params(*point)
+
+    def fun(r, f, g):
+        return _rhs_arrays(P, r, f, g, absorption)
+
+    k = outcome(fun, r, f, g)
+    assume(k is not OverflowError)
+    want = outcome(trial_oracle, fun, r, (f, g), k, h, rtol)
+    got = outcome(_trial, fun, r, (f, g), k, h, rtol)
+    if want is OverflowError or got is OverflowError:
+        assert got is want
+        return
+    (y_want, k_want, stages_want, err_want), (y_got, k_got, stages_got, err_got) = want, got
+    if not math.isfinite(err_want):
+        # a non-finite slope or state: both norms reject the step
+        assert not math.isfinite(err_got)
+        return
+    assert float_bits(y_got) == float_bits(y_want)
+    assert float_bits(k_got) == float_bits(k_want)
+    assert float_bits(stages_got) == float_bits(stages_want)
+    assert float_bits(err_got) == float_bits(err_want)
+
+    coef_want = outcome(dense_oracle, fun, r, (f, g), r + h, y_want, stages_want)
+    coef_got = outcome(_dense, fun, r, (f, g), r + h, y_got, stages_got)
+    if coef_want is OverflowError or coef_got is OverflowError:
+        assert coef_got is coef_want
+    elif all(map(math.isfinite, coef_want)):
+        assert len(coef_got) == 18
+        assert float_bits(coef_got) == float_bits(coef_want)
+    else:
+        # a non-finite extra stage reaches every row of D either way
+        assert not all(map(math.isfinite, coef_got))
 
 
 class TestSteppingLoop:

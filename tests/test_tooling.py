@@ -3,8 +3,8 @@
 ``profile_ode.shoot`` is the one stepping loop; it reads the DOP853 tableau
 from the in-repo copy ``dop853_coefficients`` and never builds scipy's solver
 object, and no module imports from scipy's private ``_``-prefixed modules.
-Importing the library loads no ``scipy.integrate``, ``scipy.optimize`` or
-``scipy.special``: only the PDE module needs scipy, for LAPACK's ``dgtsv``.
+Importing the library loads no scipy at all: only the PDE sweeps need it,
+for LAPACK's ``dgtsv``, and the first sweep of a run imports it.
 """
 
 import ast
@@ -66,10 +66,20 @@ def modules_after(statement: str) -> list[str]:
 
 
 def test_the_library_import_skips_integrate_optimize_and_special():
-    loaded = modules_after("import selfsim, selfsim.pde, selfsim.reporting")
-    subpackages = {m.split(".")[1] for m in loaded if "." in m}
-    assert "linalg" in subpackages
-    assert subpackages.isdisjoint({"integrate", "optimize", "special"})
+    # nor anything else of scipy: not at the benchmark's import, not at the CLI's
+    assert modules_after("import selfsim, selfsim.pde, selfsim.reporting") == []
+    assert modules_after("import selfsim.cli") == []
+
+
+def test_the_first_sweep_loads_lapack():
+    run = (
+        "from selfsim import make_params; from selfsim.pde import PdeConfig, make_grid, make_initial, "
+        "run_to_extinction; cfg = PdeConfig(params=make_params(3, 1.97)); "
+        "run_to_extinction(cfg, make_initial(cfg, make_grid(15.3, 8)))"
+    )
+    loaded = modules_after(run)
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.special"} & set(loaded)
 
 
 def test_the_profile_side_imports_no_scipy():

@@ -330,6 +330,21 @@ def test_written_out_stages_are_the_tableau_loop_to_the_bit(point, absorption, r
         assert not all(map(math.isfinite, coef_got))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_step_end_slope_rejects_the_trial(P2, bad):
+    # the step-end slope has zero weight in both error estimators; the full
+    # rows still turn it into a NaN norm, and so must the written-out sums
+    def fun_with_bad_end(r, f, g):
+        calls.append(r)
+        return (bad, 0.5) if len(calls) == 12 else _rhs_arrays(P2, r, f, g, True)
+
+    k = _rhs_arrays(P2, 1.0, 0.8, 0.3, True)
+    for step in (trial_oracle, _trial):
+        calls = []
+        *_, err = step(fun_with_bad_end, 1.0, (0.8, 0.3), k, 1e-3, 1e-12)
+        assert len(calls) == 12 and math.isnan(err)
+
+
 class TestSteppingLoop:
     """The hand-stepped DOP853 loop against solve_ivp at production settings."""
 

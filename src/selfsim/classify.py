@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -126,17 +127,51 @@ class TailSlopes:
 
 @dataclass
 class GroundStateResult:
+    """The proven (C, A) bracket, its midpoint a_* and the run there to the search's r_max.
+
+    The tail constants l_star, c_star, plateau_window and trust_radius are computed on first read.
+    """
+
     params: Params
     a_lo: float
     a_hi: float
     a_star: float
-    l_star: float
-    c_star: float
-    trust_radius: float
-    plateau_window: tuple[float, float]
     iterations: int  # shooting runs of the search, horizon retries included
     probe_steps: int  # their accepted DOP853 steps
     traj: Trajectory  # run at the final bracket midpoint
+    opts: IntegratorOptions  # the settings the search ran with
+
+    @cached_property
+    def _plateau(self) -> PlateauEstimate:
+        plateau = estimate_l(self.params, self.traj)
+        if not plateau.found:
+            longer = replace(self.opts, r_max=2.0 * self.opts.r_max)
+            plateau = estimate_l(self.params, integrate(self.params, self.a_star, longer))
+        if not plateau.found:
+            raise NoPlateauError(
+                f"no rho*g plateau at a_* = {self.a_star!r}: no {PLATEAU_TOL:.1%}-flat window of length >= "
+                f"{PLATEAU_MIN_LEN:g} on the midpoint run to r_max = {self.opts.r_max:g} or its rerun to {longer.r_max:g}"
+            )
+        return plateau
+
+    l_star = property(lambda self: self._plateau.l)
+    plateau_window = property(lambda self: self._plateau.window)
+
+    @property
+    def c_star(self) -> float:
+        return (self.params.p - 1.0) * self.l_star**self.params.e_g
+
+    @cached_property
+    def trust_radius(self) -> float:
+        """Largest radius before the bracket-endpoint runs separate by >1%."""
+        t_lo = integrate(self.params, self.a_lo, self.opts)
+        t_hi = integrate(self.params, self.a_hi, self.opts)
+        r_hi = min(t_lo.r_end, t_hi.r_end, self.traj.r_end)
+        r = np.linspace(self.traj.r[0], r_hi, 4000)
+        f_lo, f_hi, f_mid = (t.eval(r)[0] for t in (t_lo, t_hi, self.traj))
+        scale = np.maximum(np.abs(f_mid), 1e-300)
+        k = np.flatnonzero(np.abs(f_lo - f_hi) / scale > 0.01)
+        return float(r[k[0]]) if k.size else float(r_hi)
 
 
 def classify(params: Params, a: float, opts: IntegratorOptions | None = None) -> Classification:
@@ -150,8 +185,6 @@ def classify(params: Params, a: float, opts: IntegratorOptions | None = None) ->
     g-zero or on step-size underflow is Unresolved, never guessed; its
     diagnostics say which and give the end state.
     """
-    if a <= 0:
-        raise ValueError("shooting parameter a must be positive")
     opts = opts or IntegratorOptions()
     proof = _SlowDecayProof(params, find_r_G(params))
     shot = shoot(params, a, replace(opts, track_past_fzero=False), stop=proof)
@@ -267,7 +300,7 @@ def bisect_a_star(
     tol_a: float = TOL_A,
     opts: IntegratorOptions | None = None,
 ) -> GroundStateResult:
-    """Narrow the (C, A) bracket to at most END_WIDTH * tol_a; extract l and c there.
+    """Narrow the (C, A) bracket to at most END_WIDTH * tol_a and run its midpoint a_*.
 
     The search bisects until the bracket is narrower than MODEL_WIDTH * a_hi.
     From there it also reads how far its probes ran: near a_* the deviation
@@ -293,33 +326,16 @@ def bisect_a_star(
 
     search = _Search(params, a_lo, a_hi, opts)
     search.run(tol_a)
-    a_lo, a_hi = search.a_lo, search.a_hi
-
-    a_star = 0.5 * (a_lo + a_hi)
-    traj = integrate(params, a_star, opts)
-    plateau = estimate_l(params, traj)
-    if not plateau.found:
-        traj = integrate(params, a_star, replace(opts, r_max=2.0 * opts.r_max))
-        plateau = estimate_l(params, traj)
-    if not plateau.found:
-        raise NoPlateauError(
-            "no rho*g plateau at the bisection limit; r_max too short or bracket too wide"
-        )
-    l_star = plateau.l
-    c_star = (params.p - 1.0) * l_star**params.e_g
-    trust = _trust_radius(params, a_lo, a_hi, traj, opts)
+    a_star = 0.5 * (search.a_lo + search.a_hi)
     return GroundStateResult(
         params=params,
-        a_lo=a_lo,
-        a_hi=a_hi,
+        a_lo=search.a_lo,
+        a_hi=search.a_hi,
         a_star=a_star,
-        l_star=l_star,
-        c_star=c_star,
-        trust_radius=trust,
-        plateau_window=plateau.window,
         iterations=len(search.probes),
         probe_steps=sum(c.steps for c in search.probes),
-        traj=traj,
+        traj=integrate(params, a_star, opts),
+        opts=opts,
     )
 
 
@@ -427,23 +443,6 @@ def find_ground_state(
     require_positive("tol_a", tol_a)  # a bad tolerance exits before seconds of bracket shooting
     opts = opts or IntegratorOptions()
     return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)
-
-
-def _trust_radius(
-    params: Params, a_lo: float, a_hi: float, traj_mid: Trajectory, opts: IntegratorOptions
-) -> float:
-    """Largest radius before the bracket-endpoint runs separate by >1%."""
-    t_lo = integrate(params, a_lo, opts)
-    t_hi = integrate(params, a_hi, opts)
-    r_hi = min(t_lo.r_end, t_hi.r_end, traj_mid.r_end)
-    r = np.linspace(traj_mid.r[0], r_hi, 4000)
-    f_lo, _ = t_lo.eval(r)
-    f_hi, _ = t_hi.eval(r)
-    f_mid, _ = traj_mid.eval(r)
-    scale = np.maximum(np.abs(f_mid), 1e-300)
-    apart = np.abs(f_lo - f_hi) / scale > 0.01
-    k = np.flatnonzero(apart)
-    return float(r[k[0]]) if k.size else float(r_hi)
 
 
 def estimate_l(params: Params, traj: Trajectory) -> PlateauEstimate:

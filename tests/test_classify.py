@@ -10,12 +10,14 @@ from selfsim.pohozaev import J_along, find_r_G
 from selfsim.classify import (
     END_WIDTH,
     J_NEG_THRESHOLD,
+    NoPlateauError,
     WindowTooShortError,
     _Search,
     bisect_a_star,
     bracket_search,
     classify,
     estimate_l,
+    find_ground_state,
     tail_slopes,
 )
 
@@ -241,6 +243,66 @@ class TestPlateau:
     def test_tighter_bracket_moves_l_little(self, P2, gs2):
         finer = bisect_a_star(P2, (gs2.a_lo, gs2.a_hi), tol_a=1e-12)
         assert abs(finer.l_star - gs2.l_star) / gs2.l_star < 1e-3
+
+
+class TestTailConstants:
+    """The search returns the bracket and its midpoint run; the tail constants come on first read."""
+
+    def test_search_runs_only_the_midpoint(self, P2, monkeypatch):
+        module = importlib.import_module("selfsim.classify")
+        calls = {"integrate": 0, "estimate_l": 0}
+
+        def counted(name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name))
+        gs = bisect_a_star(P2, (6.0, 6.1))
+        assert calls == {"integrate": 1, "estimate_l": 0}
+        assert gs.traj.a == gs.a_star and gs.traj.r_end <= gs.opts.r_max
+        first = (gs.l_star, gs.c_star, gs.plateau_window)
+        assert calls == {"integrate": 1, "estimate_l": 1}
+        trust = gs.trust_radius
+        assert calls == {"integrate": 3, "estimate_l": 1}
+        # second reads compute nothing
+        assert (gs.l_star, gs.c_star, gs.plateau_window, gs.trust_radius) == (*first, trust)
+        assert calls == {"integrate": 3, "estimate_l": 1}
+
+    @pytest.mark.parametrize(
+        "point, l_star, c_star, window, trust",
+        [
+            ((2, 1.5), 41.40565635918853, 857.2141892676046, (7.100000106870882, 23.2), 12.250659315107587),
+            ((3, 1.7), 1968.3514744623444, 35559.77205689286, (16.050000021040233, 28.6), 18.590546333210774),
+        ],
+    )
+    def test_tail_values_pinned(self, ctx, point, l_star, c_star, window, trust):
+        # the tail constants at the default settings, kept to 12 digits
+        gs = ctx.ground_state(*point)
+        assert gs.l_star == pytest.approx(l_star, rel=1e-12)
+        assert gs.c_star == pytest.approx(c_star, rel=1e-12)
+        assert gs.plateau_window == pytest.approx(window, rel=1e-12)
+        assert gs.trust_radius == pytest.approx(trust, rel=1e-12)
+
+    def test_plateau_from_the_rerun_at_twice_the_horizon(self, P3):
+        gs = find_ground_state(P3, IntegratorOptions(r_max=12.0))
+        # the kept run stays at the caller's horizon; only the plateau reads the rerun
+        assert gs.traj.r_end <= 12.0
+        assert not estimate_l(P3, gs.traj).found
+        assert gs.l_star == pytest.approx(1966.851954180895, rel=1e-12)
+        assert 12.0 < gs.plateau_window[1] <= 24.0
+
+    def test_search_converges_where_no_plateau_exists(self, ctx):
+        # lambda = (2-p)/(p-1) = 0.11: rho*g approaches l too slowly to hold a flat window
+        gs = ctx.ground_state(1, 1.9)
+        assert 0.0 < gs.a_hi - gs.a_lo <= 0.45e-10
+        with pytest.raises(NoPlateauError, match="no rho\\*g plateau.*0.5%-flat window of length >= 1"):
+            gs.l_star
 
 
 class TestTailSlopes:

@@ -459,6 +459,13 @@ class TestCommands:
         assert "no rho*g plateau" in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
 
+    def test_find_astar_without_plateau_exits_3(self, tmp_path, capsys):
+        # the search converges at (1, 1.9), but rho*g holds no flat window to read l_* from
+        assert run_cli("find-astar", "--N", "1", "--p", "1.9", "--out", str(tmp_path / "a.json")) == 3
+        err = capsys.readouterr().err
+        assert "no rho*g plateau" in err and "rerun to 100" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_pde_run_timestep_underflow_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         def never_accepted(geom, u, dt):
             # an error estimate that no dt satisfies drives dt below the run's guard

@@ -13,7 +13,7 @@ import argparse
 
 from selfsim.params import make_params
 from selfsim.classify import find_ground_state
-from selfsim.pde import make_grid, make_initial, profile_errors, run_to_extinction, separable_config
+from selfsim.pde import RadialGrid, make_initial, profile_errors, run_to_extinction, separable_config
 from selfsim.reporting import write_csv
 
 
@@ -33,7 +33,7 @@ def main():
     rows = []
     prev_err = None
     for M in args.levels:
-        grid = make_grid(args.r_inf, M)
+        grid = RadialGrid(args.r_inf, M)
         cfg = separable_config(P, gs.a_star)
         frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))
         cmp = profile_errors(frames, gs.traj)

@@ -30,7 +30,7 @@ from .pde import (
     ORACLE_HORIZON,
     FrameSeries,
     PdeConfig,
-    make_grid,
+    RadialGrid,
     make_initial,
     profile_errors,
     rate_exponent,
@@ -40,7 +40,7 @@ from .pde import (
 )
 from .roots import brentq
 
-__all__ = ["Check", "CriterionResult", "AcceptanceContext", "CRITERIA", "mass_balance_defect", "run_acceptance"]
+__all__ = ["Check", "CriterionResult", "AcceptanceContext", "CRITERIA", "RUNTIME_CHECK", "mass_balance_defect", "run_acceptance"]
 
 POINTS = ((2, 1.5), (3, 1.7))
 
@@ -104,14 +104,14 @@ class AcceptanceContext:
         def build():
             gs = self.ground_state(2, 1.5)
             cfg = separable_config(self.params(2, 1.5), gs.a_star)
-            return run_to_extinction(cfg, make_initial(cfg, make_grid(15.0, M), gs.traj))
+            return run_to_extinction(cfg, make_initial(cfg, RadialGrid(15.0, M), gs.traj))
 
         return self._memo(("pde-sep", M), build)
 
     def pde_exp_tail(self):
         def build():
             P = self.params(2, 1.5)
-            grid = make_grid(15.0, 2000)
+            grid = RadialGrid(15.0, 2000)
             cfg = PdeConfig(params=P, init_kind="exp_tail", kappa0=1.0)
             return run_to_extinction(cfg, make_initial(cfg, grid))
 
@@ -446,8 +446,9 @@ CRITERIA = [
     (13, "grid-refinement sanity (M=2000 vs 4000)", criterion_13),
 ]
 
-# wall-time budgets [s]: the criterion's last check is its runtime against this
+# wall-time budgets [s]: the criterion's last check, RUNTIME_CHECK, is its runtime against this
 RUNTIME_BUDGET = {1: 5.0, 2: 1.0, 4: 60.0, 9: 5.0, 11: 300.0, 12: 600.0}
+RUNTIME_CHECK = "runtime [s]"
 
 
 def run_acceptance(
@@ -466,7 +467,7 @@ def run_acceptance(
         fn(ctx, res)
         res.runtime = time.perf_counter() - start
         if index in RUNTIME_BUDGET:
-            res.add("runtime [s]", res.runtime, RUNTIME_BUDGET[index])
+            res.add(RUNTIME_CHECK, res.runtime, RUNTIME_BUDGET[index])
         results.append(res)
         if echo:
             echo(res.line())

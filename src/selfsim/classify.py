@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import Params, require_positive
+from .params import NumericalError, Params, require_positive
 from .profile_ode import IntegratorOptions, Trajectory, integrate, shoot
 # J_along is unused here, but perfbench/tracing.py wraps it on this module
 from .pohozaev import J_along, J_eval, find_r_G  # noqa: F401
@@ -81,15 +81,15 @@ PLATEAU_TOL = 0.005  # relative variation of rho*g within a plateau window
 PLATEAU_MIN_LEN = 1.0
 
 
-class BracketFailureError(RuntimeError):
+class BracketFailureError(NumericalError):
     """Doubling/halving never produced a (C, A) bracket."""
 
 
-class BisectionStallError(RuntimeError):
+class BisectionStallError(NumericalError):
     """The ground-state search exceeded its probe budget or met an unresolvable bracket."""
 
 
-class NoPlateauError(RuntimeError):
+class NoPlateauError(NumericalError):
     """No flat stretch of rho*g long enough to read off l."""
 
 

@@ -2,16 +2,20 @@
 
 Subcommands: params, profile, classify, sweep, find-astar, pohozaev,
 pde-run, pde-compare, verify. Exit codes: 0 success, 1 check failure,
-2 usage error, 3 numerical failure or I/O error.
+2 usage error (any ValueError, such as a kappa0 below 2.23e-298, whose
+extinction threshold would be subnormal), 3 numerical failure (any
+NumericalError) or I/O error.
 
 All data files are deterministic for a fixed configuration: floats carry 17
-significant digits and JSON keys are sorted; version/timestamp metadata goes
-to a `.meta.json` sidecar only (pass --meta).
+significant digits and JSON keys are sorted; version/timestamp metadata and
+wall-clock seconds go to a `.meta.json` sidecar only (pass --meta; `verify
+--out` always writes one).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -19,40 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .params import OutOfRangeError, make_params
-from .profile_ode import (
-    IntegratorOptions,
-    StepSizeUnderflowError,
-    integrate,
-)
+from .params import NumericalError, make_params
+from .profile_ode import IntegratorOptions, integrate
 from .pohozaev import J_along, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
-from .classify import TOL_A, BisectionStallError, BracketFailureError, NoPlateauError, classify, find_ground_state
-from .pde import (
-    MaxStepsExceededError,
-    PdeConfig,
-    TimestepUnderflowError,
-    make_grid,
-    make_initial,
-    profile_errors,
-    run_to_extinction,
-    separable_config,
-)
+from .classify import TOL_A, classify, find_ground_state
+from .pde import PdeConfig, RadialGrid, make_initial, profile_errors, run_to_extinction, separable_config
 from .reporting import SCHEMA_VERSION, read_summary, validate_config, write_csv, write_sidecar, write_summary
-from .acceptance import CRITERIA, AcceptanceContext, run_acceptance
+from .acceptance import CRITERIA, RUNTIME_CHECK, AcceptanceContext, run_acceptance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-NUMERICAL_ERRORS = (
-    StepSizeUnderflowError,
-    BracketFailureError,
-    BisectionStallError,
-    NoPlateauError,
-    TimestepUnderflowError,
-    MaxStepsExceededError,
-)
 
 
 def _add_model_args(sp):
@@ -137,32 +119,20 @@ def _sweep_workers(n_tasks: int) -> int:
     return min(requested, cap)
 
 
-def _classify_one(payload):
-    N, p, a, rmax, rtol = payload
-    P = make_params(N, p)
-    c = classify(P, a, IntegratorOptions(rel_tol=rtol, r_max=rmax))
-    return (a, c.verdict, c.R, c.slope, c.r_bar, c.J_at_rbar)
-
-
 def cmd_sweep(args) -> int:
-    make_params(args.N, args.p)  # validate before spawning workers
-    if args.log:
-        grid = np.geomspace(args.a_min, args.a_max, args.num)
-    else:
-        grid = np.linspace(args.a_min, args.a_max, args.num)
-    payloads = [(args.N, args.p, float(a), args.rmax, args.rtol) for a in grid]
-    workers = _sweep_workers(len(payloads))
+    # the settings are checked here, before any worker starts
+    one = functools.partial(classify, make_params(args.N, args.p), opts=_opts(args))
+    spacing = np.geomspace if args.log else np.linspace
+    heights = [float(a) for a in spacing(args.a_min, args.a_max, args.num)]
+    workers = _sweep_workers(len(heights))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_classify_one, payloads))  # input order preserved
+            found = list(pool.map(one, heights))  # input order preserved
     else:
-        rows = [_classify_one(pl) for pl in payloads]
-    out_rows = [
-        (a, verdict, _nan(R), _nan(slope), _nan(r_bar), _nan(Jr))
-        for a, verdict, R, slope, r_bar, Jr in rows
-    ]
+        found = [one(a) for a in heights]
+    out_rows = [(c.a, c.verdict, _nan(c.R), _nan(c.slope), _nan(c.r_bar), _nan(c.J_at_rbar)) for c in found]
     write_csv(args.out, ["a", "verdict", "R", "slope", "r_bar", "J_at_rbar"], out_rows)
     if args.meta:
         write_sidecar(args.out, {"command": "sweep"})
@@ -261,7 +231,7 @@ def _run_pde(settings: dict, tol_a: float | None = None):
     for separable data, which starts from it.
     """
     P = make_params(settings["N"], settings["p"])
-    grid = make_grid(settings["r_inf"], settings["M"])
+    grid = RadialGrid(settings["r_inf"], settings["M"])
     cfg = PdeConfig(params=P, kappa0=settings["kappa0"], init_kind=settings["init"], T0=settings["T0"])
     gs = None
     if tol_a is not None:
@@ -346,9 +316,9 @@ def cmd_verify(args) -> int:
                 str(r.index): {
                     "title": r.title,
                     "passed": r.passed,
-                    "runtime_s": r.runtime,
                     "checks": [
-                        {"name": c.name, "value": c.value, "tol": c.tol, "passed": c.passed}
+                        {"name": c.name, "tol": c.tol, "passed": c.passed}
+                        | ({} if c.name == RUNTIME_CHECK else {"value": c.value})
                         for c in r.checks
                     ],
                 }
@@ -356,6 +326,8 @@ def cmd_verify(args) -> int:
             },
         }
         write_summary(args.out, summary)
+        # wall-clock seconds differ from run to run, so they go to the sidecar, not the report
+        write_sidecar(args.out, {"command": "verify", "runtime_s": {str(r.index): r.runtime for r in results}})
     return EXIT_OK if not failed else EXIT_CHECK_FAILURE
 
 
@@ -465,10 +437,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (OutOfRangeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

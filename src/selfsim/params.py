@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Params", "OutOfRangeError", "make_params", "require_positive", "weight_rho", "rho_antideriv"]
+__all__ = ["Params", "OutOfRangeError", "NumericalError", "make_params", "require_positive", "weight_rho", "rho_antideriv"]
 
 
 class OutOfRangeError(ValueError):
     """Raised when (N, p) falls outside the admissible fast-diffusion wedge."""
+
+
+class NumericalError(RuntimeError):
+    """A computation on valid settings failed; the base of every numerical failure (CLI exit 3)."""
 
 
 def require_positive(name: str, value) -> None:

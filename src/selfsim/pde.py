@@ -94,7 +94,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .params import Params, require_positive, weight_rho
+from .params import NumericalError, Params, require_positive, weight_rho
 from .profile_ode import Trajectory
 
 __all__ = [
@@ -161,11 +161,11 @@ class NonMonotoneInitialDataError(ValueError):
     """Initial data must have a radially non-increasing profile."""
 
 
-class TimestepUnderflowError(RuntimeError):
+class TimestepUnderflowError(NumericalError):
     pass
 
 
-class MaxStepsExceededError(RuntimeError):
+class MaxStepsExceededError(NumericalError):
     pass
 
 
@@ -173,7 +173,7 @@ class BadExtinctionTimeError(ValueError):
     """A stored frame lies at or beyond the supplied extinction time."""
 
 
-class InsufficientDecayError(RuntimeError):
+class InsufficientDecayError(NumericalError):
     """Fewer than the required records in the final decade of the sup norm."""
 
 
@@ -207,6 +207,7 @@ class RadialGrid:
 
 
 def make_grid(R_inf: float, M: int) -> RadialGrid:
+    """RadialGrid(R_inf, M); only perfbench/workloads.py still calls it."""
     return RadialGrid(R_inf=R_inf, M=M)
 
 
@@ -228,6 +229,11 @@ class PdeConfig:
         require_positive("T0", self.T0)
         if self.init_kind not in ("exp_tail", "separable"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
+        # a subnormal threshold is never crossed: the _TINY rule zeroes the field first
+        if self.extinction_threshold < _TINY:
+            source = " (separable data: the amplitude follows from T0 and a_*)" if self.init_kind == "separable" else ""
+            raise ValueError(f"kappa0 must be >= {_TINY / EXTINCTION_FRACTION:.3g}, so that the extinction threshold "
+                             f"{EXTINCTION_FRACTION:g} kappa0 is a normal float; got {self.kappa0!r}{source}")
 
     @property
     def extinction_threshold(self) -> float:
@@ -600,11 +606,11 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         hit_snap = u_prev is None or peak < next_snap
         if peak < next_rec or hit_snap or peak < ext_tol:
             rows.append((t, peak, *weighted_functionals(config.params, grid, u, u_prev, dt_step)))
-            while next_rec > peak:
+            while next_rec > peak >= ext_tol:  # the last record stops it: scaling never gets below a peak of 0
                 next_rec *= rec_factor
         if hit_snap:
             frames.snapshots.append((t, u.copy()))
-            while next_snap > peak:
+            while next_snap > peak >= ext_tol:
                 next_snap *= snap_factor
         if peak < ext_tol:
             break

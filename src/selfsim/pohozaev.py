@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params, rho_antideriv, weight_rho
+from .params import NumericalError, Params, rho_antideriv, weight_rho
 from .profile_ode import Trajectory, _rhs_arrays
 from .roots import brentq
 
@@ -44,7 +44,7 @@ FD_STEP_REL = 1e-5  # central-difference step of G_direct, relative to r
 WRONSKIAN_POINTS = 4001  # common-grid size of wronskian_check
 
 
-class RootBracketFailureError(RuntimeError):
+class RootBracketFailureError(NumericalError):
     """No sign change found for the cubic; signals a coefficient bug."""
 
 

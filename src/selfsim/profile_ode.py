@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dop853_coefficients as dop
-from .params import Params, require_positive, weight_rho
+from .params import NumericalError, Params, require_positive, weight_rho
 from .roots import RTOL, brentq
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-class StepSizeUnderflowError(RuntimeError):
+class StepSizeUnderflowError(NumericalError):
     """Adaptive stepper gave up; carries the last good state for diagnostics."""
 
     def __init__(self, message: str, last_state: "ProfileState | None" = None):
@@ -78,7 +78,7 @@ class StepSizeUnderflowError(RuntimeError):
         self.last_state = last_state
 
 
-class NoZeroWithinHorizonError(RuntimeError):
+class NoZeroWithinHorizonError(NumericalError):
     """psi stayed positive up to r_max, which contradicts its finite first zero."""
 
 
@@ -620,10 +620,11 @@ class _DenseOutput:
     clipped to the first and last segment, and ``_horner`` runs on the
     gathered coefficients, so the values are the same bits.
 
-    perfbench/tracing.py counts accepted steps through the attributes
-    ``sol_near`` and ``sol_far``, the names of the two integration phases a
-    run once had. A run now has one phase: ``sol_near`` is this object, whose
-    ``ts`` holds the step ends, and ``sol_far`` is always None.
+    Only perfbench/tracing.py reads the attributes ``sol_near`` and
+    ``sol_far``, the names of the two integration phases a run once had; it
+    counts accepted steps through them. A run now has one phase: ``sol_near``
+    is this object, whose ``ts`` holds the step ends, and ``sol_far`` is
+    always None.
     """
 
     sol_far = None

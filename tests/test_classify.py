@@ -103,11 +103,11 @@ class TestClassify:
         c = classify(P2, 1.0, opts)
         assert c.verdict == "C"
         assert c.r_bar < c.r_end < opts.r_max
-        assert 0 < c.steps < len(integrate(P2, 1.0, opts).dense.sol_near.ts) - 1
+        assert 0 < c.steps < len(integrate(P2, 1.0, opts).dense.ts) - 1
         c = classify(P2, 100.0, opts)
         assert c.verdict == "A"
         assert c.r_end == c.R
-        assert c.steps == len(integrate(P2, 100.0, opts).dense.sol_near.ts) - 1
+        assert c.steps == len(integrate(P2, 100.0, opts).dense.ts) - 1
 
     def test_off_default_parameter_point(self):
         # nothing in the machinery is tuned to the two default points

@@ -10,7 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfsim import cli
+from selfsim import cli, pde
+from selfsim.classify import BisectionStallError, BracketFailureError, NoPlateauError
+from selfsim.pde import InsufficientDecayError, MaxStepsExceededError, TimestepUnderflowError
+from selfsim.pohozaev import RootBracketFailureError
+from selfsim.profile_ode import NoZeroWithinHorizonError, StepSizeUnderflowError
 from selfsim.cli import PDE_RUN_DEFAULTS, build_parser, main
 from selfsim.reporting import format_value, read_summary, validate_config, write_csv, write_summary
 
@@ -477,6 +481,43 @@ class TestCommands:
         assert "dt underflow" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_pde_run_subnormal_threshold_exits_2_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep ran before the settings were checked")
+
+        monkeypatch.setattr(pde, "_step_imex", unreachable)
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--kappa0", "1e-300", "--M", "16",
+                       "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert "kappa0" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_serial_and_pooled_write_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SELFSIM_THREADS", threads)
+            out = tmp_path / f"sweep{threads}.csv"
+            assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64",
+                           "--num", "5", "--log", "--rmax", "20", "--out", str(out)) == 0
+            assert f"({threads} workers)" in capsys.readouterr().out
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert {row[1] for row in read_csv(tmp_path / "sweep1.csv")[1]} == {"A", "C"}
+
+    def test_verify_report_holds_no_wall_clock(self, tmp_path, capsys):
+        reports = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in reports:
+            assert run_cli("verify", "--only", "2", "3", "--out", str(out)) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        results = read_summary(reports[0])["results"]
+        assert sorted(results) == ["2", "3"]
+        runtime = results["2"]["checks"][-1]
+        assert runtime == {"name": "runtime [s]", "passed": True, "tol": 1.0}
+        for out in reports:
+            meta = read_summary(f"{out}.meta.json")
+            assert meta["command"] == "verify" and sorted(meta["runtime_s"]) == ["2", "3"]
+            assert all(seconds > 0 for seconds in meta["runtime_s"].values())
+
     def test_readme_cli_lines_parse(self):
         # every documented invocation still parses; none is run
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -498,6 +539,28 @@ class TestCommands:
             assert run_cli("verify", *argv) == 2
             captured = capsys.readouterr()
             assert word in captured.err and "acceptance:" not in captured.out
+
+
+class TestExitCodes:
+    """main picks the exit code from the failure's type: 2 for a bad setting, 3 for a numerical failure."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (StepSizeUnderflowError, 3), (NoZeroWithinHorizonError, 3), (RootBracketFailureError, 3),
+            (BracketFailureError, 3), (BisectionStallError, 3), (NoPlateauError, 3),
+            (TimestepUnderflowError, 3), (MaxStepsExceededError, 3), (InsufficientDecayError, 3),
+            (ValueError, 2),
+        ],
+    )
+    def test_exit_code_by_type(self, error, code, capsys, monkeypatch):
+        def failing(args):
+            raise error("made to fail")
+
+        monkeypatch.setattr(cli, "cmd_params", failing)
+        assert run_cli("params", "--N", "2", "--p", "1.5") == code
+        err = capsys.readouterr().err
+        assert "made to fail" in err and "Traceback" not in err
 
 
 class TestSweepThreads:
@@ -538,6 +601,13 @@ class TestSweepThreads:
         monkeypatch.setenv("SELFSIM_THREADS", "2")
         assert self.sweep(tmp_path) == 0
         assert pools == [2]
+
+    @pytest.mark.parametrize("flag", ["--rtol", "--rmax"])
+    def test_bad_integrator_setting_is_refused_before_any_worker_starts(self, flag, tmp_path, capsys, pools):
+        assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64", "--num", "3",
+                       flag, "nan", "--out", str(tmp_path / "s.csv")) == 2
+        assert pools == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_value_is_usage_error(self, value, tmp_path, capsys, monkeypatch, pools):

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +19,10 @@ from selfsim.pde import (
     FrameSeries,
     InsufficientDecayError,
     PdeConfig,
+    RadialGrid,
     TimestepUnderflowError,
     compare_to_profile,
     fit_extinction,
-    make_grid,
     make_initial,
     profile_errors,
     rate_exponent,
@@ -77,7 +82,7 @@ def flux_form(grid, params, u):
 
 @pytest.fixture(scope="module")
 def grid2000():
-    return make_grid(15.0, 2000)
+    return RadialGrid(15.0, 2000)
 
 
 @pytest.fixture(scope="session")
@@ -98,16 +103,16 @@ def test_sphere_area():
 
 
 def test_grid_geometry():
-    grid = make_grid(15.0, 2000)
+    grid = RadialGrid(15.0, 2000)
     assert grid.dr == pytest.approx(7.5e-3)
     assert grid.centers[0] == pytest.approx(grid.dr / 2.0)
     assert grid.faces[0] == 0.0 and grid.faces[-1] == pytest.approx(15.0)
     with pytest.raises(ValueError):
-        make_grid(15.0, 2)
+        RadialGrid(15.0, 2)
     # below 8 cells the extrapolated step can break radial monotonicity
     with pytest.raises(ValueError):
-        make_grid(12.0, 7)
-    assert make_grid(12.0, 8).M == 8
+        RadialGrid(12.0, 7)
+    assert RadialGrid(12.0, 8).M == 8
 
 
 @pytest.mark.parametrize(
@@ -117,7 +122,7 @@ def test_grid_geometry():
 )
 def test_grid_checks_its_fields(R_inf, M, name):
     with pytest.raises(ValueError, match=name):
-        make_grid(R_inf, M)
+        RadialGrid(R_inf, M)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +146,7 @@ def test_coarse_run_stays_monotone():
     # 8 cells of width 1.9: with centered sinks the profile rises outward
     # from t = 1.08 on, whatever the dt
     cfg = PdeConfig(params=make_params(3, 1.97))
-    field = make_initial(cfg, make_grid(15.3, 8))
+    field = make_initial(cfg, RadialGrid(15.3, 8))
     frames = run_to_extinction(cfg, field)
     assert frames.monotone_violations == 0
     for _, u in frames.snapshots:
@@ -158,7 +163,38 @@ def test_run_stops_when_dt_underflows(P2, monkeypatch):
     monkeypatch.setattr(pde, "_step_imex", never_accepted)
     cfg = PdeConfig(params=P2)
     with pytest.raises(TimestepUnderflowError, match="underflow"):
-        run_to_extinction(cfg, make_initial(cfg, make_grid(8.0, 32)))
+        run_to_extinction(cfg, make_initial(cfg, RadialGrid(8.0, 32)))
+
+
+@pytest.mark.parametrize("kappa0", [1e-300, 2.2e-298, 5e-324])
+def test_config_refuses_a_subnormal_extinction_threshold(P2, kappa0):
+    # 1e-10 kappa0 below the smallest normal float is never crossed: the run
+    # would go on until the tail rule zeroes the whole field
+    with pytest.raises(ValueError, match="kappa0"):
+        PdeConfig(params=P2, kappa0=kappa0)
+    assert PdeConfig(params=P2, kappa0=2.3e-298).extinction_threshold >= np.finfo(float).tiny
+
+
+def test_separable_config_names_the_source_of_a_tiny_amplitude():
+    # at p = 1.9 the amplitude is (0.1 T0)^10 a_*: 1e-300 at T0 = 1e-29
+    with pytest.raises(ValueError, match="kappa0.*amplitude follows from T0 and a_"):
+        separable_config(make_params(2, 1.9), 1.0, T0=1e-29)
+
+
+def test_run_returns_once_the_field_is_zero():
+    # a step that zeroes the field leaves a peak of 0, which the record and
+    # snapshot thresholds never pass by scaling; run in a child so a hang fails
+    code = textwrap.dedent("""
+        import numpy as np
+        from selfsim import make_params, pde
+        pde._step_imex = lambda geom, u, dt: (np.zeros_like(u), 0, np.zeros_like(u))
+        cfg = pde.PdeConfig(params=make_params(2, 1.5))
+        frames = pde.run_to_extinction(cfg, pde.make_initial(cfg, pde.RadialGrid(8.0, 16)))
+        print(frames.n_steps, frames.sup[-1], len(frames.snapshots))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["1", "0.0", "2"]
 
 
 def test_default_domain_truncation_is_negligible(P2):
@@ -202,7 +238,7 @@ class TestInitialData:
 
 class TestExplicitStep:
     def test_zero_is_fixed_point(self, P2):
-        geom = _geometry(PdeConfig(params=P2), make_grid(10.0, 64))
+        geom = _geometry(PdeConfig(params=P2), RadialGrid(10.0, 64))
         u_new, _, clamped = explicit_step(geom, np.zeros(64))
         assert np.array_equal(u_new, np.zeros(64))
         assert clamped == 0
@@ -231,7 +267,7 @@ class TestExplicitStep:
 
     def test_dt_rule_uses_both_bounds(self, P2, monkeypatch):
         monkeypatch.setattr(pde, "EPS_REG", 1e-4)
-        grid = make_grid(10.0, 100)
+        grid = RadialGrid(10.0, 100)
         geom = _geometry(PdeConfig(params=P2), grid)
         steep = np.linspace(100.0, 0.0, 100)  # |Dbar|^(p-1) > 1 engages the sink bound
         dt_steep = explicit_dt(geom, steep)
@@ -241,7 +277,7 @@ class TestExplicitStep:
     def test_dt_rule_is_the_flux_form_rule(self, P2, monkeypatch, eps, top, sink_binds):
         # cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Phi(D)|)), to the bit
         monkeypatch.setattr(pde, "EPS_REG", eps)
-        grid = make_grid(10.0, 100)
+        grid = RadialGrid(10.0, 100)
         u = np.linspace(top, 0.0, 100)
         p = P2.p
         D, phi = face_flux(grid, p, u)
@@ -266,7 +302,7 @@ class TestResidual:
         M = data.draw(st.integers(min_value=8, max_value=64))
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative: every Phi <= 0
-        grid = make_grid(R_inf, M)
+        grid = RadialGrid(R_inf, M)
         ref = flux_form(grid, P, u)
         residual = _residual(_geometry(PdeConfig(params=P), grid), u)
         assert np.max(np.abs(residual - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -292,7 +328,7 @@ class TestCrossValidation:
         # same spatial operator, two steppers; coarse grid, eps large enough
         # for the explicit dt rule to be affordable
         monkeypatch.setattr(pde, "EPS_REG", 1e-4)
-        grid = make_grid(10.0, 250)
+        grid = RadialGrid(10.0, 250)
         cfg = separable_config(P2, gs2.a_star)
         u0 = make_initial(cfg, grid, gs2.traj).values
         u, v = self._explicit_and_imex(_geometry(cfg, grid), u0, 0.05)
@@ -305,7 +341,7 @@ class TestCrossValidation:
     def test_explicit_matches_imex_theta_sink_on_width_2_cells(self, P2, monkeypatch):
         # cells of width 2: every cell leans its sink on the outer face (theta > 1/2)
         monkeypatch.setattr(pde, "EPS_REG", 1e-4)
-        grid = make_grid(16.0, 8)
+        grid = RadialGrid(16.0, 8)
         cfg = PdeConfig(params=P2)
         u0 = make_initial(cfg, grid).values
         u, v = self._explicit_and_imex(_geometry(cfg, grid), u0, 0.05, dt_explicit=1e-5)
@@ -321,7 +357,7 @@ class TestFunctionals:
         # u = e^(-r^2/4) is dead at R_inf (the outer ghost face carries the
         # scheme's Dirichlet jump, so fields must vanish there for the
         # discrete functionals to estimate the continuum integrals)
-        grid = make_grid(15.0, 4000)
+        grid = RadialGrid(15.0, 4000)
         u = np.exp(-grid.centers**2 / 4.0)
         I, J, _, E = weighted_functionals(P2, grid, u)
         I_ref = math.pi * quad(lambda r: r * np.exp(r) * np.exp(-r**2 / 2.0), 0.0, 15.0)[0]
@@ -344,7 +380,7 @@ class TestFits:
         # log-spaced records so every decade of the sup norm is populated
         t = T_e - np.geomspace(0.4, 0.005, n)
         sup = (2.0 * (T_e - t)) ** P2.e_time
-        frames = FrameSeries(grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
+        frames = FrameSeries(grid=RadialGrid(1.0, 8), config=PdeConfig(params=P2))
         frames.t, frames.sup = t, sup
         return frames
 
@@ -357,7 +393,7 @@ class TestFits:
         assert m == pytest.approx(P2.e_time, rel=1e-8)
 
     def test_constant_input_is_insufficient(self, P2):
-        frames = FrameSeries(grid=make_grid(1.0, 8), config=PdeConfig(params=P2))
+        frames = FrameSeries(grid=RadialGrid(1.0, 8), config=PdeConfig(params=P2))
         frames.t = np.linspace(0.0, 1.0, 100)
         frames.sup = np.ones(100)
         with pytest.raises(InsufficientDecayError):
@@ -408,7 +444,7 @@ class TestRescale:
         a_side = integrate(P2, gs2.a_star + 1e-9)
         zero = a_side.event("FZero")
         assert zero is not None and a_side.status == "FZero" and a_side.r_end == zero.r < 15.0
-        grid = make_grid(15.0, 300)
+        grid = RadialGrid(15.0, 300)
         cfg = separable_config(P2, gs2.a_star)
         u = make_initial(separable_config(P2, a_side.a), grid, a_side).values
         u_star = make_initial(cfg, grid, gs2.traj).values
@@ -436,7 +472,7 @@ class TestSweepProperties:
         M = data.draw(st.integers(min_value=8, max_value=64))
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
-        geom = _geometry(PdeConfig(params=P), make_grid(R_inf, M))
+        geom = _geometry(PdeConfig(params=P), RadialGrid(R_inf, M))
         assert (geom.k_dn >= 0).all()
         dt = 10.0**log_dt
         u_new = _sweep(u, _diffusivity(geom, u), _couplings(geom, dt))

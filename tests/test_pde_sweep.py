@@ -13,13 +13,13 @@ from selfsim.params import make_params
 from selfsim.pde import (
     MaxStepsExceededError,
     PdeConfig,
+    RadialGrid,
     _clip_count,
     _couplings,
     _diffusivity,
     _geometry,
     _step_imex,
     _sweep,
-    make_grid,
     make_initial,
 )
 
@@ -109,7 +109,7 @@ class TestBitIdentity:
         M = data.draw(st.integers(min_value=8, max_value=64))
         values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
         u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
-        grid = make_grid(R_inf, M)
+        grid = RadialGrid(R_inf, M)
         dt = 10.0**log_dt
         geom = _geometry(cfg, grid)
         # one BE sweep, composed from the parts the step is built of
@@ -131,7 +131,7 @@ class TestSolverChecks:
     def setup(self):
         P = make_params(2, 1.5)
         cfg = PdeConfig(params=P)
-        grid = make_grid(8.0, 40)
+        grid = RadialGrid(8.0, 40)
         return _geometry(cfg, grid), make_initial(cfg, grid).values
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -192,7 +192,7 @@ class TestStepSequences:
     @example(N=1, frac=0.99, kappa0=0.5, R_inf=4.0, M=64)  # a rejected first attempt above the bound
     def test_monotone_and_max_principle(self, N, frac, kappa0, R_inf, M):
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
-        field = make_initial(cfg, make_grid(R_inf, M))
+        field = make_initial(cfg, RadialGrid(R_inf, M))
         if field.values.max() <= 10.0 * cfg.extinction_threshold:
             # less than the decade the T_e fit reads: the run refuses the data
             with pytest.raises(ValueError, match="final decade"):
@@ -227,7 +227,7 @@ class TestErrorControl:
 
     def test_rejected_attempt_advances_nothing(self):
         cfg = PdeConfig(params=make_params(2, 1.5))
-        field = make_initial(cfg, make_grid(8.0, 32))
+        field = make_initial(cfg, RadialGrid(8.0, 32))
         attempts = []  # (input, output, dt) of every attempted step
         production_step = pde._step_imex
 
@@ -265,7 +265,7 @@ class TestErrorControl:
         # decade in a few dozen steps, too few records for the fit; records
         # follow the sup norm, so their count does not grow with the steps
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
-        field = make_initial(cfg, make_grid(R_inf, M))
+        field = make_initial(cfg, RadialGrid(R_inf, M))
         # the fit needs a whole final decade, so the run refuses data that
         # starts inside it (at N = 1, p = 1.01 the first cell can hold only
         # ~1e-10 kappa0); TestStepSequences checks the refusal

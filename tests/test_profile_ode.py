@@ -365,7 +365,7 @@ class TestSteppingLoop:
         traj = integrate(P2, a, opts) if absorption else psi_integrate(P2, opts)
         ref = solve_ivp_run(P2, a, opts, absorption)
         assert ref.status >= 0
-        steps, ref_steps = len(traj.dense.sol_near.ts) - 1, len(ref.sol.ts) - 1
+        steps, ref_steps = len(traj.dense.ts) - 1, len(ref.sol.ts) - 1
         assert abs(steps - ref_steps) <= 0.1 * ref_steps
         y = ref.sol(traj.r)
         scale = max(np.max(np.abs(y[0])), np.max(np.abs(y[1])))
@@ -409,7 +409,7 @@ class TestSteppingLoop:
         traj = integrate(P2, a, opts)
         shot = shoot(P2, a, opts)
         assert shot.dense is None
-        assert shot.steps == traj.steps == len(traj.dense.sol_near.ts) - 1
+        assert shot.steps == traj.steps == len(traj.dense.ts) - 1
         assert shot.events == traj.events
         assert shot.status == traj.status
         assert shot.end == traj.end
@@ -487,7 +487,7 @@ class TestDenseOutput:
     def test_eval_is_the_per_segment_formula_bit_for_bit(self, ctx, point, a):
         P = ctx.params(*point)
         traj = integrate(P, ctx.ground_state(*point).a_star if a is None else a)
-        ts = traj.dense.sol_near.ts
+        ts = traj.dense.ts
         # 4,000 radii reaching past both ends, and every segment end
         r = np.concatenate([np.linspace(ts[0] - 1.0, ts[-1] + 1.0, 4000), ts])
         want = np.array([segment_oracle(traj.dense, x) for x in r]).T

@@ -73,9 +73,9 @@ def test_the_library_import_skips_integrate_optimize_and_special():
 
 def test_the_first_sweep_loads_lapack():
     run = (
-        "from selfsim import make_params; from selfsim.pde import PdeConfig, make_grid, make_initial, "
+        "from selfsim import make_params; from selfsim.pde import PdeConfig, RadialGrid, make_initial, "
         "run_to_extinction; cfg = PdeConfig(params=make_params(3, 1.97)); "
-        "run_to_extinction(cfg, make_initial(cfg, make_grid(15.3, 8)))"
+        "run_to_extinction(cfg, make_initial(cfg, RadialGrid(15.3, 8)))"
     )
     loaded = modules_after(run)
     assert "scipy.linalg" in loaded

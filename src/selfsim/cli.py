@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: params, profile, classify, sweep, find-astar, pohozaev,
-pde-run, pde-compare, verify. Exit codes: 0 success, 1 check failure,
-2 usage error (any ValueError, such as a kappa0 below 2.23e-298, whose
-extinction threshold would be subnormal), 3 numerical failure (any
-NumericalError) or I/O error.
+Subcommands: params, profile, classify, sweep (its heights one after
+another, in the calling process), find-astar, pohozaev, pde-run,
+pde-compare, verify. Exit codes: 0 success, 1 check failure, 2 usage error
+(any ValueError, such as a kappa0 below 2.23e-298, whose extinction
+threshold would be subnormal), 3 numerical failure (any NumericalError) or
+I/O error.
 
 All data files are deterministic for a fixed configuration: floats carry 17
 significant digits and JSON keys are sorted; version/timestamp metadata and
@@ -15,15 +16,14 @@ wall-clock seconds go to a `.meta.json` sidecar only (pass --meta; `verify
 from __future__ import annotations
 
 import argparse
-import functools
-import os
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .params import NumericalError, make_params
+from .params import NumericalError, make_params, require_positive
 from .profile_ode import IntegratorOptions, integrate
 from .pohozaev import J_along, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, classify, find_ground_state
@@ -100,43 +100,17 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-class ThreadCountError(ValueError):
-    """SELFSIM_THREADS is not a positive integer."""
-
-
-def _sweep_workers(n_tasks: int) -> int:
-    """Worker count: SELFSIM_THREADS if set, clamped to the tasks and the CPUs."""
-    cap = min(n_tasks, os.cpu_count() or 1)
-    raw = os.environ.get("SELFSIM_THREADS")
-    if raw is None:
-        return cap
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested < 1:
-        raise ThreadCountError(f"SELFSIM_THREADS must be a positive integer, got {raw!r}")
-    return min(requested, cap)
-
-
 def cmd_sweep(args) -> int:
-    # the settings are checked here, before any worker starts
-    one = functools.partial(classify, make_params(args.N, args.p), opts=_opts(args))
+    P, opts = make_params(args.N, args.p), _opts(args)  # every setting is checked before any classification
+    require_positive("--a-min", args.a_min)
+    require_positive("--a-max", args.a_max)
     spacing = np.geomspace if args.log else np.linspace
-    heights = [float(a) for a in spacing(args.a_min, args.a_max, args.num)]
-    workers = _sweep_workers(len(heights))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(one, heights))  # input order preserved
-    else:
-        found = [one(a) for a in heights]
+    found = [classify(P, float(a), opts) for a in spacing(args.a_min, args.a_max, args.num)]
     out_rows = [(c.a, c.verdict, _nan(c.R), _nan(c.slope), _nan(c.r_bar), _nan(c.J_at_rbar)) for c in found]
     write_csv(args.out, ["a", "verdict", "R", "slope", "r_bar", "J_at_rbar"], out_rows)
     if args.meta:
         write_sidecar(args.out, {"command": "sweep"})
-    print(f"wrote {args.out}: {len(out_rows)} classifications ({workers} workers)")
+    print(f"wrote {args.out}: {len(out_rows)} classifications")
     return EXIT_OK
 
 
@@ -165,12 +139,12 @@ def cmd_find_astar(args) -> int:
 
 def cmd_pohozaev(args) -> int:
     P = make_params(args.N, args.p)
+    traj = None if args.a is None else integrate(P, args.a, IntegratorOptions(r_max=args.r_max))  # before any file
     r = np.linspace(args.r_min, args.r_max, args.num)
     alpha, beta, gamma, delta = coeff_functions(P, r)
     rows = zip(r, alpha, beta, gamma, delta, G_cubic(P, r), G_direct(P, r))
     write_csv(args.out, ["r", "alpha", "beta", "gamma", "delta", "G_cubic", "G_direct"], rows)
-    if args.a is not None:
-        traj = integrate(P, args.a, IntegratorOptions(r_max=args.r_max))
+    if traj is not None:
         series = J_along(P, traj)
         out = Path(args.out)
         j_path = out.with_name(out.name.removesuffix(".csv") + "_J.csv")
@@ -339,8 +313,6 @@ def _emit(args, summary: dict, out: str | None) -> None:
             write_sidecar(out)
         print(f"wrote {out}")
     else:
-        import json
-
         print(json.dumps(summary, indent=2, sort_keys=True))
 
 
@@ -374,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("sweep", help="classify an a-grid in parallel to CSV")
+    sp = sub.add_parser("sweep", help="classify an a-grid to CSV")
     _add_model_args(sp)
     sp.add_argument("--a-min", type=float, required=True)
     sp.add_argument("--a-max", type=float, required=True)

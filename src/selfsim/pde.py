@@ -225,15 +225,19 @@ class PdeConfig:
     T0: float = 1.0  # separable only
 
     def __post_init__(self):
-        require_positive("kappa0", self.kappa0)
+        require_positive(f"kappa0{self.amplitude_source}", self.kappa0)
         require_positive("T0", self.T0)
         if self.init_kind not in ("exp_tail", "separable"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
         # a subnormal threshold is never crossed: the _TINY rule zeroes the field first
         if self.extinction_threshold < _TINY:
-            source = " (separable data: the amplitude follows from T0 and a_*)" if self.init_kind == "separable" else ""
             raise ValueError(f"kappa0 must be >= {_TINY / EXTINCTION_FRACTION:.3g}, so that the extinction threshold "
-                             f"{EXTINCTION_FRACTION:g} kappa0 is a normal float; got {self.kappa0!r}{source}")
+                             f"{EXTINCTION_FRACTION:g} kappa0 is a normal float; got {self.kappa0!r}{self.amplitude_source}")
+
+    @property
+    def amplitude_source(self) -> str:
+        """Added to a refused kappa0: separable data's amplitude is not a setting."""
+        return " (separable data: the amplitude follows from T0 and a_*)" if self.init_kind == "separable" else ""
 
     @property
     def extinction_threshold(self) -> float:
@@ -591,7 +595,11 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     next_snap = peak * snap_factor
     rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
     next_rec = peak * rec_factor
-    dt = explicit_dt(geom, u)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude overflows here first
+        dt = explicit_dt(geom, u)
+        record = weighted_functionals(config.params, grid, u)  # the first record (D = nan)
+    if not all(map(math.isfinite, (dt, record[0], record[1], record[3]))):  # refused before any sweep
+        raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first time step or record{config.amplitude_source}")
     atol = ATOL * config.kappa0
     t, u_prev, dt_step = 0.0, None, None  # u_prev and dt_step: the last accepted step
     while True:
@@ -605,7 +613,9 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
 
         hit_snap = u_prev is None or peak < next_snap
         if peak < next_rec or hit_snap or peak < ext_tol:
-            rows.append((t, peak, *weighted_functionals(config.params, grid, u, u_prev, dt_step)))
+            if u_prev is not None:  # the first record is read above
+                record = weighted_functionals(config.params, grid, u, u_prev, dt_step)
+            rows.append((t, peak, *record))
             while next_rec > peak >= ext_tol:  # the last record stops it: scaling never gets below a peak of 0
                 next_rec *= rec_factor
         if hit_snap:

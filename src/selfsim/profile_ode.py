@@ -224,8 +224,7 @@ def series_start(params: Params, a: float, eps: float) -> ProfileState:
     The f-correction is the integral of the leading slope; the matching
     g-correction enters only at higher order in eps and is omitted.
     """
-    if a <= 0:
-        raise ValueError("shooting parameter a must be positive")
+    require_positive("a", a)  # NaN and inf too: a NaN would shoot on to a step-size underflow
     p = params.p
     g0 = a * eps / params.N
     f0 = a - (p - 1.0) / p * (a / params.N) ** params.e_g * eps ** (p / (p - 1.0))

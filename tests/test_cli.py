@@ -1,9 +1,7 @@
-import concurrent.futures
 import hashlib
 import importlib
 import json
 import math
-import os
 import shlex
 from pathlib import Path
 
@@ -176,8 +174,7 @@ class TestCommands:
         assert data["results"]["r_end"] == data["results"]["R"]
         assert data["results"]["steps"] > 0
 
-    def test_sweep_ordering_and_parallel(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SELFSIM_THREADS", "2")
+    def test_sweep_rows_in_height_order(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5",
                        "--a-max", "64", "--num", "6", "--log", "--rmax", "30",
@@ -190,6 +187,44 @@ class TestCommands:
         assert len(a_col) == 6
         verdicts = [r[1] for r in rows]
         assert verdicts[0] == "C" and verdicts[-1] == "A"
+
+    def test_sweep_csv_bytes_pinned(self, tmp_path, capsys):
+        # the README sweep, every column to the bit: C below a_*, A above
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64", "--num", "25",
+                       "--log", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f42ecd21fdcd1172c4d2685ad58a3faa091426b874a37cf0a5abc3e4f9c85b2a")
+        assert capsys.readouterr().out == f"wrote {out}: 25 classifications\n"
+
+    @pytest.mark.parametrize("flag, name", [("--rtol", "rel_tol"), ("--rmax", "r_max")], ids=["--rtol", "--rmax"])
+    def test_bad_sweep_setting_is_refused_before_any_classification(self, flag, name, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda *args: calls.append(args))
+        assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64", "--num", "3",
+                       flag, "nan", "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be a finite number > 0" in err and "Traceback" not in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["classify", "--a", "nan"], "a"), (["classify", "--a", "inf"], "a"),
+            (["profile", "--a", "nan", "--out", "p.csv"], "a"), (["pohozaev", "--a", "nan", "--out", "g.csv"], "a"),
+            (["sweep", "--a-min", "nan", "--a-max", "2", "--num", "3", "--out", "s.csv"], "--a-min"),
+            (["sweep", "--a-min", "1", "--a-max", "inf", "--num", "3", "--out", "s.csv"], "--a-max"),
+        ],
+        ids=["classify-nan", "classify-inf", "profile-nan", "pohozaev-nan", "sweep-a_min-nan", "sweep-a_max-inf"],
+    )
+    def test_non_finite_height_is_usage_error(self, argv, name, tmp_path, capsys, monkeypatch):
+        # a NaN passes an a <= 0 test and shoots on to "Unresolved" or a step-size underflow
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv[0], "--N", "2", "--p", "1.5", *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be a finite number > 0") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_find_astar_contract(self, tmp_path, capsys):
         out = tmp_path / "astar.json"
@@ -492,17 +527,18 @@ class TestCommands:
         assert "kappa0" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_serial_and_pooled_write_the_same_bytes(self, tmp_path, capsys, monkeypatch):
-        written = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SELFSIM_THREADS", threads)
-            out = tmp_path / f"sweep{threads}.csv"
-            assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64",
-                           "--num", "5", "--log", "--rmax", "20", "--out", str(out)) == 0
-            assert f"({threads} workers)" in capsys.readouterr().out
-            written.append(out.read_bytes())
-        assert written[0] == written[1]
-        assert {row[1] for row in read_csv(tmp_path / "sweep1.csv")[1]} == {"A", "C"}
+    @pytest.mark.parametrize("kappa0", ["1e160", "1e200", "1e300"])
+    def test_pde_run_overflowing_amplitude_exits_2_before_any_sweep(self, kappa0, tmp_path, capsys, monkeypatch):
+        # else the first dt and record overflow, and a LAPACK check refuses the sweep without naming kappa0
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep ran before the amplitude was checked")
+
+        monkeypatch.setattr(pde, "_step_imex", unreachable)
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--kappa0", kappa0, "--M", "16",
+                       "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: kappa0 = {float(kappa0)!r} overflows") and "Warning" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_report_holds_no_wall_clock(self, tmp_path, capsys):
         reports = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -561,57 +597,3 @@ class TestExitCodes:
         assert run_cli("params", "--N", "2", "--p", "1.5") == code
         err = capsys.readouterr().err
         assert "made to fail" in err and "Traceback" not in err
-
-
-class TestSweepThreads:
-    """SELFSIM_THREADS is validated and clamped before any worker starts."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Replace the process pool with one that records max_workers and starts nothing."""
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None, **kwargs):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return made
-
-    def sweep(self, tmp_path):
-        return run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64",
-                       "--num", "3", "--log", "--rmax", "10", "--out", str(tmp_path / "s.csv"))
-
-    def test_large_value_is_clamped(self, tmp_path, capsys, monkeypatch, pools):
-        monkeypatch.setenv("SELFSIM_THREADS", "100000")
-        assert self.sweep(tmp_path) == 0
-        assert pools == [3]
-
-    def test_value_below_the_clamp_is_kept(self, tmp_path, capsys, monkeypatch, pools):
-        monkeypatch.setenv("SELFSIM_THREADS", "2")
-        assert self.sweep(tmp_path) == 0
-        assert pools == [2]
-
-    @pytest.mark.parametrize("flag", ["--rtol", "--rmax"])
-    def test_bad_integrator_setting_is_refused_before_any_worker_starts(self, flag, tmp_path, capsys, pools):
-        assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64", "--num", "3",
-                       flag, "nan", "--out", str(tmp_path / "s.csv")) == 2
-        assert pools == []
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
-    def test_bad_value_is_usage_error(self, value, tmp_path, capsys, monkeypatch, pools):
-        monkeypatch.setenv("SELFSIM_THREADS", value)
-        assert self.sweep(tmp_path) == 2
-        assert pools == []
-        assert "SELFSIM_THREADS must be a positive integer" in capsys.readouterr().err

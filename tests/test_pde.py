@@ -176,9 +176,19 @@ def test_config_refuses_a_subnormal_extinction_threshold(P2, kappa0):
 
 
 def test_separable_config_names_the_source_of_a_tiny_amplitude():
-    # at p = 1.9 the amplitude is (0.1 T0)^10 a_*: 1e-300 at T0 = 1e-29
-    with pytest.raises(ValueError, match="kappa0.*amplitude follows from T0 and a_"):
-        separable_config(make_params(2, 1.9), 1.0, T0=1e-29)
+    # at p = 1.9 the amplitude is (0.1 T0)^10 a_*: 1e-300 at T0 = 1e-29, and 0 at T0 = 1e-40
+    for T0 in (1e-29, 1e-40):
+        with pytest.raises(ValueError, match="kappa0.*amplitude follows from T0 and a_"):
+            separable_config(make_params(2, 1.9), 1.0, T0=T0)
+
+
+def test_separable_data_names_the_source_of_a_huge_amplitude():
+    # at p = 1.5 the amplitude is (0.5 T0)^2 a_*: 2.5e199 a_* at T0 = 1e100, which overflows the first record
+    P = make_params(2, 1.5)
+    cfg = separable_config(P, 1.0, T0=1e100)
+    field = pde.Field(RadialGrid(8.0, 16), np.full(16, cfg.kappa0))
+    with pytest.raises(ValueError, match="kappa0 = .* overflows .*amplitude follows from T0 and a_"):
+        run_to_extinction(cfg, field)
 
 
 def test_run_returns_once_the_field_is_zero():

@@ -1,10 +1,12 @@
-"""The library steps its ODEs in one place and imports only the scipy it runs.
+"""The library steps its ODEs in one place, imports only the scipy it runs and starts no process or thread.
 
 ``profile_ode.shoot`` is the one stepping loop; it reads the DOP853 tableau
 from the in-repo copy ``dop853_coefficients`` and never builds scipy's solver
 object, and no module imports from scipy's private ``_``-prefixed modules.
 Importing the library loads no scipy at all: only the PDE sweeps need it,
-for LAPACK's ``dgtsv``, and the first sweep of a run imports it.
+for LAPACK's ``dgtsv``, and the first sweep of a run imports it. No module
+imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
+``subprocess``: every command runs in the calling process.
 """
 
 import ast
@@ -18,20 +20,25 @@ import pytest
 
 SRC = sorted((Path(__file__).parents[1] / "src" / "selfsim").glob("*.py"))
 BANNED_CALLS = {"DOP853", "solve_ivp"}
+CONCURRENCY = {"concurrent.futures", "multiprocessing", "threading", "subprocess"}
 
 
-def _private_scipy(module: str | None) -> bool:
+def _banned_module(module: str | None) -> bool:
+    """scipy's private modules, and every module that starts a process or thread."""
     parts = (module or "").split(".")
-    return parts[0] == "scipy" and any(part.startswith("_") for part in parts[1:])
+    private_scipy = parts[0] == "scipy" and any(part.startswith("_") for part in parts[1:])
+    return private_scipy or any(".".join(parts[:n]) in CONCURRENCY for n in (1, 2))
 
 
 def violations(source: str) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and _private_scipy(node.module):
+        if isinstance(node, ast.ImportFrom) and (
+            _banned_module(node.module) or any(_banned_module(f"{node.module}.{alias.name}") for alias in node.names)
+        ):
             found.append(f"from {node.module} import")
         elif isinstance(node, ast.Import):
-            found += [f"import {alias.name}" for alias in node.names if _private_scipy(alias.name)]
+            found += [f"import {alias.name}" for alias in node.names if _banned_module(alias.name)]
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -53,8 +60,9 @@ def test_the_guard_sees_what_it_bans():
         "DOP853(f, 0, y, 1)\n"
         "scipy.integrate.solve_ivp(f, (0, 1), y)\n"
         "A = DOP853.A\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
     )
-    assert len(violations(source)) == 4
+    assert len(violations(source)) == 5
 
 
 def modules_after(statement: str) -> list[str]:

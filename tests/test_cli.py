@@ -226,6 +226,21 @@ class TestCommands:
         assert err.startswith(f"error: {name} must be a finite number > 0") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("num", ["0", "-1", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "pohozaev"])
+    def test_num_below_one_is_usage_error(self, command, num, tmp_path, capsys, monkeypatch):
+        # numpy refused a negative count without naming --num, and a count of 0 wrote an empty table
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+        heights = ["--a-min", "0.5", "--a-max", "64"] if command == "sweep" else ["--a", "1"]
+        assert run_cli(command, "--N", "2", "--p", "1.5", *heights, "--num", num, "--out", "t.csv") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --num must be an integer >= 1, got {num}\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_find_astar_contract(self, tmp_path, capsys):
         out = tmp_path / "astar.json"
         code = run_cli("find-astar", "--N", "2", "--p", "1.5", "--tol", "1e-6",
@@ -276,14 +291,15 @@ class TestCommands:
         "init, n_frames, records, summary, frames",
         [
             ("exp_tail", 40,
-             "cc39d7e5454d9ab11de5b1279bb359da7d6fae9e68888e4d3198af6643478b26",
-             "5efd30c58064589d874fbc698820f76192e2318819b9d7241f66db59cf5b5bbc",
-             "b4fb46da9af8a248b3576eb1770b681ee55a74b331c1a2637ac2fe7cc42dee0e"),
+             "b1667257b067074a9d69cf1b61d03afadfc3e7035cf3a8c9999f5d55cdce9712",
+             "fa2b6be978e852ccca5ffb69bf3ce1a32ed5ec83a202eb883f527a399b767ff1",
+             "888c3edf5f8eb1ceeefa5b0ec71eafd8816d7da0017b698aa13f051a4db01361"),
             ("separable", 41,
-             "d680c2c10075f3c0f635de6799f430a88905ee2934123f8f521e529854713f13",
-             "2e51a1f8f7cfc9f6efd43d0baef3bab7529750751849f2c8caf72dfa489d29cc",
-             "b343da48327144dad79b656d68a3a45133f15829b762bb58e5bd96e50b185d88"),
+             "26c1e3b6937aaa045c6b2dad06b5aab3e5a95cec583a47439eac9993ae85ed82",
+             "6c0b10a7d60fc8f2f201886df1ffb07535a78084bff1a7ac3006d6de11b50cdb",
+             "18c1c1ed9e3872bb6b74d2c4afa486bff58a9578e950a62e31c79e7f9ee13d30"),
         ],
+        ids=["exp_tail", "separable"],
     )
     def test_pde_run_bytes_pinned(self, tmp_path, capsys, init, n_frames, records, summary, frames):
         # every data file of a run, to the bit: the records, each snapshot

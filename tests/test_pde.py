@@ -35,11 +35,10 @@ from selfsim.pde import (
 )
 from selfsim.pde import (
     CFL_SAFETY,
-    _clip_count,
-    _couplings,
     _diffusivity,
     _geometry,
     _residual,
+    _rows,
     _step_imex,
     _sweep,
     explicit_dt,
@@ -485,8 +484,8 @@ class TestSweepProperties:
         geom = _geometry(PdeConfig(params=P), RadialGrid(R_inf, M))
         assert (geom.k_dn >= 0).all()
         dt = 10.0**log_dt
-        u_new = _sweep(u, _diffusivity(geom, u), _couplings(geom, dt))
-        _clip_count(u_new)
+        u_new = _sweep(geom, _rows(geom, u, _diffusivity(geom, u)), dt, overwrite_rhs=False)
+        np.maximum(u_new, 0.0, out=u_new)
         assert np.all(u_new >= 0.0)
         # exact for the exact solve; the float solve may overshoot by roundoff
         assert u_new.max() <= u.max() * (1.0 + 1e-13)
@@ -540,7 +539,7 @@ class TestExpTailRun:
         assert mass_balance_defect(exp_frames) < 2e-3
 
     def test_step_count(self, exp_frames):
-        # the production run: 1,180 steps of the third-order extrapolation
+        # the production run: 588 steps of the fourth-order extrapolation
         assert exp_frames.n_steps <= 1500
         assert exp_frames.rejected_steps == 0
         assert exp_frames.t.size == 401

@@ -6,33 +6,27 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from selfsim import pde
-from selfsim.params import make_params
+from selfsim.params import make_params, weight_rho
 from selfsim.pde import (
     MaxStepsExceededError,
     PdeConfig,
     RadialGrid,
-    _clip_count,
-    _couplings,
     _diffusivity,
     _geometry,
+    _rows,
     _step_imex,
     _sweep,
     make_initial,
+    run_to_extinction,
 )
 
 
-def reference_be_sweep(config, grid, u, dt):
-    """The sweep as a (3, M) band handed to ``solve_banded((1, 1), ...)``."""
-    p, N = config.params.p, config.params.N
-    dr, M = grid.dr, grid.M
-    D = np.empty(M + 1)
-    D[1:-1] = np.diff(u) / dr
-    D[0] = 0.0
-    D[-1] = -u[-1] / dr
-    c = (D * D + pde.EPS_REG**2) ** ((p - 2.0) / 2.0)
+def reference_couplings(config, grid):
+    """(k_up, k_dn): the couplings of a sweep to u_{i+1} and u_{i-1} per unit dt and diffusivity."""
+    N, dr = config.params.N, grid.dr
     w_face = grid.faces ** (N - 1)
     if N == 1:
         w_face[0] = 0.0
@@ -43,13 +37,49 @@ def reference_be_sweep(config, grid, u, dt):
     k_up = w_face[1:] / (grid.centers ** (N - 1) * dr * dr) + theta / dr
     k_dn = np.maximum(q - 0.5, 0.0) / dr  # = r_{i-1/2}^(N-1) / (r_i^(N-1) dr^2) - (1 - theta) / dr
     k_dn[0] = 0.0  # the symmetry face
-    up = dt * k_up * c[1:]
-    dn = dt * k_dn * c[:-1]
-    ab = np.zeros((3, M))
-    ab[0, 1:] = -up[:-1]
-    ab[1, :] = 1.0 + up + dn
-    ab[2, :-1] = -dn[1:]
-    u_new = solve_banded((1, 1), ab, u)
+    return k_up, k_dn
+
+
+def reference_scale(k_up, k_dn):
+    """s with s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1, or None where a sweep is not symmetrised.
+
+    Rows i and i+1 couple through the same diffusivity, so diag(s) A diag(s)^-1 is
+    symmetric; it needs every inner coupling and a scale below pde._S_MAX.
+    """
+    if not (k_dn[1:] > 0.0).all():
+        return None
+    with np.errstate(over="ignore"):
+        s = np.cumprod(np.sqrt(np.concatenate(([1.0], k_up[:-1] / k_dn[1:]))))
+    return s if s[-1] <= pde._S_MAX else None
+
+
+def reference_be_sweep(config, grid, u, dt):
+    """The sweep as a band: ``solveh_banded`` on the symmetrised rows, or ``solve_banded((1, 1), ...)``.
+
+    The symmetrised system is diag(s) A diag(s)^-1 (s u) = s u^n, whose
+    off-diagonal is -dt sqrt(k_up_i k_dn_{i+1}) c_{i+1/2}.
+    """
+    p, M = config.params.p, grid.M
+    D = np.empty(M + 1)
+    D[1:-1] = np.diff(u) / grid.dr
+    D[0] = 0.0
+    D[-1] = -u[-1] / grid.dr
+    c = (D * D + pde.EPS_REG**2) ** ((p - 2.0) / 2.0)
+    k_up, k_dn = reference_couplings(config, grid)
+    up = k_up * c[1:]
+    dn = k_dn * c[:-1]
+    s = reference_scale(k_up, k_dn)
+    if s is None:
+        ab = np.zeros((3, M))
+        ab[0, 1:] = -dt * up[:-1]
+        ab[1, :] = 1.0 + dt * (up + dn)
+        ab[2, :-1] = -dt * dn[1:]
+        u_new = solve_banded((1, 1), ab, u)
+    else:
+        ab = np.zeros((2, M))  # the upper form: superdiagonal, diagonal
+        ab[0, 1:] = -dt * (np.sqrt(k_up[:-1] * k_dn[1:]) * c[1:-1])
+        ab[1, :] = 1.0 + dt * (up + dn)
+        u_new = solveh_banded(ab, s * u) * (1.0 / s)
     sat = int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
     return u_new, sat
@@ -63,20 +93,25 @@ def reference_substeps(config, grid, u, dt, n):
 
 
 def reference_tableau(config, grid, u, dt):
-    """T32 and T33 of the Aitken-Neville tableau over one dt sweep, two dt/2 sweeps and three dt/3 sweeps."""
+    """T43 and T44 of the Aitken-Neville tableau over the step counts 1, 2, 3 and 4."""
     u1, _ = reference_substeps(config, grid, u, dt, 1)
     u2, _ = reference_substeps(config, grid, u, dt, 2)
-    u3, sat3 = reference_substeps(config, grid, u, dt, 3)
+    u3, _ = reference_substeps(config, grid, u, dt, 3)
+    u4, sat4 = reference_substeps(config, grid, u, dt, 4)
     T22 = 2.0 * u2 - u1
     T32 = 3.0 * u3 - 2.0 * u2
     T33 = T32 + 0.5 * (T32 - T22)
-    return T32, T33, sat3
+    T42 = 4.0 * u4 - 3.0 * u3
+    T43 = 2.0 * T42 - T32
+    T44 = T43 + (T43 - T33) / 3.0
+    return T43, T44, sat4
 
 
 def reference_step(config, grid, u, dt):
-    """The extrapolated step T33."""
-    _, u_new, sat3 = reference_tableau(config, grid, u, dt)
-    sat = sat3 + int(np.count_nonzero(u_new < 0.0))
+    """The extrapolated step T44."""
+    _, u_new, sat4 = reference_tableau(config, grid, u, dt)
+    sat = sat4 + int(np.count_nonzero(u_new < 0.0))
+    u_new = np.minimum.accumulate(u_new)  # a cell above its inner neighbour is capped at it
     # a cell driven to zero or below, or below the smallest normal float, zeroes the tail beyond it
     dead = np.flatnonzero(u_new < np.finfo(float).tiny)
     if dead.size:
@@ -85,9 +120,17 @@ def reference_step(config, grid, u, dt):
 
 
 def reference_error(config, grid, u, dt):
-    """The error estimate |T33 - T32|."""
-    T32, T33, _ = reference_tableau(config, grid, u, dt)
-    return np.abs(T33 - T32)
+    """The error estimate |T44 - T43|."""
+    T43, T44, _ = reference_tableau(config, grid, u, dt)
+    return np.abs(T44 - T43)
+
+
+def one_sweep(geom, u, dt):
+    """One production sweep from u, clipped at zero: (result, clipped cells)."""
+    u_new = _sweep(geom, _rows(geom, u, _diffusivity(geom, u)), dt, overwrite_rhs=False)
+    sat = int(np.count_nonzero(u_new < 0.0))
+    np.maximum(u_new, 0.0, out=u_new)
+    return u_new, sat
 
 
 def wedge_params(N, frac):
@@ -96,36 +139,112 @@ def wedge_params(N, frac):
 
 
 class TestBitIdentity:
+    def test_sweep_and_step_match_banded_reference(self):
+        symmetrised = []  # per example: did the grid take the ptsv path?
+
+        @given(
+            N=st.integers(min_value=1, max_value=3),
+            frac=st.floats(min_value=0.01, max_value=0.99),
+            R_inf=st.floats(min_value=1.0, max_value=20.0),
+            log_dt=st.floats(min_value=-10.0, max_value=1.0),
+            values=st.integers(min_value=8, max_value=64).flatmap(
+                lambda M: st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M)
+            ),
+        )
+        @settings(max_examples=30, deadline=None)
+        @example(N=1, frac=0.5, R_inf=20.0, log_dt=-2.0, values=[3.0] * 8)  # cells 2.5 wide: no inner coupling
+        @example(N=2, frac=0.5, R_inf=10.0, log_dt=-2.0, values=[3.0] * 64)  # fully coupled
+        def check(N, frac, R_inf, log_dt, values):
+            cfg = PdeConfig(params=wedge_params(N, frac))
+            u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
+            grid = RadialGrid(R_inf, u.size)
+            dt = 10.0**log_dt
+            geom = _geometry(cfg, grid)
+            symmetrised.append(geom.s is not None)
+            got_be, want_be = one_sweep(geom, u, dt), reference_be_sweep(cfg, grid, u, dt)
+            assert np.array_equal(got_be[0], want_be[0])
+            assert got_be[1] == want_be[1]
+            got, want = _step_imex(geom, u, dt), reference_step(cfg, grid, u, dt)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert np.array_equal(got[2], reference_error(cfg, grid, u, dt))
+
+        check()
+        assert set(symmetrised) == {True, False}
+
+
+class TestSymmetrisedSweep:
+    """The scaled symmetric sweep solves the unscaled system, in the paper's weight sqrt(rho)."""
+
     @given(
-        N=st.integers(min_value=1, max_value=3),
+        N=st.integers(min_value=1, max_value=5),
         frac=st.floats(min_value=0.01, max_value=0.99),
-        R_inf=st.floats(min_value=1.0, max_value=20.0),
+        dr=st.floats(min_value=0.005, max_value=0.39),  # below 2 (2/3)^(N-1): every inner coupling > 0
         log_dt=st.floats(min_value=-10.0, max_value=1.0),
-        data=st.data(),
+        values=st.integers(min_value=8, max_value=400).flatmap(
+            lambda M: st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M)
+        ),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_sweep_and_step_match_banded_reference(self, N, frac, R_inf, log_dt, data):
+    @settings(max_examples=40, deadline=None)
+    def test_ptsv_sweep_solves_the_unscaled_rows(self, N, frac, dr, log_dt, values):
+        # the componentwise backward error in the unscaled rows, |A x - u| <= tol (|A| |x| + |u|),
+        # is blind to the diagonal scaling; a large dt makes the rows ill conditioned, so the
+        # results of two backward-stable solvers can differ far above this tolerance. A tail cell
+        # below the smallest normal float keeps few bits (x = (s x) / s rounds there), and the
+        # step zeroes the tail from such a cell, so the bound has that absolute floor
         cfg = PdeConfig(params=wedge_params(N, frac))
-        M = data.draw(st.integers(min_value=8, max_value=64))
-        values = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M))
-        u = np.sort(np.array(values))[::-1]  # non-increasing, non-negative
-        grid = RadialGrid(R_inf, M)
+        u = np.sort(np.array(values))[::-1]
+        grid = RadialGrid(dr * u.size, u.size)
         dt = 10.0**log_dt
         geom = _geometry(cfg, grid)
-        # one BE sweep, composed from the parts the step is built of
-        u_be = _sweep(u, _diffusivity(geom, u), _couplings(geom, dt))
-        sat_be = _clip_count(u_be)
-        want_be = reference_be_sweep(cfg, grid, u, dt)
-        assert np.array_equal(u_be, want_be[0])
-        assert sat_be == want_be[1]
-        got, want = _step_imex(geom, u, dt), reference_step(cfg, grid, u, dt)
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
-        assert np.array_equal(got[2], reference_error(cfg, grid, u, dt))
+        assert geom.s is not None
+        c = _diffusivity(geom, u)
+        up, dn = dt * geom.k_up * c[1:], dt * geom.k_dn * c[:-1]
+        ab = np.zeros((3, u.size))
+        ab[0, 1:] = -up[:-1]
+        ab[1, :] = 1.0 + up + dn
+        ab[2, :-1] = -dn[1:]
+        for x in (_sweep(geom, _rows(geom, u, c), dt, overwrite_rhs=False), solve_banded((1, 1), ab, u)):
+            terms = np.stack([ab[1] * x, np.zeros_like(x), np.zeros_like(x), -u])
+            terms[1, 1:] = ab[2, :-1] * x[:-1]
+            terms[2, :-1] = ab[0, 1:] * x[1:]
+            bound = 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0) + np.finfo(float).tiny
+            assert np.all(np.abs(terms.sum(axis=0)) <= bound)
+
+    @pytest.mark.parametrize("N, p", [(2, 1.5), (3, 1.7)])
+    def test_scale_is_the_square_root_of_the_weight(self, N, p):
+        # s^2 tracks rho = r^(N-1) e^r, the weight of the paper's L^2(rho), on the production grid
+        params = make_params(N, p)
+        grid = RadialGrid(15.0, 2000)
+        ratio = _geometry(PdeConfig(params=params), grid).s / np.sqrt(weight_rho(params, grid.centers))
+        assert ratio.max() / ratio.min() - 1.0 <= 3e-3
+
+    def test_scaled_state_stays_finite_at_the_steepest_accepted_data(self):
+        # face gradients just below sqrt(max float), past which the first dt is nan and the run
+        # refuses the data, on a grid whose scale is just inside _S_MAX: s u reaches ~1e253
+        cfg = PdeConfig(params=make_params(1, 1.5))
+        grid = RadialGrid(455.0, 4000)
+        geom = _geometry(cfg, grid)
+        assert 1e98 < geom.s[-1] <= pde._S_MAX
+        u = 1.3e154 * (grid.R_inf - grid.centers)
+        for dt in (1e-3, 1.0):
+            u_new, _, error = _step_imex(geom, u, dt)
+            assert np.isfinite(u_new).all() and np.isfinite(error).all()
+
+    def test_grid_past_the_scale_bound_runs_on_gtsv(self):
+        # cells 1.2 wide couple every neighbour at N = 1, but s ~ e^(r/2) passes _S_MAX by r ~ 460
+        cfg = PdeConfig(params=make_params(1, 1.5))
+        grid = RadialGrid(480.0, 400)
+        k_up, k_dn = reference_couplings(cfg, grid)
+        assert (k_dn[1:] > 0.0).all()
+        assert _geometry(cfg, grid).s is None
+        frames = run_to_extinction(cfg, make_initial(cfg, grid))
+        assert math.isfinite(frames.T_e_estimate)
+        assert frames.monotone_violations == 0
 
 
 class TestSolverChecks:
-    """The checks of ``solve_banded`` survive the direct LAPACK call."""
+    """The checks of ``solve_banded`` and ``solveh_banded`` survive the direct LAPACK calls."""
 
     @pytest.fixture
     def setup(self):
@@ -145,15 +264,20 @@ class TestSolverChecks:
                 _step_imex(geom, u, 1e-3)
 
     @pytest.mark.parametrize("info, error", [(3, LinAlgError), (-2, ValueError)])
-    def test_lapack_failure_raises(self, setup, monkeypatch, info, error):
-        geom, u = setup
+    def test_lapack_failure_raises(self, monkeypatch, info, error):
+        def failing(*arrays, **overwrite):
+            return (*arrays, info)
 
-        def failing_gtsv(dl, d, du, b, **overwrite):
-            return dl, d, du, b, info
-
-        monkeypatch.setattr(pde, "_lapack_gtsv", lambda: failing_gtsv)
-        with pytest.raises(error):
-            _step_imex(geom, u, 1e-3)
+        loaded = []
+        monkeypatch.setattr(pde, "_lapack", lambda name: loaded.append(name) or failing)
+        cfg = PdeConfig(params=make_params(2, 1.5))
+        # 40 cells 0.2 wide take the symmetrised sweep, 8 cells 2 wide (no inner coupling at N = 2) the general one
+        for grid, routine in ((RadialGrid(8.0, 40), "dptsv"), (RadialGrid(16.0, 8), "dgtsv")):
+            geom = _geometry(cfg, grid)
+            assert (geom.s is not None) == (routine == "dptsv")
+            with pytest.raises(error):
+                _step_imex(geom, make_initial(cfg, grid).values, 1e-3)
+            assert loaded.pop() == routine and not loaded
 
 
 class TestStepSequences:

@@ -4,7 +4,8 @@
 from the in-repo copy ``dop853_coefficients`` and never builds scipy's solver
 object, and no module imports from scipy's private ``_``-prefixed modules.
 Importing the library loads no scipy at all: only the PDE sweeps need it,
-for LAPACK's ``dgtsv``, and the first sweep of a run imports it. No module
+for LAPACK's ``dptsv`` (``dgtsv`` on grids that cannot be symmetrised), and
+the first sweep of a run imports it. No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process.
 """

@@ -63,7 +63,7 @@ s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}) turns each sweep into a symmetric
 M-matrix (a Stieltjes matrix) in the unknown s u, with off-diagonal
 -dt sqrt(k_up_i k_dn_{i+1}) c_{i+1/2}. The scale is the square root of the
 weight rho = r^(N-1) e^r of the paper's L^2(rho) up to a constant factor
-(to 0.1 % on the production grid): the variational structure of the
+(to 0.22 % on the production grid): the variational structure of the
 equation, seen by the grid. LAPACK ptsv solves such a system by LDL^T
 without pivoting, in about three quarters of gtsv's time at M = 2000. A
 grid where some inner coupling is zero (cells wider than

@@ -104,7 +104,7 @@ def cmd_sweep(args) -> int:
     P, opts = make_params(args.N, args.p), _opts(args)  # every setting is checked before any classification
     require_positive("--a-min", args.a_min)
     require_positive("--a-max", args.a_max)
-    _require_count("--num", args.num)
+    require_positive("--num", args.num)
     spacing = np.geomspace if args.log else np.linspace
     found = [classify(P, float(a), opts) for a in spacing(args.a_min, args.a_max, args.num)]
     out_rows = [(c.a, c.verdict, _nan(c.R), _nan(c.slope), _nan(c.r_bar), _nan(c.J_at_rbar)) for c in found]
@@ -113,13 +113,6 @@ def cmd_sweep(args) -> int:
         write_sidecar(args.out, {"command": "sweep"})
     print(f"wrote {args.out}: {len(out_rows)} classifications")
     return EXIT_OK
-
-
-def _require_count(name: str, n: int) -> None:
-    """Raise ValueError naming the setting unless n >= 1: numpy would refuse a negative count without
-    the name, and run no height on 0."""
-    if n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n}")
 
 
 def _nan(x):
@@ -147,7 +140,7 @@ def cmd_find_astar(args) -> int:
 
 def cmd_pohozaev(args) -> int:
     P = make_params(args.N, args.p)
-    _require_count("--num", args.num)
+    require_positive("--num", args.num)
     traj = None if args.a is None else integrate(P, args.a, IntegratorOptions(r_max=args.r_max))  # before any file
     r = np.linspace(args.r_min, args.r_max, args.num)
     alpha, beta, gamma, delta = coeff_functions(P, r)

@@ -39,8 +39,10 @@ T43 = 2 T42 - T32, T44 = T43 + (T43 - T33)/3, whose columns are of order
 geometry, runs the ten sweeps and returns T44 together with the error
 estimate |T44 - T43|, the local error of the third-order T43 (the step
 advances the highest column, as extrapolation codes do). On stiff cells the
-extrapolation can lift a tail cell above its inner neighbour, which caps
-it, or drive it to zero or below (or into the subnormal range), which
+extrapolation can lift a tail cell above its inner neighbour by a rounding
+error, which caps it when the rise is at most ATOL kappa0 (a rise the error
+control accepts anyway; a larger one is kept for the run's instability
+monitor), or drive it to zero or below (or into the subnormal range), which
 zeroes the tail beyond it.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
@@ -74,8 +76,8 @@ decides once per run, from the grid alone.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: the couplings, their scale s, 1/s and
-symmetric couplings, eps^2, p, the diffusivity's exponent and the
-supersolution bound), and the weights of ``weighted_functionals`` are
+symmetric couplings, eps^2, p, the diffusivity's exponent, the
+supersolution bound and ATOL kappa0), and the weights of ``weighted_functionals`` are
 cached per grid. Each sweep hands its diagonals to LAPACK directly (ptsv is
 the routine ``solveh_banded`` calls for a two-row band, gtsv the one
 ``solve_banded`` calls for one sub- and one superdiagonal, so the bits are
@@ -367,6 +369,7 @@ class _Geometry:
     eps2: float
     c_exp: float  # (p-2)/2: the secant diffusivity's exponent
     bound: np.ndarray  # the supersolution kappa0 e^(-r/(p-1)) at the centers
+    atol: float  # ATOL kappa0: the absolute error a step may make per cell
     # the symmetrised sweep (ptsv), None on grids that cannot be symmetrised (gtsv):
     s: np.ndarray | None  # the diagonal scale s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1
     inv_s: np.ndarray | None  # 1/s
@@ -416,6 +419,7 @@ def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
         eps2=EPS_REG**2,
         c_exp=(p - 2.0) / 2.0,
         bound=_exp_tail(config, r),
+        atol=ATOL * config.kappa0,
         s=s,
         inv_s=inv_s,
         k_sym=k_sym,
@@ -467,31 +471,21 @@ def _lapack(name: str):
     return getattr(lapack, name)
 
 
-def _tridiag_solve(d: np.ndarray, off, b: np.ndarray, overwrite_b: bool) -> np.ndarray:
-    """``solveh_banded`` or ``solve_banded((1, 1), ...)`` without the wrapper: LAPACK in place.
-
-    off is the one off-diagonal of a symmetric positive definite system,
-    solved by ptsv (the routine ``solveh_banded`` calls for a two-row band,
-    LDL^T without pivoting), or the pair (dl, du) of a general one, solved by
-    gtsv (the routine of ``solve_banded`` for one sub- and one
-    superdiagonal). d and off are overwritten, and b too if overwrite_b; the
-    solution is returned in b's storage or a copy of it. The wrappers'
-    checks stay: a non-finite entry of the diagonal or the right-hand side
-    raises ValueError (a sweep's off-diagonals scale the diffusivities that
-    its diagonal sums, so they cannot be non-finite alone), a singular or
-    indefinite system LinAlgError.
-    """
+def _require_finite(d: np.ndarray, b: np.ndarray) -> None:
+    """The check of ``solve_banded`` and ``solveh_banded``: a non-finite entry of the
+    diagonal or the right-hand side raises ValueError (a sweep's off-diagonals
+    scale the diffusivities that its diagonal sums, so they cannot be
+    non-finite alone)."""
     # an inf or a nan in d or b makes the dot product non-finite (inf * 0 is a
     # nan); only an overflowing product of finite values needs the elementwise test
     if not math.isfinite(float(np.dot(d, b))) and not (np.isfinite(d).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if isinstance(off, tuple):
-        name = "gtsv"
-        *_, x, info = _lapack("dgtsv")(off[0], d, off[1], b, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                                       overwrite_b=overwrite_b)
-    else:
-        name = "ptsv"
-        *_, x, info = _lapack("dptsv")(d, off, b, overwrite_d=1, overwrite_e=1, overwrite_b=overwrite_b)
+
+
+def _solution(name: str, out: tuple) -> np.ndarray:
+    """The solution of a LAPACK ?tsv call's outputs, or the wrappers' error: a
+    singular or indefinite system raises LinAlgError, an illegal argument ValueError."""
+    *_, x, info = out
     if info > 0:
         raise LinAlgError(f"singular or indefinite matrix (info {info} of internal {name})")
     if info < 0:
@@ -519,15 +513,23 @@ def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
 
     Row i is (1 + h a_i) u_i - h k_up c_up u_{i+1} - h k_dn c_dn u_{i-1} = u^n_i
     (the Dirichlet 0 ghost for i = M-1): diffusion and absorption balance
-    within the one solve. On a symmetrised grid the solve is in s u, with
-    the symmetric couplings -h k_sym c, and the result is scaled back by 1/s.
+    within the one solve. LAPACK solves it in place, without the wrappers
+    (ptsv is the routine ``solveh_banded`` calls for a two-row band, gtsv the
+    one ``solve_banded`` calls for one sub- and one superdiagonal). On a
+    symmetrised grid the solve is in s u, with the symmetric couplings
+    -h k_sym c, by ptsv (LDL^T without pivoting), and the result is scaled
+    back by 1/s; elsewhere gtsv solves the general rows.
     """
     a, off, rhs = rows
     d = h * a
     d += 1.0
+    _require_finite(d, rhs)
     if g.s is None:
-        return _tridiag_solve(d, ((-h) * off[0], (-h) * off[1]), rhs, overwrite_rhs)
-    x = _tridiag_solve(d, (-h) * off, rhs, overwrite_rhs)
+        dl, du = off
+        return _solution("gtsv", _lapack("dgtsv")((-h) * dl, d, (-h) * du, rhs, overwrite_dl=1, overwrite_d=1,
+                                                  overwrite_du=1, overwrite_b=overwrite_rhs))
+    x = _solution("ptsv", _lapack("dptsv")(d, (-h) * off, rhs, overwrite_d=1, overwrite_e=1,
+                                           overwrite_b=overwrite_rhs))
     x *= g.inv_s
     return x
 
@@ -545,10 +547,13 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     O(dt^4), and T44 is one order better. On stiff cells the extrapolation
     can lift a tail cell above its inner neighbour (a coarse cell without
     inner coupling drains faster than the cell outside it), or drive it to
-    zero or below. The first is capped at its inner neighbour; the second
-    zeroes the whole tail beyond it. Both keep the profile non-increasing.
-    So does the zeroed tail beyond a subnormal cell (below _TINY), whose
-    few bits cannot order a tail.
+    zero or below. The first is capped at the lowest cell inside it when it
+    rises above that by at most atol = ATOL kappa0, the absolute error the
+    control accepts per cell (the rises seen are rounding errors, 6e-15 at a
+    peak of 2.9e-4); a larger rise is kept, so that the run's instability
+    monitor and the tests see it. The second zeroes the whole tail beyond
+    it, as does a subnormal cell (below _TINY), whose few bits cannot order
+    a tail.
     saturations counts the cells u4's last sweep clipped and those the
     extrapolation drives negative.
     """
@@ -573,7 +578,8 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     error = np.abs(u_new - t43)
     sat += int(np.count_nonzero(u_new < 0.0))
     if (u_new[1:] > u_new[:-1]).any():
-        np.minimum.accumulate(u_new, out=u_new)
+        floor = np.minimum.accumulate(u_new)
+        np.copyto(u_new, floor, where=u_new - floor <= geom.atol)
     below = u_new < _TINY
     dead = int(below.argmax())
     if below[dead]:
@@ -667,7 +673,6 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         record = weighted_functionals(config.params, grid, u)  # the first record (D = nan)
     if not all(map(math.isfinite, (dt, record[0], record[1], record[3]))):  # refused before any sweep
         raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first time step or record{config.amplitude_source}")
-    atol = ATOL * config.kappa0
     t, u_prev, dt_step = 0.0, None, None  # u_prev and dt_step: the last accepted step
     while True:
         if config.init_kind == "exp_tail":
@@ -698,7 +703,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
             if dt < 1e-16:
                 raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
             u_try, sat, error = _step_imex(geom, u, dt)
-            accepted, dt_next = _control(error, u, u_try, peak, dt, atol)
+            accepted, dt_next = _control(error, u, u_try, peak, dt, geom.atol)
             if accepted:
                 break
             frames.rejected_steps += 1

@@ -237,7 +237,7 @@ class TestCommands:
         heights = ["--a-min", "0.5", "--a-max", "64"] if command == "sweep" else ["--a", "1"]
         assert run_cli(command, "--N", "2", "--p", "1.5", *heights, "--num", num, "--out", "t.csv") == 2
         err = capsys.readouterr().err
-        assert err == f"error: --num must be an integer >= 1, got {num}\n"
+        assert err == f"error: --num must be a finite number > 0, got {num}\n"
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

@@ -539,8 +539,8 @@ class TestExpTailRun:
         assert mass_balance_defect(exp_frames) < 2e-3
 
     def test_step_count(self, exp_frames):
-        # the production run: 588 steps of the fourth-order extrapolation
-        assert exp_frames.n_steps <= 1500
+        # the production run: 588 steps of the fourth-order extrapolation (1,180 of the third-order one)
+        assert exp_frames.n_steps <= 600
         assert exp_frames.rejected_steps == 0
         assert exp_frames.t.size == 401
 

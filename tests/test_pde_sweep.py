@@ -1,5 +1,6 @@
 """The implicit sweep: bit identity with a banded-solver reference, its error checks, step sequences."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -111,7 +112,12 @@ def reference_step(config, grid, u, dt):
     """The extrapolated step T44."""
     _, u_new, sat4 = reference_tableau(config, grid, u, dt)
     sat = sat4 + int(np.count_nonzero(u_new < 0.0))
-    u_new = np.minimum.accumulate(u_new)  # a cell above its inner neighbour is capped at it
+    # a cell that rises above the lowest cell inside it by at most ATOL kappa0 is capped at it
+    floor = u_new[0]
+    for i in range(u_new.size):
+        if 0.0 < u_new[i] - floor <= pde.ATOL * config.kappa0:
+            u_new[i] = floor
+        floor = min(floor, u_new[i])
     # a cell driven to zero or below, or below the smallest normal float, zeroes the tail beyond it
     dead = np.flatnonzero(u_new < np.finfo(float).tiny)
     if dead.size:
@@ -314,6 +320,9 @@ class TestStepSequences:
     @example(N=2, frac=0.01, kappa0=1.0, R_inf=20.0, M=9)
     @example(N=1, frac=0.5, kappa0=1.0, R_inf=16.75, M=8)  # cells of width 2.1 at N = 1
     @example(N=1, frac=0.99, kappa0=0.5, R_inf=4.0, M=64)  # a rejected first attempt above the bound
+    # cells 1.42 wide, cell 1 without inner coupling: attempt 276 lifts cell 2 above cell 1 by
+    # 6e-15 (0.005 ATOL kappa0) at a peak of 2.9e-4, and the step caps it
+    @example(N=2, frac=0.5546875, kappa0=1.375, R_inf=19.8125, M=14)
     def test_monotone_and_max_principle(self, N, frac, kappa0, R_inf, M):
         cfg = PdeConfig(params=wedge_params(N, frac), kappa0=kappa0)
         field = make_initial(cfg, RadialGrid(R_inf, M))
@@ -344,6 +353,35 @@ class TestStepSequences:
         assert len(accepted) == steps
         for u in accepted:
             assert np.all(u <= field.values + 1e-11 * kappa0)
+
+
+    @pytest.mark.parametrize("rise", [0.5, 2.0])
+    def test_only_a_rise_within_atol_is_capped(self, rise):
+        # a cell above its inner neighbour by at most ATOL kappa0, a rounding error the control
+        # accepts, is capped at it; a larger rise is kept
+        cfg = PdeConfig(params=make_params(2, 1.5), kappa0=1.5)
+        grid = RadialGrid(8.0, 32)
+        geom = _geometry(cfg, grid)
+        u = make_initial(cfg, grid).values
+        u[10] = u[9] + rise * pde.ATOL * cfg.kappa0
+        uncapped, _, _ = _step_imex(dataclasses.replace(geom, atol=0.0), u, 1e-14)
+        u_new, _, _ = _step_imex(geom, u, 1e-14)
+        assert np.diff(uncapped)[9] > 0.4 * rise * pde.ATOL * cfg.kappa0
+        if rise <= 1.0:
+            assert u_new[10] == u_new[9]
+            assert np.all(np.diff(u_new) <= 0.0)
+        else:
+            assert np.array_equal(u_new, uncapped)
+
+    def test_a_rise_above_atol_reaches_the_monitor(self):
+        # a bump of 1e-3 in the data is no rounding error: the steps keep it, and the run counts
+        # it after the data itself (which counts once) and after the steps that follow
+        cfg = PdeConfig(params=make_params(2, 1.5), kappa0=1.5)
+        grid = RadialGrid(8.0, 32)
+        u = make_initial(cfg, grid).values
+        u[10] = u[9] + 1e-3
+        frames = run_to_extinction(cfg, pde.Field(grid=grid, values=u))
+        assert frames.monotone_violations > 1
 
 
 class TestErrorControl:

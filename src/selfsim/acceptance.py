@@ -135,9 +135,6 @@ def criterion_1(ctx: AcceptanceContext, res: CriterionResult):
     for a in (0.1, 1.0, 10.0):
         traj = ctx.trajectory(2, 1.5, a)
         hi = min(10.0, 0.995 * traj.r_end)
-        ev = traj.event("FZero")
-        if ev is not None:
-            hi = min(hi, 0.995 * ev.r)
         r = np.linspace(0.1, hi, 2000)
 
         def J_of(rr):
@@ -255,8 +252,7 @@ def criterion_7(ctx: AcceptanceContext, res: CriterionResult):
         heights = [0.1, 1.0, 10.0, ctx.ground_state(N, p).a_star]
         for a in heights:
             traj = ctx.trajectory(N, p, float(a))
-            ev = traj.event("FZero")
-            r_hi = 0.999 * (ev.r if ev is not None else traj.r_end)
+            r_hi = 0.999 * traj.r_end
             m = traj.r <= r_hi
             r, f, g = traj.r[m], traj.f[m], traj.g[m]
             # (f1): 0 < f < a and -((a/N) r)^(1/(p-1)) < f' < 0 (1e-12 slack at
@@ -311,16 +307,15 @@ def criterion_9(ctx: AcceptanceContext, res: CriterionResult):
     """Large-a limit: psi has a finite zero and phi(.;a) -> psi uniformly."""
     P = ctx.params(2, 1.5)
     psi = psi_integrate(P)
-    ev = psi.event("FZero")
-    res.add("psi first zero s0", ev.r, None, ev is not None and math.isfinite(ev.r))
-    res.add("psi'(s0) < 0", ev.info["slope"], None, ev.info["slope"] < 0.0)
-    s0 = ev.r
+    s0 = psi.r_end
+    res.add("psi first zero s0", s0, None, psi.status == "FZero" and math.isfinite(s0))
+    res.add("psi'(s0) < 0", psi.end_slope, None, psi.end_slope < 0.0)
     s = np.linspace(psi.r[0], s0, 2000)
     psi_vals = psi.eval(s)[0]
     sups = []
     for a in (10.0, 100.0, 1000.0):
         scale = a ** (-(2.0 - P.p) / P.p)
-        traj = ctx.trajectory(2, 1.5, a, track_past_fzero=True, r_max=s0 * scale * 1.05 + 0.5)
+        traj = ctx.trajectory(2, 1.5, a, r_max=s0 * scale * 1.05 + 0.5)
         phi = traj.eval(s * scale)[0] / a
         sups.append(float(np.max(np.abs(phi - psi_vals))))
     res.add("sup|phi - psi| decreasing over a = 10, 1e2, 1e3", sups[-1], None,

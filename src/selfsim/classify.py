@@ -177,21 +177,20 @@ class GroundStateResult:
 def classify(params: Params, a: float, opts: IntegratorOptions | None = None) -> Classification:
     """Classify one shooting height into A / C / Unresolved, stopping once proven.
 
-    A requires the f-zero event with negative crossing slope. C requires the
-    Pohozaev functional to fall below -threshold at an accepted step end past
-    r_G with f still positive: J is provably decreasing on that range, so it
-    stays there and the run stops. r_bar is the root of J + threshold, linear
-    between the two step ends that bracket it. A run that ends at r_max, at a
-    g-zero or on step-size underflow is Unresolved, never guessed; its
-    diagnostics say which and give the end state.
+    A requires the run to end at the first zero of f (status "FZero") with
+    negative crossing slope. C requires the Pohozaev functional to fall below
+    -threshold at an accepted step end past r_G with f still positive: J is
+    provably decreasing on that range, so it stays there and the run stops. r_bar is the root of J + threshold, linear
+    between the two step ends that bracket it. A run that ends at r_max or on
+    step-size underflow is Unresolved, never guessed; its diagnostics say
+    which and give the end state.
     """
     opts = opts or IntegratorOptions()
     proof = _SlowDecayProof(params, find_r_G(params))
-    shot = shoot(params, a, replace(opts, track_past_fzero=False), stop=proof)
-    done = {"a": a, "r_end": shot.end.r, "steps": shot.steps}
-    ev = shot.events.get("FZero")
-    if ev is not None and ev.info["slope"] < 0.0:
-        return Classification(verdict="A", R=ev.r, slope=ev.info["slope"], **done)
+    shot = shoot(params, a, opts, stop=proof)
+    done = {"a": a, "r_end": shot.r_end, "steps": shot.steps}
+    if shot.status == "FZero" and shot.end_slope < 0.0:
+        return Classification(verdict="A", R=shot.r_end, slope=shot.end_slope, **done)
     if shot.status == "stopped" or proof.check():
         return Classification(verdict="C", r_bar=proof.r_bar, J_at_rbar=proof.J_at_rbar, **done)
 
@@ -449,8 +448,10 @@ def estimate_l(params: Params, traj: Trajectory) -> PlateauEstimate:
     """Longest window where rho*g varies by < PLATEAU_TOL; its mean estimates l.
 
     Returns found=False (soft failure) when no window of length PLATEAU_MIN_LEN
-    exists, e.g. for class-A trajectories where rho*g dives to zero.
+    exists, e.g. for class-A trajectories, which end at their zero while rho*g
+    still climbs.
     """
+    # a guard: g stays positive up to the run's end, the first zero of f
     valid = (traj.g > 0.0) & (traj.r >= 1.0)
     r = traj.r[valid]
     w = traj.w[valid]

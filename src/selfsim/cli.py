@@ -77,8 +77,7 @@ def cmd_profile(args) -> int:
     write_csv(args.out, ["r", "f", "g", "fprime", "E", "w", "h", "J"], rows)
     if args.meta:
         write_sidecar(args.out, {"command": "profile", "a": args.a})
-    print(f"wrote {args.out}: {len(traj.r)} samples, status {traj.status}, events "
-          f"{[(ev.kind, round(ev.r, 6)) for ev in traj.events.values()]}")
+    print(f"wrote {args.out}: {len(traj.r)} samples, status {traj.status}, r_end {traj.r_end:.6g}")
     return EXIT_OK
 
 
@@ -141,6 +140,8 @@ def cmd_find_astar(args) -> int:
 def cmd_pohozaev(args) -> int:
     P = make_params(args.N, args.p)
     require_positive("--num", args.num)
+    require_positive("--r-min", args.r_min)
+    require_positive("--r-max", args.r_max)
     traj = None if args.a is None else integrate(P, args.a, IntegratorOptions(r_max=args.r_max))  # before any file
     r = np.linspace(args.r_min, args.r_max, args.num)
     alpha, beta, gamma, delta = coeff_functions(P, r)

@@ -82,7 +82,8 @@ cached per grid. Each sweep hands its diagonals to LAPACK directly (ptsv is
 the routine ``solveh_banded`` calls for a two-row band, gtsv the one
 ``solve_banded`` calls for one sub- and one superdiagonal, so the bits are
 the same) and keeps the wrappers' checks: a non-finite entry raises
-ValueError, a singular or indefinite system LinAlgError. ``scipy.linalg``,
+ValueError, a singular system LinAlgError. A symmetric system whose ptsv
+meets a non-positive pivot is solved again by gtsv. ``scipy.linalg``,
 where both live, is imported by the first sweep, not with the module. The
 first sweep of each column starts from the step's state, and the four share
 its rows: the diagonal's dt part, the symmetric couplings and s u are built
@@ -517,8 +518,9 @@ def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
     (ptsv is the routine ``solveh_banded`` calls for a two-row band, gtsv the
     one ``solve_banded`` calls for one sub- and one superdiagonal). On a
     symmetrised grid the solve is in s u, with the symmetric couplings
-    -h k_sym c, by ptsv (LDL^T without pivoting), and the result is scaled
-    back by 1/s; elsewhere gtsv solves the general rows.
+    -h k_sym c, by ptsv (LDL^T without pivoting), or by gtsv where ptsv
+    meets a non-positive pivot, and the result is scaled back by 1/s;
+    elsewhere gtsv solves the general rows.
     """
     a, off, rhs = rows
     d = h * a
@@ -528,8 +530,15 @@ def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
         dl, du = off
         return _solution("gtsv", _lapack("dgtsv")((-h) * dl, d, (-h) * du, rhs, overwrite_dl=1, overwrite_d=1,
                                                   overwrite_du=1, overwrite_b=overwrite_rhs))
-    x = _solution("ptsv", _lapack("dptsv")(d, (-h) * off, rhs, overwrite_d=1, overwrite_e=1,
-                                           overwrite_b=overwrite_rhs))
+    name, out = "ptsv", _lapack("dptsv")(d, (-h) * off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=overwrite_rhs)
+    if out[-1] > 0:
+        # a coupling so strong that rounding takes the 1 of its rows leaves a
+        # pivot of rounding size, which can come out <= 0; gtsv pivots and
+        # solves the same rows (ptsv left rhs as it was)
+        e = (-h) * off
+        name, out = "gtsv", _lapack("dgtsv")(e, 1.0 + h * a, e.copy(), rhs, overwrite_dl=1, overwrite_d=1,
+                                             overwrite_du=1, overwrite_b=overwrite_rhs)
+    x = _solution(name, out)
     x *= g.inv_s
     return x
 
@@ -796,9 +805,8 @@ def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
         raise ValueError("profile trajectory does not cover the grid")
     r = grid.centers
     lo = profile.r[0]
-    zero = profile.event("FZero")
     below = r < lo
-    live = ~below & (r <= (zero.r if zero is not None else math.inf))
+    live = ~below & (r <= profile.r_end)
     out = np.zeros_like(r)
     if live.any():
         out[live] = profile.eval(r[live])[0]

@@ -172,6 +172,7 @@ def J_along(params: Params, traj: Trajectory) -> JSeries:
 def _common_window(traj1: Trajectory, traj2: Trajectory, r_hi: float | None):
     lo = max(traj1.r[0], traj2.r[0])
     hi = min(traj1.r_end, traj2.r_end)
+    # a guard: g stays positive up to a run's end, the first zero of f
     for t in (traj1, traj2):
         bad = t.r[t.g <= 0.0]
         if bad.size:

@@ -16,11 +16,12 @@ exactly for it).
 
 Each run is one stepping loop of explicit adaptive Runge-Kutta (DOP853,
 ``shoot``) over (eps, r_max), with a series start at r = eps to clear the
-1/r coordinate singularity and sign-change events for f and g, located on
-the dense output of the step that brackets them. The state is two numbers,
+1/r coordinate singularity. It ends at the first zero of f, located on the
+dense output of the step that brackets it: a height is in A exactly when
+that zero exists, so no other event is watched. The state is two numbers,
 so the steps are taken in plain floats: scipy's DOP853 tableau, copied
 literal for literal into ``dop853_coefficients``, with scipy's initial-step
-rule, error norm and control law, and events located by the Brent port in
+rule, error norm and control law, and the zero located by the Brent port in
 ``roots``; neither ``scipy.integrate`` nor ``scipy.optimize`` is imported.
 As in Hairer's own ``dop853.f``, the stages are written out, one statement
 each (``_trial``, ``_dense``): each sum runs left to right in tableau order
@@ -28,26 +29,25 @@ and leaves out the terms whose coefficient is zero. Those terms add signed
 zeros, which leave a nonzero sum's bits as they are, so a trial step takes
 the same values as a loop over the full tableau rows at about 40 % of its
 cost.
-Every run is one ``Trajectory``: how it ended, its end state, step count
-and events. A kept run (``integrate``, ``psi_integrate``) also keeps
+Every run is one ``Trajectory``: how it ended, its end state and step
+count. A kept run (``integrate``, ``psi_integrate``) also keeps
 every step's interpolant coefficients as floats and stacks them into one
 array at the end (``_DenseOutput``), which evaluates any number of radii in
 one vectorised Horner sum, to the bits of scipy's per-segment OdeSolution;
 its sampled columns are read from it on first use. A classification probe
-computes the coefficients only for a step that holds an event, and may end
+computes the coefficients only for the step that holds the zero, and may end
 the run early through its stop test. The
 embedded error control alone sets the accuracy: there is no step cap, so
 rel_tol is what a tighter or looser run changes. The settings no caller
 varies are module constants: the absolute tolerance ABS_TOL, and the sample
 spacing SAMPLE_DR with the radius DENSE_UNTIL where it relaxes;
-``IntegratorOptions`` keeps the ones that do vary (rel_tol, r_max,
-track_past_fzero).
+``IntegratorOptions`` keeps the ones that do vary (rel_tol, r_max).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +59,6 @@ from .roots import RTOL, brentq
 __all__ = [
     "IntegratorOptions",
     "ProfileState",
-    "TrajEvent",
     "Trajectory",
     "StepSizeUnderflowError",
     "NoZeroWithinHorizonError",
@@ -89,7 +88,7 @@ ABS_TOL = 1e-60
 # relaxes to bound sample counts
 SAMPLE_DR = 0.05
 DENSE_UNTIL = 20.0
-# event roots to 4 ulp, the brentq tolerance of scipy's own event location
+# the zero of f to 4 ulp, the brentq tolerance of scipy's own event location
 _ROOT_TOL = RTOL
 
 
@@ -100,8 +99,6 @@ class IntegratorOptions:
     # r = 15.5, where 1e-12 and 1e-13 keep it unresolved past r = 25
     rel_tol: float = 1e-12
     r_max: float = 50.0
-    # continue past the first zero of f (f < 0 permitted) until g crosses zero
-    track_past_fzero: bool = False
 
     def __post_init__(self):
         # a NaN passes a plain <= 0 test and an infinite horizon never ends
@@ -121,24 +118,16 @@ class ProfileState:
     g: float
 
 
-@dataclass(frozen=True)
-class TrajEvent:
-    kind: str  # "FZero" | "GZero"
-    r: float
-    info: dict = field(default_factory=dict)
-
-
 @dataclass
 class Trajectory:
-    """One shooting run: how it ended, its events and, when kept, its dense output.
+    """One shooting run: how it ended, where, and, when kept, its dense output.
 
-    ``status`` names what ended it: "horizon" (r_max), the kind of a terminal
-    event ("FZero" or "GZero"), "stopped" (the caller's stop test) or
-    "underflow" (the step size fell below 10 ulp of r). ``end`` is the state
-    there: the event root for an event, else the last accepted step end.
-    ``events`` maps each kind to its first root, in order of radius. ``dense``
-    is the run's dense output when it was kept; the sampled columns (``r``
-    to ``h``) are read from it on first use.
+    ``status`` names what ended it: "FZero" (the first zero of f), "horizon"
+    (r_max), "stopped" (the caller's stop test) or "underflow" (the step size
+    fell below 10 ulp of r). ``end`` is the state there: the root for
+    "FZero", else the last accepted step end. ``dense`` is the run's dense
+    output when it was kept; the sampled columns (``r`` to ``h``) are read
+    from it on first use.
     """
 
     params: Params
@@ -146,15 +135,17 @@ class Trajectory:
     status: str
     end: ProfileState
     steps: int
-    events: dict[str, TrajEvent]
     dense: _DenseOutput | None = None
 
     @property
     def r_end(self) -> float:
         return self.end.r
 
-    def event(self, kind: str) -> TrajEvent | None:
-        return self.events.get(kind)
+    @property
+    def end_slope(self) -> float:
+        """f' at ``end``: the crossing slope of an "FZero" run."""
+        # f' does not depend on the absorption term
+        return float(_rhs_arrays(self.params, self.end.r, self.end.f, self.end.g, absorption=True)[0])
 
     def eval(self, r):
         """Evaluate (f, g) anywhere in the integrated range via dense output."""
@@ -197,8 +188,9 @@ class Trajectory:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """h = w'/w = f/g, NaN wherever g <= 0: past the GZero event the ratio
-        has no meaning for the dichotomy diagnostics."""
+        """h = w'/w = f/g, NaN wherever g <= 0. A run ends at the first zero of
+        f, and g cannot reach zero before it (g' = f > 0 where g = 0), so the
+        guard only keeps the ratio defined."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.g > 0.0, self.f / self.g, np.nan)
 
@@ -222,12 +214,21 @@ def series_start(params: Params, a: float, eps: float) -> ProfileState:
     """Leading-order state at r = eps from g ~ a r / N and f' = -(a r/N)^(1/(p-1)).
 
     The f-correction is the integral of the leading slope; the matching
-    g-correction enters only at higher order in eps and is omitted.
+    g-correction enters only at higher order in eps and is omitted. It is
+    written through g0 = a eps / N, since eps^(p/(p-1)) = eps^(1/(p-1)) eps:
+    (a/N)^(1/(p-1)) alone overflows long before the correction does. A
+    height whose correction reaches a (or overflows) has its first zero
+    inside r = eps, and is refused.
     """
     require_positive("a", a)  # NaN and inf too: a NaN would shoot on to a step-size underflow
     p = params.p
     g0 = a * eps / params.N
-    f0 = a - (p - 1.0) / p * (a / params.N) ** params.e_g * eps ** (p / (p - 1.0))
+    try:
+        f0 = a - (p - 1.0) / p * g0**params.e_g * eps
+    except OverflowError:
+        f0 = -math.inf
+    if not f0 > 0.0:
+        raise ValueError(f"a = {a!r} is too large: f falls to zero before the series start r = {eps:.6g}")
     return ProfileState(r=eps, f=f0, g=g0)
 
 
@@ -238,13 +239,12 @@ def _energy_arrays(params: Params, f, g):
 
 
 def integrate(params: Params, a: float, opts: IntegratorOptions | None = None) -> Trajectory:
-    """Shoot from f(0)=a, f'(0)=0 until an f/g sign change or r_max, and keep the run.
+    """Shoot from f(0)=a, f'(0)=0 until f crosses zero or r_max, and keep the run.
 
-    The trajectory ends at the first of: FZero (f crosses zero, slope
-    recorded), GZero (g crosses zero; only reachable with track_past_fzero),
-    or r_max (status "horizon"). Events are root-resolved on the dense
-    output of the step that brackets them. Step-size underflow raises
-    StepSizeUnderflowError.
+    The trajectory ends at the first of: FZero (f crosses zero; the root is
+    resolved on the dense output of the step that brackets it, and
+    ``end_slope`` is f' there) or r_max (status "horizon"). Step-size
+    underflow raises StepSizeUnderflowError.
     """
     return _kept_run(params, a, opts or IntegratorOptions(), absorption=True)
 
@@ -252,12 +252,13 @@ def integrate(params: Params, a: float, opts: IntegratorOptions | None = None) -
 def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the absorption-free companion problem psi(0)=1, psi'(0)=0.
 
-    Ends at the first zero s0 of psi with its slope recorded; psi provably
-    has one, so running out of horizon raises NoZeroWithinHorizonError.
+    Ends at the first zero s0 of psi (``r_end``, with ``end_slope`` psi'
+    there); psi provably has one, so running out of horizon raises
+    NoZeroWithinHorizonError.
     """
     opts = opts or IntegratorOptions()
     traj = _kept_run(params, 1.0, opts, absorption=False)
-    if traj.event("FZero") is None:
+    if traj.status != "FZero":
         raise NoZeroWithinHorizonError(
             f"psi stayed positive up to r_max={opts.r_max}; this signals a bug"
         )
@@ -281,20 +282,19 @@ def shoot(
     keep_dense: bool = False,
     stop=None,
 ) -> Trajectory:
-    """Step DOP853 from the series start to r_max, a terminal event or ``stop``.
+    """Step DOP853 from the series start to r_max, the first zero of f or ``stop``.
 
     The steps are scipy's DOP853 steps in plain floats (``_first_step``,
     ``_step``, ``_dense``): the same tableau, error norm and control law, so
-    the same step sequence up to the rounding of the stage sums. The signs of
-    f and g are compared at each accepted step end, and a downward crossing is
+    the same step sequence up to the rounding of the stage sums. The sign of
+    f is compared at each accepted step end, and a downward crossing is
     resolved by ``roots.brentq`` to 4 ulp on that step's interpolant, as
-    scipy's IVP front end does. FZero ends the run unless
-    ``opts.track_past_fzero``; GZero always does. With ``keep_dense`` every
+    scipy's IVP front end does, and ends the run. With ``keep_dense`` every
     step's interpolant coefficients are kept and become one ``_DenseOutput``
-    at the end; otherwise they are computed only for a step that holds an
-    event.
-    ``stop(r, f, g)`` sees each accepted step end that no terminal event cut
-    short, and a true return ends the run.
+    at the end; otherwise they are computed only for the step that holds the
+    zero.
+    ``stop(r, f, g)`` sees each accepted step end before the zero, and a true
+    return ends the run.
     """
     eps = eps_start(a)
     if not opts.r_max > eps:
@@ -305,8 +305,6 @@ def shoot(
         return _rhs_arrays(params, r, f, g, absorption)
 
     rtol, r_max = opts.rel_tol, opts.r_max
-    terminal = {"FZero": not opts.track_past_fzero, "GZero": True}
-    events: dict[str, TrajEvent] = {}
     ts, coefs = [eps], []
     r, y = eps, (state0.f, state0.g)
     k = fun(r, *y)
@@ -321,31 +319,21 @@ def shoot(
         r_old, y_old = r, y
         r, y, k, h_abs, stages = step
         coef = _dense(fun, r_old, y_old, r, y, stages) if keep_dense else None
-        crossed = [i for i in (0, 1) if y_old[i] >= 0.0 >= y[i]]
-        if crossed:
+        if y_old[0] >= 0.0 >= y[0]:
             coef = coef or _dense(fun, r_old, y_old, r, y, stages)
-            roots = sorted(
-                (brentq(lambda s, i=i: _horner(coef, s)[i], r_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
-                for i in crossed
-            )
-            for root, i in roots:
-                kind, y_root = ("FZero", "GZero")[i], _horner(coef, root)
-                events.setdefault(kind, _event(params, kind, root, y_root, absorption))
-                if terminal[kind]:
-                    status, r, y = kind, root, y_root
-                    break
-        if status is None:
-            if stop is not None and stop(r, y[0], y[1]):
-                status = "stopped"
-            elif r >= r_max:
-                status = "horizon"
-        # a terminal root on the step's start adds no segment, as in scipy
+            root = brentq(lambda s: _horner(coef, s)[0], r_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            status, r, y = "FZero", root, _horner(coef, root)
+        elif stop is not None and stop(r, y[0], y[1]):
+            status = "stopped"
+        elif r >= r_max:
+            status = "horizon"
+        # a root on the step's start adds no segment, as in scipy
         if keep_dense and not (len(ts) > 1 and ts[-1] == r):
             ts.append(r)
             coefs.append(coef)
     end = ProfileState(r=float(r), f=float(y[0]), g=float(y[1]))
     dense = _DenseOutput(ts, coefs) if coefs else None
-    return Trajectory(params, a, status, end, steps, events, dense)
+    return Trajectory(params, a, status, end, steps, dense)
 
 
 # The DOP853 tableau, each nonzero entry bound to a name once: the node _Ci
@@ -601,13 +589,6 @@ def _horner(coef, r):
         f = (f + coef[16 - 2 * i]) * w
         g = (g + coef[17 - 2 * i]) * w
     return f + coef[2], g + coef[3]
-
-
-def _event(params: Params, kind: str, r: float, y, absorption: bool) -> TrajEvent:
-    df, dg = _rhs_arrays(params, r, y[0], y[1], absorption)
-    if kind == "FZero":
-        return TrajEvent(kind, r, {"slope": float(df), "g": float(y[1])})
-    return TrajEvent(kind, r, {"gprime": float(dg), "f": float(y[0])})
 
 
 class _DenseOutput:

@@ -29,9 +29,8 @@ def sample_oracle(params, traj):
     at some sample past r_G with f > 0, and still at the last sample; r_bar
     is the first such sample. Otherwise Unresolved.
     """
-    ev = traj.event("FZero")
-    if ev is not None and ev.info["slope"] < 0.0:
-        return "A", ev.r, ev.info["slope"], None
+    if traj.status == "FZero" and traj.end_slope < 0.0:
+        return "A", traj.r_end, traj.end_slope, None
     series = J_along(params, traj)
     thr = J_NEG_THRESHOLD * (1.0 + np.maximum.accumulate(np.abs(series.J)))
     idx = np.flatnonzero((series.J < -thr) & (series.r > find_r_G(params)) & (traj.f > 0.0))

@@ -226,6 +226,45 @@ class TestCommands:
         assert err.startswith(f"error: {name} must be a finite number > 0") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--N", "2", "--p", "1.5", "--a", "1e160"],
+            ["classify", "--N", "2", "--p", "1.5", "--a", "1e200"],
+            ["classify", "--N", "2", "--p", "1.5", "--a", "1e308"],
+            ["classify", "--N", "1", "--p", "1.01", "--a", "1e4"],
+            ["profile", "--N", "2", "--p", "1.5", "--a", "1e200", "--out", "p.csv"],
+            ["sweep", "--N", "2", "--p", "1.5", "--a-min", "1", "--a-max", "1e200", "--num", "2", "--out", "s.csv"],
+            ["pohozaev", "--N", "2", "--p", "1.5", "--a", "1e200", "--out", "g.csv"],
+        ],
+        ids=["classify-1e160", "classify-1e200", "classify-1e308", "classify-p1.01", "profile", "sweep", "pohozaev"],
+    )
+    def test_huge_height_classifies_or_is_refused(self, argv, tmp_path, capsys, monkeypatch):
+        # (a/N)^(1/(p-1)) overflows far below these heights; the series start
+        # must classify them or refuse them as too large, never crash
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: a = ") and "too large" in err
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert '"verdict": "A"' in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+    def test_pohozaev_radius_range_is_checked(self, flag, value, tmp_path, capsys, monkeypatch):
+        # unchecked, a NaN bound writes a table of NaNs and an infinite one numpy warnings
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+        assert run_cli("pohozaev", "--N", "2", "--p", "1.5", "--a", "1", flag, value, "--out", "g.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be a finite number > 0") and "Traceback" not in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("num", ["0", "-1", "-3"])
     @pytest.mark.parametrize("command", ["sweep", "pohozaev"])
     def test_num_below_one_is_usage_error(self, command, num, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from selfsim.params import make_params, weight_rho
-from selfsim.profile_ode import IntegratorOptions, integrate
 from selfsim.pohozaev import (
     G_cubic,
     G_direct,
@@ -101,15 +100,6 @@ class TestJ:
         for a in (0.1, 1.0, 10.0):
             series = J_along(P2, ctx.trajectory(2, 1.5, a))
             assert abs(series.J[0]) < 1e-8 * (1.0 + np.max(np.abs(series.J)))
-
-    def test_class_A_value_at_gzero(self, P2):
-        traj = integrate(P2, 100.0, IntegratorOptions(track_past_fzero=True))
-        ev = traj.event("GZero")
-        f1, g1 = traj.eval(ev.r)
-        J_r1 = float(J_eval(P2, np.array([ev.r]), np.array([f1]), np.array([g1]))[0])
-        alpha = coeff_functions(P2, np.array([ev.r]))[0][0]
-        assert J_r1 >= 0.0
-        assert J_r1 == pytest.approx(0.5 * alpha * ev.info["gprime"] ** 2, rel=1e-6)
 
     def test_small_a_drives_J_negative(self, ctx, P2):
         series = J_along(P2, ctx.trajectory(2, 1.5, 0.1))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import mul
 
 import numpy as np
@@ -85,15 +85,13 @@ class TestSeriesStart:
 class TestIntegrate:
     def test_large_a_crosses_zero_with_negative_slope(self, P2):
         traj = integrate(P2, 100.0)
-        ev = traj.event("FZero")
-        assert ev is not None and np.isfinite(ev.r)
-        assert ev.info["slope"] < 0.0
+        assert traj.status == "FZero" and np.isfinite(traj.r_end)
+        assert traj.end_slope < 0.0
 
     def test_small_a_stays_positive(self, P2):
         traj = integrate(P2, 1e-3)
-        assert traj.event("FZero") is None
         assert np.all(traj.f > 0.0)
-        assert traj.status == "horizon" and traj.events == {}
+        assert traj.status == "horizon"
         assert traj.r_end == pytest.approx(50.0)
 
     @pytest.mark.parametrize("a", [1e-3, 0.5, 2.0])
@@ -105,19 +103,15 @@ class TestIntegrate:
         assert np.all(traj.fprime < 0.0)
         assert np.all(traj.fprime > bound * (1.0 + 1e-9))
 
-    def test_fzero_implies_finite_gzero(self, P2):
-        # continuing past R(a) must reach g = 0 at finite R1 > R
-        traj = integrate(P2, 100.0, IntegratorOptions(track_past_fzero=True))
-        evf, evg = traj.event("FZero"), traj.event("GZero")
-        assert evf is not None and evg is not None
-        assert evg.r > evf.r
-
     def test_tolerance_refinement_self_consistency(self, P2):
         f10 = []
         for rtol in (1e-10, 5e-11):
             traj = integrate(P2, 1.0, IntegratorOptions(rel_tol=rtol))
             f10.append(traj.eval(10.0)[0])
         assert abs(f10[0] - f10[1]) / abs(f10[1]) < 10.0 * 1e-10
+
+    def test_options_have_two_settings(self):
+        assert [f.name for f in fields(IntegratorOptions)] == ["rel_tol", "r_max"]
 
     @pytest.mark.parametrize("field", ["rel_tol", "r_max"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
@@ -150,8 +144,7 @@ class TestIntegrate:
         # stages of large steps; the step is rejected and the run goes on
         P = make_params(1, 1.01)
         traj = integrate(P, 10.0)
-        assert traj.status == "FZero" and list(traj.events) == ["FZero"]
-        assert traj.event("FZero").info["slope"] < 0.0
+        assert traj.status == "FZero" and traj.end_slope < 0.0
 
     def test_nan_rhs_ends_in_underflow(self, P2, monkeypatch):
         # a NaN error norm shrinks the step like a failed one, down to 10 ulp
@@ -179,19 +172,15 @@ class TestIntegrate:
 
 
 def solve_ivp_run(params, a, opts, absorption):
-    """The same run as one solve_ivp call with dense output and f/g events."""
+    """The same run as one solve_ivp call with dense output, ended by the first zero of f."""
     eps = eps_start(a)
     st0 = series_start(params, a, eps)
 
     def f_zero(r, y):
         return y[0]
 
-    def g_zero(r, y):
-        return y[1]
-
-    f_zero.direction = g_zero.direction = -1.0
-    f_zero.terminal = not opts.track_past_fzero
-    g_zero.terminal = True
+    f_zero.direction = -1.0
+    f_zero.terminal = True
     return solve_ivp(
         lambda r, y: _rhs_arrays(params, r, y[0], y[1], absorption),
         (eps, opts.r_max),
@@ -200,7 +189,7 @@ def solve_ivp_run(params, a, opts, absorption):
         rtol=opts.rel_tol,
         atol=ABS_TOL,
         dense_output=True,
-        events=[f_zero, g_zero],
+        events=[f_zero],
     )
 
 
@@ -351,7 +340,6 @@ class TestSteppingLoop:
     CASES = {
         "truncated": (1.0, {}, True),
         "fzero": (7.0, {}, True),
-        "gzero": (7.0, {"track_past_fzero": True}, True),
         "psi": (1.0, {}, False),
     }
 
@@ -372,37 +360,28 @@ class TestSteppingLoop:
         assert np.max(np.abs(traj.f - y[0])) <= 1e-10 * scale
         assert np.max(np.abs(traj.g - y[1])) <= 1e-10 * scale
 
-        kinds = []
-        for kind, roots in zip(("FZero", "GZero"), ref.t_events):
-            if roots.size:
-                assert traj.event(kind).r == pytest.approx(float(roots.min()), rel=1e-12, abs=0)
-                kinds.append(kind)
-        # a run that no terminal event ends stops at r_max, where solve_ivp stops
+        (zeros,) = ref.t_events
+        if zeros.size:
+            assert traj.r_end == pytest.approx(float(zeros.min()), rel=1e-12, abs=0)
+        # a run that no zero of f ends stops at r_max, where solve_ivp stops
         assert (traj.status == "horizon") == (ref.status == 0)
         if ref.status == 0:
             assert traj.r_end == ref.t[-1]
-        assert [ev.kind for ev in traj.events.values()] == list(traj.events) == kinds
-        expected = {
-            "truncated": ([], "horizon"),
-            "fzero": (["FZero"], "FZero"),
-            "gzero": (["FZero", "GZero"], "GZero"),
-            "psi": (["FZero"], "FZero"),
-        }
-        assert (kinds, traj.status) == expected[case]
+        expected = {"truncated": (0, "horizon"), "fzero": (1, "FZero"), "psi": (1, "FZero")}
+        assert (zeros.size, traj.status) == expected[case]
 
-    @pytest.mark.parametrize("case", ["fzero", "gzero"])
+    @pytest.mark.parametrize("case", ["fzero", "psi"])
     def test_event_info_is_the_rhs_at_the_root(self, P2, case):
-        a, kw, _ = self.CASES[case]
-        traj = integrate(P2, a, IntegratorOptions(**kw))
-        for ev in traj.events.values():
-            f, g = traj.eval(ev.r)
-            df, dg = _rhs_arrays(P2, ev.r, f, g, True)
-            if ev.kind == "FZero":
-                assert ev.info == {"slope": float(df), "g": float(g)}
-            else:
-                assert ev.info == {"gprime": float(dg), "f": float(f)}
+        # the crossing slope is f' of the end state, which is the root itself;
+        # f' does not depend on the absorption, so psi's slope reads the same way
+        a, kw, absorption = self.CASES[case]
+        opts = IntegratorOptions(**kw)
+        traj = integrate(P2, a, opts) if absorption else psi_integrate(P2, opts)
+        f, g = traj.eval(traj.r_end)
+        assert (traj.end.f, traj.end.g) == (float(f), float(g))
+        assert traj.end_slope == float(_rhs_arrays(P2, traj.r_end, f, g, absorption)[0]) < 0.0
 
-    @pytest.mark.parametrize("case", ["truncated", "fzero", "gzero"])
+    @pytest.mark.parametrize("case", ["truncated", "fzero"])
     def test_run_without_dense_output_takes_the_same_steps(self, P2, case):
         a, kw, _ = self.CASES[case]
         opts = IntegratorOptions(**kw)
@@ -410,7 +389,6 @@ class TestSteppingLoop:
         shot = shoot(P2, a, opts)
         assert shot.dense is None
         assert shot.steps == traj.steps == len(traj.dense.ts) - 1
-        assert shot.events == traj.events
         assert shot.status == traj.status
         assert shot.end == traj.end
 
@@ -431,7 +409,7 @@ class TestSampledColumns:
     """A kept run's sampled columns are read from its dense output on first use."""
 
     @pytest.mark.parametrize(
-        "a, kw", [(1.0, {}), (7.0, {}), (7.0, {"track_past_fzero": True}), (0.5, {"r_max": 15.0})]
+        "a, kw", [(1.0, {}), (7.0, {}), (0.5, {"r_max": 15.0})]
     )
     def test_columns_are_the_dense_output_on_the_sample_grid(self, P2, a, kw):
         traj = integrate(P2, a, IntegratorOptions(**kw))
@@ -458,7 +436,7 @@ class TestSampledColumns:
 
     def test_psi_columns_use_the_same_rules(self, P2):
         psi = psi_integrate(P2)
-        assert psi.status == "FZero" and psi.r_end == psi.r[-1] == psi.event("FZero").r
+        assert psi.status == "FZero" and psi.r_end == psi.r[-1]
         assert psi.fprime.tobytes() == _rhs_arrays(P2, psi.r, psi.f, psi.g, absorption=False)[0].tobytes()
 
 
@@ -508,18 +486,15 @@ class TestDenseOutput:
 
     @pytest.mark.parametrize(
         "a, kw, roots",
-        [
-            (100.0, {}, {"FZero": 0.7255126829577537}),
-            (7.0, {}, {"FZero": 3.1106755746826167}),
-            (7.0, {"track_past_fzero": True}, {"FZero": 3.1106755746826167, "GZero": 4.955940239778427}),
-        ],
+        [(100.0, {}, {"FZero": 0.7255126829577537}), (7.0, {"r_max": 3.2}, {"FZero": 3.1106755746826167})],
     )
     def test_event_roots_pinned(self, P2, a, kw, roots):
         # brentq runs on one step's interpolant; its roots keep the bits they
-        # had when each step was a scipy DenseOutput
+        # had when each step was a scipy DenseOutput, and a horizon just past
+        # the zero leaves them as they are
         traj = integrate(P2, a, IntegratorOptions(**kw))
-        assert {kind: ev.r for kind, ev in traj.events.items()} == roots
-        assert psi_integrate(P2).event("FZero").r == 2.8307852700958747
+        assert {traj.status: traj.r_end} == roots
+        assert psi_integrate(P2).r_end == 2.8307852700958747
 
 
 class TestEnergy:
@@ -540,8 +515,7 @@ class TestStructuralIdentities:
     def test_divergence_form_and_w_slope(self, P2, a):
         # d/dr[rho |f'|^(p-2) f'] = -rho f, equivalently w' = rho f
         traj = integrate(P2, a)
-        ev = traj.event("FZero")
-        hi = 0.99 * (ev.r if ev is not None else traj.r_end)
+        hi = 0.99 * traj.r_end
         h = 5e-3
         r = np.linspace(0.1, hi - 2 * h, 1200)
 
@@ -570,24 +544,26 @@ class TestStructuralIdentities:
 class TestPsi:
     def test_finite_first_zero_with_negative_slope(self, P2):
         psi = psi_integrate(P2)
-        ev = psi.event("FZero")
-        assert ev is not None and ev.info["slope"] < 0.0
+        assert psi.status == "FZero" and psi.end_slope < 0.0
 
     def test_initial_energy_is_half(self, P2):
         psi = psi_integrate(P2)
         assert psi.E[0] == pytest.approx(0.5, rel=1e-10)
 
     def test_rescaled_profiles_converge_to_psi(self, ctx, P2):
+        # criterion 9's comparison: each run reaches s0 scale before it ends,
+        # so no value is read past its end, and the sups keep their bits
         psi = psi_integrate(P2)
-        s0 = psi.event("FZero").r
-        s = np.linspace(psi.r[0], s0, 1500)
+        s0 = psi.r_end
+        s = np.linspace(psi.r[0], s0, 2000)
         ref = psi.eval(s)[0]
         sups = []
         for a in (10.0, 100.0, 1000.0):
             scale = a ** (-(2.0 - P2.p) / P2.p)
-            traj = ctx.trajectory(2, 1.5, a, track_past_fzero=True, r_max=s0 * scale * 1.05 + 0.5)
-            sups.append(np.max(np.abs(traj.eval(s * scale)[0] / a - ref)))
-        assert sups[0] > sups[1] > sups[2]
+            traj = ctx.trajectory(2, 1.5, a, r_max=s0 * scale * 1.05 + 0.5)
+            assert traj.r_end >= s0 * scale
+            sups.append(float(np.max(np.abs(traj.eval(s * scale)[0] / a - ref))))
+        assert sups == [0.33957362765268095, 0.18075605165778913, 0.08975116463232503]
 
 
 def test_eps_start_rule():

@@ -7,7 +7,8 @@ Importing the library loads no scipy at all: only the PDE sweeps need it,
 for LAPACK's ``dptsv`` (``dgtsv`` on grids that cannot be symmetrised), and
 the first sweep of a run imports it. No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
-``subprocess``: every command runs in the calling process.
+``subprocess``: every command runs in the calling process. Under the suite's
+warning filters a failing property test still shows its falsifying example.
 """
 
 import ast
@@ -93,3 +94,22 @@ def test_the_first_sweep_loads_lapack():
 
 def test_the_profile_side_imports_no_scipy():
     assert modules_after("import selfsim") == []
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # the suite turns warnings into errors; one raised inside hypothesis's
+    # report hook would end the session in INTERNALERROR and hide the example
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 3\n"
+    )
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+         "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "Falsifying example" in out.stdout and "INTERNALERROR" not in out.stdout + out.stderr

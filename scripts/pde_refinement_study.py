@@ -13,7 +13,7 @@ import argparse
 
 from selfsim.params import make_params
 from selfsim.classify import find_ground_state
-from selfsim.pde import RadialGrid, make_initial, profile_errors, run_to_extinction, separable_config
+from selfsim.pde import RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction, separable_config
 from selfsim.reporting import write_csv
 
 
@@ -27,21 +27,26 @@ def main():
     args = ap.parse_args()
 
     P = make_params(args.N, args.p)
+    grids = [RadialGrid(args.r_inf, M) for M in args.levels]
+    for grid in grids:  # every level is checked before the ground state is sought
+        try:
+            resolved_couplings(P.N, grid)
+        except ValueError as exc:
+            ap.error(str(exc))
     gs = find_ground_state(P)
     print(f"a_* = {gs.a_star:.12g}")
 
     rows = []
     prev_err = None
-    for M in args.levels:
-        grid = RadialGrid(args.r_inf, M)
+    for grid in grids:
         cfg = separable_config(P, gs.a_star)
         frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))
         cmp = profile_errors(frames, gs.traj)
         err = cmp.sup_error[cmp.oracle].max()
         ratio = float("nan") if prev_err is None else prev_err / err
         prev_err = err
-        rows.append((M, frames.T_e_estimate, abs(frames.T_e_estimate - 1.0), err, ratio))
-        print(f"M={M:5d}: T_e={frames.T_e_estimate:.8f}  sup_err={err:.3e}  ratio={ratio:.2f}")
+        rows.append((grid.M, frames.T_e_estimate, abs(frames.T_e_estimate - 1.0), err, ratio))
+        print(f"M={grid.M:5d}: T_e={frames.T_e_estimate:.8f}  sup_err={err:.3e}  ratio={ratio:.2f}")
     write_csv(args.out, ["M", "T_e", "T_e_error", "sup_error", "ratio"], rows)
     print(f"wrote {args.out}")
 

@@ -24,10 +24,11 @@ import numpy as np
 
 from . import __version__
 from .params import NumericalError, make_params, require_positive
-from .profile_ode import IntegratorOptions, integrate
+from .profile_ode import IntegratorOptions, eps_start, integrate, series_start
 from .pohozaev import J_along, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, classify, find_ground_state
-from .pde import PdeConfig, RadialGrid, make_initial, profile_errors, run_to_extinction, separable_config
+from .pde import (PdeConfig, RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction,
+                  separable_config)
 from .reporting import SCHEMA_VERSION, read_summary, validate_config, write_csv, write_sidecar, write_summary
 from .acceptance import CRITERIA, RUNTIME_CHECK, AcceptanceContext, run_acceptance
 
@@ -104,6 +105,8 @@ def cmd_sweep(args) -> int:
     require_positive("--a-min", args.a_min)
     require_positive("--a-max", args.a_max)
     require_positive("--num", args.num)
+    for a in (args.a_min, args.a_max):  # a height too large for the series start, at either end
+        series_start(P, a, eps_start(a))
     spacing = np.geomspace if args.log else np.linspace
     found = [classify(P, float(a), opts) for a in spacing(args.a_min, args.a_max, args.num)]
     out_rows = [(c.a, c.verdict, _nan(c.R), _nan(c.slope), _nan(c.r_bar), _nan(c.J_at_rbar)) for c in found]
@@ -209,6 +212,7 @@ def _run_pde(settings: dict, tol_a: float | None = None):
     """
     P = make_params(settings["N"], settings["p"])
     grid = RadialGrid(settings["r_inf"], settings["M"])
+    resolved_couplings(P.N, grid)  # a grid the sweep cannot resolve is refused here, not after the search
     cfg = PdeConfig(params=P, kappa0=settings["kappa0"], init_kind=settings["init"], T0=settings["T0"])
     gs = None
     if tol_a is not None:

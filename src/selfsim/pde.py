@@ -9,24 +9,25 @@ regularized, Phi(s) = (s^2 + eps^2)^((p-2)/2) s, to cap the fast-diffusion
 singularity |grad u|^(p-2) -> inf at flat points.
 
 The absorption |u_r|^(p-1) is written in flux form. On a non-increasing
-profile it equals the flux magnitude |Phi(u_r)|, so cell i absorbs
-S_i = theta_i |Phi_{i+1/2}| + (1 - theta_i) |Phi_{i-1/2}|, a weighted mean of
-its two face fluxes, with theta_i = max(1/2, 1 - (r_{i-1/2}/r_i)^(N-1) / dr)
-(``_sink_weights``); the symmetry face adds nothing to cell 0. theta = 1/2 on
-fine grids, so the sink stays second order there. Cells wider than
-2 (r_{i-1/2}/r_i)^(N-1) lean on the outer face, the upwind side of a decaying
-profile, just far enough that the inner coupling stays non-negative; with
-theta = 1/2 there the sink would outweigh the inflow from the inner
-neighbour and the profile could rise outward whatever the dt. At N = 1 with theta = 1/2 the discrete
-kappa0 e^(-r/(p-1)) is a supersolution iff dr >= 2 tanh(dr/2), which always
-holds (slack dr^2/12), and N >= 2 adds slack, so the bound holds for the
-spatial operator on every grid.
+profile it equals the flux magnitude |Phi(u_r)|, so cell i absorbs the mean
+of its two face fluxes, S_i = (|Phi_{i+1/2}| + |Phi_{i-1/2}|)/2, second
+order; the symmetry face adds nothing to cell 0, which absorbs all of
+|Phi_{1/2}| at N >= 2, where its inner face carries no weight. A run accepts
+only grids on which every cell i >= 1 couples to its inner neighbour: the
+diffusion across the inner face, r_{i-1/2}^(N-1)/(r_i^(N-1) dr^2), must
+outweigh the sink's share of it, 1/(2 dr). That holds everywhere iff it holds
+at cell 1, iff dr < 2 (2/3)^(N-1) (2 at N = 1, 1.33 at N = 2, 0.40 at N = 5);
+a wider cell could not resolve the decay length p - 1 of e^(-r/(p-1))
+anyway, and ``resolved_couplings`` refuses it (ValueError). At N = 1 the
+discrete kappa0 e^(-r/(p-1)) is a supersolution iff dr >= 2 tanh(dr/2),
+which always holds (slack dr^2/12), and N >= 2 adds slack, so the bound holds
+for the spatial operator on every accepted grid.
 
 Production time stepping (``run_to_extinction``) is lagged-diffusivity
 backward Euler: the face flux is c(D^n) D^(n+1) with the secant diffusivity
 c(s) = (s^2+eps^2)^((p-2)/2), and the sink is lagged the same way,
 c(D^n) |D^(n+1)|. Both join the couplings of a tridiagonal solve whose
-right-hand side is u^n. The couplings k_up, k_dn (``_geometry``) are
+right-hand side is u^n. The couplings k_up, k_dn (``resolved_couplings``) are
 non-negative, so every sweep is an M-matrix at any dt (positivity and max
 principle); each sweep's result is clipped at zero. Each step is the
 extrapolated linearly implicit Euler method with the harmonic sequence
@@ -39,11 +40,8 @@ T43 = 2 T42 - T32, T44 = T43 + (T43 - T33)/3, whose columns are of order
 geometry, runs the ten sweeps and returns T44 together with the error
 estimate |T44 - T43|, the local error of the third-order T43 (the step
 advances the highest column, as extrapolation codes do). On stiff cells the
-extrapolation can lift a tail cell above its inner neighbour by a rounding
-error, which caps it when the rise is at most ATOL kappa0 (a rise the error
-control accepts anyway; a larger one is kept for the run's instability
-monitor), or drive it to zero or below (or into the subnormal range), which
-zeroes the tail beyond it.
+extrapolation can drive a tail cell to zero or below (or into the subnormal
+range), which zeroes the tail beyond it.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
 norm max_i |T44 - T43|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
@@ -67,12 +65,10 @@ M-matrix (a Stieltjes matrix) in the unknown s u, with off-diagonal
 weight rho = r^(N-1) e^r of the paper's L^2(rho) up to a constant factor
 (to 0.22 % on the production grid): the variational structure of the
 equation, seen by the grid. LAPACK ptsv solves such a system by LDL^T
-without pivoting, in about three quarters of gtsv's time at M = 2000. A
-grid where some inner coupling is zero (cells wider than
-2 (r_{i-1/2}/r_i)^(N-1)) has no such scale, and on long grids the scale
-exceeds _S_MAX (it grows as e^(r/2): past R_inf ~ 460 at N = 1); there every
-sweep keeps the general tridiagonal rows and LAPACK gtsv. ``_geometry``
-decides once per run, from the grid alone.
+without pivoting, in about three quarters of gtsv's time at M = 2000. The
+scale needs every inner coupling, and it grows as e^(r/2), so on long grids
+it passes _S_MAX; ``resolved_couplings`` refuses such a grid too, and every
+accepted run sweeps this one way.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: the couplings, their scale s, 1/s and
@@ -82,8 +78,8 @@ cached per grid. Each sweep hands its diagonals to LAPACK directly (ptsv is
 the routine ``solveh_banded`` calls for a two-row band, gtsv the one
 ``solve_banded`` calls for one sub- and one superdiagonal, so the bits are
 the same) and keeps the wrappers' checks: a non-finite entry raises
-ValueError, a singular system LinAlgError. A symmetric system whose ptsv
-meets a non-positive pivot is solved again by gtsv. ``scipy.linalg``,
+ValueError, a singular system SingularSweepError. A system whose ptsv meets
+a non-positive pivot is solved again by gtsv. ``scipy.linalg``,
 where both live, is imported by the first sweep, not with the module. The
 first sweep of each column starts from the step's state, and the four share
 its rows: the diagonal's dt part, the symmetric couplings and s u are built
@@ -115,7 +111,6 @@ import numbers
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .params import NumericalError, Params, require_positive, weight_rho
 from .profile_ode import Trajectory
@@ -136,6 +131,8 @@ __all__ = [
     "MaxStepsExceededError",
     "BadExtinctionTimeError",
     "InsufficientDecayError",
+    "SingularSweepError",
+    "resolved_couplings",
     "sphere_area",
     "make_grid",
     "make_initial",
@@ -198,6 +195,10 @@ class BadExtinctionTimeError(ValueError):
 
 class InsufficientDecayError(NumericalError):
     """Fewer than the required records in the final decade of the sup norm."""
+
+
+class SingularSweepError(NumericalError):
+    """LAPACK found a sweep's matrix singular."""
 
 
 def sphere_area(N: int) -> float:
@@ -335,25 +336,6 @@ def _face_gradients(u: np.ndarray, dr: float) -> np.ndarray:
     return D
 
 
-def _face_weight(grid: RadialGrid, N: int) -> np.ndarray:
-    """r^(N-1) at the faces; the N = 1 center face carries no flux (symmetry)."""
-    w = grid.faces ** (N - 1)
-    if N == 1:
-        w[0] = 0.0
-    return w
-
-
-def _sink_weights(grid: RadialGrid, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, theta) per cell: q_i = (r_{i-1/2}/r_i)^(N-1) / dr and theta_i = max(1/2, 1 - q_i).
-
-    Cell i absorbs theta_i |Phi_{i+1/2}| + (1 - theta_i) |Phi_{i-1/2}|. On a
-    non-increasing profile |Phi| = |u_r|^(p-1), and 1 - theta_i <= q_i keeps the
-    inner face's diffusive coupling q_i/dr above the sink's (1 - theta_i)/dr.
-    """
-    q = (grid.faces[:-1] / grid.centers) ** (N - 1) / grid.dr
-    return q, np.maximum(0.5, 1.0 - q)
-
-
 def _flux_slope(D: np.ndarray, eps2: float, p: float) -> np.ndarray:
     """Phi'(D) = (D^2 + eps^2)^((p-4)/2) (eps^2 + (p-1) D^2), the flux's slope."""
     return (D * D + eps2) ** ((p - 4.0) / 2.0) * (eps2 + (p - 1.0) * D * D)
@@ -366,64 +348,76 @@ class _Geometry:
     dr: float
     p: float  # the flux exponent, for Phi' in the explicit dt rule
     k_up: np.ndarray  # coupling to u_{i+1} per unit dt and diffusivity: diffusion plus sink
-    k_dn: np.ndarray  # coupling to u_{i-1}, likewise; >= 0, so every sweep is an M-matrix
+    k_dn: np.ndarray  # coupling to u_{i-1}, likewise; > 0 but at cell 0, so every sweep is an M-matrix
     eps2: float
     c_exp: float  # (p-2)/2: the secant diffusivity's exponent
     bound: np.ndarray  # the supersolution kappa0 e^(-r/(p-1)) at the centers
     atol: float  # ATOL kappa0: the absolute error a step may make per cell
-    # the symmetrised sweep (ptsv), None on grids that cannot be symmetrised (gtsv):
-    s: np.ndarray | None  # the diagonal scale s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1
-    inv_s: np.ndarray | None  # 1/s
-    k_sym: np.ndarray | None  # sqrt(k_up_i k_dn_{i+1}): the coupling across face i+1/2 in the scaled rows
+    s: np.ndarray  # the diagonal scale s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1
+    inv_s: np.ndarray  # 1/s
+    k_sym: np.ndarray  # sqrt(k_up_i k_dn_{i+1}): the coupling across face i+1/2 in the scaled rows
 
 
 # the largest symmetrising scale: a run refuses data whose face gradients
 # square past the float range (its first dt would be nan), so an accepted
-# non-increasing u peaks below 1.4e154 R_inf; s <= 1e100 holds on grids up to
-# R_inf ~ 460, so s u stays below ~1e257 and the elimination keeps 50 decades
+# non-increasing u peaks below 1.4e154 R_inf; with s <= 1e100, s u stays below
+# ~1e257 and the elimination keeps 50 decades. s grows as e^(r/2) on fine
+# grids (past 1e100 by R_inf ~ 460 at N = 1), faster on coarse ones (by
+# R_inf ~ 100 near the edge dr -> 2 at N = 1)
 _S_MAX = 1e100
 
 
-def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
-    """The couplings of the flux-form sink lagged into the sweep, and their symmetrising scale.
+def resolved_couplings(N: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k_up, k_dn, s): the couplings of a sweep on grid and their symmetrising scale; refuses a grid without them.
 
     Cell i's row of a sweep is u_i - dt [c_up k_up (u_{i+1} - u_i) - c_dn k_dn (u_i - u_{i-1})] = u^n_i
     with k_up = r_{i+1/2}^(N-1) / (r_i^(N-1) dr^2) + theta_i / dr and
-    k_dn = r_{i-1/2}^(N-1) / (r_i^(N-1) dr^2) - (1 - theta_i) / dr, written as
-    max(q_i - 1/2, 0) / dr so that rounding cannot make it negative. Cell 0
-    has no inner coupling: its inner face is the symmetry face.
+    k_dn = r_{i-1/2}^(N-1) / (r_i^(N-1) dr^2) - (1 - theta_i) / dr: the
+    flux-form sink lagged into the sweep, with theta_i = 1/2 but theta_0 = 1
+    at N >= 2. Cell 0 has no inner coupling: its inner face is the symmetry face.
 
     Rows i and i+1 couple through the same c_{i+1/2}, so the ratio of their
-    couplings, k_up_i / k_dn_{i+1}, is a constant of the grid, and the scale s
-    turns every sweep into a symmetric M-matrix. It needs every inner
-    coupling k_dn_{i>=1} > 0 and s_{M-1} <= _S_MAX, which the grid alone
-    decides; elsewhere s, 1/s and k_sym are None.
+    couplings, k_up_i / k_dn_{i+1}, is a constant of the grid, and the scale
+    s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1, turns every sweep into a
+    symmetric M-matrix. A grid is refused (ValueError naming M and R_inf)
+    unless every inner coupling k_dn_{i>=1} > 0, i.e. dr < 2 (2/3)^(N-1), and
+    s_{M-1} <= _S_MAX.
     """
-    p, N = config.params.p, config.params.N
-    dr = grid.dr
-    r = grid.centers
-    q, theta = _sink_weights(grid, N)
-    k_dn = np.maximum(q - 0.5, 0.0) / dr
+    dr, r = grid.dr, grid.centers
+    theta = np.full(grid.M, 0.5)
+    theta[0] = 1.0 if N > 1 else 0.5  # at N >= 2 cell 0's inner face carries no weight
+    k_dn = ((grid.faces[:-1] / r) ** (N - 1) / dr - 0.5) / dr
     k_dn[0] = 0.0
-    k_up = _face_weight(grid, N)[1:] / (r ** (N - 1) * dr * dr) + theta / dr
-    s = inv_s = k_sym = None
-    if (k_dn[1:] > 0.0).all():
-        with np.errstate(over="ignore"):  # a scale past _S_MAX may overflow
-            scale = np.cumprod(np.sqrt(np.concatenate(([1.0], k_up[:-1] / k_dn[1:]))))
-        if scale[-1] <= _S_MAX:
-            s, inv_s, k_sym = scale, 1.0 / scale, np.sqrt(k_up[:-1] * k_dn[1:])
+    k_up = grid.faces[1:] ** (N - 1) / (r ** (N - 1) * dr * dr) + theta / dr
+    where = f"a grid of M = {grid.M} cells on R_inf = {grid.R_inf!r} at N = {N}"
+    if not (k_dn[1:] > 0.0).all():
+        edge = 2.0 * (2.0 / 3.0) ** (N - 1)
+        raise ValueError(f"{where} leaves a cell without coupling to its inner neighbour: cells must be narrower "
+                         f"than 2 (2/3)^(N-1) = {edge:.6g}, i.e. M > R_inf / {edge:.6g} = {grid.R_inf / edge:.6g}")
+    with np.errstate(over="ignore"):  # a scale past _S_MAX may overflow
+        s = np.cumprod(np.sqrt(np.concatenate(([1.0], k_up[:-1] / k_dn[1:]))))
+    if not s[-1] <= _S_MAX:
+        raise ValueError(f"{where} is too long: the scale that symmetrises its sweeps passes {_S_MAX:g} at "
+                         f"r = {r[np.argmax(s > _S_MAX)]:.6g}; take a shorter R_inf")
+    return k_up, k_dn, s
+
+
+def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
+    """The per-run constants of the sweep on grid, from ``resolved_couplings``, which refuses a grid without them."""
+    p = config.params.p
+    k_up, k_dn, s = resolved_couplings(config.params.N, grid)
     return _Geometry(
-        dr=dr,
+        dr=grid.dr,
         p=p,
         k_up=k_up,
         k_dn=k_dn,
         eps2=EPS_REG**2,
         c_exp=(p - 2.0) / 2.0,
-        bound=_exp_tail(config, r),
+        bound=_exp_tail(config, grid.centers),
         atol=ATOL * config.kappa0,
         s=s,
-        inv_s=inv_s,
-        k_sym=k_sym,
+        inv_s=1.0 / s,
+        k_sym=np.sqrt(k_up[:-1] * k_dn[1:]),
     )
 
 
@@ -485,10 +479,10 @@ def _require_finite(d: np.ndarray, b: np.ndarray) -> None:
 
 def _solution(name: str, out: tuple) -> np.ndarray:
     """The solution of a LAPACK ?tsv call's outputs, or the wrappers' error: a
-    singular or indefinite system raises LinAlgError, an illegal argument ValueError."""
+    singular system raises SingularSweepError, an illegal argument ValueError."""
     *_, x, info = out
     if info > 0:
-        raise LinAlgError(f"singular or indefinite matrix (info {info} of internal {name})")
+        raise SingularSweepError(f"singular matrix (info {info} of internal {name})")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal {name}")
     return x
@@ -497,16 +491,12 @@ def _solution(name: str, out: tuple) -> np.ndarray:
 def _rows(g: _Geometry, u: np.ndarray, c: np.ndarray):
     """The parts of a sweep from u, with c = c(u), that do not depend on its dt: (a, off, rhs).
 
-    a = k_up c_up + k_dn c_dn is the diagonal's dt part. On a symmetrised grid
-    off = k_sym c at the inner faces and rhs = s u; otherwise
-    off = (k_dn c_dn, k_up c_up) below and above the diagonal and rhs = u.
+    a = k_up c_up + k_dn c_dn is the diagonal's dt part, off = k_sym c at the
+    inner faces and rhs = s u.
     """
-    up = g.k_up * c[1:]
-    dn = g.k_dn * c[:-1]
-    if g.s is None:
-        return up + dn, (dn[1:], up[:-1]), u
-    up += dn
-    return up, g.k_sym * c[1:-1], g.s * u
+    a = g.k_up * c[1:]
+    a += g.k_dn * c[:-1]
+    return a, g.k_sym * c[1:-1], g.s * u
 
 
 def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
@@ -514,22 +504,17 @@ def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
 
     Row i is (1 + h a_i) u_i - h k_up c_up u_{i+1} - h k_dn c_dn u_{i-1} = u^n_i
     (the Dirichlet 0 ghost for i = M-1): diffusion and absorption balance
-    within the one solve. LAPACK solves it in place, without the wrappers
-    (ptsv is the routine ``solveh_banded`` calls for a two-row band, gtsv the
-    one ``solve_banded`` calls for one sub- and one superdiagonal). On a
-    symmetrised grid the solve is in s u, with the symmetric couplings
-    -h k_sym c, by ptsv (LDL^T without pivoting), or by gtsv where ptsv
-    meets a non-positive pivot, and the result is scaled back by 1/s;
-    elsewhere gtsv solves the general rows.
+    within the one solve. It is solved in s u, with the symmetric couplings
+    -h k_sym c, by LAPACK ptsv (LDL^T without pivoting, the routine
+    ``solveh_banded`` calls for a two-row band), or by gtsv (the one
+    ``solve_banded`` calls for one sub- and one superdiagonal) where ptsv
+    meets a non-positive pivot, in place and without the wrappers; the
+    result is scaled back by 1/s.
     """
     a, off, rhs = rows
     d = h * a
     d += 1.0
     _require_finite(d, rhs)
-    if g.s is None:
-        dl, du = off
-        return _solution("gtsv", _lapack("dgtsv")((-h) * dl, d, (-h) * du, rhs, overwrite_dl=1, overwrite_d=1,
-                                                  overwrite_du=1, overwrite_b=overwrite_rhs))
     name, out = "ptsv", _lapack("dptsv")(d, (-h) * off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=overwrite_rhs)
     if out[-1] > 0:
         # a coupling so strong that rounding takes the 1 of its rows leaves a
@@ -554,15 +539,9 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     The four first sweeps start from u and share its rows. error is
     |T44 - T43|: T43 is third order, so this estimates its local error,
     O(dt^4), and T44 is one order better. On stiff cells the extrapolation
-    can lift a tail cell above its inner neighbour (a coarse cell without
-    inner coupling drains faster than the cell outside it), or drive it to
-    zero or below. The first is capped at the lowest cell inside it when it
-    rises above that by at most atol = ATOL kappa0, the absolute error the
-    control accepts per cell (the rises seen are rounding errors, 6e-15 at a
-    peak of 2.9e-4); a larger rise is kept, so that the run's instability
-    monitor and the tests see it. The second zeroes the whole tail beyond
-    it, as does a subnormal cell (below _TINY), whose few bits cannot order
-    a tail.
+    can drive a tail cell to zero or below; that zeroes the whole tail
+    beyond it, as does a subnormal cell (below _TINY), whose few bits cannot
+    order a tail.
     saturations counts the cells u4's last sweep clipped and those the
     extrapolation drives negative.
     """
@@ -586,9 +565,6 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     u_new = t43 + (t43 - t33) / 3.0
     error = np.abs(u_new - t43)
     sat += int(np.count_nonzero(u_new < 0.0))
-    if (u_new[1:] > u_new[:-1]).any():
-        floor = np.minimum.accumulate(u_new)
-        np.copyto(u_new, floor, where=u_new - floor <= geom.atol)
     below = u_new < _TINY
     dead = int(below.argmax())
     if below[dead]:

@@ -10,7 +10,7 @@ import pytest
 
 from selfsim import cli, pde
 from selfsim.classify import BisectionStallError, BracketFailureError, NoPlateauError
-from selfsim.pde import InsufficientDecayError, MaxStepsExceededError, TimestepUnderflowError
+from selfsim.pde import InsufficientDecayError, MaxStepsExceededError, SingularSweepError, TimestepUnderflowError
 from selfsim.pohozaev import RootBracketFailureError
 from selfsim.profile_ode import NoZeroWithinHorizonError, StepSizeUnderflowError
 from selfsim.cli import PDE_RUN_DEFAULTS, build_parser, main
@@ -251,6 +251,19 @@ class TestCommands:
             assert list(tmp_path.iterdir()) == []
         else:
             assert '"verdict": "A"' in out
+
+    def test_sweep_refuses_a_huge_a_max_before_any_classification(self, tmp_path, capsys, monkeypatch):
+        # both ends of the heights are checked against the series start first, as non-finite ones are
+        def unreachable(*args):
+            raise AssertionError("a height was classified before --a-max was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "classify", unreachable)
+        assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "1", "--a-max", "1e200", "--num", "2",
+                       "--out", "x.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a = 1e+200 is too large") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
@@ -582,6 +595,43 @@ class TestCommands:
         assert "kappa0" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["pde-run", "--N", "2", "--init", "separable", "--M", "8"], ["M = 8", "R_inf = 15.0", "inner neighbour"]),
+            (["pde-run", "--N", "2", "--M", "8"], ["M = 8", "R_inf = 15.0", "M > R_inf / 1.33333 = 11.25"]),
+            (["pde-compare", "--N", "2", "--M", "11"], ["M = 11", "R_inf = 15.0", "inner neighbour"]),
+            (["pde-compare", "--N", "1", "--M", "400", "--r-inf", "480"], ["M = 400", "R_inf = 480.0", "shorter R_inf"]),
+        ],
+        ids=["run-separable", "run-exp_tail", "compare", "compare-scale"],
+    )
+    def test_unresolved_grid_exits_2_before_the_ground_state_search(self, argv, words, tmp_path, capsys, monkeypatch):
+        # a grid whose cells do not all couple to their inner neighbours, or whose sweep scale
+        # passes its bound, is refused before the search and before any sweep
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ground state was sought before the grid was checked")
+
+        monkeypatch.setattr(cli, "find_ground_state", unreachable)
+        monkeypatch.setattr(pde, "_step_imex", unreachable)
+        assert run_cli(*argv, "--p", "1.5", "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a grid of ") and all(word in err for word in words), err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pde_run_singular_sweep_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # LAPACK reports a singular system by info > 0: ptsv hands the rows to gtsv, whose failure
+        # ends the run with exit 3, not with the exit 2 of a bad setting
+        def singular(*arrays, **overwrite):
+            return (*arrays, 1)
+
+        monkeypatch.setattr(pde, "_lapack", lambda name: singular)
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--M", "32", "--r-inf", "8",
+                       "--out", str(tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: singular matrix (info 1 of internal gtsv)")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kappa0", ["1e160", "1e200", "1e300"])
     def test_pde_run_overflowing_amplitude_exits_2_before_any_sweep(self, kappa0, tmp_path, capsys, monkeypatch):
         # else the first dt and record overflow, and a LAPACK check refuses the sweep without naming kappa0
@@ -641,7 +691,7 @@ class TestExitCodes:
             (StepSizeUnderflowError, 3), (NoZeroWithinHorizonError, 3), (RootBracketFailureError, 3),
             (BracketFailureError, 3), (BisectionStallError, 3), (NoPlateauError, 3),
             (TimestepUnderflowError, 3), (MaxStepsExceededError, 3), (InsufficientDecayError, 3),
-            (ValueError, 2),
+            (SingularSweepError, 3), (ValueError, 2),
         ],
     )
     def test_exit_code_by_type(self, error, code, capsys, monkeypatch):

@@ -4,7 +4,7 @@
 from the in-repo copy ``dop853_coefficients`` and never builds scipy's solver
 object, and no module imports from scipy's private ``_``-prefixed modules.
 Importing the library loads no scipy at all: only the PDE sweeps need it,
-for LAPACK's ``dptsv`` (``dgtsv`` on grids that cannot be symmetrised), and
+for LAPACK's ``dptsv`` (and ``dgtsv`` where a pivot of ptsv fails), and
 the first sweep of a run imports it. No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process. Under the suite's
@@ -67,12 +67,20 @@ def test_the_guard_sees_what_it_bans():
     assert len(violations(source)) == 5
 
 
-def modules_after(statement: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``statement``."""
-    code = f"import json, sys; {statement}; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def value_after(statement: str, expression: str):
+    """The value of the JSON ``expression`` in a fresh interpreter after running ``statement``."""
+    code = f"import json, sys; {statement}; print(json.dumps({expression}))"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def modules_after(statement: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``statement``."""
+    return value_after(statement, SCIPY_MODULES)
 
 
 def test_the_library_import_skips_integrate_optimize_and_special():
@@ -82,14 +90,16 @@ def test_the_library_import_skips_integrate_optimize_and_special():
 
 
 def test_the_first_sweep_loads_lapack():
+    # the run's sweeps load dptsv alone: dgtsv only steps in where a pivot of ptsv fails
     run = (
-        "from selfsim import make_params; from selfsim.pde import PdeConfig, RadialGrid, make_initial, "
-        "run_to_extinction; cfg = PdeConfig(params=make_params(3, 1.97)); "
-        "run_to_extinction(cfg, make_initial(cfg, RadialGrid(15.3, 8)))"
+        "from selfsim import make_params, pde; cfg = pde.PdeConfig(params=make_params(3, 1.97)); "
+        "load, routines = pde._lapack, set(); pde._lapack = lambda name: routines.add(name) or load(name); "
+        "pde.run_to_extinction(cfg, pde.make_initial(cfg, pde.RadialGrid(15.3, 40)))"
     )
-    loaded = modules_after(run)
+    loaded, routines = value_after(run, f"[{SCIPY_MODULES}, sorted(routines)]")
     assert "scipy.linalg" in loaded
     assert not {"scipy.integrate", "scipy.optimize", "scipy.special"} & set(loaded)
+    assert routines == ["dptsv"]
 
 
 def test_the_profile_side_imports_no_scipy():

@@ -72,7 +72,7 @@ accepted run sweeps this one way.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: the couplings, their scale s, 1/s and
-symmetric couplings, eps^2, p, the diffusivity's exponent, the
+symmetric couplings, eps^2, the diffusivity's exponent, the first dt, the
 supersolution bound and ATOL kappa0), and the weights of ``weighted_functionals`` are
 cached per grid. Each sweep hands its diagonals to LAPACK directly (ptsv is
 the routine ``solveh_banded`` calls for a two-row band, gtsv the one
@@ -89,12 +89,17 @@ once per step.
 read off the sweep's matrix: L_h(u)_i = c_up k_up (u_{i+1} - u_i) -
 c_dn k_dn (u_i - u_{i-1}) with c = c(u). On a non-increasing u it equals the
 flux form div(r^(N-1) Phi)/r^(N-1) - S_i above. The run's first dt is the
-explicit stability rule ``explicit_dt``,
-cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Phi(D)|)). It is bound
-by Phi'(0) = eps^(p-2) (some interface always sits at D ~ 0: the flat
-center, the far tail), so dt ~ 1e-11 at production resolution. Forward
-Euler on L_h at that dt could not finish an extinction run; the test suite
-keeps it only as the oracle of the implicit step (``tests/test_pde.py``).
+explicit stability bound of forward Euler on L_h, cfl dr^2 / (2 max Phi'(D)),
+and that is a constant of the grid, ``_Geometry.dt_first``: Phi' falls
+strictly with |D| for 1 < p < 2 (with y = D^2, d/dy log Phi' has the sign of
+eps^2 (3p - 6) + y (p - 1)(p - 2) < 0), and the center face is flat in every
+state (D_0 = 0), so the maximum is Phi'(0) = eps^(p-2) (the float Phi' can
+read a few ulp above it only where |D| ~ 1e-20 and the two differ by less
+than rounding). That gives dt ~ 1e-11 at production resolution. Forward Euler at
+that dt could not finish an extinction run; the test suite keeps it only as
+the oracle of the implicit step (``tests/test_pde.py``). A step whose dt
+falls below 10 ulp of the clock t ends the run (``TimestepUnderflowError``),
+the rule ``profile_ode`` keeps for the radius of a shooting step.
 
 The settings no caller varies are module constants: EPS_REG of the flux,
 CFL_SAFETY, RTOL, ATOL, RECORDS_PER_DECADE (REL_CHANGE derives from it),
@@ -155,7 +160,7 @@ __all__ = [
 # the genuine p-Laplacian regime and the capped-diffusivity crossover
 # overfeed of the far tail below the 1e-12 comparison slack
 EPS_REG = 1e-12
-CFL_SAFETY = 0.4  # explicit stability rule: fraction of the bound
+CFL_SAFETY = 0.4  # the run's first dt: fraction of the explicit stability bound
 RTOL = 2e-6  # error control on |T44 - T43|: relative part of the per-cell scale
 ATOL = 1e-12  # absolute part, times kappa0
 RECORDS_PER_DECADE = 40  # functional records per decade of the sup norm
@@ -182,7 +187,7 @@ class NonMonotoneInitialDataError(ValueError):
 
 
 class TimestepUnderflowError(NumericalError):
-    pass
+    """An attempted dt fell below 10 ulp of the clock t, where t + dt no longer resolves the step."""
 
 
 class MaxStepsExceededError(NumericalError):
@@ -346,7 +351,7 @@ class _Geometry:
     """The per-run constants of the implicit sweep, built once by ``_geometry``."""
 
     dr: float
-    p: float  # the flux exponent, for Phi' in the explicit dt rule
+    dt_first: float  # the run's first dt: CFL_SAFETY dr^2 / (2 Phi'(0)), the explicit bound at the flat center face
     k_up: np.ndarray  # coupling to u_{i+1} per unit dt and diffusivity: diffusion plus sink
     k_dn: np.ndarray  # coupling to u_{i-1}, likewise; > 0 but at cell 0, so every sweep is an M-matrix
     eps2: float
@@ -359,7 +364,7 @@ class _Geometry:
 
 
 # the largest symmetrising scale: a run refuses data whose face gradients
-# square past the float range (its first dt would be nan), so an accepted
+# square past the float range (the diffusivity would read 0), so an accepted
 # non-increasing u peaks below 1.4e154 R_inf; with s <= 1e100, s u stays below
 # ~1e257 and the elimination keeps 50 decades. s grows as e^(r/2) on fine
 # grids (past 1e100 by R_inf ~ 460 at N = 1), faster on coarse ones (by
@@ -404,14 +409,15 @@ def resolved_couplings(N: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray
 
 def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
     """The per-run constants of the sweep on grid, from ``resolved_couplings``, which refuses a grid without them."""
-    p = config.params.p
+    p, dr, eps2 = config.params.p, grid.dr, EPS_REG**2
     k_up, k_dn, s = resolved_couplings(config.params.N, grid)
     return _Geometry(
-        dr=grid.dr,
-        p=p,
+        dr=dr,
+        # Phi'(0) through the array power, whose bits the run has always started from
+        dt_first=CFL_SAFETY * (dr * dr / (2.0 * float(_flux_slope(np.zeros(1), eps2, p)[0]))),
         k_up=k_up,
         k_dn=k_dn,
-        eps2=EPS_REG**2,
+        eps2=eps2,
         c_exp=(p - 2.0) / 2.0,
         bound=_exp_tail(config, grid.centers),
         atol=ATOL * config.kappa0,
@@ -442,18 +448,6 @@ def _residual(g: _Geometry, u: np.ndarray) -> np.ndarray:
     D = _face_gradients(u, g.dr)
     flux = _diffusivity(g, u) * D
     return g.dr * (g.k_up * flux[1:] - g.k_dn * flux[:-1])
-
-
-def explicit_dt(g: _Geometry, u: np.ndarray) -> float:
-    """The explicit stability rule: cfl * min(diffusive bound, absorption bound).
-
-    The diffusive bound is dr^2 / (2 max Phi'(D)), the absorption bound
-    dr / max(1, max |Phi(D)|) with |Phi(D)| = c(D) |D|.
-    """
-    D = _face_gradients(u, g.dr)
-    diff_bound = g.dr * g.dr / (2.0 * float(np.max(_flux_slope(D, g.eps2, g.p))))
-    sink = float(np.max(_diffusivity(g, u) * np.abs(D)))
-    return CFL_SAFETY * min(diff_bound, g.dr / max(1.0, sink))
 
 
 @functools.cache
@@ -654,11 +648,12 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
     next_rec = peak * rec_factor
     with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude overflows here first
-        dt = explicit_dt(geom, u)
         record = weighted_functionals(config.params, grid, u)  # the first record (D = nan)
-    if not all(map(math.isfinite, (dt, record[0], record[1], record[3]))):  # refused before any sweep
-        raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first time step or record{config.amplitude_source}")
-    t, u_prev, dt_step = 0.0, None, None  # u_prev and dt_step: the last accepted step
+        steepest = float(np.abs(_face_gradients(u, grid.dr)).max())
+    if not all(map(math.isfinite, (steepest * steepest, record[0], record[1], record[3]))):  # refused before any sweep
+        raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first record or a squared face gradient"
+                         f"{config.amplitude_source}")
+    t, dt, u_prev, dt_step = 0.0, geom.dt_first, None, None  # u_prev and dt_step: the last accepted step
     while True:
         if config.init_kind == "exp_tail":
             frames.supersolution_excess = max(frames.supersolution_excess, float((u - geom.bound).max()))
@@ -684,9 +679,10 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         if frames.n_steps >= MAX_STEPS:
             raise MaxStepsExceededError(f"no extinction after {frames.n_steps} steps (peak={peak:.3e})")
 
+        floor = 10.0 * (math.nextafter(t, math.inf) - t)  # 10 ulp of the clock
         while True:  # a rejected attempt leaves the state and the clock untouched
-            if dt < 1e-16:
-                raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}")
+            if dt < floor:
+                raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}: dt = {dt:.3g} is below 10 ulp of t")
             u_try, sat, error = _step_imex(geom, u, dt)
             accepted, dt_next = _control(error, u, u_try, peak, dt, geom.atol)
             if accepted:
@@ -779,16 +775,12 @@ def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
     """
     if profile.r_end < grid.R_inf and profile.status != "FZero":
         raise ValueError("profile trajectory does not cover the grid")
-    r = grid.centers
-    lo = profile.r[0]
-    below = r < lo
-    live = ~below & (r <= profile.r_end)
+    # below the series-start radius the profile is flat to O(eps^2): read it there
+    r = np.maximum(grid.centers, profile.r[0])
+    live = r <= profile.r_end
     out = np.zeros_like(r)
     if live.any():
         out[live] = profile.eval(r[live])[0]
-    if below.any():
-        # below the series-start radius the profile is flat to O(eps^2)
-        out[below] = profile.eval(lo)[0]
     return np.clip(out, 0.0, None)
 
 

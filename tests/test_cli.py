@@ -645,6 +645,16 @@ class TestCommands:
         assert err.startswith(f"error: kappa0 = {float(kappa0)!r} overflows") and "Warning" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_pde_run_huge_representable_amplitude_runs_to_extinction(self, tmp_path):
+        # the first dt is a constant of the grid and the step floor follows the clock, so
+        # kappa0 = 1e150 runs like kappa0 = 1 on the same grid, with T_e scaled by kappa0^(2-p)
+        T_e = {}
+        for kappa0 in ("1", "1e150"):
+            assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--kappa0", kappa0, "--M", "16",
+                           "--out", str(tmp_path / kappa0)) == 0
+            T_e[kappa0] = read_summary(f"{tmp_path / kappa0}_summary.json")["results"]["T_e"]
+        assert T_e["1e150"] / 1e75 == pytest.approx(T_e["1"], rel=1e-6)
+
     def test_verify_report_holds_no_wall_clock(self, tmp_path, capsys):
         reports = [tmp_path / "a.json", tmp_path / "b.json"]
         for out in reports:

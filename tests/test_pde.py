@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +42,16 @@ from selfsim.pde import (
     _rows,
     _step_imex,
     _sweep,
-    explicit_dt,
 )
 
 
 def explicit_step(geom, u, dt=None):
     """The oracle of the implicit step: forward Euler on L_h, clipped at zero.
 
-    dt defaults to the stability rule at u; returns (u_new, dt, clamped cells).
+    dt defaults to the stability bound, the run's first dt; returns (u_new, dt, clamped cells).
     """
     if dt is None:
-        dt = explicit_dt(geom, u)
+        dt = geom.dt_first
     u_new = u + dt * _residual(geom, u)
     clamped = int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
@@ -65,6 +65,12 @@ def face_flux(grid, p, u):
     """
     D = np.diff(np.concatenate(([u[0]], u, [0.0]))) / grid.dr
     return D, (D * D + pde.EPS_REG**2) ** ((p - 2.0) / 2.0) * D
+
+
+def flux_slope(D, p):
+    """Phi'(D) = (D^2 + eps^2)^((p-4)/2) (eps^2 + (p-1) D^2) at the faces."""
+    eps2 = pde.EPS_REG**2
+    return (D * D + eps2) ** ((p - 4.0) / 2.0) * (eps2 + (p - 1.0) * D * D)
 
 
 def flux_form(grid, params, u):
@@ -149,12 +155,46 @@ def never_accepted(geom, u, dt):
     return u.copy(), 0, np.full_like(u, np.inf)
 
 
-def test_run_stops_when_dt_underflows(P2, monkeypatch):
-    # every attempt is rejected, so dt falls 5x per attempt until the guard stops the run
-    monkeypatch.setattr(pde, "_step_imex", never_accepted)
+@pytest.mark.parametrize("accepted", [0, 3, 40])
+def test_dt_floor_is_ten_ulp_of_the_clock(P2, monkeypatch, accepted):
+    # the first attempts are accepted (a zero error estimate, so dt grows 1.25x), every later one is
+    # rejected (dt falls 5x): the run stops at the first dt below 10 ulp of t, at t = 0 ten
+    # times the smallest subnormal, and not one attempt sooner
+    attempts = []
+
+    def accepted_then_never(geom, u, dt):
+        attempts.append(dt)
+        if len(attempts) <= accepted:
+            return u.copy(), 0, np.zeros_like(u)
+        return never_accepted(geom, u, dt)
+
+    monkeypatch.setattr(pde, "_step_imex", accepted_then_never)
     cfg = PdeConfig(params=P2)
-    with pytest.raises(TimestepUnderflowError, match="underflow"):
+    with pytest.raises(TimestepUnderflowError, match="dt underflow"):
         run_to_extinction(cfg, make_initial(cfg, RadialGrid(8.0, 32)))
+    t = 0.0
+    for dt in attempts[:accepted]:
+        t += dt
+    floor = 10.0 * (math.nextafter(t, math.inf) - t)
+    assert len(attempts) > accepted
+    assert min(attempts) == attempts[-1] >= floor > 0.2 * attempts[-1]
+
+
+def test_run_refuses_data_whose_face_gradients_square_past_the_float_range(monkeypatch):
+    # at N = 1, p = 1.1 the first record of kappa0 = 1e154 is finite but the
+    # square of its steepest face gradient is not: the diffusivity would read 0
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep ran before the amplitude was checked")
+
+    monkeypatch.setattr(pde, "_step_imex", unreachable)
+    P = make_params(1, 1.1)
+    cfg = PdeConfig(params=P, kappa0=1e154)
+    grid = RadialGrid(15.0, 100)
+    field = make_initial(cfg, grid)
+    I, J, _, E = weighted_functionals(P, grid, field.values)
+    assert all(map(math.isfinite, (I, J, E)))
+    with pytest.raises(ValueError, match=r"kappa0 = 1e\+154 overflows the first record or a squared face gradient"):
+        run_to_extinction(cfg, field)
 
 
 @pytest.mark.parametrize("kappa0", [1e-300, 2.2e-298, 5e-324])
@@ -266,27 +306,52 @@ class TestExplicitStep:
         # clamp monitor: < 0.1% of cell updates
         assert clamps / (1000 * grid2000.M) < 1e-3
 
-    def test_dt_rule_uses_both_bounds(self, P2, monkeypatch):
-        monkeypatch.setattr(pde, "EPS_REG", 1e-4)
-        grid = RadialGrid(10.0, 100)
-        geom = _geometry(PdeConfig(params=P2), grid)
-        steep = np.linspace(100.0, 0.0, 100)  # |Dbar|^(p-1) > 1 engages the sink bound
-        dt_steep = explicit_dt(geom, steep)
-        assert dt_steep <= CFL_SAFETY * grid.dr / np.max(np.abs(np.gradient(steep, grid.dr))) ** (P2.p - 1.0) * 1.01
-
-    @pytest.mark.parametrize("eps, top, sink_binds", [(1e-4, 100.0, False), (0.1, 1e5, True)])
+    @pytest.mark.parametrize("eps, top, sink_binds", [(1e-4, 100.0, False)])
     def test_dt_rule_is_the_flux_form_rule(self, P2, monkeypatch, eps, top, sink_binds):
-        # cfl * min(dr^2 / (2 max Phi'(D)), dr / max(1, max |Phi(D)|)), to the bit
+        # the first dt is cfl dr^2 / (2 max Phi'(D)), to the bit; the absorption bound
+        # dr / max(1, max |Phi(D)|), which the rule no longer takes, does not bind on these data
         monkeypatch.setattr(pde, "EPS_REG", eps)
         grid = RadialGrid(10.0, 100)
         u = np.linspace(top, 0.0, 100)
-        p = P2.p
-        D, phi = face_flux(grid, p, u)
-        slope = (D * D + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * D * D)
-        diffusive = grid.dr * grid.dr / (2.0 * slope.max())
+        D, phi = face_flux(grid, P2.p, u)
+        diffusive = grid.dr * grid.dr / (2.0 * flux_slope(D, P2.p).max())
         absorption = grid.dr / max(1.0, np.abs(phi).max())
         assert (absorption < diffusive) == sink_binds
-        assert explicit_dt(_geometry(PdeConfig(params=P2), grid), u) == CFL_SAFETY * min(diffusive, absorption)
+        assert _geometry(PdeConfig(params=P2), grid).dt_first == CFL_SAFETY * diffusive
+
+    @given(
+        N=st.integers(min_value=1, max_value=3),
+        frac=st.floats(min_value=0.01, max_value=0.99),
+        width=st.floats(min_value=0.01, max_value=1.0, exclude_max=True),
+        kappa0=st.floats(min_value=0.5, max_value=2.0),
+        exp_tail=st.booleans(),
+        values=st.integers(min_value=8, max_value=64).flatmap(
+            lambda M: st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=M, max_size=M)
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(N=1, frac=0.5, kappa0=1.0, width=0.9999, exp_tail=True, values=[0.0] * 8)  # cells at the edge
+    @example(N=3, frac=0.99, kappa0=0.5, width=0.9999, exp_tail=False, values=list(range(64)))
+    # a face gradient of 1.43e-20, where Phi'(D) falls short of Phi'(0) by less than
+    # rounding: the float Phi' reads one ulp above its value at the flat center face
+    @example(N=1, frac=0.45, kappa0=1.0, width=0.5, exp_tail=False, values=[1.0] * 7 + [1.43e-20])
+    def test_first_dt_is_the_bound_at_the_flat_center(self, resolved_grid, N, frac, kappa0, width, exp_tail, values):
+        # Phi' falls with |D| and D_0 = 0, so the explicit bound cfl dr^2 / (2 max Phi'(D))
+        # over any non-increasing data is the grid's constant dt_first, to the bit; only at
+        # a face where Phi'(D) falls short of Phi'(0) by less than rounding, a relative
+        # 1.5 (2 - p) D^2 / eps^2 below a few ulp, may the float Phi' read a few ulp above it
+        p_c = 2.0 * N / (N + 1.0)
+        cfg = PdeConfig(params=make_params(N, p_c + frac * (2.0 - p_c)), kappa0=kappa0)
+        p, ulp = cfg.params.p, 2.0**-52
+        grid = resolved_grid(N, width, len(values))
+        u = make_initial(cfg, grid).values if exp_tail else np.sort(np.array(values, dtype=float))[::-1]
+        D, _ = face_flux(grid, p, u)
+        slope = flux_slope(D, p)
+        assert D[0] == 0.0
+        assert _geometry(cfg, grid).dt_first == CFL_SAFETY * (grid.dr * grid.dr / (2.0 * slope[0]))
+        lifted = slope > slope[0]
+        assert np.all(1.5 * (2.0 - p) * D[lifted] ** 2 / pde.EPS_REG**2 < 4.0 * ulp)
+        assert slope.max() <= slope[0] * (1.0 + 4.0 * ulp)
 
 
 class TestResidual:
@@ -430,6 +495,16 @@ class TestRescale:
         short = integrate(P2, gs2.a_star, IntegratorOptions(r_max=10.0))
         with pytest.raises(ValueError):
             compare_to_profile(sep_frames, rescale_frames(sep_frames, 2.0), short)
+
+    def test_profile_below_its_series_start_is_read_at_the_start(self, gs2):
+        # below r[0] the profile is flat to O(eps^2), so those centers read f(r[0]); a real
+        # grid puts a center there only past M ~ 4e7, so the grid here is a stand-in
+        r0 = gs2.traj.r[0]
+        centers = np.array([0.25 * r0, 0.5 * r0, r0, 2.0 * r0, 1.0, 10.0])
+        f = pde._profile_on_grid(gs2.traj, types.SimpleNamespace(R_inf=15.0, centers=centers))
+        f0 = gs2.traj.eval(r0)[0]
+        assert np.array_equal(f[:3], [f0] * 3)
+        assert np.array_equal(f[3:], np.clip(gs2.traj.eval(centers[3:])[0], 0.0, None))
 
     def test_profile_ending_at_its_zero_covers_grid(self, P2, gs2):
         # a bisection midpoint on the A side of a_* stops at its first zero

@@ -39,12 +39,18 @@ T43 = 2 T42 - T32, T44 = T43 + (T43 - T33)/3, whose columns are of order
 1, 2, 3 and 4. ``_step_imex`` is the one implicit step: it takes the run's
 geometry, runs the ten sweeps and returns T44 together with the error
 estimate |T44 - T43|, the local error of the third-order T43 (the step
-advances the highest column, as extrapolation codes do). On stiff cells the
-extrapolation can drive a tail cell to zero or below (or into the subnormal
-range), which zeroes the tail beyond it.
+advances the highest column, as extrapolation codes do). The extrapolation
+can lift a cell above the lowest cell inside it where nearly level cells
+merge, or lift the peak by rounding where a step hardly moves it; from a
+non-increasing state the step returns the running minimum of T44 from the
+state's peak, and a cell that moves enters the error estimate by the
+distance it moved where that exceeds |T44 - T43|. Data with a rise is not
+moved, so the run's monotonicity monitor sees it. On stiff cells the
+extrapolation can drive a tail cell to zero or below (or into the
+subnormal range), which zeroes the tail beyond it.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
-norm max_i |T44 - T43|_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
+norm max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
 The estimate is O(dt^4), so dt scales with the fourth root of the norm's
 inverse. An attempt above 1 is rejected and retried with a smaller dt,
 leaving the state, the clock, the step count and the records untouched; an
@@ -532,10 +538,25 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     T42 = 4 u4 - 3 u3, T43 = 2 T42 - T32, T44 = T43 + (T43 - T33)/3.
     The four first sweeps start from u and share its rows. error is
     |T44 - T43|: T43 is third order, so this estimates its local error,
-    O(dt^4), and T44 is one order better. On stiff cells the extrapolation
-    can drive a tail cell to zero or below; that zeroes the whole tail
-    beyond it, as does a subnormal cell (below _TINY), whose few bits cannot
-    order a tail.
+    O(dt^4), and T44 is one order better. From a non-increasing u the
+    exact step stays non-increasing and below u's peak, and so do the
+    sweeps, but the extrapolation need not: where two nearly level cells
+    merge, as the two center cells of a flat top at p near 1, T44 can lift
+    a cell above the lowest cell inside it (by 2.8e-8 at a peak of 0.084,
+    N = 1, p = 1.0195, where the cells differ by 1.4e-7; by 1.5e-6 at
+    p = 1.028, above the step's tolerance), and the tableau's weights,
+    -1/6, 4, -27/2 and 32/3, can lift the peak by rounding where a step
+    hardly moves it (by 9 ulp at dt = 1.1e-16, N = 1, p = 1.0117). So from
+    a non-increasing u the step returns the running minimum of T44 from
+    u's peak, which moves no cell farther from any non-increasing state
+    below the peak, and error_i is raised to the distance cell i moved
+    where that is larger: a cell lifted by r above a cell inside it puts an
+    error of at least r/2 on one of the two, so a step that moves a cell by
+    more than its tolerance is rejected. From data with a rise nothing is
+    moved, so that the run's instability monitor sees it. On stiff cells
+    the extrapolation can also drive a tail cell to zero or below; that
+    zeroes the whole tail beyond it, as does a subnormal cell (below
+    _TINY), whose few bits cannot order a tail.
     saturations counts the cells u4's last sweep clipped and those the
     extrapolation drives negative.
     """
@@ -559,6 +580,13 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     u_new = t43 + (t43 - t33) / 3.0
     error = np.abs(u_new - t43)
     sat += int(np.count_nonzero(u_new < 0.0))
+    if (u_new[1:] > u_new[:-1]).any() or u_new[0] > u[0]:
+        if not (u[1:] > u[:-1]).any():  # a non-increasing u, whose peak is u[0]
+            floor = np.minimum.accumulate(u_new)
+            np.minimum(floor, u[0], out=floor)
+            np.subtract(u_new, floor, out=u_new)  # how far each cell moves
+            np.maximum(error, u_new, out=error)
+            u_new = floor
     below = u_new < _TINY
     dead = int(below.argmax())
     if below[dead]:

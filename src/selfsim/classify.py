@@ -6,10 +6,12 @@ decayer), and A = (a_*, infinity) (sign change at finite radius). B has
 measure zero, so it is never a direct verdict: a run that neither crosses
 zero nor drives the Pohozaev functional negative stays "Unresolved", and a_*
 is produced only as the limit of a (C, A) bracket whose endpoints move only
-onto proven verdicts. Near a_* the search reads how far each probe ran as
-well as its verdict: the zero radius R of an A probe and the J-negativity
-radius r_bar of a C probe grow linearly in -log|a - a_*|, so the search
-probes where the model through its last probes puts a_* (``bisect_a_star``).
+onto proven verdicts. A probe stops at the step end that proves its verdict:
+the zero of f for A, the first step end passing the J test for C. Near a_*
+the search reads how far each probe ran as well as its verdict: the zero
+radius R of an A probe and the J-negativity radius r_bar of a C probe grow
+linearly in -log|a - a_*|, so the search probes where the model through its
+last probes puts a_* (``bisect_a_star``).
 
 The settings no caller varies are module constants: the J-negativity
 threshold J_NEG_THRESHOLD of the C verdict, the doubling budget
@@ -29,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .params import NumericalError, Params, require_positive
-from .profile_ode import IntegratorOptions, Trajectory, integrate, shoot
+from .profile_ode import IntegratorOptions, Trajectory, _rhs_arrays, integrate, shoot
 # J_along is unused here, but perfbench/tracing.py wraps it on this module
-from .pohozaev import J_along, J_eval, find_r_G  # noqa: F401
+from .pohozaev import J_along, J_at, find_r_G  # noqa: F401
 from .roots import brentq
 
 __all__ = [
@@ -70,13 +72,6 @@ PAIR_MIN = 0.2
 END_WIDTH = 0.45
 # default search tolerance on the bracket width; criterion 4 gates at it
 TOL_A = 1e-10
-# step ends per vectorised J evaluation of a probe: J_eval costs about 50 us
-# on one state and on 64 alike, five trial steps of DOP853 (9 us each), so one
-# state at a time would take most of the probe's time. In the two-point
-# ground-state search, blocks of 32 and 64 ran 3 to 10 % faster than 16, within
-# the host's spread, and cost more steps past the proof (probe_steps 9,181 at
-# 16, 9,421 at 32, 9,848 at 64), so the block stays at 16
-_J_BLOCK = 16
 PLATEAU_TOL = 0.005  # relative variation of rho*g within a plateau window
 PLATEAU_MIN_LEN = 1.0
 
@@ -180,10 +175,11 @@ def classify(params: Params, a: float, opts: IntegratorOptions | None = None) ->
     A requires the run to end at the first zero of f (status "FZero") with
     negative crossing slope. C requires the Pohozaev functional to fall below
     -threshold at an accepted step end past r_G with f still positive: J is
-    provably decreasing on that range, so it stays there and the run stops. r_bar is the root of J + threshold, linear
-    between the two step ends that bracket it. A run that ends at r_max or on
-    step-size underflow is Unresolved, never guessed; its diagnostics say
-    which and give the end state.
+    provably decreasing on that range, so it stays there, and the run stops
+    at the first step end that proves it. r_bar is the root of J + threshold,
+    linear between that step end and the one before. A run that ends at
+    r_max or on step-size underflow is Unresolved, never guessed; its
+    diagnostics say which and give the end state.
     """
     opts = opts or IntegratorOptions()
     proof = _SlowDecayProof(params, find_r_G(params))
@@ -191,71 +187,48 @@ def classify(params: Params, a: float, opts: IntegratorOptions | None = None) ->
     done = {"a": a, "r_end": shot.r_end, "steps": shot.steps}
     if shot.status == "FZero" and shot.end_slope < 0.0:
         return Classification(verdict="A", R=shot.r_end, slope=shot.end_slope, **done)
-    if shot.status == "stopped" or proof.check():
+    if shot.status == "stopped":
         return Classification(verdict="C", r_bar=proof.r_bar, J_at_rbar=proof.J_at_rbar, **done)
 
     end = shot.end
+    _, dg = _rhs_arrays(params, end.r, end.f, end.g, absorption=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         diag = {
             "status": shot.status,
             "h_end": float(np.float64(end.f) / end.g) if end.g > 0.0 else math.nan,
             "g_over_f_end": float(np.float64(end.g) / end.f),
-            "J_end": float(J_eval(params, end.r, end.f, end.g)),
+            "J_end": J_at(params, end.r, end.g, dg),
         }
     return Classification(verdict="Unresolved", diagnostics=diag, **done)
 
 
 class _SlowDecayProof:
-    """Stop test of a probe: proves the C verdict at accepted step ends.
-
-    Step ends are buffered and J is evaluated _J_BLOCK at a time, so a probe
-    runs at most _J_BLOCK - 1 steps past its proof; ``check`` tests what is
-    still buffered when the run ends otherwise.
-    """
+    """Stop test of a probe: J in plain floats at each accepted step end, from
+    the stepper's own g'; the previous step end's (r, J, J + threshold) is kept for r_bar."""
 
     def __init__(self, params: Params, r_G: float):
         self.params, self.r_G = params, r_G
-        self.r: list[float] = []
-        self.f: list[float] = []
-        self.g: list[float] = []
-        self.J: list[float] = []  # J at the checked step ends
-        self.v: list[float] = []  # J + threshold there
-        self.J_max = 0.0
+        self.prev: tuple[float, float, float] | None = None
+        self.J_max = 0.0  # running max |J| over the step ends so far
         self.r_bar: float | None = None
         self.J_at_rbar: float | None = None
 
-    def __call__(self, r: float, f: float, g: float) -> bool:
-        self.r.append(r)
-        self.f.append(f)
-        self.g.append(g)
-        return len(self.r) - len(self.J) >= _J_BLOCK and self.check()
-
-    def check(self) -> bool:
-        """Test the buffered step ends; True (with r_bar set) once C is proven."""
-        n = len(self.J)
-        r, f, g = (np.array(x[n:]) for x in (self.r, self.f, self.g))
-        if not r.size:
+    def __call__(self, r: float, f: float, g: float, dg: float) -> bool:
+        """Test one step end; True (with r_bar set) once C is proven."""
+        J = J_at(self.params, r, g, dg)
+        self.J_max = max(self.J_max, abs(J))
+        thr = J_NEG_THRESHOLD * (1.0 + self.J_max)
+        prev, self.prev = self.prev, (r, J, J + thr)
+        if not (J < -thr and r > self.r_G and f > 0.0):
             return False
-        J = J_eval(self.params, r, f, g)
-        running = np.maximum.accumulate(np.maximum(np.abs(J), self.J_max))
-        thr = J_NEG_THRESHOLD * (1.0 + running)
-        self.J_max = float(running[-1])
-        self.J.extend(J)
-        self.v.extend(J + thr)
-        hit = np.flatnonzero((J < -thr) & (r > self.r_G) & (f > 0.0))
-        if not hit.size:
-            return False
-        k = n + int(hit[0])
-        if k == 0:
-            self.r_bar, self.J_at_rbar = float(self.r[0]), float(self.J[0])
+        if prev is None:
+            self.r_bar, self.J_at_rbar = r, J
             return True
-        r0, r1 = self.r[k - 1], self.r[k]
-        v0, v1 = self.v[k - 1], self.v[k]
+        (r0, J0, v0), v1 = prev, J + thr
         # the root of J + threshold; where the step before failed the test
         # only by lying inside r_G, the test turns true at r_G itself
-        r_bar = max(r0 + (r1 - r0) * v0 / (v0 - v1), self.r_G) if v0 > 0.0 else self.r_G
-        self.r_bar = float(r_bar)
-        self.J_at_rbar = float(self.J[k - 1] + (self.J[k] - self.J[k - 1]) * (r_bar - r0) / (r1 - r0))
+        self.r_bar = max(r0 + (r - r0) * v0 / (v0 - v1), self.r_G) if v0 > 0.0 else self.r_G
+        self.J_at_rbar = J0 + (J - J0) * (self.r_bar - r0) / (r - r0)
         return True
 
 
@@ -264,33 +237,20 @@ def bracket_search(
 ) -> tuple[float, float]:
     """Find a_lo in C and a_hi in A by doubling/halving from a_init."""
     opts = opts or IntegratorOptions()
-    verdicts: dict[float, str] = {}
+    verdicts: dict[float, str] = {}  # a_init is classified once, for both walks
 
-    def verdict(a: float) -> str:
-        if a not in verdicts:
-            verdicts[a] = classify(params, a, opts).verdict
-        return verdicts[a]
+    def walk(factor: float, want: str) -> float:
+        a = a_init
+        for _ in range(BRACKET_MAX_STEPS):
+            if a not in verdicts:
+                verdicts[a] = classify(params, a, opts).verdict
+            if verdicts[a] == want:
+                return a
+            a *= factor
+        raise BracketFailureError(f"no {want} verdict found {'up' if factor > 1.0 else 'down'} to a={a / factor}")
 
-    a_hi = None
-    a = a_init
-    for _ in range(BRACKET_MAX_STEPS):
-        if verdict(a) == "A":
-            a_hi = a
-            break
-        a *= 2.0
-    if a_hi is None:
-        raise BracketFailureError(f"no A verdict found up to a={a / 2.0}")
-
-    a_lo = None
-    a = a_init
-    for _ in range(BRACKET_MAX_STEPS):
-        if verdict(a) == "C":
-            a_lo = a
-            break
-        a /= 2.0
-    if a_lo is None:
-        raise BracketFailureError(f"no C verdict found down to a={a * 2.0}")
-    return a_lo, a_hi
+    a_hi = walk(2.0, "A")
+    return walk(0.5, "C"), a_hi
 
 
 def bisect_a_star(
@@ -451,10 +411,12 @@ def estimate_l(params: Params, traj: Trajectory) -> PlateauEstimate:
     exists, e.g. for class-A trajectories, which end at their zero while rho*g
     still climbs.
     """
-    # a guard: g stays positive up to the run's end, the first zero of f
-    valid = (traj.g > 0.0) & (traj.r >= 1.0)
+    # a guard: g stays positive up to the run's end, the first zero of f; and
+    # rho overflows past r ~ 700, where a window of inf would read as flat
+    w = traj.w
+    valid = (traj.g > 0.0) & (traj.r >= 1.0) & np.isfinite(w)
     r = traj.r[valid]
-    w = traj.w[valid]
+    w = w[valid]
     if r.size < 8:
         return PlateauEstimate(found=False, l=math.nan, window=(math.nan, math.nan))
     best = (0.0, 0, 0)

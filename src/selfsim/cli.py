@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .params import NumericalError, make_params, require_positive
-from .profile_ode import IntegratorOptions, eps_start, integrate, series_start
+from .profile_ode import IntegratorOptions, integrate, run_start
 from .pohozaev import J_along, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, classify, find_ground_state
 from .pde import (PdeConfig, RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction,
@@ -105,8 +105,8 @@ def cmd_sweep(args) -> int:
     require_positive("--a-min", args.a_min)
     require_positive("--a-max", args.a_max)
     require_positive("--num", args.num)
-    for a in (args.a_min, args.a_max):  # a height too large for the series start, at either end
-        series_start(P, a, eps_start(a))
+    for a in (args.a_min, args.a_max):  # a height too large or too small to shoot, at either end
+        run_start(P, a, opts)
     spacing = np.geomspace if args.log else np.linspace
     found = [classify(P, float(a), opts) for a in spacing(args.a_min, args.a_max, args.num)]
     out_rows = [(c.a, c.verdict, _nan(c.R), _nan(c.slope), _nan(c.r_bar), _nan(c.J_at_rbar)) for c in found]

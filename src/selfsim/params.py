@@ -104,8 +104,13 @@ def weight_rho(params: Params, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("weight_rho requires r > 0")
-    out = r ** (params.N - 1) * np.exp(r)
+    out = _rho(params, r, np.exp)
     return float(out) if out.ndim == 0 else out
+
+
+def _rho(params: Params, r, exp):
+    """rho(r) unchecked and elementwise: exp is np.exp on arrays, math.exp on a float."""
+    return r ** (params.N - 1) * exp(r)
 
 
 def rho_antideriv(params: Params, r):

@@ -15,11 +15,12 @@ FD_STEP_REL of ``G_direct``, and the grid size WRONSKIAN_POINTS of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import NumericalError, Params, rho_antideriv, weight_rho
+from .params import NumericalError, Params, _rho, rho_antideriv, weight_rho
 from .profile_ode import Trajectory, _rhs_arrays
 from .roots import brentq
 
@@ -34,6 +35,7 @@ __all__ = [
     "G_cubic",
     "G_direct",
     "J_eval",
+    "J_at",
     "J_along",
     "wronskian_check",
     "small_a_limit_z0",
@@ -77,15 +79,21 @@ def coeff_functions(params: Params, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("coefficient functions require r > 0")
+    alpha, beta, gamma = _coeffs(params, r, np.exp)
+    return alpha, beta, gamma, alpha
+
+
+def _coeffs(params: Params, r, exp):
+    """(alpha, beta, gamma) of J at r > 0, elementwise: exp is np.exp on arrays, math.exp on a float."""
     N, p = params.N, params.p
     q = 3.0 * p - 2.0
-    alpha = weight_rho(params, r) ** params.e_weight
+    alpha = _rho(params, r, exp) ** params.e_weight
     beta = (2.0 * (p - 1.0) / q) * (1.0 + (N - 1.0) / r) * alpha
     c0 = 2.0 * (p - 1.0) * (2.0 - p) / q**2
     c1 = 4.0 * (N - 1.0) * (p - 1.0) * (2.0 - p) / q**2
     c2 = (N - 1.0) * (p * q + 2.0 * (N - 1.0) * (p - 1.0) * (2.0 - p)) / q**2
     gamma = -(c0 + c1 / r + c2 / r**2) * alpha
-    return alpha, beta, gamma, alpha
+    return alpha, beta, gamma
 
 
 def cubic_coeffs(params: Params) -> tuple[float, float, float, float]:
@@ -149,18 +157,26 @@ def G_direct(params: Params, r):
 
 def J_eval(params: Params, r, f, g):
     """J from state values; g' is reconstructed from the flow field."""
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
+    r, f, g = (np.asarray(x, dtype=float) for x in (r, f, g))
     _, gp = _rhs_arrays(params, r, f, g, absorption=True)
-    alpha, beta, gamma, delta = coeff_functions(params, r)
+    alpha, beta, gamma, _ = coeff_functions(params, r)
+    return _J(params, alpha, beta, gamma, g, gp)
+
+
+def J_at(params: Params, r: float, g: float, dg: float) -> float:
+    """J at one radius r > 0 in plain floats from g and its slope dg, at a tenth of J_eval's cost per
+    call; NaN where a float power leaves the range (past r ~ 590 at (2, 1.5)), as J_eval's inf - inf is."""
+    try:
+        return _J(params, *_coeffs(params, r, math.exp), g, dg)
+    except OverflowError:
+        return math.nan
+
+
+def _J(params: Params, alpha, beta, gamma, g, gp):
+    """J from its coefficients and (g, g'), elementwise; delta is alpha."""
     p = params.p
-    return (
-        0.5 * alpha * gp**2
-        + beta * g * gp
-        + 0.5 * gamma * g**2
-        + (p - 1.0) / p * delta * np.abs(g) ** (p * params.e_g)
-    )
+    power = (p - 1.0) / p * alpha * abs(g) ** (p * params.e_g)
+    return 0.5 * alpha * gp**2 + beta * g * gp + 0.5 * gamma * g**2 + power
 
 
 def J_along(params: Params, traj: Trajectory) -> JSeries:

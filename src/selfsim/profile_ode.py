@@ -63,6 +63,7 @@ __all__ = [
     "StepSizeUnderflowError",
     "NoZeroWithinHorizonError",
     "series_start",
+    "run_start",
     "integrate",
     "shoot",
     "psi_integrate",
@@ -183,7 +184,7 @@ class Trajectory:
         """w = rho*g, whose slope is w' = rho*f."""
         with np.errstate(over="ignore"):
             # rho overflows past r ~ 700 on slow-decay horizons; w is a
-            # moderate-r diagnostic, inf is acceptable there
+            # moderate-r diagnostic, and estimate_l reads only finite w
             return weight_rho(self.params, self.r) * self.g
 
     @cached_property
@@ -230,6 +231,19 @@ def series_start(params: Params, a: float, eps: float) -> ProfileState:
     if not f0 > 0.0:
         raise ValueError(f"a = {a!r} is too large: f falls to zero before the series start r = {eps:.6g}")
     return ProfileState(r=eps, f=f0, g=g0)
+
+
+def run_start(params: Params, a: float, opts: IntegratorOptions) -> ProfileState:
+    """The series start of a run from a, refusing also a horizon inside it and a height so small
+    (a rel_tol < ABS_TOL: a < 1e-48 at the defaults) that the absolute tolerance would set the steps."""
+    eps = eps_start(a)
+    if not opts.r_max > eps:
+        raise ValueError(f"r_max must exceed the series start r = {eps:.6g}, got {opts.r_max!r}")
+    state = series_start(params, a, eps)
+    if a * opts.rel_tol < ABS_TOL:
+        bound = f"ABS_TOL / rel_tol = {ABS_TOL / opts.rel_tol:.6g}"
+        raise ValueError(f"a = {a!r} is too small: below {bound} the absolute tolerance, not rel_tol, sets the steps")
+    return state
 
 
 def _energy_arrays(params: Params, f, g):
@@ -293,20 +307,18 @@ def shoot(
     step's interpolant coefficients are kept and become one ``_DenseOutput``
     at the end; otherwise they are computed only for the step that holds the
     zero.
-    ``stop(r, f, g)`` sees each accepted step end before the zero, and a true
-    return ends the run.
+    ``stop(r, f, g, dg)`` sees each accepted step end before the zero, with
+    the step's own end slope dg = g' there, and a true return ends the run at
+    that step end.
     """
-    eps = eps_start(a)
-    if not opts.r_max > eps:
-        raise ValueError(f"r_max must exceed the series start r = {eps:.6g}, got {opts.r_max!r}")
-    state0 = series_start(params, a, eps)
+    state0 = run_start(params, a, opts)
 
     def fun(r, f, g):
         return _rhs_arrays(params, r, f, g, absorption)
 
     rtol, r_max = opts.rel_tol, opts.r_max
-    ts, coefs = [eps], []
-    r, y = eps, (state0.f, state0.g)
+    ts, coefs = [state0.r], []
+    r, y = state0.r, (state0.f, state0.g)
     k = fun(r, *y)
     h_abs = _first_step(fun, r, y, k, r_max, rtol)
     status, steps = None, 0
@@ -323,7 +335,7 @@ def shoot(
             coef = coef or _dense(fun, r_old, y_old, r, y, stages)
             root = brentq(lambda s: _horner(coef, s)[0], r_old, r, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
             status, r, y = "FZero", root, _horner(coef, root)
-        elif stop is not None and stop(r, y[0], y[1]):
+        elif stop is not None and stop(r, y[0], y[1], k[1]):
             status = "stopped"
         elif r >= r_max:
             status = "horizon"

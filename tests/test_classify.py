@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfsim.params import make_params
-from selfsim.profile_ode import SAMPLE_DR, IntegratorOptions, integrate
-from selfsim.pohozaev import J_along, find_r_G
+from selfsim.profile_ode import SAMPLE_DR, IntegratorOptions, integrate, shoot
+from selfsim.pohozaev import J_along, J_eval, find_r_G
 from selfsim.classify import (
     END_WIDTH,
     J_NEG_THRESHOLD,
@@ -39,6 +39,26 @@ def sample_oracle(params, traj):
     return "Unresolved", None, None, None
 
 
+def step_end_oracle(params, a, opts):
+    """A run that never stops, its step ends (r, f, g), and J and J + threshold there by J_eval.
+
+    Also the indices of the step ends where the C test holds: J below
+    -J_NEG_THRESHOLD (1 + running max |J|), past r_G, with f > 0.
+    """
+    ends = []
+
+    def record(r, f, g, *_):
+        # J_eval rebuilds g' from the state, so the oracle reads only the state
+        ends.append((r, f, g))
+
+    shot = shoot(params, a, opts, stop=record)
+    r, f, g = (np.array(x) for x in zip(*ends))
+    J = J_eval(params, r, f, g)
+    thr = J_NEG_THRESHOLD * (1.0 + np.maximum.accumulate(np.abs(J)))
+    hits = np.flatnonzero((J < -thr) & (r > find_r_G(params)) & (f > 0.0))
+    return shot, r, J, J + thr, hits
+
+
 class TestClassify:
     def test_large_a_is_A(self, P2):
         c = classify(P2, 100.0)
@@ -66,6 +86,12 @@ class TestClassify:
     def test_rejects_nonpositive_height(self, P2):
         with pytest.raises(ValueError):
             classify(P2, 0.0)
+
+    def test_rejects_a_height_below_the_absolute_tolerance(self, P2):
+        # below ABS_TOL / rel_tol = 1e-48 the absolute floor sets the steps:
+        # a = 1e-100 once reached r = 50 in 9 steps, Unresolved with g/f = -2.1e12
+        with pytest.raises(ValueError, match=r"a = 1e-100 is too small: below .* = 1e-48"):
+            classify(P2, 1e-100)
 
     def test_structure_consistency(self, P2, gs2):
         # C below the bracket, A above it
@@ -96,6 +122,35 @@ class TestClassify:
                     assert c.J_at_rbar < 0.0
                 verdicts.append(verdict)
         assert verdicts == ["C"] * 4 + ["A"] * 4
+
+    @pytest.mark.parametrize("point", [(2, 1.5), (3, 1.7)])
+    def test_C_probe_stops_at_the_first_step_end_that_proves_it(self, ctx, point):
+        # seeded heights on both sides of a_*, far off and within 1e-8: a C
+        # probe ends at the oracle's first proving step end k, after k + 1
+        # steps, and its r_bar and J_at_rbar are the oracle's to rounding; an
+        # A probe meets no proving step end before its zero
+        P, gs = ctx.params(*point), ctx.ground_state(*point)
+        r_G, opts = find_r_G(P), IntegratorOptions()
+        rng = np.random.default_rng(33)
+        for side in (-1.0, 1.0):
+            far = gs.a_star * (1.0 + side * rng.uniform(0.05, 0.8, 2))
+            near = gs.a_star + side * rng.uniform(1e-9, 1e-8, 2)
+            for a in (*far, *near):
+                c = classify(P, a, opts)
+                shot, r, J, v, hits = step_end_oracle(P, a, opts)
+                if side > 0.0:
+                    assert c.verdict == "A" and not hits.size
+                    assert c.steps == shot.steps
+                    continue
+                k = int(hits[0])
+                assert c.verdict == "C" and k > 0
+                assert c.steps == k + 1 and c.r_end == r[k]
+                r0, r1, v0, v1 = r[k - 1], r[k], v[k - 1], v[k]
+                r_bar = max(r0 + (r1 - r0) * v0 / (v0 - v1), r_G) if v0 > 0.0 else r_G
+                J_at_rbar = J[k - 1] + (J[k] - J[k - 1]) * (r_bar - r0) / (r1 - r0)
+                assert c.r_bar == pytest.approx(r_bar, rel=1e-12)
+                scale = 1.0 + np.max(np.abs(J[: k + 1]))
+                assert abs(c.J_at_rbar - J_at_rbar) <= 1e-14 * scale
 
     def test_probe_stops_at_its_verdict(self, P2):
         opts = IntegratorOptions()
@@ -234,6 +289,16 @@ class TestPlateau:
         assert est.found
         assert est.window[1] - est.window[0] >= 1.0
         assert est.l == pytest.approx(gs2.l_star, rel=1e-12)
+
+    def test_overflowed_rho_is_no_plateau(self, P2, gs2):
+        # past r ~ 703 rho, and with it w = rho g, overflows to inf; a window
+        # of inf once read as flat, and l_* as inf
+        traj = integrate(P2, gs2.a_star, IntegratorOptions(r_max=720.0))
+        assert traj.r_end == 720.0 and np.isinf(traj.w[-1])
+        est = estimate_l(P2, traj)
+        assert est.found and np.isfinite(est.l)
+        assert est.window[1] < 703.0
+        assert est.l == pytest.approx(gs2.l_star, rel=1e-3)
 
     def test_class_A_has_no_plateau(self, P2):
         traj = integrate(P2, 100.0)

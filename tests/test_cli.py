@@ -194,7 +194,7 @@ class TestCommands:
         assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "0.5", "--a-max", "64", "--num", "25",
                        "--log", "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f42ecd21fdcd1172c4d2685ad58a3faa091426b874a37cf0a5abc3e4f9c85b2a")
+            "4da03de32d5f303f4cf14e1cf60ba67fb2aa12bb920c0c16dda32eeac555ec9b")
         assert capsys.readouterr().out == f"wrote {out}: 25 classifications\n"
 
     @pytest.mark.parametrize("flag, name", [("--rtol", "rel_tol"), ("--rmax", "r_max")], ids=["--rtol", "--rmax"])
@@ -263,6 +263,23 @@ class TestCommands:
                        "--out", "x.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a = 1e+200 is too large") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tiny_height_is_refused_by_name(self, tmp_path, capsys, monkeypatch):
+        # below ABS_TOL / rel_tol = 1e-48 the absolute floor, not rel_tol, sets
+        # the steps; sweep checks both ends of its heights before classifying any
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("classify", "--N", "2", "--p", "1.5", "--a", "1e-100") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: a = 1e-100 is too small") and "1e-48" in err
+
+        def unreachable(*args):
+            raise AssertionError("a height was classified before --a-min was checked")
+
+        monkeypatch.setattr(cli, "classify", unreachable)
+        assert run_cli("sweep", "--N", "2", "--p", "1.5", "--a-min", "1e-100", "--a-max", "1", "--num", "2",
+                       "--out", "x.csv") == 2
+        assert capsys.readouterr().err.startswith("error: a = 1e-100 is too small")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

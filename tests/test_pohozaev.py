@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from selfsim.params import make_params, weight_rho
+from selfsim.profile_ode import IntegratorOptions, shoot
 from selfsim.pohozaev import (
     G_cubic,
     G_direct,
     GridMismatchError,
     J_along,
+    J_at,
     J_eval,
     coeff_functions,
     cubic_coeffs,
@@ -126,6 +128,26 @@ class TestJ:
         fd = (J_of(r - 2 * h) - 8 * J_of(r - h) + 8 * J_of(r + h) - J_of(r + 2 * h)) / (12 * h)
         Gg2 = G_cubic(P2, r) * traj.eval(r)[1] ** 2
         assert np.max(np.abs(fd - Gg2) / (np.abs(Gg2) + 1.0)) < 1e-5
+
+    @given(N=st.integers(1, 5), frac=st.floats(0.02, 0.98), log_a=st.floats(-3.0, 2.0))
+    @settings(max_examples=30, deadline=None)
+    def test_step_end_J_is_J_eval(self, N, frac, log_a):
+        # the float J a probe tests at each step end, from the stepper's own
+        # g', is J_eval's J far below the 1e-8 threshold of the C verdict.
+        # Only rounding differs: numpy's array pow and libm's float pow part in
+        # the last bit for ~5 % of arguments, and at N = 5 J's terms cancel to
+        # ~1/70 of their size, so 1 % of 1,500 drawn runs passed 1e-14 and the
+        # worst read 2.5e-14
+        P = make_params(N, 2.0 * N / (N + 1.0) + frac * (2.0 - 2.0 * N / (N + 1.0)))
+        ends = []
+
+        def record(r, f, g, dg):
+            ends.append((r, f, g, J_at(P, r, g, dg)))
+
+        shoot(P, 10.0**log_a, IntegratorOptions(), stop=record)
+        r, f, g, J = (np.array(x) for x in zip(*ends))
+        ref = J_eval(P, r, f, g)
+        assert np.all(np.abs(J - ref) <= 1e-13 * (1.0 + np.maximum.accumulate(np.abs(ref))))
 
     def test_ground_state_candidate_positive_and_scaled(self, P2, gs2):
         # J > 0 on the trust window; J * rho^(4(p-1)/(3p-2)) stays within a

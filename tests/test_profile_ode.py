@@ -131,6 +131,16 @@ class TestIntegrate:
         opts = IntegratorOptions(rel_tol=100 * np.finfo(float).eps)
         assert shoot(P2, 1.0, replace(opts, r_max=2.0)).status == "horizon"
 
+    def test_height_below_the_absolute_tolerance_is_refused(self, P2):
+        # a run from a < ABS_TOL / rel_tol would take the steps of the absolute floor
+        for rel_tol, bound in ((1e-12, "1e-48"), (1e-10, "1e-50")):
+            opts = IntegratorOptions(rel_tol=rel_tol)
+            with pytest.raises(ValueError, match=f"a = 1e-100 is too small: below ABS_TOL / rel_tol = {bound} "):
+                shoot(P2, 1e-100, opts)
+            with pytest.raises(ValueError, match="too small"):
+                integrate(P2, 0.5 * float(bound), opts)
+            assert shoot(P2, 2.0 * float(bound), replace(opts, r_max=1.0)).status == "horizon"
+
     @pytest.mark.parametrize("r_max", [1e-9, 1e-6])
     def test_horizon_at_or_below_the_series_start_is_refused(self, P2, r_max):
         # eps_start(1) = 1e-6: the run would step backwards, or not at all
@@ -395,7 +405,7 @@ class TestSteppingLoop:
     def test_stop_ends_the_run_at_a_step_end(self, P2):
         seen = []
 
-        def stop(r, f, g):
+        def stop(r, f, g, dg):
             seen.append(r)
             return r > 10.0
 

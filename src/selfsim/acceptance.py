@@ -25,7 +25,7 @@ from .pohozaev import (
     small_a_limit_z0,
     wronskian_check,
 )
-from .classify import TOL_A, GroundStateResult, classify, estimate_l, find_ground_state, tail_slopes
+from .classify import TOL_A, GroundStateResult, classify, estimate_l, fast_tail_slope, find_ground_state, slow_tail
 from .pde import (
     ORACLE_HORIZON,
     FrameSeries,
@@ -200,18 +200,18 @@ def criterion_4(ctx: AcceptanceContext, res: CriterionResult):
 
 
 def criterion_5(ctx: AcceptanceContext, res: CriterionResult):
-    """Fast-decay tail at the bisection midpoint: slope and rho*g plateau."""
+    """Fast-decay tail at the bisection midpoint: its rate on (0.5, 0.95) trust_radius and the rho*g plateau."""
     for N, p in POINTS:
         gs = ctx.ground_state(N, p)
         target = -1.0 / (p - 1.0)
         win = (0.5 * gs.trust_radius, 0.95 * gs.trust_radius)
-        ts = tail_slopes(ctx.params(N, p), gs.traj, exp_window=win)
+        slope = fast_tail_slope(ctx.params(N, p), gs.traj, win)
         res.add(
             f"|slope_exp - ({target:g})| / |{target:g}|, ({N},{p})",
-            abs(ts.slope_exp - target) / abs(target),
+            abs(slope - target) / abs(target),
             0.02,
         )
-        plateau = estimate_l(ctx.params(N, p), gs.traj)
+        plateau = estimate_l(gs.traj)
         res.add(f"rho*g plateau found, ({N},{p})", plateau.l, None, plateau.found)
         mask = (gs.traj.r >= plateau.window[0]) & (gs.traj.r <= plateau.window[1])
         w = gs.traj.w[mask]
@@ -226,20 +226,20 @@ def criterion_5(ctx: AcceptanceContext, res: CriterionResult):
 
 
 def criterion_6(ctx: AcceptanceContext, res: CriterionResult):
-    """Slow-decay tail at a_lo/10: log-log slope and the prefactor law."""
+    """Slow-decay tail at a_lo/10: log-log slope and the prefactor law on (100, 950)."""
     for N, p in POINTS:
         gs = ctx.ground_state(N, p)
         traj = ctx.trajectory(N, p, gs.a_lo / 10.0, r_max=1e3)
         target = -(p - 1.0) / (2.0 - p)
-        ts = tail_slopes(ctx.params(N, p), traj, alg_window=(100.0, 950.0))
+        slope, prefactor_ratio = slow_tail(ctx.params(N, p), traj, (100.0, 950.0))
         res.add(
             f"|slope_alg - ({target:g})| / |{target:g}|, ({N},{p})",
-            abs(ts.slope_alg - target) / abs(target),
+            abs(slope - target) / abs(target),
             0.05,
         )
         res.add(
             f"|prefactor ratio - 1| at r ~ 1e3, ({N},{p})",
-            abs(ts.prefactor_ratio - 1.0),
+            abs(prefactor_ratio - 1.0),
             0.10,
         )
 

@@ -13,6 +13,11 @@ radius R of an A probe and the J-negativity radius r_bar of a C probe grow
 linearly in -log|a - a_*|, so the search probes where the model through its
 last probes puts a_* (``bisect_a_star``).
 
+Each tail law of the profile has its own least-squares fit, on the one
+window its caller names: ``fast_tail_slope`` the exponential rate of the
+ground state f_* ~ c_* r^(-(N-1)/(p-1)) e^(-r/(p-1)), ``slow_tail`` the
+algebraic decay r^(-(p-1)/(2-p)) of class C and its prefactor.
+
 The settings no caller varies are module constants: the J-negativity
 threshold J_NEG_THRESHOLD of the C verdict, the doubling budget
 BRACKET_MAX_STEPS of ``bracket_search``, the probe budget BISECT_MAX_ITER,
@@ -40,7 +45,6 @@ __all__ = [
     "Classification",
     "GroundStateResult",
     "PlateauEstimate",
-    "TailSlopes",
     "BracketFailureError",
     "BisectionStallError",
     "NoPlateauError",
@@ -50,7 +54,8 @@ __all__ = [
     "bisect_a_star",
     "find_ground_state",
     "estimate_l",
-    "tail_slopes",
+    "fast_tail_slope",
+    "slow_tail",
 ]
 
 # C verdict: J below -J_NEG_THRESHOLD * (1 + running max |J|) past r_G, the
@@ -112,14 +117,6 @@ class PlateauEstimate:
     window: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class TailSlopes:
-    slope_exp: float  # fitted exponential rate, algebraic prefactor removed
-    slope_alg: float  # fitted log f vs log r slope
-    g_over_f: float  # mean g/f on the exponential window
-    prefactor_ratio: float  # f * ((2-p) r/(p-1))^((p-1)/(2-p)) at the largest radius
-
-
 @dataclass
 class GroundStateResult:
     """The proven (C, A) bracket, its midpoint a_* and the run there to the search's r_max.
@@ -138,10 +135,10 @@ class GroundStateResult:
 
     @cached_property
     def _plateau(self) -> PlateauEstimate:
-        plateau = estimate_l(self.params, self.traj)
+        plateau = estimate_l(self.traj)
         if not plateau.found:
             longer = replace(self.opts, r_max=2.0 * self.opts.r_max)
-            plateau = estimate_l(self.params, integrate(self.params, self.a_star, longer))
+            plateau = estimate_l(integrate(self.params, self.a_star, longer))
         if not plateau.found:
             raise NoPlateauError(
                 f"no rho*g plateau at a_* = {self.a_star!r}: no {PLATEAU_TOL:.1%}-flat window of length >= "
@@ -404,7 +401,7 @@ def find_ground_state(
     return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)
 
 
-def estimate_l(params: Params, traj: Trajectory) -> PlateauEstimate:
+def estimate_l(traj: Trajectory) -> PlateauEstimate:
     """Longest window where rho*g varies by < PLATEAU_TOL; its mean estimates l.
 
     Returns found=False (soft failure) when no window of length PLATEAU_MIN_LEN
@@ -436,44 +433,35 @@ def estimate_l(params: Params, traj: Trajectory) -> PlateauEstimate:
     )
 
 
-def tail_slopes(
-    params: Params,
-    traj: Trajectory,
-    exp_window: tuple[float, float] | None = None,
-    alg_window: tuple[float, float] | None = None,
-) -> TailSlopes:
-    """Least-squares decay rates of f on trusted windows.
+def _window(traj: Trajectory, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(r, f) at the samples of window where f > 0; at least 10 of them."""
+    mask = (traj.r >= window[0]) & (traj.r <= window[1]) & (traj.f > 0.0)
+    if np.count_nonzero(mask) < 10:
+        raise WindowTooShortError(f"window {window} has fewer than 10 usable samples")
+    return traj.r[mask], traj.f[mask]
 
-    slope_exp fits log(f * r^((N-1)/(p-1))) against r, i.e. the exponential
-    rate with the known algebraic prefactor of the fast-decay asymptotic
-    removed (a raw log f fit carries an O((N-1)/r) bias that never reaches
-    the asymptotic rate on desk-scale windows). Expected -1/(p-1) for the
-    ground state. slope_alg fits log f against log r; expected -(p-1)/(2-p)
-    for slow-decay profiles.
+
+def fast_tail_slope(params: Params, traj: Trajectory, window: tuple[float, float]) -> float:
+    """Least-squares exponential decay rate of f on window; expected -1/(p-1) for the ground state.
+
+    It fits log(f * r^((N-1)/(p-1))) against r, i.e. the rate with the known
+    algebraic prefactor of the fast-decay asymptotic removed (a raw log f fit
+    carries an O((N-1)/r) bias that never reaches the asymptotic rate on
+    desk-scale windows).
     """
-    r_end = traj.r_end
-    if exp_window is None:
-        exp_window = (0.3 * r_end, 0.75 * r_end)
-    if alg_window is None:
-        alg_window = (0.2 * r_end, 0.8 * r_end)
+    r, f = _window(traj, window)
+    y = np.log(f) + (params.N - 1.0) * params.e_g * np.log(r)
+    return float(np.polyfit(r, y, 1)[0])
 
-    def window_data(win):
-        mask = (traj.r >= win[0]) & (traj.r <= win[1]) & (traj.f > 0.0)
-        if np.count_nonzero(mask) < 10:
-            raise WindowTooShortError(f"window {win} has fewer than 10 usable samples")
-        return traj.r[mask], traj.f[mask], traj.g[mask]
 
-    r_e, f_e, g_e = window_data(exp_window)
-    y = np.log(f_e) + (params.N - 1.0) * params.e_g * np.log(r_e)
-    slope_exp = float(np.polyfit(r_e, y, 1)[0])
-    g_over_f = float(np.mean(g_e / f_e))
+def slow_tail(params: Params, traj: Trajectory, window: tuple[float, float]) -> tuple[float, float]:
+    """(slope, prefactor ratio) of the slow algebraic decay of f on window.
 
-    r_a, f_a, _ = window_data(alg_window)
-    slope_alg = float(np.polyfit(np.log(r_a), np.log(f_a), 1)[0])
-
-    r_last, f_last = r_a[-1], f_a[-1]
-    pref = float(f_last * ((2.0 - params.p) / (params.p - 1.0) * r_last) ** params.e_slow)
-    return TailSlopes(
-        slope_exp=slope_exp, slope_alg=slope_alg, g_over_f=g_over_f, prefactor_ratio=pref
-    )
-
+    slope is the least-squares slope of log f against log r, expected
+    -(p-1)/(2-p) for slow-decay profiles; the prefactor ratio is
+    f * ((2-p) r/(p-1))^((p-1)/(2-p)) at the window's largest radius, expected 1.
+    """
+    r, f = _window(traj, window)
+    slope = float(np.polyfit(np.log(r), np.log(f), 1)[0])
+    pref = float(f[-1] * ((2.0 - params.p) / (params.p - 1.0) * r[-1]) ** params.e_slow)
+    return slope, pref

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .params import NumericalError, make_params, require_positive
 from .profile_ode import IntegratorOptions, integrate, run_start
-from .pohozaev import J_along, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
+from .pohozaev import J_along, J_eval, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, classify, find_ground_state
 from .pde import (PdeConfig, RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction,
                   separable_config)
@@ -73,8 +73,8 @@ def cmd_params(args) -> int:
 def cmd_profile(args) -> int:
     P = make_params(args.N, args.p)
     traj = integrate(P, args.a, _opts(args))
-    series = J_along(P, traj)
-    rows = zip(traj.r, traj.f, traj.g, traj.fprime, traj.E, traj.w, traj.h, series.J)
+    J = J_eval(P, traj.r, traj.f, traj.g)
+    rows = zip(traj.r, traj.f, traj.g, traj.fprime, traj.E, traj.w, traj.h, J)
     write_csv(args.out, ["r", "f", "g", "fprime", "E", "w", "h", "J"], rows)
     if args.meta:
         write_sidecar(args.out, {"command": "profile", "a": args.a})

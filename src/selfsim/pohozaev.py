@@ -70,7 +70,6 @@ class PairSeries:
     q: np.ndarray  # g2/g1
     X: np.ndarray  # q^2 J1 - J2
     W: np.ndarray  # Wronskian g1' g2 - g1 g2'
-    W_quadrature: np.ndarray
     residual: float
 
 
@@ -79,7 +78,8 @@ def coeff_functions(params: Params, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("coefficient functions require r > 0")
-    alpha, beta, gamma = _coeffs(params, r, np.exp)
+    with np.errstate(over="ignore"):  # rho and its powers overflow past r ~ 590-700: those entries read inf
+        alpha, beta, gamma = _coeffs(params, r, np.exp)
     return alpha, beta, gamma, alpha
 
 
@@ -135,7 +135,8 @@ def find_r_G(params: Params) -> float:
 def G_cubic(params: Params, r):
     """G via the cubic identity (production path)."""
     r = np.asarray(r, dtype=float)
-    alpha = weight_rho(params, r) ** params.e_weight
+    with np.errstate(over="ignore"):  # inf past rho's overflow, as in coeff_functions
+        alpha = weight_rho(params, r) ** params.e_weight
     q = 3.0 * params.p - 2.0
     return params.p / q**3 * alpha * _cubic_eval(params, 1.0 / r)
 
@@ -151,8 +152,9 @@ def G_direct(params: Params, r):
     h = FD_STEP_REL * r
     gamma_p = coeff_functions(params, r + h)[2]
     gamma_m = coeff_functions(params, r - h)[2]
-    dgamma = (gamma_p - gamma_m) / (2.0 * h)
-    return (params.N - 1.0) / r**2 * beta + 0.5 * dgamma
+    with np.errstate(invalid="ignore"):  # inf - inf (and 0 inf at N = 1) past rho's overflow reads nan
+        dgamma = (gamma_p - gamma_m) / (2.0 * h)
+        return (params.N - 1.0) / r**2 * beta + 0.5 * dgamma
 
 
 def J_eval(params: Params, r, f, g):
@@ -160,7 +162,8 @@ def J_eval(params: Params, r, f, g):
     r, f, g = (np.asarray(x, dtype=float) for x in (r, f, g))
     _, gp = _rhs_arrays(params, r, f, g, absorption=True)
     alpha, beta, gamma, _ = coeff_functions(params, r)
-    return _J(params, alpha, beta, gamma, g, gp)
+    with np.errstate(invalid="ignore"):  # inf - inf past rho's overflow reads nan
+        return _J(params, alpha, beta, gamma, g, gp)
 
 
 def J_at(params: Params, r: float, g: float, dg: float) -> float:
@@ -185,16 +188,14 @@ def J_along(params: Params, traj: Trajectory) -> JSeries:
     return JSeries(r=r, J=J_eval(params, r, f, g), G=G_cubic(params, r), gsq=g * g)
 
 
-def _common_window(traj1: Trajectory, traj2: Trajectory, r_hi: float | None):
+def _common_window(traj1: Trajectory, traj2: Trajectory, r_hi: float):
     lo = max(traj1.r[0], traj2.r[0])
-    hi = min(traj1.r_end, traj2.r_end)
+    hi = min(traj1.r_end, traj2.r_end, r_hi)
     # a guard: g stays positive up to a run's end, the first zero of f
     for t in (traj1, traj2):
         bad = t.r[t.g <= 0.0]
         if bad.size:
             hi = min(hi, float(bad[0]))
-    if r_hi is not None:
-        hi = min(hi, r_hi)
     if not hi > lo:
         raise GridMismatchError("trajectories share no window with both g > 0")
     return lo, hi
@@ -204,7 +205,7 @@ def wronskian_check(
     params: Params,
     traj1: Trajectory,
     traj2: Trajectory,
-    r_hi: float | None = None,
+    r_hi: float,
 ) -> PairSeries:
     """Residual of the Wronskian quadrature identity for a pair a1 < a2.
 
@@ -212,7 +213,7 @@ def wronskian_check(
     rho(s) (g2^((2-p)/(p-1)) - g1^((2-p)/(p-1))) g1 g2 / rho(r) on the common
     refinement (both trajectories' dense outputs evaluated on one fine grid).
     Returns the pairwise series; ``residual`` is the max mismatch relative to
-    the scale of W on the window where both g > 0.
+    the scale of W on the window up to r_hi where both g > 0.
     """
     from scipy.integrate import cumulative_simpson
 
@@ -237,7 +238,7 @@ def wronskian_check(
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(g1 > 0.0, g2 / g1, np.nan)
     X = q**2 * J1 - J2
-    return PairSeries(r=r, q=q, X=X, W=W, W_quadrature=Q, residual=residual)
+    return PairSeries(r=r, q=q, X=X, W=W, residual=residual)
 
 
 def small_a_limit_z0(params: Params, r_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,9 @@ from selfsim.classify import (
     bracket_search,
     classify,
     estimate_l,
+    fast_tail_slope,
     find_ground_state,
-    tail_slopes,
+    slow_tail,
 )
 
 
@@ -285,7 +286,7 @@ class TestBracketAndBisection:
 
 class TestPlateau:
     def test_ground_state_plateau(self, P2, gs2):
-        est = estimate_l(P2, gs2.traj)
+        est = estimate_l(gs2.traj)
         assert est.found
         assert est.window[1] - est.window[0] >= 1.0
         assert est.l == pytest.approx(gs2.l_star, rel=1e-12)
@@ -295,14 +296,14 @@ class TestPlateau:
         # of inf once read as flat, and l_* as inf
         traj = integrate(P2, gs2.a_star, IntegratorOptions(r_max=720.0))
         assert traj.r_end == 720.0 and np.isinf(traj.w[-1])
-        est = estimate_l(P2, traj)
+        est = estimate_l(traj)
         assert est.found and np.isfinite(est.l)
         assert est.window[1] < 703.0
         assert est.l == pytest.approx(gs2.l_star, rel=1e-3)
 
     def test_class_A_has_no_plateau(self, P2):
         traj = integrate(P2, 100.0)
-        assert not estimate_l(P2, traj).found
+        assert not estimate_l(traj).found
 
     def test_tighter_bracket_moves_l_little(self, P2, gs2):
         finer = bisect_a_star(P2, (gs2.a_lo, gs2.a_hi), tol_a=1e-12)
@@ -357,7 +358,7 @@ class TestTailConstants:
         gs = find_ground_state(P3, IntegratorOptions(r_max=12.0))
         # the kept run stays at the caller's horizon; only the plateau reads the rerun
         assert gs.traj.r_end <= 12.0
-        assert not estimate_l(P3, gs.traj).found
+        assert not estimate_l(gs.traj).found
         assert gs.l_star == pytest.approx(1966.851954180895, rel=1e-12)
         assert 12.0 < gs.plateau_window[1] <= 24.0
 
@@ -370,20 +371,31 @@ class TestTailConstants:
 
 
 class TestTailSlopes:
-    def test_fast_decay_rate(self, P2, gs2):
-        win = (0.5 * gs2.trust_radius, 0.95 * gs2.trust_radius)
-        ts = tail_slopes(P2, gs2.traj, exp_window=win)
-        assert ts.slope_exp == pytest.approx(-2.0, rel=0.02)
-        assert ts.g_over_f > 100.0  # g/f -> infinity on the fast branch
+    """Each tail law fitted on the window its criterion names, pinned to 12 digits at both reference points."""
 
-    def test_slow_decay_rate_and_prefactor(self, ctx, P2, gs2):
-        traj = ctx.trajectory(2, 1.5, gs2.a_lo / 10.0, r_max=1e3)
-        ts = tail_slopes(P2, traj, alg_window=(100.0, 950.0))
-        assert ts.slope_alg == pytest.approx(-1.0, rel=0.05)
-        assert ts.prefactor_ratio == pytest.approx(1.0, abs=0.10)
-        assert ts.g_over_f == pytest.approx(1.0, abs=0.05)
+    def test_fast_decay_rate(self, ctx):
+        # criterion 5: |slope - target| / |target| on (0.5, 0.95) trust_radius of the ground-state run
+        for (N, p), rel_err in {(2, 1.5): 0.006010767773022674, (3, 1.7): 0.012647371249148387}.items():
+            gs = ctx.ground_state(N, p)
+            target = -1.0 / (p - 1.0)
+            slope = fast_tail_slope(gs.params, gs.traj, (0.5 * gs.trust_radius, 0.95 * gs.trust_radius))
+            assert abs(slope - target) / abs(target) == pytest.approx(rel_err, rel=1e-12)
+
+    def test_slow_decay_rate_and_prefactor(self, ctx):
+        # criterion 6: slope and |prefactor ratio - 1| on (100, 950) along the run at a_lo / 10
+        pinned = {(2, 1.5): (0.0016772493263101929, 0.0005606675394695948),
+                  (3, 1.7): (0.004255351631477072, 0.005884442640830101)}
+        for (N, p), (rel_err, pref_err) in pinned.items():
+            gs = ctx.ground_state(N, p)
+            traj = ctx.trajectory(N, p, gs.a_lo / 10.0, r_max=1e3)
+            target = -(p - 1.0) / (2.0 - p)
+            slope, prefactor_ratio = slow_tail(gs.params, traj, (100.0, 950.0))
+            assert abs(slope - target) / abs(target) == pytest.approx(rel_err, rel=1e-12)
+            assert abs(prefactor_ratio - 1.0) == pytest.approx(pref_err, rel=1e-12)
 
     def test_window_too_short(self, P2, gs2):
         with pytest.raises(WindowTooShortError):
-            tail_slopes(P2, gs2.traj, exp_window=(49.9, 50.0))
+            fast_tail_slope(P2, gs2.traj, (49.9, 50.0))
+        with pytest.raises(WindowTooShortError):
+            slow_tail(P2, gs2.traj, (49.9, 50.0))
 

@@ -158,6 +158,20 @@ class TestCommands:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
         assert f"status {status}," in capsys.readouterr().out
 
+    def test_past_rho_overflow_without_warnings(self, tmp_path, capsys):
+        # rho = r e^r overflows past r ~ 703 and its power in J's weight past
+        # r ~ 590: those cells read inf and nan, with no numpy warning (the
+        # suite turns warnings into errors)
+        out = tmp_path / "traj.csv"
+        assert run_cli("profile", "--N", "2", "--p", "1.5", "--a", "0.001", "--rmax", "720", "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        last = dict(zip(header, rows[-1]))
+        assert (last["r"], last["w"], last["J"]) == ("720", "inf", "nan")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b64790d3b1f8c3f463bc048338ee9051f44959f7059a3558f63bd4954c7226da")
+        assert run_cli("pohozaev", "--N", "2", "--p", "1.5", "--a", "0.001", "--r-max", "720",
+                       "--out", str(tmp_path / "g.csv")) == 0
+
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run_cli("profile", "--N", "2", "--p", "1.5", "--a", "1.0",
@@ -577,7 +591,7 @@ class TestCommands:
         # the package re-exports the function classify under the module's name
         classify_module = importlib.import_module("selfsim.classify")
         no_plateau = classify_module.PlateauEstimate(False, np.nan, (np.nan, np.nan))
-        monkeypatch.setattr(classify_module, "estimate_l", lambda params, traj: no_plateau)
+        monkeypatch.setattr(classify_module, "estimate_l", lambda traj: no_plateau)
         assert run_cli("find-astar", "--N", "2", "--p", "1.5", "--tol", "1e-2",
                        "--out", str(tmp_path / "a.json")) == 3
         assert "no rho*g plateau" in capsys.readouterr().err

@@ -197,7 +197,7 @@ class TestPairDiagnostics:
 
     def test_requires_ordered_heights(self, ctx, P2):
         with pytest.raises(ValueError):
-            wronskian_check(P2, ctx.trajectory(2, 1.5, 1.0), ctx.trajectory(2, 1.5, 0.5))
+            wronskian_check(P2, ctx.trajectory(2, 1.5, 1.0), ctx.trajectory(2, 1.5, 0.5), r_hi=5.0)
 
 
 class TestSmallALimit:

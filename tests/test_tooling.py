@@ -7,8 +7,9 @@ Importing the library loads no scipy at all: only the PDE sweeps need it,
 for LAPACK's ``dptsv`` (and ``dgtsv`` where a pivot of ptsv fails), and
 the first sweep of a run imports it. No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
-``subprocess``: every command runs in the calling process. Under the suite's
-warning filters a failing property test still shows its falsifying example.
+``subprocess``: every command runs in the calling process. Every parameter
+of every library function is read in its body. Under the suite's warning
+filters a failing property test still shows its falsifying example.
 """
 
 import ast
@@ -65,6 +66,39 @@ def test_the_guard_sees_what_it_bans():
         "from concurrent.futures import ProcessPoolExecutor\n"
     )
     assert len(violations(source)) == 5
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters no function body reads, but self, cls, *args, **kwargs and _-prefixed names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.arg not in read and arg.arg not in ("self", "cls") and not arg.arg.startswith("_"):
+                found.append(f"{getattr(node, 'name', 'lambda')}({arg.arg}) at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_the_parameter_guard_sees_what_it_flags():
+    source = (
+        "def f(self, a, b, *args, _c, d=1, **kwargs):\n"
+        "    b = 2\n"
+        "    return lambda e, g: [a + g for _ in args]\n"
+        "def h(x):\n"
+        "    def inner():\n"
+        "        return x\n"
+        "    return inner\n"
+    )
+    assert unread_parameters(source) == ["f(b) at line 1", "f(d) at line 1", "lambda(e) at line 3"]
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

@@ -205,7 +205,7 @@ def criterion_5(ctx: AcceptanceContext, res: CriterionResult):
         gs = ctx.ground_state(N, p)
         target = -1.0 / (p - 1.0)
         win = (0.5 * gs.trust_radius, 0.95 * gs.trust_radius)
-        slope = fast_tail_slope(ctx.params(N, p), gs.traj, win)
+        slope = fast_tail_slope(gs.traj, win)
         res.add(
             f"|slope_exp - ({target:g})| / |{target:g}|, ({N},{p})",
             abs(slope - target) / abs(target),
@@ -231,7 +231,7 @@ def criterion_6(ctx: AcceptanceContext, res: CriterionResult):
         gs = ctx.ground_state(N, p)
         traj = ctx.trajectory(N, p, gs.a_lo / 10.0, r_max=1e3)
         target = -(p - 1.0) / (2.0 - p)
-        slope, prefactor_ratio = slow_tail(ctx.params(N, p), traj, (100.0, 950.0))
+        slope, prefactor_ratio = slow_tail(traj, (100.0, 950.0))
         res.add(
             f"|slope_alg - ({target:g})| / |{target:g}|, ({N},{p})",
             abs(slope - target) / abs(target),
@@ -293,10 +293,9 @@ def criterion_7(ctx: AcceptanceContext, res: CriterionResult):
 
 def criterion_8(ctx: AcceptanceContext, res: CriterionResult):
     """Wronskian quadrature identity and the pair diagnostics at (0.5, 1.0)."""
-    P = ctx.params(2, 1.5)
     t1 = ctx.trajectory(2, 1.5, 0.5)
     t2 = ctx.trajectory(2, 1.5, 1.0)
-    pair = wronskian_check(P, t1, t2, r_hi=5.0)
+    pair = wronskian_check(t1, t2, r_hi=5.0)
     res.add("Wronskian identity residual on [0, 5]", pair.residual, 1e-5)
     res.add("|q(0+) - a2/a1|", abs(pair.q[0] - 2.0), 1e-6)
     scale = 1.0 + float(np.nanmax(np.abs(pair.X)))

@@ -16,7 +16,8 @@ last probes puts a_* (``bisect_a_star``).
 Each tail law of the profile has its own least-squares fit, on the one
 window its caller names: ``fast_tail_slope`` the exponential rate of the
 ground state f_* ~ c_* r^(-(N-1)/(p-1)) e^(-r/(p-1)), ``slow_tail`` the
-algebraic decay r^(-(p-1)/(2-p)) of class C and its prefactor.
+algebraic decay r^(-(p-1)/(2-p)) of class C and its prefactor. Both read
+(N, p) off the trajectory they fit, as ``GroundStateResult`` off its run.
 
 The settings no caller varies are module constants: the J-negativity
 threshold J_NEG_THRESHOLD of the C verdict, the doubling budget
@@ -124,13 +125,12 @@ class GroundStateResult:
     The tail constants l_star, c_star, plateau_window and trust_radius are computed on first read.
     """
 
-    params: Params
     a_lo: float
     a_hi: float
     a_star: float
     iterations: int  # shooting runs of the search, horizon retries included
     probe_steps: int  # their accepted DOP853 steps
-    traj: Trajectory  # run at the final bracket midpoint
+    traj: Trajectory  # run at the final bracket midpoint; its params are the search's
     opts: IntegratorOptions  # the settings the search ran with
 
     @cached_property
@@ -138,7 +138,7 @@ class GroundStateResult:
         plateau = estimate_l(self.traj)
         if not plateau.found:
             longer = replace(self.opts, r_max=2.0 * self.opts.r_max)
-            plateau = estimate_l(integrate(self.params, self.a_star, longer))
+            plateau = estimate_l(integrate(self.traj.params, self.a_star, longer))
         if not plateau.found:
             raise NoPlateauError(
                 f"no rho*g plateau at a_* = {self.a_star!r}: no {PLATEAU_TOL:.1%}-flat window of length >= "
@@ -151,13 +151,13 @@ class GroundStateResult:
 
     @property
     def c_star(self) -> float:
-        return (self.params.p - 1.0) * self.l_star**self.params.e_g
+        return (self.traj.params.p - 1.0) * self.l_star**self.traj.params.e_g
 
     @cached_property
     def trust_radius(self) -> float:
         """Largest radius before the bracket-endpoint runs separate by >1%."""
-        t_lo = integrate(self.params, self.a_lo, self.opts)
-        t_hi = integrate(self.params, self.a_hi, self.opts)
+        t_lo = integrate(self.traj.params, self.a_lo, self.opts)
+        t_hi = integrate(self.traj.params, self.a_hi, self.opts)
         r_hi = min(t_lo.r_end, t_hi.r_end, self.traj.r_end)
         r = np.linspace(self.traj.r[0], r_hi, 4000)
         f_lo, f_hi, f_mid = (t.eval(r)[0] for t in (t_lo, t_hi, self.traj))
@@ -166,7 +166,7 @@ class GroundStateResult:
         return float(r[k[0]]) if k.size else float(r_hi)
 
 
-def classify(params: Params, a: float, opts: IntegratorOptions | None = None) -> Classification:
+def classify(params: Params, a: float, opts: IntegratorOptions = IntegratorOptions()) -> Classification:
     """Classify one shooting height into A / C / Unresolved, stopping once proven.
 
     A requires the run to end at the first zero of f (status "FZero") with
@@ -178,7 +178,6 @@ def classify(params: Params, a: float, opts: IntegratorOptions | None = None) ->
     r_max or on step-size underflow is Unresolved, never guessed; its
     diagnostics say which and give the end state.
     """
-    opts = opts or IntegratorOptions()
     proof = _SlowDecayProof(params, find_r_G(params))
     shot = shoot(params, a, opts, stop=proof)
     done = {"a": a, "r_end": shot.r_end, "steps": shot.steps}
@@ -230,10 +229,9 @@ class _SlowDecayProof:
 
 
 def bracket_search(
-    params: Params, opts: IntegratorOptions | None = None, a_init: float = 1.0
+    params: Params, opts: IntegratorOptions = IntegratorOptions(), a_init: float = 1.0
 ) -> tuple[float, float]:
     """Find a_lo in C and a_hi in A by doubling/halving from a_init."""
-    opts = opts or IntegratorOptions()
     verdicts: dict[float, str] = {}  # a_init is classified once, for both walks
 
     def walk(factor: float, want: str) -> float:
@@ -254,7 +252,7 @@ def bisect_a_star(
     params: Params,
     bracket: tuple[float, float],
     tol_a: float = TOL_A,
-    opts: IntegratorOptions | None = None,
+    opts: IntegratorOptions = IntegratorOptions(),
 ) -> GroundStateResult:
     """Narrow the (C, A) bracket to at most END_WIDTH * tol_a and run its midpoint a_*.
 
@@ -274,7 +272,6 @@ def bisect_a_star(
     probing off-center points. ``iterations`` counts the search's shooting
     runs and ``probe_steps`` their accepted steps.
     """
-    opts = opts or IntegratorOptions()
     a_lo, a_hi = bracket
     if not 0.0 < a_lo < a_hi:
         raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
@@ -284,7 +281,6 @@ def bisect_a_star(
     search.run(tol_a)
     a_star = 0.5 * (search.a_lo + search.a_hi)
     return GroundStateResult(
-        params=params,
         a_lo=search.a_lo,
         a_hi=search.a_hi,
         a_star=a_star,
@@ -393,11 +389,10 @@ def _model_root(pts, side: float, a_lo: float, a_hi: float, xtol: float) -> floa
 
 
 def find_ground_state(
-    params: Params, opts: IntegratorOptions | None = None, tol_a: float = TOL_A
+    params: Params, opts: IntegratorOptions = IntegratorOptions(), tol_a: float = TOL_A
 ) -> GroundStateResult:
     """The ground state a_*: bracket from a = 1, then narrow the bracket to tol_a."""
     require_positive("tol_a", tol_a)  # a bad tolerance exits before seconds of bracket shooting
-    opts = opts or IntegratorOptions()
     return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)
 
 
@@ -441,7 +436,7 @@ def _window(traj: Trajectory, window: tuple[float, float]) -> tuple[np.ndarray, 
     return traj.r[mask], traj.f[mask]
 
 
-def fast_tail_slope(params: Params, traj: Trajectory, window: tuple[float, float]) -> float:
+def fast_tail_slope(traj: Trajectory, window: tuple[float, float]) -> float:
     """Least-squares exponential decay rate of f on window; expected -1/(p-1) for the ground state.
 
     It fits log(f * r^((N-1)/(p-1))) against r, i.e. the rate with the known
@@ -450,11 +445,11 @@ def fast_tail_slope(params: Params, traj: Trajectory, window: tuple[float, float
     desk-scale windows).
     """
     r, f = _window(traj, window)
-    y = np.log(f) + (params.N - 1.0) * params.e_g * np.log(r)
+    y = np.log(f) + (traj.params.N - 1.0) * traj.params.e_g * np.log(r)
     return float(np.polyfit(r, y, 1)[0])
 
 
-def slow_tail(params: Params, traj: Trajectory, window: tuple[float, float]) -> tuple[float, float]:
+def slow_tail(traj: Trajectory, window: tuple[float, float]) -> tuple[float, float]:
     """(slope, prefactor ratio) of the slow algebraic decay of f on window.
 
     slope is the least-squares slope of log f against log r, expected
@@ -463,5 +458,6 @@ def slow_tail(params: Params, traj: Trajectory, window: tuple[float, float]) -> 
     """
     r, f = _window(traj, window)
     slope = float(np.polyfit(np.log(r), np.log(f), 1)[0])
-    pref = float(f[-1] * ((2.0 - params.p) / (params.p - 1.0) * r[-1]) ** params.e_slow)
+    P = traj.params
+    pref = float(f[-1] * ((2.0 - P.p) / (P.p - 1.0) * r[-1]) ** P.e_slow)
     return slope, pref

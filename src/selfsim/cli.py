@@ -151,7 +151,7 @@ def cmd_pohozaev(args) -> int:
     rows = zip(r, alpha, beta, gamma, delta, G_cubic(P, r), G_direct(P, r))
     write_csv(args.out, ["r", "alpha", "beta", "gamma", "delta", "G_cubic", "G_direct"], rows)
     if traj is not None:
-        series = J_along(P, traj)
+        series = J_along(traj)
         out = Path(args.out)
         j_path = out.with_name(out.name.removesuffix(".csv") + "_J.csv")
         write_csv(j_path, ["r", "J", "G", "gsq"], zip(series.r, series.J, series.G, series.gsq))
@@ -204,7 +204,7 @@ def _pde_settings(args) -> dict:
 
 
 def _run_pde(settings: dict, tol_a: float | None = None):
-    """Build the params, grid and config of a run and run it to extinction; returns (config, frames, gs).
+    """Build the params, grid and config of a run and run it to extinction; returns (frames, gs).
 
     Every setting is checked before the ground state gs is sought: at tol_a
     when one is given (pde-compare), else at the default tolerance and only
@@ -222,16 +222,17 @@ def _run_pde(settings: dict, tol_a: float | None = None):
     if cfg.init_kind == "separable":
         cfg = separable_config(P, gs.a_star, T0=cfg.T0)
     frames = run_to_extinction(cfg, make_initial(cfg, grid, None if gs is None else gs.traj))
-    return cfg, frames, gs
+    return frames, gs
 
 
-def _pde_summary(settings: dict, cfg: PdeConfig, frames, **inputs) -> dict:
-    """A PDE run's summary: grid, initial data and amplitude in, T_e fit, step counters and monitors out."""
+def _pde_summary(frames, **inputs) -> dict:
+    """A PDE run's summary off its grid and config: grid, initial data and amplitude in, T_e fit and counters out."""
+    grid, cfg = frames.grid, frames.config
     # kappa0 is the run's amplitude: for separable data it follows from T0 and a_*
-    inputs.update(M=settings["M"], R_inf=settings["r_inf"], init=settings["init"], kappa0=cfg.kappa0)
-    if settings["init"] == "separable":
+    inputs.update(M=grid.M, R_inf=grid.R_inf, init=cfg.init_kind, kappa0=cfg.kappa0)
+    if cfg.init_kind == "separable":
         inputs["T0"] = cfg.T0
-    summary = _summary_skeleton(settings["N"], settings["p"], **inputs)
+    summary = _summary_skeleton(cfg.params.N, cfg.params.p, **inputs)
     summary["results"] = {
         "T_e": frames.T_e_estimate,
         "rate_r2": frames.rate_r2,
@@ -249,8 +250,7 @@ def _pde_summary(settings: dict, cfg: PdeConfig, frames, **inputs) -> dict:
 
 
 def cmd_pde_run(args) -> int:
-    settings = _pde_settings(args)
-    cfg, frames, _ = _run_pde(settings)
+    frames, _ = _run_pde(_pde_settings(args))
     write_csv(
         f"{args.out}_records.csv",
         ["t", "sup", "I", "J", "D", "E"],
@@ -258,7 +258,7 @@ def cmd_pde_run(args) -> int:
     )
     for k, (t_k, u_k) in enumerate(frames.snapshots):
         write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(frames.grid.centers, u_k))
-    write_summary(f"{args.out}_summary.json", _pde_summary(settings, cfg, frames))
+    write_summary(f"{args.out}_summary.json", _pde_summary(frames))
     if args.meta:
         write_sidecar(f"{args.out}_summary.json", {"command": "pde-run"})
     print(f"wrote {args.out}_records.csv, {len(frames.snapshots)} frames, {args.out}_summary.json")
@@ -266,12 +266,11 @@ def cmd_pde_run(args) -> int:
 
 
 def cmd_pde_compare(args) -> int:
-    settings = _pde_settings(args)
-    cfg, frames, gs = _run_pde(settings, tol_a=args.tol)
+    frames, gs = _run_pde(_pde_settings(args), tol_a=args.tol)
     cmp = profile_errors(frames, gs.traj)
     write_csv(f"{args.out}_compare.csv", ["s", "t", "sup_error"], zip(cmp.s, cmp.t, cmp.sup_error))
     kept = cmp.sup_error[cmp.before_endgame]
-    summary = _pde_summary(settings, cfg, frames, tol=args.tol)
+    summary = _pde_summary(frames, tol=args.tol)
     summary["results"].update(
         a_star=gs.a_star,
         final_sup_error=kept[-1] if kept.size else float("nan"),

@@ -391,16 +391,20 @@ def resolved_couplings(N: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray
     couplings, k_up_i / k_dn_{i+1}, is a constant of the grid, and the scale
     s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1, turns every sweep into a
     symmetric M-matrix. A grid is refused (ValueError naming M and R_inf)
-    unless every inner coupling k_dn_{i>=1} > 0, i.e. dr < 2 (2/3)^(N-1), and
-    s_{M-1} <= _S_MAX.
+    unless every k_up_i k_dn_{i+1} is finite, every inner coupling
+    k_dn_{i>=1} > 0, i.e. dr < 2 (2/3)^(N-1), and s_{M-1} <= _S_MAX.
     """
     dr, r = grid.dr, grid.centers
     theta = np.full(grid.M, 0.5)
     theta[0] = 1.0 if N > 1 else 0.5  # at N >= 2 cell 0's inner face carries no weight
-    k_dn = ((grid.faces[:-1] / r) ** (N - 1) / dr - 0.5) / dr
-    k_dn[0] = 0.0
-    k_up = grid.faces[1:] ** (N - 1) / (r ** (N - 1) * dr * dr) + theta / dr
+    with np.errstate(all="ignore"):  # cells too narrow overflow these: refused just below
+        k_dn = ((grid.faces[:-1] / r) ** (N - 1) / dr - 0.5) / dr
+        k_dn[0] = 0.0
+        k_up = grid.faces[1:] ** (N - 1) / (r ** (N - 1) * dr * dr) + theta / dr
+        coupled = np.isfinite(k_up[:-1] * k_dn[1:]).all()
     where = f"a grid of M = {grid.M} cells on R_inf = {grid.R_inf!r} at N = {N}"
+    if not coupled:
+        raise ValueError(f"{where} has cells too narrow to couple, dr = {dr!r}: take a longer R_inf or fewer cells")
     if not (k_dn[1:] > 0.0).all():
         edge = 2.0 * (2.0 / 3.0) ** (N - 1)
         raise ValueError(f"{where} leaves a cell without coupling to its inner neighbour: cells must be narrower "

@@ -5,7 +5,8 @@ along shooting trajectories is J'(r) = G(r) g(r)^2. G does not depend on the
 shooting parameter and changes sign exactly once, at r_G, the reciprocal of
 the unique positive root of an explicit cubic. The cubic form is the
 production path; the direct finite-difference form G_direct exists purely as
-an independent cross-check of the coefficient algebra.
+an independent cross-check of the coefficient algebra. The diagnostics along
+runs, ``J_along`` and ``wronskian_check``, read (N, p) off the runs.
 
 The settings no caller varies are module constants: the root-bracket limit
 CUBIC_Z_MAX of ``find_r_G``, the relative finite-difference step
@@ -182,9 +183,9 @@ def _J(params: Params, alpha, beta, gamma, g, gp):
     return 0.5 * alpha * gp**2 + beta * g * gp + 0.5 * gamma * g**2 + power
 
 
-def J_along(params: Params, traj: Trajectory) -> JSeries:
-    """J, G and g^2 at a trajectory's samples."""
-    r, f, g = traj.r, traj.f, traj.g
+def J_along(traj: Trajectory) -> JSeries:
+    """J, G and g^2 at a trajectory's samples, for the trajectory's own (N, p)."""
+    r, f, g, params = traj.r, traj.f, traj.g, traj.params
     return JSeries(r=r, J=J_eval(params, r, f, g), G=G_cubic(params, r), gsq=g * g)
 
 
@@ -201,13 +202,8 @@ def _common_window(traj1: Trajectory, traj2: Trajectory, r_hi: float):
     return lo, hi
 
 
-def wronskian_check(
-    params: Params,
-    traj1: Trajectory,
-    traj2: Trajectory,
-    r_hi: float,
-) -> PairSeries:
-    """Residual of the Wronskian quadrature identity for a pair a1 < a2.
+def wronskian_check(traj1: Trajectory, traj2: Trajectory, r_hi: float) -> PairSeries:
+    """Residual of the Wronskian quadrature identity for a pair a1 < a2 of one (N, p).
 
     W = g1' g2 - g1 g2' is compared against the integral of
     rho(s) (g2^((2-p)/(p-1)) - g1^((2-p)/(p-1))) g1 g2 / rho(r) on the common
@@ -217,6 +213,9 @@ def wronskian_check(
     """
     from scipy.integrate import cumulative_simpson
 
+    params, other = traj1.params, traj2.params
+    if other != params:
+        raise ValueError(f"the pair must share (N, p), got ({params.N}, {params.p!r}) and ({other.N}, {other.p!r})")
     if not traj1.a <= traj2.a:
         raise ValueError("call with traj1.a <= traj2.a")
     lo, hi = _common_window(traj1, traj2, r_hi)

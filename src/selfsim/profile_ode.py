@@ -252,7 +252,7 @@ def _energy_arrays(params: Params, f, g):
     return (p - 1.0) / p * np.abs(g) ** (p * params.e_g) + 0.5 * f * f
 
 
-def integrate(params: Params, a: float, opts: IntegratorOptions | None = None) -> Trajectory:
+def integrate(params: Params, a: float, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Shoot from f(0)=a, f'(0)=0 until f crosses zero or r_max, and keep the run.
 
     The trajectory ends at the first of: FZero (f crosses zero; the root is
@@ -260,17 +260,16 @@ def integrate(params: Params, a: float, opts: IntegratorOptions | None = None) -
     ``end_slope`` is f' there) or r_max (status "horizon"). Step-size
     underflow raises StepSizeUnderflowError.
     """
-    return _kept_run(params, a, opts or IntegratorOptions(), absorption=True)
+    return _kept_run(params, a, opts, absorption=True)
 
 
-def psi_integrate(params: Params, opts: IntegratorOptions | None = None) -> Trajectory:
+def psi_integrate(params: Params, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Integrate the absorption-free companion problem psi(0)=1, psi'(0)=0.
 
     Ends at the first zero s0 of psi (``r_end``, with ``end_slope`` psi'
     there); psi provably has one, so running out of horizon raises
     NoZeroWithinHorizonError.
     """
-    opts = opts or IntegratorOptions()
     traj = _kept_run(params, 1.0, opts, absorption=False)
     if traj.status != "FZero":
         raise NoZeroWithinHorizonError(

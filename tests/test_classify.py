@@ -23,7 +23,7 @@ from selfsim.classify import (
 )
 
 
-def sample_oracle(params, traj):
+def sample_oracle(traj):
     """(verdict, R, slope, r_bar) by the rule on a whole trajectory's samples.
 
     A at a falling f-zero. C if J < -J_NEG_THRESHOLD (1 + running max |J|)
@@ -32,9 +32,9 @@ def sample_oracle(params, traj):
     """
     if traj.status == "FZero" and traj.end_slope < 0.0:
         return "A", traj.r_end, traj.end_slope, None
-    series = J_along(params, traj)
+    series = J_along(traj)
     thr = J_NEG_THRESHOLD * (1.0 + np.maximum.accumulate(np.abs(series.J)))
-    idx = np.flatnonzero((series.J < -thr) & (series.r > find_r_G(params)) & (traj.f > 0.0))
+    idx = np.flatnonzero((series.J < -thr) & (series.r > find_r_G(traj.params)) & (traj.f > 0.0))
     if idx.size and series.J[-1] < -thr[-1]:
         return "C", None, None, float(series.r[idx[0]])
     return "Unresolved", None, None, None
@@ -115,7 +115,7 @@ class TestClassify:
             near = gs.a_star + side * rng.uniform(1e-9, 1e-8, 2)
             for a in (*far, *near):
                 c = classify(P, a)
-                verdict, R, slope, r_bar = sample_oracle(P, integrate(P, a))
+                verdict, R, slope, r_bar = sample_oracle(integrate(P, a))
                 assert c.verdict == verdict
                 assert (c.R, c.slope) == (R, slope)
                 if verdict == "C":
@@ -191,7 +191,7 @@ class TestBracketAndBisection:
         assert gs.iterations <= 200
         assert gs.l_star > 0.0 and gs.c_star > 0.0
         assert gs.c_star == pytest.approx(
-            (gs.params.p - 1.0) * gs.l_star ** gs.params.e_g, rel=1e-14
+            (gs.traj.params.p - 1.0) * gs.l_star ** gs.traj.params.e_g, rel=1e-14
         )
 
     def test_invariance_to_initial_bracket(self, P2, gs2):
@@ -378,7 +378,7 @@ class TestTailSlopes:
         for (N, p), rel_err in {(2, 1.5): 0.006010767773022674, (3, 1.7): 0.012647371249148387}.items():
             gs = ctx.ground_state(N, p)
             target = -1.0 / (p - 1.0)
-            slope = fast_tail_slope(gs.params, gs.traj, (0.5 * gs.trust_radius, 0.95 * gs.trust_radius))
+            slope = fast_tail_slope(gs.traj, (0.5 * gs.trust_radius, 0.95 * gs.trust_radius))
             assert abs(slope - target) / abs(target) == pytest.approx(rel_err, rel=1e-12)
 
     def test_slow_decay_rate_and_prefactor(self, ctx):
@@ -389,13 +389,13 @@ class TestTailSlopes:
             gs = ctx.ground_state(N, p)
             traj = ctx.trajectory(N, p, gs.a_lo / 10.0, r_max=1e3)
             target = -(p - 1.0) / (2.0 - p)
-            slope, prefactor_ratio = slow_tail(gs.params, traj, (100.0, 950.0))
+            slope, prefactor_ratio = slow_tail(traj, (100.0, 950.0))
             assert abs(slope - target) / abs(target) == pytest.approx(rel_err, rel=1e-12)
             assert abs(prefactor_ratio - 1.0) == pytest.approx(pref_err, rel=1e-12)
 
-    def test_window_too_short(self, P2, gs2):
+    def test_window_too_short(self, gs2):
         with pytest.raises(WindowTooShortError):
-            fast_tail_slope(P2, gs2.traj, (49.9, 50.0))
+            fast_tail_slope(gs2.traj, (49.9, 50.0))
         with pytest.raises(WindowTooShortError):
-            slow_tail(P2, gs2.traj, (49.9, 50.0))
+            slow_tail(gs2.traj, (49.9, 50.0))
 

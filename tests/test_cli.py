@@ -416,12 +416,17 @@ class TestCommands:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({
             "schema": 1, "N": 2, "p": 1.5, "init": "exp_tail",
-            "M": 120, "r_inf": 8.0, "kappa0": 1.0,
+            "M": 120, "r_inf": 8, "kappa0": 1.0,
         }))
         prefix = str(tmp_path / "cfg_run")
         assert run_cli("pde-run", "--config", str(cfg_path), "--out", prefix) == 0
         summary = read_summary(prefix + "_summary.json")
         assert summary["inputs"]["M"] == 120
+        # the summary reads the settings off the run's grid, which keeps them as the file gave them
+        text = Path(prefix + "_summary.json").read_text()
+        assert '"R_inf": 8,' in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4cda86fd125cf3face7be3dfb4391d1388f697e9584e87a7474b308212224297")
         # explicit flags override the file
         assert run_cli("pde-run", "--config", str(cfg_path), "--M", "90",
                        "--out", prefix + "b") == 0

@@ -214,6 +214,20 @@ class TestRefusal:
         with pytest.raises(ValueError, match="M = 400 cells on R_inf = 480.0 .*passes 1e\\+100 at r = 4.*shorter R_inf"):
             _geometry(cfg, grid)
 
+    @pytest.mark.parametrize("N, R_inf", [(1, 1e-78), (2, 1e-100), (2, 1e-300), (5, 1e-70)])
+    def test_cells_too_narrow_to_couple_are_refused(self, N, R_inf):
+        # the couplings grow like 1/dr^2 and overflow: refused by name, with no numpy warning on the way
+        cfg = PdeConfig(params=wedge_params(N, 0.5))
+        grid = RadialGrid(R_inf, 8)
+        dr = re.escape(repr(grid.dr))
+        with pytest.raises(ValueError, match=f"M = 8 cells on R_inf = {re.escape(repr(R_inf))} .*narrow.*dr = {dr}"):
+            run_to_extinction(cfg, make_initial(cfg, grid))
+
+    @pytest.mark.parametrize("N, R_inf", [(2, 1e-70), (1, 1e-75)])
+    def test_narrow_cells_whose_couplings_are_finite_still_run(self, N, R_inf):
+        cfg = PdeConfig(params=make_params(N, 1.5))
+        assert run_to_extinction(cfg, make_initial(cfg, RadialGrid(R_inf, 8))).T_e_estimate > 0.0
+
 
 class TestSymmetrisedSweep:
     """The scaled symmetric sweep solves the unscaled system, in the paper's weight sqrt(rho)."""

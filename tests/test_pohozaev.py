@@ -98,19 +98,19 @@ class TestCubic:
 
 
 class TestJ:
-    def test_vanishes_at_origin(self, ctx, P2):
+    def test_vanishes_at_origin(self, ctx):
         for a in (0.1, 1.0, 10.0):
-            series = J_along(P2, ctx.trajectory(2, 1.5, a))
+            series = J_along(ctx.trajectory(2, 1.5, a))
             assert abs(series.J[0]) < 1e-8 * (1.0 + np.max(np.abs(series.J)))
 
-    def test_small_a_drives_J_negative(self, ctx, P2):
-        series = J_along(P2, ctx.trajectory(2, 1.5, 0.1))
+    def test_small_a_drives_J_negative(self, ctx):
+        series = J_along(ctx.trajectory(2, 1.5, 0.1))
         assert series.J[-1] < 0.0
         tail = series.J[series.r > 10.0]
         assert np.all(np.diff(tail) < 0.0)
 
     def test_monotone_up_then_down_for_class_C(self, ctx, P2):
-        series = J_along(P2, ctx.trajectory(2, 1.5, 0.5))
+        series = J_along(ctx.trajectory(2, 1.5, 0.5))
         r_G = find_r_G(P2)
         assert np.all(np.diff(series.J[series.r < 0.98 * r_G]) > 0.0)
         zone = (series.r > 1.02 * r_G) & (series.r < 40.0)
@@ -152,7 +152,7 @@ class TestJ:
     def test_ground_state_candidate_positive_and_scaled(self, P2, gs2):
         # J > 0 on the trust window; J * rho^(4(p-1)/(3p-2)) stays within a
         # band around l^2 p(2-p)/(2 (3p-2)^2)
-        series = J_along(P2, gs2.traj)
+        series = J_along(gs2.traj)
         m = (series.r >= gs2.plateau_window[0]) & (series.r <= gs2.plateau_window[1])
         assert np.all(series.J[m] > 0.0)
         const = gs2.l_star**2 * P2.p * (2 - P2.p) / (2 * (3 * P2.p - 2) ** 2)
@@ -170,14 +170,14 @@ class TestGDirect:
 
 
 class TestPairDiagnostics:
-    def test_identical_trajectories_zero_wronskian(self, ctx, P2):
+    def test_identical_trajectories_zero_wronskian(self, ctx):
         t1 = ctx.trajectory(2, 1.5, 1.0)
-        pair = wronskian_check(P2, t1, t1, r_hi=5.0)
+        pair = wronskian_check(t1, t1, r_hi=5.0)
         assert pair.residual == 0.0
         assert np.max(np.abs(pair.W)) == 0.0
 
-    def test_residual_and_limits(self, ctx, P2):
-        pair = wronskian_check(P2, ctx.trajectory(2, 1.5, 0.5), ctx.trajectory(2, 1.5, 1.0), r_hi=5.0)
+    def test_residual_and_limits(self, ctx):
+        pair = wronskian_check(ctx.trajectory(2, 1.5, 0.5), ctx.trajectory(2, 1.5, 1.0), r_hi=5.0)
         assert pair.residual < 1e-5
         assert abs(pair.W[0]) <= 1e-12 * np.max(np.abs(pair.W))  # W(0) = 0
         assert pair.q[0] == pytest.approx(2.0, abs=1e-6)
@@ -185,19 +185,24 @@ class TestPairDiagnostics:
 
     def test_q_decreasing_while_J1_nonnegative(self, ctx, P2):
         t1 = ctx.trajectory(2, 1.5, 0.5)
-        pair = wronskian_check(P2, t1, ctx.trajectory(2, 1.5, 1.0), r_hi=5.0)
+        pair = wronskian_check(t1, ctx.trajectory(2, 1.5, 1.0), r_hi=5.0)
         J1 = J_eval(P2, pair.r, *t1.eval(pair.r))
         q = pair.q[J1 >= 0.0]
         assert np.all(np.diff(q) < 0.0)
 
-    def test_grid_mismatch(self, ctx, P2):
+    def test_grid_mismatch(self, ctx):
         t1 = ctx.trajectory(2, 1.5, 0.5)
         with pytest.raises(GridMismatchError):
-            wronskian_check(P2, t1, t1, r_hi=1e-9)
+            wronskian_check(t1, t1, r_hi=1e-9)
 
-    def test_requires_ordered_heights(self, ctx, P2):
+    def test_requires_ordered_heights(self, ctx):
         with pytest.raises(ValueError):
-            wronskian_check(P2, ctx.trajectory(2, 1.5, 1.0), ctx.trajectory(2, 1.5, 0.5), r_hi=5.0)
+            wronskian_check(ctx.trajectory(2, 1.5, 1.0), ctx.trajectory(2, 1.5, 0.5), r_hi=5.0)
+
+    def test_refuses_a_pair_of_two_parameter_points(self, ctx):
+        # each run carries its (N, p): a pair of two equations has no Wronskian identity
+        with pytest.raises(ValueError, match=r"\(2, 1\.5\) and \(3, 1\.7\)"):
+            wronskian_check(ctx.trajectory(2, 1.5, 0.5), ctx.trajectory(3, 1.7, 1.0), r_hi=5.0)
 
 
 class TestSmallALimit:

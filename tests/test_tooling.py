@@ -8,7 +8,8 @@ for LAPACK's ``dptsv`` (and ``dgtsv`` where a pivot of ptsv fails), and
 the first sweep of a run imports it. No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process. Every parameter
-of every library function is read in its body. Under the suite's warning
+of every library function is read in its body, and none takes or holds a
+``Params`` beside a run that carries its own. Under the suite's warning
 filters a failing property test still shows its falsifying example.
 """
 
@@ -99,6 +100,51 @@ def test_the_parameter_guard_sees_what_it_flags():
         "    return inner\n"
     )
     assert unread_parameters(source) == ["f(b) at line 1", "f(d) at line 1", "lambda(e) at line 3"]
+
+
+CARRIERS = {"Trajectory", "GroundStateResult"}  # each holds the Params of its run
+
+
+def _names(annotation) -> set[str]:
+    """The names an annotation reads, a quoted one included."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval")
+    return set() if annotation is None else {n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)}
+
+
+def params_beside_a_carrier(source: str) -> list[str]:
+    """Functions taking, and classes holding, a Params beside a Trajectory or GroundStateResult: a second
+    copy of the (N, p) the carrier already holds, which a caller could set apart from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [arg.annotation for arg in args.posonlyargs + args.args + args.kwonlyargs]
+        elif isinstance(node, ast.ClassDef):
+            annotations = [stmt.annotation for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+        else:
+            continue
+        names = set().union(*map(_names, annotations))
+        if "Params" in names and names & CARRIERS:
+            found.append(f"{node.name} at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_params_are_read_off_the_run(path):
+    assert params_beside_a_carrier(path.read_text()) == []
+
+
+def test_the_copy_guard_sees_what_it_flags():
+    source = (
+        "def f(params: Params, traj: Trajectory | None = None): ...\n"
+        "def g(params: Params, a: float) -> Trajectory: ...\n"
+        "class R:\n"
+        "    params: Params\n"
+        "    gs: 'GroundStateResult'\n"
+        "    def h(self, traj: Trajectory): ...\n"
+    )
+    assert params_beside_a_carrier(source) == ["f at line 1", "R at line 3"]
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

@@ -654,6 +654,36 @@ def _functional_weights(grid: RadialGrid, params: Params) -> tuple[float, np.nda
     return sphere_area(params.N), w_c, w_f
 
 
+def _march(geom: _Geometry, u: np.ndarray, dt: float):
+    """Yield each accepted step from u at t = 0, whose first attempt has step dt: (t, dt, u_new, rejected, saturations).
+
+    t is the clock at the step's start and dt the accepted step; rejected
+    counts the attempts the error control refused before it, each retried
+    from the same state with a smaller dt, and saturations the cells the
+    step clipped (``_step_imex``). The caller records, monitors and stops the
+    march; an attempt whose dt falls below 10 ulp of the clock raises
+    TimestepUnderflowError, and a step past MAX_STEPS MaxStepsExceededError.
+    """
+    t, steps = 0.0, 0
+    while True:
+        peak = float(u.max())
+        if steps >= MAX_STEPS:
+            raise MaxStepsExceededError(f"no extinction after {steps} steps (peak={peak:.3e})")
+        floor = 10.0 * (math.nextafter(t, math.inf) - t)  # 10 ulp of the clock
+        rejected = 0
+        while True:  # a rejected attempt leaves the state and the clock untouched
+            if dt < floor:
+                raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}: dt = {dt:.3g} is below 10 ulp of t")
+            u_try, sat, error = _step_imex(geom, u, dt)
+            accepted, dt_next = _control(error, u, u_try, peak, dt, geom.atol)
+            if accepted:
+                break
+            rejected += 1
+            dt = dt_next
+        yield t, dt, u_try, rejected, sat
+        u, t, steps, dt = u_try, t + dt, steps + 1, dt_next
+
+
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     """March from t = 0 to ||u||_inf < ext_tol, recording functionals and snapshots.
 
@@ -685,7 +715,8 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     if not all(map(math.isfinite, (steepest * steepest, record[0], record[1], record[3]))):  # refused before any sweep
         raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first record or a squared face gradient"
                          f"{config.amplitude_source}")
-    t, dt, u_prev, dt_step = 0.0, geom.dt_first, None, None  # u_prev and dt_step: the last accepted step
+    t, u_prev, dt_step = 0.0, None, None  # u_prev and dt_step: the last accepted step
+    march = _march(geom, u, geom.dt_first)
     while True:
         if config.init_kind == "exp_tail":
             frames.supersolution_excess = max(frames.supersolution_excess, float((u - geom.bound).max()))
@@ -708,27 +739,16 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
                 next_snap *= snap_factor
         if peak < ext_tol:
             break
-        if frames.n_steps >= MAX_STEPS:
-            raise MaxStepsExceededError(f"no extinction after {frames.n_steps} steps (peak={peak:.3e})")
 
-        floor = 10.0 * (math.nextafter(t, math.inf) - t)  # 10 ulp of the clock
-        while True:  # a rejected attempt leaves the state and the clock untouched
-            if dt < floor:
-                raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}: dt = {dt:.3g} is below 10 ulp of t")
-            u_try, sat, error = _step_imex(geom, u, dt)
-            accepted, dt_next = _control(error, u, u_try, peak, dt, geom.atol)
-            if accepted:
-                break
-            frames.rejected_steps += 1
-            dt = dt_next
-        u_prev, u = u, u_try
+        t_start, dt_step, u_new, rejected, sat = next(march)
+        u_prev, u = u, u_new
+        frames.rejected_steps += rejected
         frames.sink_saturations += sat
-        frames.dt_min = min(frames.dt_min, dt)
-        frames.dt_max = max(frames.dt_max, dt)
+        frames.dt_min = min(frames.dt_min, dt_step)
+        frames.dt_max = max(frames.dt_max, dt_step)
         frames.n_steps += 1
-        t += dt
+        t = t_start + dt_step
         peak = float(u.max())
-        dt_step, dt = dt, dt_next
 
     frames.t, frames.sup, frames.I, frames.J, frames.D, frames.E = (np.asarray(column) for column in zip(*rows))
     try:

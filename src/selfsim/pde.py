@@ -54,13 +54,20 @@ norm max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
 The estimate is O(dt^4), so dt scales with the fourth root of the norm's
 inverse. An attempt above 1 is rejected and retried with a smaller dt,
 leaving the state, the clock, the step count and the records untouched; an
-accepted step sets the next dt from the same norm. A run starts at t = 0;
-its initial data is the first record (with D = nan, as no step precedes it)
-and the first snapshot. The records of the functionals follow the sup norm,
-RECORDS_PER_DECADE per decade, as the snapshots do. REL_CHANGE, one record
-interval of the sup norm, caps the change of u per step relative to the
-peak, so once ATOL dominates the step still crosses at most about one record
-threshold and the final decade keeps enough records for ``fit_extinction``.
+accepted step sets the next dt from the same norm alone, growing it at most
+1.25-fold.
+A run starts at t = 0; its initial data is the first record (with D = nan)
+and the first snapshot. The records follow the sup norm: record j is where
+the peak crosses peak0 10^(-j/RECORDS_PER_DECADE), every
+RECORDS_PER_DECADE/SNAPSHOTS_PER_DECADE-th record stores a snapshot, and the
+last record is the crossing of the extinction threshold, where the run
+stops. The crossings are read off each accepted step's dense output, the
+cubic Hermite interpolant of u and u_t = L_h(u) at its two ends (``_Step``;
+Hairer, Norsett and Wanner, Solving ODEs I, II.6), on cell 0, the peak of a
+non-increasing state; a record's sup is its threshold, and its D the
+dissipation of the interpolant's u_t there. So every run of the same data
+records at the same thresholds, however many steps it takes, and the final
+decade keeps its records for ``fit_extinction`` where ATOL sets the step.
 
 Sweeps are solved as symmetric systems. Rows i and i+1 couple through
 the same diffusivity c_{i+1/2}, so the ratio of their couplings,
@@ -89,7 +96,8 @@ a non-positive pivot is solved again by gtsv. ``scipy.linalg``,
 where both live, is imported by the first sweep, not with the module. The
 first sweep of each column starts from the step's state, and the four share
 its rows: the diagonal's dt part, the symmetric couplings and s u are built
-once per step.
+once per step. The diffusivity of an accepted state is built once too: it
+gives L_h there, for the dense output, and the next step's first rows.
 
 ``_residual`` is the library's one spelling of the discrete operator L_h,
 read off the sweep's matrix: L_h(u)_i = c_up k_up (u_{i+1} - u_i) -
@@ -108,9 +116,8 @@ falls below 10 ulp of the clock t ends the run (``TimestepUnderflowError``),
 the rule ``profile_ode`` keeps for the radius of a shooting step.
 
 The settings no caller varies are module constants: EPS_REG of the flux,
-CFL_SAFETY, RTOL, ATOL, RECORDS_PER_DECADE (REL_CHANGE derives from it),
-SNAPSHOTS_PER_DECADE, MAX_STEPS and EXTINCTION_FRACTION of the run,
-FIT_MIN_RECORDS of ``fit_extinction``, RATE_DECADES of ``rate_exponent``,
+CFL_SAFETY, RTOL, ATOL, RECORDS_PER_DECADE, SNAPSHOTS_PER_DECADE, MAX_STEPS
+and EXTINCTION_FRACTION of the run, FIT_MIN_RECORDS of ``fit_extinction``, RATE_DECADES of ``rate_exponent``,
 and ENDGAME_FRACTION and ORACLE_HORIZON, the windows of ``profile_errors``.
 """
 
@@ -131,7 +138,6 @@ __all__ = [
     "CFL_SAFETY",
     "RTOL",
     "ATOL",
-    "REL_CHANGE",
     "RECORDS_PER_DECADE",
     "RadialGrid",
     "Field",
@@ -170,11 +176,6 @@ CFL_SAFETY = 0.4  # the run's first dt: fraction of the explicit stability bound
 RTOL = 2e-6  # error control on |T44 - T43|: relative part of the per-cell scale
 ATOL = 1e-12  # absolute part, times kappa0
 RECORDS_PER_DECADE = 40  # functional records per decade of the sup norm
-# record-density cap: max |du| / ||u||_inf per step, one record interval of the
-# sup norm. Once ||u|| < ATOL/RTOL the absolute tolerance dominates and the
-# error control alone would cross the final decade in a few dozen steps, too
-# few records for fit_extinction
-REL_CHANGE = 1.0 - 10.0 ** (-1.0 / RECORDS_PER_DECADE)
 SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
 MAX_STEPS = 20_000_000
 EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
@@ -446,17 +447,18 @@ def _diffusivity(g: _Geometry, u: np.ndarray) -> np.ndarray:
     return c
 
 
-def _residual(g: _Geometry, u: np.ndarray) -> np.ndarray:
+def _residual(g: _Geometry, u: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """The discrete operator L_h(u) that a sweep's matrix encodes: u_t = L_h(u).
 
-    L_h(u)_i = dr (k_up c_up D_{i+1/2} - k_dn c_dn D_{i-1/2}) with c = c(u).
+    L_h(u)_i = dr (k_up c_up D_{i+1/2} - k_dn c_dn D_{i-1/2}) with c = c(u),
+    ``_diffusivity(g, u)`` unless the caller has it.
     It equals the flux form div(r^(N-1) Phi)/r^(N-1) - S_i only on a
     non-increasing u, where every Phi <= 0; that is the scheme's invariant.
     On a rising profile the lagged couplings add the sink where the flux
     form subtracts it.
     """
-    D = _face_gradients(u, g.dr)
-    flux = _diffusivity(g, u) * D
+    flux = _face_gradients(u, g.dr)
+    flux *= _diffusivity(g, u) if c is None else c
     return g.dr * (g.k_up * flux[1:] - g.k_dn * flux[:-1])
 
 
@@ -532,8 +534,8 @@ def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
     return x
 
 
-def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
-    """One implicit step from u; returns (u_new, saturations, error).
+def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray | None = None):
+    """One implicit step from u, whose diffusivity c = c(u) the caller may have; returns (u_new, saturations, error).
 
     u_new is the corner T44 of the Aitken-Neville tableau over the step
     counts 1, 2, 3, 4: u1, u2, u3 and u4 are one dt sweep, two dt/2 sweeps,
@@ -564,7 +566,7 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     saturations counts the cells u4's last sweep clipped and those the
     extrapolation drives negative.
     """
-    first = _rows(geom, u, _diffusivity(geom, u))
+    first = _rows(geom, u, _diffusivity(geom, u) if c is None else c)
     columns = []
     for n in (1, 2, 3, 4):
         h = dt / n
@@ -598,14 +600,13 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float):
     return u_new, sat, error
 
 
-def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev: float, dt: float, atol: float):
+def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, dt: float, atol: float):
     """Step-size control for the attempt u_prev -> u_try: returns (accepted, next dt).
 
     The error norm is e = max_i error_i / (RTOL max(u_prev_i, u_try_i) + atol).
     An attempt with e > 1 is rejected and retried with dt scaled by
-    max(0.2, 0.9 e^(-1/4)). After an accepted step dt grows by at most 1.25
-    and is further capped so that the next step changes u by about REL_CHANGE
-    of the peak. error is overwritten.
+    max(0.2, 0.9 e^(-1/4)); after an accepted step dt is scaled by
+    0.9 e^(-1/4), at most 1.25. error is overwritten.
     """
     scale = np.maximum(u_prev, u_try)
     scale *= RTOL
@@ -617,10 +618,7 @@ def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, peak_prev
     factor = 0.9 * max(e, 1e-30) ** (-1.0 / 4.0)
     if e > 1.0:
         return False, dt * max(0.2, factor)
-    du = np.subtract(u_try, u_prev)
-    np.abs(du, out=du)
-    change = max(float(du.max()) / peak_prev, 1e-30)
-    return True, dt * min(1.25, max(0.2, min(factor, 0.9 * REL_CHANGE / change)))
+    return True, dt * min(1.25, factor)
 
 
 def weighted_functionals(
@@ -639,9 +637,14 @@ def weighted_functionals(
     J = omega / p * float(np.sum(w_f * np.abs(Dg[1:]) ** p)) * dr
     Dfun = math.nan
     if u_prev is not None and dt is not None:
-        du = (u - u_prev) / dt
-        Dfun = omega * float(np.sum(w_c * du * du)) * dr
+        Dfun = _dissipation(params, grid, (u - u_prev) / dt)
     return I, J, Dfun, J - I
+
+
+def _dissipation(params: Params, grid: RadialGrid, u_t: np.ndarray) -> float:
+    """The dissipation D = |S^(N-1)| sum_i rho_i u_t,i^2 dr of a rate of change u_t at the centers, rho = r^(N-1) e^r."""
+    omega, w_c, _ = _functional_weights(grid, params)
+    return omega * float(np.sum(w_c * u_t * u_t)) * grid.dr
 
 
 @functools.lru_cache(maxsize=8)
@@ -654,46 +657,167 @@ def _functional_weights(grid: RadialGrid, params: Params) -> tuple[float, np.nda
     return sphere_area(params.N), w_c, w_f
 
 
-def _march(geom: _Geometry, u: np.ndarray, dt: float):
-    """Yield each accepted step from u at t = 0, whose first attempt has step dt: (t, dt, u_new, rejected, saturations).
+@dataclass(frozen=True)
+class _Step:
+    """An accepted step from (t, u) to (t + dt, u_new), and its dense output.
 
-    t is the clock at the step's start and dt the accepted step; rejected
-    counts the attempts the error control refused before it, each retried
-    from the same state with a smaller dt, and saturations the cells the
-    step clipped (``_step_imex``). The caller records, monitors and stops the
-    march; an attempt whose dt falls below 10 ulp of the clock raises
-    TimestepUnderflowError, and a step past MAX_STEPS MaxStepsExceededError.
+    Between the step's ends u is the cubic Hermite interpolant of the two
+    states and their rates u_t = L_h(u); with h = dt and theta in [0, 1],
+    u(t + theta h) = u + a(theta) (u_new - u) + h (b(theta) u_t + b1(theta) u_t_new),
+    a = theta^2 (3 - 2 theta), b = theta (1 - theta)^2, b1 = -theta^2 (1 - theta).
+    """
+
+    t: float
+    dt: float
+    u: np.ndarray
+    u_t: np.ndarray  # L_h(u)
+    u_new: np.ndarray
+    u_t_new: np.ndarray  # L_h(u_new)
+    rejected: int  # the attempts the error control refused before this step
+    saturations: int  # the cells the step clipped (``_step_imex``)
+
+    def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(u, u_t) of the interpolant at t + theta dt."""
+        a, b, b1 = theta * theta * (3.0 - 2.0 * theta), theta * (1.0 - theta) ** 2, -theta * theta * (1.0 - theta)
+        du = self.u_new - self.u
+        u = self.u + a * du
+        u += (self.dt * b) * self.u_t
+        u += (self.dt * b1) * self.u_t_new
+        u_t = (6.0 * theta * (1.0 - theta) / self.dt) * du
+        u_t += ((1.0 - theta) * (1.0 - 3.0 * theta)) * self.u_t
+        u_t += (theta * (3.0 * theta - 2.0)) * self.u_t_new
+        return u, u_t
+
+    def crossing(self, level: float, lo: float) -> float:
+        """theta in (lo, 1] where the interpolant of cell 0 falls to level, from u_0(lo) > level >= u_new_0.
+
+        A Newton iteration from the linear guess, kept inside the bracket:
+        an iterate that leaves it is replaced by the bracket's midpoint.
+        Returns lo if cell 0 is not above level there (data with a rise,
+        whose peak is not cell 0).
+        """
+        u0, u1 = float(self.u[0]), float(self.u_new[0])
+        du, hf0, hf1 = u1 - u0, self.dt * float(self.u_t[0]), self.dt * float(self.u_t_new[0])
+
+        def excess(theta):  # (u_0(theta) - level, d/dtheta of it)
+            s = 1.0 - theta
+            value = u0 + theta * theta * (3.0 - 2.0 * theta) * du + theta * s * (s * hf0 - theta * hf1) - level
+            return value, 6.0 * theta * s * du + s * (1.0 - 3.0 * theta) * hf0 + theta * (3.0 * theta - 2.0) * hf1
+
+        g_lo, _ = excess(lo)
+        if g_lo <= 0.0:
+            return lo
+        a, b = lo, 1.0
+        theta = lo + (1.0 - lo) * g_lo / (g_lo - (u1 - level))
+        for _ in range(100):
+            g, slope = excess(theta)
+            if g > 0.0:
+                a = theta
+            else:
+                b = theta
+            step = g / slope if slope < 0.0 else math.inf
+            new = theta - step
+            if not a < new <= b:
+                new = 0.5 * (a + b)
+            if new == theta or b - a <= 4.0 * math.ulp(b):
+                return new
+            theta = new
+        return theta
+
+
+def _march(geom: _Geometry, u: np.ndarray, dt: float):
+    """Yield each accepted step (``_Step``) from u at t = 0, whose first attempt has step dt.
+
+    An attempt the error control refuses is retried from the same state
+    with a smaller dt. The diffusivity of each accepted state serves both
+    the next step's first rows and L_h at the step end. The caller records,
+    monitors and stops the march; an attempt whose dt falls below 10 ulp of
+    the clock raises TimestepUnderflowError, and a step past MAX_STEPS
+    MaxStepsExceededError.
     """
     t, steps = 0.0, 0
+    c = _diffusivity(geom, u)
+    u_t = _residual(geom, u, c)
     while True:
-        peak = float(u.max())
         if steps >= MAX_STEPS:
-            raise MaxStepsExceededError(f"no extinction after {steps} steps (peak={peak:.3e})")
+            raise MaxStepsExceededError(f"no extinction after {steps} steps (peak={float(u.max()):.3e})")
         floor = 10.0 * (math.nextafter(t, math.inf) - t)  # 10 ulp of the clock
         rejected = 0
         while True:  # a rejected attempt leaves the state and the clock untouched
             if dt < floor:
                 raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}: dt = {dt:.3g} is below 10 ulp of t")
-            u_try, sat, error = _step_imex(geom, u, dt)
-            accepted, dt_next = _control(error, u, u_try, peak, dt, geom.atol)
+            u_try, sat, error = _step_imex(geom, u, dt, c)
+            accepted, dt_next = _control(error, u, u_try, dt, geom.atol)
             if accepted:
                 break
             rejected += 1
             dt = dt_next
-        yield t, dt, u_try, rejected, sat
-        u, t, steps, dt = u_try, t + dt, steps + 1, dt_next
+        c = _diffusivity(geom, u_try)
+        step = _Step(t, dt, u, u_t, u_try, _residual(geom, u_try, c), rejected, sat)
+        yield step
+        u, u_t, t, steps, dt = step.u_new, step.u_t_new, t + dt, steps + 1, dt_next
+
+
+def _record_crossings(frames: FrameSeries, rows: list, peak0: float, j: int, step: _Step) -> int:
+    """Record each threshold that the peak crosses within step; returns the index of the next threshold.
+
+    Threshold j is peak0 10^(-j/RECORDS_PER_DECADE) while that is above the
+    extinction threshold, which is the last one. Each is found on cell 0, the
+    peak of a non-increasing state, by ``_Step.crossing``, after the one
+    before it. A record's sup is its threshold, its field and its u_t those
+    of the interpolant there, and D the dissipation of that u_t. Every
+    RECORDS_PER_DECADE / SNAPSHOTS_PER_DECADE-th threshold also stores its
+    field as a snapshot; the extinction threshold does not.
+    """
+    params, grid, ext_tol = frames.config.params, frames.grid, frames.config.extinction_threshold
+    # the interpolant can lift a cell above one inside it, or below zero, by
+    # about its error; from a non-increasing state the record reads its
+    # running minimum from cell 0, clipped at zero, as the step does with T44
+    monotone = not (step.u[1:] > step.u[:-1]).any()
+    theta = 0.0
+    while True:
+        level = peak0 * 10.0 ** (-j / RECORDS_PER_DECADE)
+        last = level <= ext_tol
+        if last:
+            level = ext_tol
+        if step.u_new[0] > level:
+            return j
+        theta = step.crossing(level, theta)
+        t = step.t + theta * step.dt
+        u, u_t = step.at(theta)
+        if monotone:
+            np.minimum.accumulate(u, out=u)
+            np.maximum(u, 0.0, out=u)
+        I, J, _, E = weighted_functionals(params, grid, u)
+        rows.append((t, level, I, J, _dissipation(params, grid, u_t), E))
+        if last:
+            return j
+        if j % (RECORDS_PER_DECADE // SNAPSHOTS_PER_DECADE) == 0:
+            frames.snapshots.append((t, u))
+        j += 1
+
+
+def _monitor(frames: FrameSeries, geom: _Geometry, u: np.ndarray) -> None:
+    """The run's checks of an accepted state: the supersolution excess (exp_tail data) and new extrema."""
+    if frames.config.init_kind == "exp_tail":
+        frames.supersolution_excess = max(frames.supersolution_excess, float((u - geom.bound).max()))
+    # instability monitor: flag new extrema at 1e-6 of the current peak;
+    # the flux/sink balance zone carries O(dr^2) truncation texture far
+    # below that, which is not an instability
+    if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(float(u.max()), frames.config.extinction_threshold)).any():
+        frames.monotone_violations += 1
 
 
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
-    """March from t = 0 to ||u||_inf < ext_tol, recording functionals and snapshots.
+    """March from t = 0 until the peak crosses ext_tol, recording functionals and snapshots.
 
-    The initial data is the first record (its dissipation D is nan: there is
-    no step yet) and the first snapshot. After that a record is appended
-    whenever the sup norm crosses the next of RECORDS_PER_DECADE logarithmic
-    thresholds per decade, or the next of SNAPSHOTS_PER_DECADE snapshot
-    thresholds (snapshots store the full field), and at the end. The
-    extinction estimate and rate fit are filled in at the end from the final
-    recorded decade.
+    The initial data is the first record (its dissipation D is nan) and the
+    first snapshot. After that the records fall where the peak crosses
+    RECORDS_PER_DECADE logarithmic thresholds per decade, read off each
+    step's dense output (``_record_crossings``), and the last record where
+    it crosses ext_tol. The monitors read every accepted step end. The
+    extinction estimate and rate fit are filled in at the end from the
+    final recorded decade.
     """
     grid = field.grid
     u = field.values.copy()
@@ -704,51 +828,26 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
 
     frames = FrameSeries(grid=grid, config=config)
     geom = _geometry(config, grid)
-    rows = []  # (t, sup, I, J, D, E) per record
-    snap_factor = 10.0 ** (-1.0 / SNAPSHOTS_PER_DECADE)
-    next_snap = peak * snap_factor
-    rec_factor = 10.0 ** (-1.0 / RECORDS_PER_DECADE)
-    next_rec = peak * rec_factor
     with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude overflows here first
         record = weighted_functionals(config.params, grid, u)  # the first record (D = nan)
         steepest = float(np.abs(_face_gradients(u, grid.dr)).max())
     if not all(map(math.isfinite, (steepest * steepest, record[0], record[1], record[3]))):  # refused before any sweep
         raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first record or a squared face gradient"
                          f"{config.amplitude_source}")
-    t, u_prev, dt_step = 0.0, None, None  # u_prev and dt_step: the last accepted step
-    march = _march(geom, u, geom.dt_first)
-    while True:
-        if config.init_kind == "exp_tail":
-            frames.supersolution_excess = max(frames.supersolution_excess, float((u - geom.bound).max()))
-        # instability monitor: flag new extrema at 1e-6 of the current peak;
-        # the flux/sink balance zone carries O(dr^2) truncation texture far
-        # below that, which is not an instability
-        if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(peak, ext_tol)).any():
-            frames.monotone_violations += 1
-
-        hit_snap = u_prev is None or peak < next_snap
-        if peak < next_rec or hit_snap or peak < ext_tol:
-            if u_prev is not None:  # the first record is read above
-                record = weighted_functionals(config.params, grid, u, u_prev, dt_step)
-            rows.append((t, peak, *record))
-            while next_rec > peak >= ext_tol:  # the last record stops it: scaling never gets below a peak of 0
-                next_rec *= rec_factor
-        if hit_snap:
-            frames.snapshots.append((t, u.copy()))
-            while next_snap > peak >= ext_tol:
-                next_snap *= snap_factor
-        if peak < ext_tol:
-            break
-
-        t_start, dt_step, u_new, rejected, sat = next(march)
-        u_prev, u = u, u_new
-        frames.rejected_steps += rejected
-        frames.sink_saturations += sat
-        frames.dt_min = min(frames.dt_min, dt_step)
-        frames.dt_max = max(frames.dt_max, dt_step)
+    rows = [(0.0, peak, *record)]  # (t, sup, I, J, D, E) per record
+    frames.snapshots.append((0.0, u))
+    _monitor(frames, geom, u)
+    j = 1
+    for step in _march(geom, u, geom.dt_first):
+        frames.rejected_steps += step.rejected
+        frames.sink_saturations += step.saturations
+        frames.dt_min = min(frames.dt_min, step.dt)
+        frames.dt_max = max(frames.dt_max, step.dt)
         frames.n_steps += 1
-        t = t_start + dt_step
-        peak = float(u.max())
+        _monitor(frames, geom, step.u_new)
+        j = _record_crossings(frames, rows, peak, j, step)
+        if step.u_new[0] <= ext_tol:
+            break
 
     frames.t, frames.sup, frames.I, frames.J, frames.D, frames.E = (np.asarray(column) for column in zip(*rows))
     try:

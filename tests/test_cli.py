@@ -374,13 +374,13 @@ class TestCommands:
         "init, n_frames, records, summary, frames",
         [
             ("exp_tail", 40,
-             "b1667257b067074a9d69cf1b61d03afadfc3e7035cf3a8c9999f5d55cdce9712",
-             "fa2b6be978e852ccca5ffb69bf3ce1a32ed5ec83a202eb883f527a399b767ff1",
-             "888c3edf5f8eb1ceeefa5b0ec71eafd8816d7da0017b698aa13f051a4db01361"),
-            ("separable", 41,
-             "26c1e3b6937aaa045c6b2dad06b5aab3e5a95cec583a47439eac9993ae85ed82",
-             "6c0b10a7d60fc8f2f201886df1ffb07535a78084bff1a7ac3006d6de11b50cdb",
-             "18c1c1ed9e3872bb6b74d2c4afa486bff58a9578e950a62e31c79e7f9ee13d30"),
+             "cfcb87b8cf3c4797b820c645763ed505591592a194676812168c7dfced5831cd",
+             "e408a3b34c77227063a3c6cad98691aa8e28a6447eb14f3d20f926a3911b3cd2",
+             "f2beaed078c1dd15d1f3c76b79c138466a7fa764094b7bc79c6dd3617ffbdc46"),
+            ("separable", 40,
+             "d7040394a653d8d66549efe21206e16c38c6fe03d9a93ddff01667a53555de56",
+             "2112cf1324bc33c007da461a98c09045376872407a7df41766adbedae4211bd0",
+             "ad415eea342ee8cf5b5bae29a6c84e7f96bf048474574dd056ec2a07b58cf25d"),
         ],
         ids=["exp_tail", "separable"],
     )
@@ -426,7 +426,7 @@ class TestCommands:
         text = Path(prefix + "_summary.json").read_text()
         assert '"R_inf": 8,' in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "4cda86fd125cf3face7be3dfb4391d1388f697e9584e87a7474b308212224297")
+            "73f645b74621fb731beab4a4b851198ab65028962c45f981a5c8757e22db1913")
         # explicit flags override the file
         assert run_cli("pde-run", "--config", str(cfg_path), "--M", "90",
                        "--out", prefix + "b") == 0
@@ -610,7 +610,7 @@ class TestCommands:
         assert list(tmp_path.iterdir()) == []
 
     def test_pde_run_timestep_underflow_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        def never_accepted(geom, u, dt):
+        def never_accepted(geom, u, dt, c=None):
             # an error estimate that no dt satisfies drives dt below the run's guard
             return u.copy(), 0, np.full_like(u, np.inf)
 

@@ -150,7 +150,7 @@ def test_separable_config_checks_T0_before_the_amplitude(p):
         separable_config(make_params(2, p), 6.0, T0=-1.0)
 
 
-def never_accepted(geom, u, dt):
+def never_accepted(geom, u, dt, c=None):
     """A stand-in for ``_step_imex`` whose error estimate no dt satisfies."""
     return u.copy(), 0, np.full_like(u, np.inf)
 
@@ -162,7 +162,7 @@ def test_dt_floor_is_ten_ulp_of_the_clock(P2, monkeypatch, accepted):
     # times the smallest subnormal, and not one attempt sooner
     attempts = []
 
-    def accepted_then_never(geom, u, dt):
+    def accepted_then_never(geom, u, dt, c=None):
         attempts.append(dt)
         if len(attempts) <= accepted:
             return u.copy(), 0, np.zeros_like(u)
@@ -223,19 +223,21 @@ def test_separable_data_names_the_source_of_a_huge_amplitude():
 
 
 def test_run_returns_once_the_field_is_zero():
-    # a step that zeroes the field leaves a peak of 0, which the record and
-    # snapshot thresholds never pass by scaling; run in a child so a hang fails
+    # a step that zeroes the field crosses every threshold at once: each is
+    # recorded on the step's dense output, and the run stops at the crossing of
+    # the extinction threshold 1e-10 kappa0, after the 40 snapshots of the
+    # 9.8 decades above it; run in a child so a hang fails
     code = textwrap.dedent("""
         import numpy as np
         from selfsim import make_params, pde
-        pde._step_imex = lambda geom, u, dt: (np.zeros_like(u), 0, np.zeros_like(u))
+        pde._step_imex = lambda geom, u, dt, c=None: (np.zeros_like(u), 0, np.zeros_like(u))
         cfg = pde.PdeConfig(params=make_params(2, 1.5))
         frames = pde.run_to_extinction(cfg, pde.make_initial(cfg, pde.RadialGrid(8.0, 16)))
         print(frames.n_steps, frames.sup[-1], len(frames.snapshots))
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == ["1", "0.0", "2"]
+    assert out.stdout.split() == ["1", "1e-10", "40"]
 
 
 def test_default_domain_truncation_is_negligible(P2):
@@ -600,10 +602,29 @@ class TestExpTailRun:
         assert mass_balance_defect(exp_frames) < 2e-3
 
     def test_step_count(self, exp_frames):
-        # the production run: 588 steps of the fourth-order extrapolation (1,180 of the third-order one)
-        assert exp_frames.n_steps <= 600
+        # the production run: 399 steps of the fourth-order extrapolation, set by the error
+        # control alone (588 while each step was capped at one record interval of the peak)
+        assert exp_frames.n_steps <= 405
         assert exp_frames.rejected_steps == 0
         assert exp_frames.t.size == 401
+
+    def test_records_fall_at_the_indexed_thresholds(self, exp_frames):
+        # record j > 0 is where the peak crosses sup[0] 10^(-j/40), read off the step's dense
+        # output, up to the last one above the extinction threshold; the run ends with the
+        # crossing of that threshold, and every 10th record but the last is a snapshot
+        frames, per_decade = exp_frames, pde.RECORDS_PER_DECADE
+        ext_tol = frames.config.extinction_threshold
+        levels = [frames.sup[0] * 10.0 ** (-j / per_decade) for j in range(1, frames.t.size - 1)]
+        assert np.array_equal(frames.sup[1:-1], levels)
+        assert frames.sup[-1] == ext_tol
+        assert frames.sup[0] * 10.0 ** (-(frames.t.size - 1) / per_decade) <= ext_tol < levels[-1]
+        assert np.all(np.diff(frames.t) > 0.0)
+        stride = per_decade // pde.SNAPSHOTS_PER_DECADE
+        assert np.array_equal([t_k for t_k, _ in frames.snapshots], frames.t[:-1:stride])
+        for (_, u_k), sup in zip(frames.snapshots, frames.sup[:-1:stride]):
+            assert np.all(np.diff(u_k) <= 0.0) and u_k[-1] >= 0.0
+            assert abs(u_k[0] - sup) <= 1e-12 * sup
+        assert math.isnan(frames.D[0]) and np.all(np.isfinite(frames.D[1:]))
 
     def test_energy_chain_nonincreasing(self, P2, gs2, exp_frames):
         cmp = profile_errors(exp_frames, gs2.traj)

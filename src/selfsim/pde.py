@@ -55,10 +55,9 @@ The estimate is O(dt^4), so dt scales with the fourth root of the norm's
 inverse. An attempt above 1 is rejected and retried with a smaller dt,
 leaving the state, the clock, the step count and the records untouched; an
 accepted step sets the next dt from the same norm alone, growing it at most
-1.25-fold.
-A run starts at t = 0; its initial data is the first record (with D = nan)
-and the first snapshot. The records follow the sup norm: record j is where
-the peak crosses peak0 10^(-j/RECORDS_PER_DECADE), every
+1.25-fold. A run starts at t = 0; its initial data is the first record (with
+D = nan) and the first snapshot. The records follow the sup norm: record j
+is where the peak crosses peak0 10^(-j/RECORDS_PER_DECADE), every
 RECORDS_PER_DECADE/SNAPSHOTS_PER_DECADE-th record stores a snapshot, and the
 last record is the crossing of the extinction threshold, where the run
 stops. The crossings are read off each accepted step's dense output, the
@@ -117,8 +116,9 @@ the rule ``profile_ode`` keeps for the radius of a shooting step.
 
 The settings no caller varies are module constants: EPS_REG of the flux,
 CFL_SAFETY, RTOL, ATOL, RECORDS_PER_DECADE, SNAPSHOTS_PER_DECADE, MAX_STEPS
-and EXTINCTION_FRACTION of the run, FIT_MIN_RECORDS of ``fit_extinction``, RATE_DECADES of ``rate_exponent``,
-and ENDGAME_FRACTION and ORACLE_HORIZON, the windows of ``profile_errors``.
+and EXTINCTION_FRACTION of the run, FIT_MIN_RECORDS of ``fit_extinction``,
+RATE_DECADES of ``rate_exponent``, and ENDGAME_FRACTION and ORACLE_HORIZON,
+the windows of ``profile_errors``.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ ATOL = 1e-12  # absolute part, times kappa0
 RECORDS_PER_DECADE = 40  # functional records per decade of the sup norm
 SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
 MAX_STEPS = 20_000_000
-EXTINCTION_FRACTION = 1e-10  # a run ends once ||u||_inf < this * kappa0
+EXTINCTION_FRACTION = 1e-10  # a run ends where ||u||_inf falls to this * kappa0
 FIT_MIN_RECORDS = 20  # records the extinction fit needs in the final decade
 RATE_DECADES = 2.0  # decades of the sup norm the rate-exponent fit spans
 # the windows of ``profile_errors``. Rescaling by (T_e - t)^(-1/(2-p)) magnifies
@@ -313,7 +313,7 @@ class FrameSeries:
     clamp_events: int = 0  # explicit-step clamps; the implicit path has none
     sink_saturations: int = 0
     monotone_violations: int = 0
-    supersolution_excess: float = 0.0  # max of u - kappa0 e^(-r/(p-1)) over records
+    supersolution_excess: float = 0.0  # max of u - kappa0 e^(-r/(p-1)) over the accepted states
 
 
 def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None = None) -> Field:

@@ -1,6 +1,7 @@
 """The implicit sweep: the grids it resolves, bit identity with a banded-solver reference, its error checks,
 step sequences."""
 
+import itertools
 import math
 import re
 from unittest import mock
@@ -433,6 +434,27 @@ class TestErrorControl:
         assert t < frames.t[-1] <= t + accepted[-1][2]
         assert frames.dt_min == min(a[2] for a in accepted)
         assert frames.dt_max == max(a[2] for a in accepted)
+
+    def test_march_chains_its_steps_and_shares_the_diffusivity(self):
+        # each step starts where the one before ended, with its end rate u_t = L_h(u) carried over;
+        # the diffusivity built once per accepted state gives the bits a step without it gives
+        cfg = PdeConfig(params=make_params(2, 1.5))
+        grid = RadialGrid(8.0, 32)
+        geom = _geometry(cfg, grid)
+        u0 = make_initial(cfg, grid).values
+        steps = list(itertools.islice(pde._march(geom, u0, geom.dt_first), 30))
+        assert steps[0].t == 0.0 and steps[0].u is u0
+        for step, nxt in zip(steps, steps[1:]):
+            assert nxt.t == step.t + step.dt
+            assert nxt.u is step.u_new and nxt.u_t is step.u_t_new
+        for step in steps:
+            assert np.array_equal(step.u_t, pde._residual(geom, step.u))
+            assert np.array_equal(step.u_new, _step_imex(geom, step.u, step.dt)[0])
+            # the interpolant meets the two ends, to rounding in u (at theta = 1 it is u + (u_new - u))
+            u, u_t = step.at(0.0)
+            assert np.array_equal(u, step.u) and np.array_equal(u_t, step.u_t)
+            u, u_t = step.at(1.0)
+            assert np.allclose(u, step.u_new, rtol=0.0, atol=1e-16 * step.u[0]) and np.array_equal(u_t, step.u_t_new)
 
     def test_dense_output_agrees_with_a_tighter_run(self, monkeypatch):
         # records fall at the same thresholds in every run, so a run at RTOL/100 (905 steps

@@ -602,8 +602,7 @@ class TestExpTailRun:
         assert mass_balance_defect(exp_frames) < 2e-3
 
     def test_step_count(self, exp_frames):
-        # the production run: 399 steps of the fourth-order extrapolation, set by the error
-        # control alone (588 while each step was capped at one record interval of the peak)
+        # the production run: 399 steps of the fourth-order extrapolation, set by the error control alone
         assert exp_frames.n_steps <= 405
         assert exp_frames.rejected_steps == 0
         assert exp_frames.t.size == 401

@@ -91,12 +91,14 @@ the routine ``solveh_banded`` calls for a two-row band, gtsv the one
 ``solve_banded`` calls for one sub- and one superdiagonal, so the bits are
 the same) and keeps the wrappers' checks: a non-finite entry raises
 ValueError, a singular system SingularSweepError. A system whose ptsv meets
-a non-positive pivot is solved again by gtsv. ``scipy.linalg``,
-where both live, is imported by the first sweep, not with the module. The
-first sweep of each column starts from the step's state, and the four share
-its rows: the diagonal's dt part, the symmetric couplings and s u are built
-once per step. The diffusivity of an accepted state is built once too: it
-gives L_h there, for the dense output, and the next step's first rows.
+a non-positive pivot is solved again by gtsv. Both come from scipy's
+compiled LAPACK extension ``_flapack``, which the first sweep, not the
+import of this module, loads from its file without the scipy.linalg package
+(``_lapack`` says why). The first sweep of each column starts from the
+step's state, and the four share its rows: the diagonal's dt part, the
+symmetric couplings and s u are built once per step. The diffusivity of an
+accepted state is built once too: it gives L_h there, for the dense output,
+and the next step's first rows.
 
 ``_residual`` is the library's one spelling of the discrete operator L_h,
 read off the sweep's matrix: L_h(u)_i = c_up k_up (u_{i+1} - u_i) -
@@ -462,14 +464,36 @@ def _residual(g: _Geometry, u: np.ndarray, c: np.ndarray | None = None) -> np.nd
     return g.dr * (g.k_up * flux[1:] - g.k_dn * flux[:-1])
 
 
-@functools.cache
 def _lapack(name: str):
-    """A LAPACK routine, loaded by the first sweep: importing scipy.linalg takes
-    most of the library's import time, which a process that never sweeps
-    should not pay."""
-    from scipy.linalg import lapack
+    """A LAPACK routine of scipy's compiled ``_flapack``, loaded by the first sweep.
 
-    return getattr(lapack, name)
+    The extension is loaded from its file, without the scipy.linalg package:
+    the package's ``__init__`` (array-API helpers down to numpy.f2py) costs a
+    first sweep about 0.2 s and 26 MB, the extension itself little. The
+    routines are the very objects ``scipy.linalg.lapack`` exports, whichever
+    of the two loads first, so the bits are the same. ``import scipy`` comes
+    first, because that is where wheels set up their library paths.
+    """
+    return getattr(_flapack(), name)
+
+
+@functools.cache
+def _flapack():
+    """The ``scipy.linalg._flapack`` extension module, loaded once; ImportError names the path if it is missing."""
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(linalg, extensions).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension is missing: no _flapack in {linalg}", path=linalg)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _require_finite(d: np.ndarray, b: np.ndarray) -> None:

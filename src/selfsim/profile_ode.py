@@ -110,6 +110,11 @@ class IntegratorOptions:
         floor = 100 * np.finfo(float).eps
         if self.rel_tol < floor:
             raise ValueError(f"rel_tol must be at least 100 eps = {floor:.6g}, got {self.rel_tol!r}")
+        # a looser one ends runs wrongly without a word: at 1e-2 classify calls
+        # 0.999 a_* at (3, 1.7) A, and at 0.5 a height in C reaches a zero of
+        # f; from 1e-3 down, heights 0.1 to 10 a_* keep their verdicts
+        if self.rel_tol > 1e-3:
+            raise ValueError(f"rel_tol must be at most 1e-3, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)

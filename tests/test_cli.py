@@ -563,6 +563,8 @@ class TestCommands:
             (["classify", "--a", "1", "--rtol", "1e-15"], "rel_tol"),  # below the 100 eps floor
             (["classify", "--a", "1", "--rtol", "2.2e-14"], "rel_tol"),
             (["classify", "--a", "1", "--rmax", "1e-9"], "r_max"),  # below the series start
+            (["classify", "--a", "1", "--rtol", "1.1e-3"], "rel_tol"),  # above the 1e-3 ceiling
+            (["profile", "--a", "1", "--rtol", "0.5"], "rel_tol"),
         ],
     )
     def test_bad_integrator_or_bisection_setting_is_usage_error(self, tmp_path, capsys, argv, name):

@@ -1,13 +1,21 @@
 """The implicit sweep: the grids it resolves, bit identity with a banded-solver reference, its error checks,
-step sequences."""
+its LAPACK load, step sequences."""
 
+import functools
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded, solveh_banded
 
@@ -325,6 +333,60 @@ class TestSolverChecks:
             _step_imex(_geometry(cfg, grid), make_initial(cfg, grid).values, 1e-3)
         assert not isinstance(raised.value, np.linalg.LinAlgError)
         assert loaded == (["dptsv", "dgtsv"] if info > 0 else ["dptsv"])
+
+
+# in a fresh interpreter: load the routines in the given order, then hash a production-grid sweep by ptsv and
+# the same sweep by gtsv (ptsv made to fail its pivot), once through pde._lapack and once through scipy.linalg.lapack
+FRESH_LOAD = textwrap.dedent("""
+    import hashlib, json
+    {first}
+    {second}
+    from selfsim import make_params
+    same = [pde._lapack(name) is getattr(lapack, name) for name in ("dptsv", "dgtsv")]
+    cfg = pde.PdeConfig(params=make_params(2, 1.5))
+    grid = pde.RadialGrid(15.0, 2000)
+    geom, u = pde._geometry(cfg, grid), pde.make_initial(cfg, grid).values
+    rows = pde._rows(geom, u, pde._diffusivity(geom, u))
+
+    def digest(load):
+        pde._lapack = load
+        return hashlib.sha256(pde._sweep(geom, rows, 1e-3, overwrite_rhs=False).tobytes()).hexdigest()
+
+    def failed_pivot(*arrays, **overwrite):
+        return (*arrays, 1)
+
+    digests = {{}}
+    for route, load in (("pde", pde._lapack), ("scipy.linalg", lambda name: getattr(lapack, name))):
+        digests[route + " ptsv"] = digest(load)
+        digests[route + " gtsv"] = digest(lambda name, load=load: failed_pivot if name == "dptsv" else load(name))
+    print(json.dumps([same, digests]))
+""")
+EXTENSION = "from selfsim import pde; pde._lapack('dptsv')"
+PACKAGE = "from scipy.linalg import lapack"
+
+
+class TestLapackLoad:
+    """The sweeps load scipy's compiled LAPACK extension without the scipy.linalg package: same routines, same bits."""
+
+    @staticmethod
+    def fresh(first, second):
+        code = FRESH_LOAD.format(first=first, second=second)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(out.stdout)
+
+    def test_either_load_order_gives_the_routines_and_bits_of_scipy_linalg(self):
+        (same, digests), (same_reversed, digests_reversed) = self.fresh(EXTENSION, PACKAGE), self.fresh(PACKAGE, EXTENSION)
+        assert same == same_reversed == [True, True]
+        assert digests == digests_reversed
+        for solver in ("ptsv", "gtsv"):
+            assert digests[f"pde {solver}"] == digests[f"scipy.linalg {solver}"]
+
+    def test_a_missing_extension_is_an_import_error_naming_its_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(pde, "_flapack", functools.cache(pde._flapack.__wrapped__))  # a cache of its own
+        with pytest.raises(ImportError, match=f"no _flapack in {re.escape(str(tmp_path / 'linalg'))}"):
+            pde._lapack("dptsv")
 
 
 class TestStepSequences:

@@ -120,16 +120,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=field):
             IntegratorOptions(**{field: value})
 
-    @pytest.mark.parametrize("value", [1e-15, 2.2e-14])
-    def test_options_reject_rel_tol_below_100_eps(self, value):
-        # scipy raised such a tolerance to 100 eps without a word, so a run
-        # at 1e-15 took the steps of one at 2.22e-14
-        with pytest.raises(ValueError, match="rel_tol"):
+    @pytest.mark.parametrize("value", [1e-15, 2.2e-14, 1.1e-3, 1e-2, 0.5])
+    def test_options_reject_rel_tol_outside_100_eps_to_1e_3(self, value):
+        # below: scipy raised such a tolerance to 100 eps without a word, so a
+        # run at 1e-15 took the steps of one at 2.22e-14; above: at 0.5 a
+        # height in C reached a zero of f, with numpy warnings on the way
+        with pytest.raises(ValueError, match="rel_tol must be at (least 100 eps|most 1e-3)"):
             IntegratorOptions(rel_tol=value)
 
     def test_options_accept_rel_tol_at_100_eps(self, P2):
         opts = IntegratorOptions(rel_tol=100 * np.finfo(float).eps)
         assert shoot(P2, 1.0, replace(opts, r_max=2.0)).status == "horizon"
+
+    def test_rel_tol_at_the_ceiling_keeps_the_verdict_next_to_a_star(self):
+        # 0.999 a_* at (3, 1.7) is in C; at rel_tol 1e-2 classify called it A
+        assert classify(make_params(3, 1.7), 0.999 * 9.3867780334, IntegratorOptions(rel_tol=1e-3)).verdict == "C"
 
     def test_height_below_the_absolute_tolerance_is_refused(self, P2):
         # a run from a < ABS_TOL / rel_tol would take the steps of the absolute floor

@@ -4,8 +4,11 @@
 from the in-repo copy ``dop853_coefficients`` and never builds scipy's solver
 object, and no module imports from scipy's private ``_``-prefixed modules.
 Importing the library loads no scipy at all: only the PDE sweeps need it,
-for LAPACK's ``dptsv`` (and ``dgtsv`` where a pivot of ptsv fails), and
-the first sweep of a run imports it. No module
+for LAPACK's ``dptsv`` (and ``dgtsv`` where a pivot of ptsv fails). The
+first sweep of a run imports ``scipy`` and loads those routines from the
+file of the compiled extension that ``scipy.linalg.lapack`` re-exports,
+without the ``scipy.linalg`` package (``tests/test_pde_sweep.py`` checks
+that they are the routines the package exports). No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process. Every parameter
 of every library function is read in its body, and none takes or holds a
@@ -155,7 +158,7 @@ def value_after(statement: str, expression: str):
     code = f"import json, sys; {statement}; print(json.dumps({expression}))"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def modules_after(statement: str) -> list[str]:
@@ -169,6 +172,11 @@ def test_the_library_import_skips_integrate_optimize_and_special():
     assert modules_after("import selfsim.cli") == []
 
 
+# a PDE run takes its LAPACK from scipy's compiled extension, without the
+# scipy.linalg package, whose import cost a first sweep 0.2 s and 26 MB
+PACKAGES_A_RUN_SKIPS = {"scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special"}
+
+
 def test_the_first_sweep_loads_lapack():
     # the run's sweeps load dptsv alone: dgtsv only steps in where a pivot of ptsv fails
     run = (
@@ -177,9 +185,15 @@ def test_the_first_sweep_loads_lapack():
         "pde.run_to_extinction(cfg, pde.make_initial(cfg, pde.RadialGrid(15.3, 40)))"
     )
     loaded, routines = value_after(run, f"[{SCIPY_MODULES}, sorted(routines)]")
-    assert "scipy.linalg" in loaded
-    assert not {"scipy.integrate", "scipy.optimize", "scipy.special"} & set(loaded)
+    assert not PACKAGES_A_RUN_SKIPS & set(loaded)
     assert routines == ["dptsv"]
+
+
+def test_the_pde_run_command_loads_no_scipy_package(tmp_path):
+    argv = ["pde-run", "--N", "3", "--p", "1.97", "--M", "40", "--r-inf", "15.3", "--out", str(tmp_path / "run")]
+    loaded, code = value_after(f"from selfsim import cli; code = cli.main({argv!r})", f"[{SCIPY_MODULES}, code]")
+    assert code == 0 and (tmp_path / "run_summary.json").exists()
+    assert not PACKAGES_A_RUN_SKIPS & set(loaded)
 
 
 def test_the_profile_side_imports_no_scipy():

@@ -63,7 +63,8 @@ last record is the crossing of the extinction threshold, where the run
 stops. The crossings are read off each accepted step's dense output, the
 cubic Hermite interpolant of u and u_t = L_h(u) at its two ends (``_Step``;
 Hairer, Norsett and Wanner, Solving ODEs I, II.6), on cell 0, the peak of a
-non-increasing state; a record's sup is its threshold, and its D the
+non-increasing state, by ``roots.brentq``, the Brent port that finds the
+shooting side's zero of f; a record's sup is its threshold, and its D the
 dissipation of the interpolant's u_t there. So every run of the same data
 records at the same thresholds, however many steps it takes, and the final
 decade keeps its records for ``fit_extinction`` where ATOL sets the step.
@@ -132,6 +133,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import roots
 from .params import NumericalError, Params, require_positive, weight_rho
 from .profile_ode import Trajectory
 
@@ -646,29 +648,23 @@ def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, dt: float
 
 
 def weighted_functionals(
-    params: Params,
-    grid: RadialGrid,
-    u: np.ndarray,
-    u_prev: np.ndarray | None = None,
-    dt: float | None = None,
+    params: Params, grid: RadialGrid, u: np.ndarray, u_t: np.ndarray | None = None
 ) -> tuple[float, float, float, float]:
-    """(I, J, D, E): weighted L2 mass, weighted gradient energy, dissipation, J - I."""
+    """(I, J, D, E): weighted L2 mass, weighted gradient energy, dissipation, J - I.
+
+    D = |S^(N-1)| sum_i rho_i u_t,i^2 dr is the dissipation of the rate of
+    change u_t at the centers, rho = r^(N-1) e^r, and nan without one. A
+    record passes the dense output's u_t at its crossing, which
+    ``_Step.crossing`` finds by ``roots.brentq``.
+    """
     p = params.p
     dr = grid.dr
     omega, w_c, w_f = _functional_weights(grid, params)
     I = 0.5 * omega * float(np.sum(w_c * u * u)) * dr
     Dg = _face_gradients(u, dr)
     J = omega / p * float(np.sum(w_f * np.abs(Dg[1:]) ** p)) * dr
-    Dfun = math.nan
-    if u_prev is not None and dt is not None:
-        Dfun = _dissipation(params, grid, (u - u_prev) / dt)
-    return I, J, Dfun, J - I
-
-
-def _dissipation(params: Params, grid: RadialGrid, u_t: np.ndarray) -> float:
-    """The dissipation D = |S^(N-1)| sum_i rho_i u_t,i^2 dr of a rate of change u_t at the centers, rho = r^(N-1) e^r."""
-    omega, w_c, _ = _functional_weights(grid, params)
-    return omega * float(np.sum(w_c * u_t * u_t)) * grid.dr
+    D = math.nan if u_t is None else omega * float(np.sum(w_c * u_t * u_t)) * dr
+    return I, J, D, J - I
 
 
 @functools.lru_cache(maxsize=8)
@@ -687,8 +683,10 @@ class _Step:
 
     Between the step's ends u is the cubic Hermite interpolant of the two
     states and their rates u_t = L_h(u); with h = dt and theta in [0, 1],
-    u(t + theta h) = u + a(theta) (u_new - u) + h (b(theta) u_t + b1(theta) u_t_new),
-    a = theta^2 (3 - 2 theta), b = theta (1 - theta)^2, b1 = -theta^2 (1 - theta).
+    u(t + theta h) = (1 - a) u + a u_new + h (b u_t + b1 u_t_new), with the
+    weights a(theta), b(theta), b1(theta) of ``_hermite``. ``crossing`` finds
+    where its cell 0 falls to a level by ``roots.brentq``, the root finder of
+    the shooting side.
     """
 
     t: float
@@ -701,13 +699,13 @@ class _Step:
     saturations: int  # the cells the step clipped (``_step_imex``)
 
     def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u_t) of the interpolant at t + theta dt."""
-        a, b, b1 = theta * theta * (3.0 - 2.0 * theta), theta * (1.0 - theta) ** 2, -theta * theta * (1.0 - theta)
-        du = self.u_new - self.u
-        u = self.u + a * du
+        """(u, u_t) of the interpolant at t + theta dt; the step's two ends, to the bit, at theta = 0 and 1."""
+        a, b, b1 = _hermite(theta)
+        u = (1.0 - a) * self.u
+        u += a * self.u_new
         u += (self.dt * b) * self.u_t
         u += (self.dt * b1) * self.u_t_new
-        u_t = (6.0 * theta * (1.0 - theta) / self.dt) * du
+        u_t = (6.0 * theta * (1.0 - theta) / self.dt) * (self.u_new - self.u)
         u_t += ((1.0 - theta) * (1.0 - 3.0 * theta)) * self.u_t
         u_t += (theta * (3.0 * theta - 2.0)) * self.u_t_new
         return u, u_t
@@ -715,38 +713,30 @@ class _Step:
     def crossing(self, level: float, lo: float) -> float:
         """theta in (lo, 1] where the interpolant of cell 0 falls to level, from u_0(lo) > level >= u_new_0.
 
-        A Newton iteration from the linear guess, kept inside the bracket:
-        an iterate that leaves it is replaced by the bracket's midpoint.
-        Returns lo if cell 0 is not above level there (data with a rise,
-        whose peak is not cell 0).
+        ``roots.brentq`` solves u_0(theta) = level to 4 ulp in theta, the
+        tolerance of the shooting side's zero of f. Returns lo if cell 0 is
+        not above level there (data with a rise, whose peak is not cell 0).
         """
-        u0, u1 = float(self.u[0]), float(self.u_new[0])
-        du, hf0, hf1 = u1 - u0, self.dt * float(self.u_t[0]), self.dt * float(self.u_t_new[0])
+        u0, u1, ut0, ut1 = float(self.u[0]), float(self.u_new[0]), float(self.u_t[0]), float(self.u_t_new[0])
 
-        def excess(theta):  # (u_0(theta) - level, d/dtheta of it)
-            s = 1.0 - theta
-            value = u0 + theta * theta * (3.0 - 2.0 * theta) * du + theta * s * (s * hf0 - theta * hf1) - level
-            return value, 6.0 * theta * s * du + s * (1.0 - 3.0 * theta) * hf0 + theta * (3.0 * theta - 2.0) * hf1
+        def excess(theta):  # u_0(theta) - level, in the bits of ``at``; u1 - level at theta = 1
+            a, b, b1 = _hermite(theta)
+            return (1.0 - a) * u0 + a * u1 + (self.dt * b) * ut0 + (self.dt * b1) * ut1 - level
 
-        g_lo, _ = excess(lo)
-        if g_lo <= 0.0:
+        if excess(lo) <= 0.0:
             return lo
-        a, b = lo, 1.0
-        theta = lo + (1.0 - lo) * g_lo / (g_lo - (u1 - level))
-        for _ in range(100):
-            g, slope = excess(theta)
-            if g > 0.0:
-                a = theta
-            else:
-                b = theta
-            step = g / slope if slope < 0.0 else math.inf
-            new = theta - step
-            if not a < new <= b:
-                new = 0.5 * (a + b)
-            if new == theta or b - a <= 4.0 * math.ulp(b):
-                return new
-            theta = new
-        return theta
+        return roots.brentq(excess, lo, 1.0, xtol=roots.RTOL)
+
+
+def _hermite(theta: float) -> tuple[float, float, float]:
+    """The weights (a, b, b1) of a step's cubic Hermite interpolant at theta in [0, 1] (``_Step``).
+
+    a = theta^2 (3 - 2 theta), b = theta (1 - theta)^2, b1 = -theta^2 (1 - theta):
+    a is exactly 0 and 1 at the ends, where b and b1 vanish, so the form
+    (1 - a) u + a u_new + h (b u_t + b1 u_t_new) meets both ends to the bit.
+    """
+    s = 1.0 - theta
+    return theta * theta * (3.0 - 2.0 * theta), theta * s * s, -theta * theta * s
 
 
 def _march(geom: _Geometry, u: np.ndarray, dt: float):
@@ -812,8 +802,7 @@ def _record_crossings(frames: FrameSeries, rows: list, peak0: float, j: int, ste
         if monotone:
             np.minimum.accumulate(u, out=u)
             np.maximum(u, 0.0, out=u)
-        I, J, _, E = weighted_functionals(params, grid, u)
-        rows.append((t, level, I, J, _dissipation(params, grid, u_t), E))
+        rows.append((t, level, *weighted_functionals(params, grid, u, u_t)))
         if last:
             return j
         if j % (RECORDS_PER_DECADE // SNAPSHOTS_PER_DECADE) == 0:
@@ -874,10 +863,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
             break
 
     frames.t, frames.sup, frames.I, frames.J, frames.D, frames.E = (np.asarray(column) for column in zip(*rows))
-    try:
-        frames.T_e_estimate, frames.rate_r2 = fit_extinction(frames)
-    except InsufficientDecayError:
-        pass
+    frames.T_e_estimate, frames.rate_r2 = fit_extinction(frames)
     return frames
 
 

@@ -374,13 +374,13 @@ class TestCommands:
         "init, n_frames, records, summary, frames",
         [
             ("exp_tail", 40,
-             "cfcb87b8cf3c4797b820c645763ed505591592a194676812168c7dfced5831cd",
+             "08d2e58a61c5878da312543c616abe48d6c45ee28f48f2325ad77a12e36680c7",
              "e408a3b34c77227063a3c6cad98691aa8e28a6447eb14f3d20f926a3911b3cd2",
-             "f2beaed078c1dd15d1f3c76b79c138466a7fa764094b7bc79c6dd3617ffbdc46"),
+             "103f2b4bd5915c27255087059babffc717c63e42cd4f0c396c005d9a2a261850"),
             ("separable", 40,
-             "d7040394a653d8d66549efe21206e16c38c6fe03d9a93ddff01667a53555de56",
+             "90431a8a4f5a2dd9ba6915b4ba5f7bb41e5bad58975dc1f34474191e8402e48f",
              "2112cf1324bc33c007da461a98c09045376872407a7df41766adbedae4211bd0",
-             "ad415eea342ee8cf5b5bae29a6c84e7f96bf048474574dd056ec2a07b58cf25d"),
+             "3db98e0096645886a7a575b9cc3667751c13acf8c884a5b5466660aea6f4a0d6"),
         ],
         ids=["exp_tail", "separable"],
     )

@@ -429,10 +429,13 @@ class TestFunctionals:
         assert J == pytest.approx(J_ref, rel=1e-4)
         assert E == pytest.approx(J - I, rel=1e-12)
 
-    def test_dissipation_requires_pair(self, P2, grid2000):
-        u = np.exp(-grid2000.centers)
-        D = weighted_functionals(P2, grid2000, u, u_prev=u * 1.01, dt=0.1)[2]
-        assert D > 0.0
+    def test_dissipation_of_the_rate(self, P2, grid2000):
+        # D = |S^(N-1)| sum_i rho_i u_t,i^2 dr of a given rate u_t, rho = r^(N-1) e^r; nan without one
+        r = grid2000.centers
+        u = np.exp(-r)
+        u_t = -0.5 * r * np.exp(-r)
+        D = weighted_functionals(P2, grid2000, u, u_t)[2]
+        assert D == pytest.approx(2.0 * math.pi * np.sum(r * np.exp(r) * u_t**2) * grid2000.dr, rel=1e-13)
         assert math.isnan(weighted_functionals(P2, grid2000, u)[2])
 
 
@@ -464,6 +467,16 @@ class TestFits:
         frames = self._synthetic(P2, n=10)
         with pytest.raises(InsufficientDecayError):
             fit_extinction(frames)
+
+    def test_a_failed_fit_fails_the_run(self, P2, monkeypatch):
+        # the run does not hand back T_e = nan: a fit that fails raises through run_to_extinction
+        def no_fit(frames):
+            raise InsufficientDecayError("no final decade")
+
+        monkeypatch.setattr(pde, "fit_extinction", no_fit)
+        cfg = PdeConfig(params=P2)
+        with pytest.raises(InsufficientDecayError, match="no final decade"):
+            run_to_extinction(cfg, make_initial(cfg, RadialGrid(8.0, 32)))
 
 
 class TestRescale:

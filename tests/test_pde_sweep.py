@@ -150,6 +150,20 @@ def one_sweep(geom, u, dt):
     return u_new, sat
 
 
+def whole_march():
+    """(geometry, u0, steps) of the accepted steps of a (2, 1.5) exp_tail run on 32 cells, to extinction."""
+    cfg = PdeConfig(params=make_params(2, 1.5))
+    grid = RadialGrid(8.0, 32)
+    geom = _geometry(cfg, grid)
+    u0 = make_initial(cfg, grid).values
+    steps = []
+    for step in pde._march(geom, u0, geom.dt_first):
+        steps.append(step)
+        if step.u_new[0] <= cfg.extinction_threshold:
+            break
+    return geom, u0, steps
+
+
 def wedge_params(N, frac):
     p_c = 2.0 * N / (N + 1.0)
     return make_params(N, p_c + frac * (2.0 - p_c))
@@ -500,11 +514,7 @@ class TestErrorControl:
     def test_march_chains_its_steps_and_shares_the_diffusivity(self):
         # each step starts where the one before ended, with its end rate u_t = L_h(u) carried over;
         # the diffusivity built once per accepted state gives the bits a step without it gives
-        cfg = PdeConfig(params=make_params(2, 1.5))
-        grid = RadialGrid(8.0, 32)
-        geom = _geometry(cfg, grid)
-        u0 = make_initial(cfg, grid).values
-        steps = list(itertools.islice(pde._march(geom, u0, geom.dt_first), 30))
+        geom, u0, steps = whole_march()
         assert steps[0].t == 0.0 and steps[0].u is u0
         for step, nxt in zip(steps, steps[1:]):
             assert nxt.t == step.t + step.dt
@@ -512,11 +522,32 @@ class TestErrorControl:
         for step in steps:
             assert np.array_equal(step.u_t, pde._residual(geom, step.u))
             assert np.array_equal(step.u_new, _step_imex(geom, step.u, step.dt)[0])
-            # the interpolant meets the two ends, to rounding in u (at theta = 1 it is u + (u_new - u))
+            # the interpolant meets the two ends to the bit
             u, u_t = step.at(0.0)
             assert np.array_equal(u, step.u) and np.array_equal(u_t, step.u_t)
             u, u_t = step.at(1.0)
-            assert np.allclose(u, step.u_new, rtol=0.0, atol=1e-16 * step.u[0]) and np.array_equal(u_t, step.u_t_new)
+            assert np.array_equal(u, step.u_new) and np.array_equal(u_t, step.u_t_new)
+
+    def test_crossing_solves_the_cell0_interpolant(self):
+        # a level between the step's ends of cell 0 is met where the interpolant's cell 0
+        # equals it to a few ulp; the end level u_new[0] is met at theta = 1 exactly, and a
+        # level at or above cell 0's value at lo returns lo
+        _, _, steps = whole_march()
+        for step, frac in itertools.product(steps, [0.001, 0.3, 0.5, 0.9, 0.999]):
+            u0, u1 = float(step.u[0]), float(step.u_new[0])
+            assert u0 > u1
+            assert step.crossing(u1, 0.0) == 1.0
+            assert step.crossing(u0, 0.0) == 0.0
+            level = u1 + frac * (u0 - u1)
+            theta = step.crossing(level, 0.0)
+            assert 0.0 < theta < 1.0
+            assert abs(float(step.at(theta)[0][0]) - level) <= 4.0 * math.ulp(level)
+            lo = 0.5 * theta
+            at_lo = float(step.at(lo)[0][0])
+            assert step.crossing(at_lo, lo) == lo and step.crossing(2.0 * at_lo, lo) == lo
+            theta = step.crossing(level, lo)
+            assert lo < theta < 1.0
+            assert abs(float(step.at(theta)[0][0]) - level) <= 4.0 * math.ulp(level)
 
     def test_dense_output_agrees_with_a_tighter_run(self, monkeypatch):
         # records fall at the same thresholds in every run, so a run at RTOL/100 (905 steps

@@ -76,8 +76,7 @@ def cmd_profile(args) -> int:
     J = J_eval(P, traj.r, traj.f, traj.g)
     rows = zip(traj.r, traj.f, traj.g, traj.fprime, traj.E, traj.w, traj.h, J)
     write_csv(args.out, ["r", "f", "g", "fprime", "E", "w", "h", "J"], rows)
-    if args.meta:
-        write_sidecar(args.out, {"command": "profile", "a": args.a})
+    _sidecar(args, args.out, a=args.a)
     print(f"wrote {args.out}: {len(traj.r)} samples, status {traj.status}, r_end {traj.r_end:.6g}")
     return EXIT_OK
 
@@ -111,8 +110,7 @@ def cmd_sweep(args) -> int:
     found = [classify(P, float(a), opts) for a in spacing(args.a_min, args.a_max, args.num)]
     out_rows = [(c.a, c.verdict, _nan(c.R), _nan(c.slope), _nan(c.r_bar), _nan(c.J_at_rbar)) for c in found]
     write_csv(args.out, ["a", "verdict", "R", "slope", "r_bar", "J_at_rbar"], out_rows)
-    if args.meta:
-        write_sidecar(args.out, {"command": "sweep"})
+    _sidecar(args, args.out)
     print(f"wrote {args.out}: {len(out_rows)} classifications")
     return EXIT_OK
 
@@ -150,6 +148,7 @@ def cmd_pohozaev(args) -> int:
     alpha, beta, gamma, delta = coeff_functions(P, r)
     rows = zip(r, alpha, beta, gamma, delta, G_cubic(P, r), G_direct(P, r))
     write_csv(args.out, ["r", "alpha", "beta", "gamma", "delta", "G_cubic", "G_direct"], rows)
+    _sidecar(args, args.out)
     if traj is not None:
         series = J_along(traj)
         out = Path(args.out)
@@ -259,8 +258,7 @@ def cmd_pde_run(args) -> int:
     for k, (t_k, u_k) in enumerate(frames.snapshots):
         write_csv(f"{args.out}_frame{k:03d}.csv", ["r", "u"], zip(frames.grid.centers, u_k))
     write_summary(f"{args.out}_summary.json", _pde_summary(frames))
-    if args.meta:
-        write_sidecar(f"{args.out}_summary.json", {"command": "pde-run"})
+    _sidecar(args, f"{args.out}_summary.json")
     print(f"wrote {args.out}_records.csv, {len(frames.snapshots)} frames, {args.out}_summary.json")
     return EXIT_OK
 
@@ -277,8 +275,7 @@ def cmd_pde_compare(args) -> int:
         final_sup_error_rel_astar=(kept[-1] / gs.a_star) if kept.size else float("nan"),
     )
     write_summary(f"{args.out}_summary.json", summary)
-    if args.meta:
-        write_sidecar(f"{args.out}_summary.json", {"command": "pde-compare"})
+    _sidecar(args, f"{args.out}_summary.json")
     print(f"wrote {args.out}_compare.csv and {args.out}_summary.json")
     return EXIT_OK
 
@@ -307,7 +304,7 @@ def cmd_verify(args) -> int:
         }
         write_summary(args.out, summary)
         # wall-clock seconds differ from run to run, so they go to the sidecar, not the report
-        write_sidecar(args.out, {"command": "verify", "runtime_s": {str(r.index): r.runtime for r in results}})
+        write_sidecar(args.out, {"command": args.command, "runtime_s": {str(r.index): r.runtime for r in results}})
     return EXIT_OK if not failed else EXIT_CHECK_FAILURE
 
 
@@ -315,11 +312,16 @@ def _emit(args, summary: dict, out: str | None) -> None:
     """Write the summary JSON to ``out``, or print it when no path is given."""
     if out:
         write_summary(out, summary)
-        if getattr(args, "meta", False):
-            write_sidecar(out)
+        _sidecar(args, out)
         print(f"wrote {out}")
     else:
         print(json.dumps(summary, indent=2, sort_keys=True))
+
+
+def _sidecar(args, path, **extra) -> None:
+    """With --meta, the .meta.json sidecar of the data file at path, which names the command."""
+    if args.meta:
+        write_sidecar(path, {"command": args.command, **extra})
 
 
 def build_parser() -> argparse.ArgumentParser:

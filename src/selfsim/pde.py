@@ -41,13 +41,13 @@ geometry, runs the ten sweeps and returns T44 together with the error
 estimate |T44 - T43|, the local error of the third-order T43 (the step
 advances the highest column, as extrapolation codes do). The extrapolation
 can lift a cell above the lowest cell inside it where nearly level cells
-merge, or lift the peak by rounding where a step hardly moves it; from a
-non-increasing state the step returns the running minimum of T44 from the
-state's peak, and a cell that moves enters the error estimate by the
-distance it moved where that exceeds |T44 - T43|. Data with a rise is not
-moved, so the run's monotonicity monitor sees it. On stiff cells the
-extrapolation can drive a tail cell to zero or below (or into the
-subnormal range), which zeroes the tail beyond it.
+merge, or lift the peak by rounding where a step hardly moves it; the step
+returns the running minimum of T44 from the state's peak, and a cell that
+moves enters the error estimate by the distance it moved where that
+exceeds |T44 - T43|. On stiff cells the extrapolation can drive a tail cell
+to zero or below (or into the subnormal range), which zeroes the tail
+beyond it. A run refuses any data but the paper's, finite, non-negative and
+non-increasing, before its first sweep, and these rules keep every state so.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
 norm max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
@@ -316,15 +316,15 @@ class FrameSeries:
     dt_max: float = 0.0
     clamp_events: int = 0  # explicit-step clamps; the implicit path has none
     sink_saturations: int = 0
-    monotone_violations: int = 0
+    monotone_violations: int = 0  # accepted states that rise past 1e-6 of the peak: the projection prevents them
     supersolution_excess: float = 0.0  # max of u - kappa0 e^(-r/(p-1)) over the accepted states
 
 
 def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None = None) -> Field:
-    """Initial field: exponential tail or separable profile slice, validated non-increasing.
+    """Initial field: exponential tail or separable profile slice, both non-increasing.
 
     separable: u = separable_amplitude(T0) f(r; a_*), with f read off the
-    supplied ground-state trajectory's dense output.
+    supplied ground-state trajectory's dense output (``_profile_on_grid``).
     """
     if config.init_kind == "exp_tail":
         u = _exp_tail(config, grid.centers)
@@ -332,8 +332,6 @@ def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None
         if profile is None:
             raise ValueError("separable initial data needs the ground-state trajectory")
         u = separable_amplitude(config.params, config.T0) * _profile_on_grid(profile, grid)
-    if np.any(np.diff(u) > 0.0):
-        raise NonMonotoneInitialDataError("initial profile must be non-increasing in r")
     return Field(grid=grid, values=u)
 
 
@@ -457,9 +455,7 @@ def _residual(g: _Geometry, u: np.ndarray, c: np.ndarray | None = None) -> np.nd
     L_h(u)_i = dr (k_up c_up D_{i+1/2} - k_dn c_dn D_{i-1/2}) with c = c(u),
     ``_diffusivity(g, u)`` unless the caller has it.
     It equals the flux form div(r^(N-1) Phi)/r^(N-1) - S_i only on a
-    non-increasing u, where every Phi <= 0; that is the scheme's invariant.
-    On a rising profile the lagged couplings add the sink where the flux
-    form subtracts it.
+    non-increasing u, where every Phi <= 0: every state of a run.
     """
     flux = _face_gradients(u, g.dr)
     flux *= _diffusivity(g, u) if c is None else c
@@ -570,25 +566,23 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray | None =
     T42 = 4 u4 - 3 u3, T43 = 2 T42 - T32, T44 = T43 + (T43 - T33)/3.
     The four first sweeps start from u and share its rows. error is
     |T44 - T43|: T43 is third order, so this estimates its local error,
-    O(dt^4), and T44 is one order better. From a non-increasing u the
-    exact step stays non-increasing and below u's peak, and so do the
-    sweeps, but the extrapolation need not: where two nearly level cells
-    merge, as the two center cells of a flat top at p near 1, T44 can lift
-    a cell above the lowest cell inside it (by 2.8e-8 at a peak of 0.084,
-    N = 1, p = 1.0195, where the cells differ by 1.4e-7; by 1.5e-6 at
-    p = 1.028, above the step's tolerance), and the tableau's weights,
+    O(dt^4), and T44 is one order better. From a non-increasing u, every
+    state of a run, the exact step stays non-increasing and below u's peak,
+    and so do the sweeps, but the extrapolation need not: where two nearly
+    level cells merge, as the two center cells of a flat top at p near 1,
+    T44 can lift a cell above the lowest cell inside it (by 2.8e-8 at a peak
+    of 0.084, N = 1, p = 1.0195, where the cells differ by 1.4e-7; by 1.5e-6
+    at p = 1.028, above the step's tolerance), and the tableau's weights,
     -1/6, 4, -27/2 and 32/3, can lift the peak by rounding where a step
-    hardly moves it (by 9 ulp at dt = 1.1e-16, N = 1, p = 1.0117). So from
-    a non-increasing u the step returns the running minimum of T44 from
-    u's peak, which moves no cell farther from any non-increasing state
-    below the peak, and error_i is raised to the distance cell i moved
-    where that is larger: a cell lifted by r above a cell inside it puts an
-    error of at least r/2 on one of the two, so a step that moves a cell by
-    more than its tolerance is rejected. From data with a rise nothing is
-    moved, so that the run's instability monitor sees it. On stiff cells
-    the extrapolation can also drive a tail cell to zero or below; that
-    zeroes the whole tail beyond it, as does a subnormal cell (below
-    _TINY), whose few bits cannot order a tail.
+    hardly moves it (by 9 ulp at dt = 1.1e-16, N = 1, p = 1.0117). So the
+    step returns the running minimum of T44 from u's peak u[0], which moves
+    no cell farther from any non-increasing state below the peak, and
+    error_i is raised to the distance cell i moved where that is larger: a
+    cell lifted by r above a cell inside it puts an error of at least r/2 on
+    one of the two, so a step that moves a cell by more than its tolerance
+    is rejected. On stiff cells the extrapolation can also drive a tail cell
+    to zero or below; that zeroes the whole tail beyond it, as does a
+    subnormal cell (below _TINY), whose few bits cannot order a tail.
     saturations counts the cells u4's last sweep clipped and those the
     extrapolation drives negative.
     """
@@ -613,12 +607,11 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray | None =
     error = np.abs(u_new - t43)
     sat += int(np.count_nonzero(u_new < 0.0))
     if (u_new[1:] > u_new[:-1]).any() or u_new[0] > u[0]:
-        if not (u[1:] > u[:-1]).any():  # a non-increasing u, whose peak is u[0]
-            floor = np.minimum.accumulate(u_new)
-            np.minimum(floor, u[0], out=floor)
-            np.subtract(u_new, floor, out=u_new)  # how far each cell moves
-            np.maximum(error, u_new, out=error)
-            u_new = floor
+        floor = np.minimum.accumulate(u_new)
+        np.minimum(floor, u[0], out=floor)
+        np.subtract(u_new, floor, out=u_new)  # how far each cell moves
+        np.maximum(error, u_new, out=error)
+        u_new = floor
     below = u_new < _TINY
     dead = int(below.argmax())
     if below[dead]:
@@ -714,8 +707,8 @@ class _Step:
         """theta in (lo, 1] where the interpolant of cell 0 falls to level, from u_0(lo) > level >= u_new_0.
 
         ``roots.brentq`` solves u_0(theta) = level to 4 ulp in theta, the
-        tolerance of the shooting side's zero of f. Returns lo if cell 0 is
-        not above level there (data with a rise, whose peak is not cell 0).
+        tolerance of the shooting side's zero of f. Returns lo where cell 0 is
+        not above level: an extinction threshold a few ulp below the one before.
         """
         u0, u1, ut0, ut1 = float(self.u[0]), float(self.u_new[0]), float(self.u_t[0]), float(self.u_t_new[0])
 
@@ -754,7 +747,7 @@ def _march(geom: _Geometry, u: np.ndarray, dt: float):
     u_t = _residual(geom, u, c)
     while True:
         if steps >= MAX_STEPS:
-            raise MaxStepsExceededError(f"no extinction after {steps} steps (peak={float(u.max()):.3e})")
+            raise MaxStepsExceededError(f"no extinction after {steps} steps (peak={float(u[0]):.3e})")
         floor = 10.0 * (math.nextafter(t, math.inf) - t)  # 10 ulp of the clock
         rejected = 0
         while True:  # a rejected attempt leaves the state and the clock untouched
@@ -784,10 +777,8 @@ def _record_crossings(frames: FrameSeries, rows: list, peak0: float, j: int, ste
     field as a snapshot; the extinction threshold does not.
     """
     params, grid, ext_tol = frames.config.params, frames.grid, frames.config.extinction_threshold
-    # the interpolant can lift a cell above one inside it, or below zero, by
-    # about its error; from a non-increasing state the record reads its
-    # running minimum from cell 0, clipped at zero, as the step does with T44
-    monotone = not (step.u[1:] > step.u[:-1]).any()
+    # the interpolant can lift a cell above one inside it, or below zero, by about its
+    # error: a record reads its running minimum from cell 0, clipped at zero, as the step does
     theta = 0.0
     while True:
         level = peak0 * 10.0 ** (-j / RECORDS_PER_DECADE)
@@ -799,9 +790,8 @@ def _record_crossings(frames: FrameSeries, rows: list, peak0: float, j: int, ste
         theta = step.crossing(level, theta)
         t = step.t + theta * step.dt
         u, u_t = step.at(theta)
-        if monotone:
-            np.minimum.accumulate(u, out=u)
-            np.maximum(u, 0.0, out=u)
+        np.minimum.accumulate(u, out=u)
+        np.maximum(u, 0.0, out=u)
         rows.append((t, level, *weighted_functionals(params, grid, u, u_t)))
         if last:
             return j
@@ -817,7 +807,7 @@ def _monitor(frames: FrameSeries, geom: _Geometry, u: np.ndarray) -> None:
     # instability monitor: flag new extrema at 1e-6 of the current peak;
     # the flux/sink balance zone carries O(dr^2) truncation texture far
     # below that, which is not an instability
-    if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(float(u.max()), frames.config.extinction_threshold)).any():
+    if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(float(u[0]), frames.config.extinction_threshold)).any():
         frames.monotone_violations += 1
 
 
@@ -830,12 +820,21 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     step's dense output (``_record_crossings``), and the last record where
     it crosses ext_tol. The monitors read every accepted step end. The
     extinction estimate and rate fit are filled in at the end from the
-    final recorded decade.
+    final recorded decade. The data is checked here alone, before any sweep: grid.M finite values,
+    non-increasing (else NonMonotoneInitialDataError), so non-negative if the last one is.
     """
     grid = field.grid
-    u = field.values.copy()
+    u = np.array(field.values, dtype=float)
+    if u.shape != (grid.M,):
+        raise ValueError(f"initial data must hold one value per cell, shape ({grid.M},); got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError(f"initial data must be finite; got {u[~np.isfinite(u)][0]} in a cell")
+    if (u[1:] > u[:-1]).any():
+        raise NonMonotoneInitialDataError("initial profile must be non-increasing in r")
+    if u[-1] < 0.0:
+        raise ValueError(f"initial data must be non-negative; its last cell is {float(u[-1])!r}")
     ext_tol = config.extinction_threshold
-    peak = float(u.max())
+    peak = float(u[0])
     if peak <= 10.0 * ext_tol:
         raise ValueError("initial peak must exceed 10x the extinction threshold: the T_e fit reads the final decade")
 
@@ -923,7 +922,7 @@ def rescale_frames(frames: FrameSeries, T_e: float) -> list[tuple[float, np.ndar
 
 
 def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
-    """Profile values at the cell centers through the dense ODE output, clipped at zero.
+    """Profile values at the cell centers through the dense ODE output: their running minimum, clipped at zero.
 
     The trajectory must reach R_inf, or end at its first zero inside the
     grid, past which the value is 0: a bisection midpoint a hair above a_*
@@ -932,7 +931,8 @@ def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
     exact to that level. The trajectory's own dense interpolant is exact to
     integrator tolerance everywhere, including between the coarse samples
     near r = 0 where the cubic top would defeat a shape-preserving fit of the
-    sample table.
+    sample table; the running minimum takes out its rises within that
+    tolerance (up to 1.8e-11 a_* on the flat top at N = 1, p = 1.1).
     """
     if profile.r_end < grid.R_inf and profile.status != "FZero":
         raise ValueError("profile trajectory does not cover the grid")
@@ -942,7 +942,7 @@ def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
     out = np.zeros_like(r)
     if live.any():
         out[live] = profile.eval(r[live])[0]
-    return np.clip(out, 0.0, None)
+    return np.clip(np.minimum.accumulate(out), 0.0, None)
 
 
 def compare_to_profile(

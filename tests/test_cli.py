@@ -412,6 +412,18 @@ class TestCommands:
         assert "final decade" in capsys.readouterr().err
         assert not (tmp_path / "run_summary.json").exists()
 
+    def test_pde_run_takes_separable_data_at_n1_p1_1(self, tmp_path, capsys):
+        # the profile's dense output rises by up to 1.8e-11 a_* on its flat top (r ~ 0.02-0.08),
+        # below the integrator's tolerance; the data is its running minimum, so the run takes it
+        prefix = str(tmp_path / "run")
+        assert run_cli("pde-run", "--N", "1", "--p", "1.1", "--init", "separable", "--M", "500",
+                       "--r-inf", "15", "--out", prefix) == 0
+        results = read_summary(prefix + "_summary.json")["results"]
+        assert results["monotone_violations"] == 0 and results["T_e"] > 0.0
+        _, rows = read_csv(prefix + "_frame000.csv")
+        u0 = np.array([float(u) for _, u in rows])
+        assert np.all(np.diff(u0) <= 0.0)
+
     def test_pde_run_from_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({
@@ -435,6 +447,53 @@ class TestCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"N": 2, "p": 1.5, "bogus": 3}))
         assert run_cli("pde-run", "--config", str(bad), "--out", prefix + "c") != 0
+
+    @pytest.mark.parametrize(
+        "content, code, words",
+        [
+            ("[2, 1.5]", 2, "error: run.json: configuration must be a JSON object"),
+            ('{"M": 120}', 2, "error: --N and --p are required (flags or --config)"),
+            (None, 3, "i/o error: cannot read summary"),
+        ],
+        ids=["json_array", "neither_N_nor_p", "missing_file"],
+    )
+    def test_pde_run_refuses_a_bad_config_file(self, tmp_path, capsys, monkeypatch, content, code, words):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            Path("run.json").write_text(content)
+        assert run_cli("pde-run", "--config", "run.json", "--out", "run") == code
+        err = capsys.readouterr().err
+        assert err.startswith(words) and "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ([] if content is None else ["run.json"])
+
+    @pytest.mark.parametrize(
+        "argv, sidecars",
+        [
+            (["params", "--out", "x.json"], ["x.json"]),
+            (["profile", "--a", "1", "--out", "x.csv"], ["x.csv"]),
+            (["classify", "--a", "1", "--out", "x.json"], ["x.json"]),
+            (["sweep", "--a-min", "1", "--a-max", "10", "--num", "3", "--out", "x.csv"], ["x.csv"]),
+            (["find-astar", "--tol", "1e-6", "--out", "x.json"], ["x.json"]),
+            (["pohozaev", "--num", "20", "--out", "g.csv"], ["g.csv"]),
+            (["pohozaev", "--num", "20", "--a", "1", "--out", "g.csv", "--json", "g.json"], ["g.csv", "g.json"]),
+            (["pde-run", "--M", "60", "--r-inf", "8", "--out", "run"], ["run_summary.json"]),
+            (["pde-compare", "--M", "60", "--r-inf", "8", "--tol", "1e-6", "--out", "cmp"], ["cmp_summary.json"]),
+        ],
+        ids=["params", "profile", "classify", "sweep", "find-astar", "pohozaev", "pohozaev-json", "pde-run",
+             "pde-compare"],
+    )
+    def test_meta_sidecar_names_the_command_and_leaves_the_data(self, tmp_path, capsys, monkeypatch, argv, sidecars):
+        # --meta adds a sidecar next to each data file it names, and changes no data file's bytes
+        written = {}
+        for flags in ([], ["--meta"]):
+            directory = tmp_path / ("meta" if flags else "plain")
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            assert run_cli(argv[0], "--N", "2", "--p", "1.5", *argv[1:], *flags) == 0
+            written[bool(flags)] = {path.name: path.read_bytes() for path in directory.iterdir()}
+        meta = {name: json.loads(written[True].pop(name)) for name in [f"{s}.meta.json" for s in sidecars]}
+        assert written[True] == written[False]
+        assert all(sidecar["command"] == argv[0] and "written_at" in sidecar for sidecar in meta.values())
 
     def test_pde_compare_small(self, tmp_path, capsys):
         prefix = str(tmp_path / "cmp")

@@ -197,6 +197,32 @@ def test_run_refuses_data_whose_face_gradients_square_past_the_float_range(monke
         run_to_extinction(cfg, field)
 
 
+@pytest.mark.parametrize(
+    "defect, words",
+    [
+        (lambda u: u - u[20], "must be non-negative; its last cell is -"),  # cells 21-31 below zero
+        (lambda u: np.where(np.arange(u.size) == 5, math.nan, u), "must be finite; got nan"),
+        (lambda u: np.where(np.arange(u.size) == 5, math.inf, u), "must be finite; got inf"),
+        (lambda u: u[:-1], r"one value per cell, shape \(32,\); got shape \(31,\)"),
+        (lambda u: np.stack([u, u]), r"one value per cell, shape \(32,\); got shape \(2, 32\)"),
+    ],
+    ids=["negative_tail", "nan_cell", "inf_cell", "wrong_length", "two_dimensional"],
+)
+def test_run_refuses_data_outside_the_hypotheses_before_any_sweep(monkeypatch, P2, defect, words):
+    # the paper's data is finite, non-negative and non-increasing, one value per cell; the run
+    # checks that once, at its entry, and names the defect
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep ran before the data was checked")
+
+    monkeypatch.setattr(pde, "_sweep", unreachable)
+    cfg = PdeConfig(params=P2)
+    grid = RadialGrid(8.0, 32)
+    field = pde.Field(grid, defect(make_initial(cfg, grid).values))
+    with pytest.raises(ValueError, match=words) as refused:
+        run_to_extinction(cfg, field)
+    assert not isinstance(refused.value, pde.NonMonotoneInitialDataError)
+
+
 @pytest.mark.parametrize("kappa0", [1e-300, 2.2e-298, 5e-324])
 def test_config_refuses_a_subnormal_extinction_threshold(P2, kappa0):
     # 1e-10 kappa0 below the smallest normal float is never crossed: the run

@@ -112,8 +112,6 @@ def reference_tableau(config, grid, u, dt):
 def reference_projection(u, T44):
     """From a non-increasing u: the running minimum of T44 from u's peak, and how far each cell moved."""
     moved = np.zeros_like(T44)
-    if np.any(np.diff(u) > 0.0):
-        return T44.copy(), moved
     projected = T44.copy()
     lowest = u[0]
     for i in range(T44.size):
@@ -468,15 +466,19 @@ class TestStepSequences:
         for u in accepted:
             assert np.all(u <= field.values + 1e-11 * kappa0)
 
-    def test_a_rise_above_atol_reaches_the_monitor(self):
-        # a bump of 1e-3 in the data is no rounding error: the steps keep it, and the run counts
-        # it after the data itself (which counts once) and after the steps that follow
+    def test_a_rise_is_refused_before_any_sweep(self, monkeypatch):
+        # a bump of 1e-3 in the data is outside the paper's hypotheses: the run refuses it by
+        # name, before any step
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a step ran on rising data")
+
+        monkeypatch.setattr(pde, "_step_imex", unreachable)
         cfg = PdeConfig(params=make_params(2, 1.5), kappa0=1.5)
         grid = RadialGrid(8.0, 32)
         u = make_initial(cfg, grid).values
         u[10] = u[9] + 1e-3
-        frames = run_to_extinction(cfg, pde.Field(grid=grid, values=u))
-        assert frames.monotone_violations > 1
+        with pytest.raises(pde.NonMonotoneInitialDataError, match="non-increasing"):
+            run_to_extinction(cfg, pde.Field(grid=grid, values=u))
 
 
 class TestErrorControl:
@@ -548,6 +550,31 @@ class TestErrorControl:
             theta = step.crossing(level, lo)
             assert lo < theta < 1.0
             assert abs(float(step.at(theta)[0][0]) - level) <= 4.0 * math.ulp(level)
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_an_extinction_threshold_just_below_the_last_threshold_is_met_at_its_crossing(self, monkeypatch, ulps):
+        # a peak a few ulp above 1e-10 10^(399/40) puts threshold 399 as many ulp above the
+        # extinction threshold 1e-10: cell 0 meets it at the crossing of threshold 399 to
+        # brentq's 4 ulp, so ``crossing`` returns its lo there and the two records share t
+        cfg = PdeConfig(params=make_params(2, 1.5))
+        grid = RadialGrid(8.0, 32)
+        shape = make_initial(cfg, grid).values
+        peak = 1e-10 * 10.0 ** (399 / 40)
+        for _ in range(ulps):
+            peak = math.nextafter(peak, math.inf)
+        at_lo = []
+        production_crossing = pde._Step.crossing
+
+        def crossing(step, level, lo):
+            theta = production_crossing(step, level, lo)
+            at_lo.append(lo > 0.0 and theta == lo)
+            return theta
+
+        monkeypatch.setattr(pde._Step, "crossing", crossing)
+        frames = run_to_extinction(cfg, pde.Field(grid, peak * (shape / shape[0])))
+        assert len(frames.t) == 401 and frames.sup[-1] == 1e-10 and frames.sup[-2] > 1e-10
+        assert frames.t[-1] == frames.t[-2]
+        assert at_lo[-1] and not any(at_lo[:-1])
 
     def test_dense_output_agrees_with_a_tighter_run(self, monkeypatch):
         # records fall at the same thresholds in every run, so a run at RTOL/100 (905 steps

@@ -13,7 +13,7 @@ import argparse
 
 from selfsim.params import make_params
 from selfsim.classify import find_ground_state
-from selfsim.pde import RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction, separable_config
+from selfsim.pde import RadialGrid, profile_errors, resolved_couplings, run_to_extinction, separable_initial
 from selfsim.reporting import write_csv
 
 
@@ -39,8 +39,7 @@ def main():
     rows = []
     prev_err = None
     for grid in grids:
-        cfg = separable_config(P, gs.a_star)
-        frames = run_to_extinction(cfg, make_initial(cfg, grid, gs.traj))
+        frames = run_to_extinction(*separable_initial(gs.traj, grid))
         cmp = profile_errors(frames, gs.traj)
         err = cmp.sup_error[cmp.oracle].max()
         ratio = float("nan") if prev_err is None else prev_err / err

@@ -35,7 +35,7 @@ from .pde import (
     profile_errors,
     rate_exponent,
     run_to_extinction,
-    separable_config,
+    separable_initial,
     weighted_functionals,
 )
 from .roots import brentq
@@ -102,9 +102,7 @@ class AcceptanceContext:
 
     def pde_separable(self, M: int = 2000):
         def build():
-            gs = self.ground_state(2, 1.5)
-            cfg = separable_config(self.params(2, 1.5), gs.a_star)
-            return run_to_extinction(cfg, make_initial(cfg, RadialGrid(15.0, M), gs.traj))
+            return run_to_extinction(*separable_initial(self.ground_state(2, 1.5).traj, RadialGrid(15.0, M)))
 
         return self._memo(("pde-sep", M), build)
 

@@ -28,7 +28,7 @@ from .profile_ode import IntegratorOptions, integrate, run_start
 from .pohozaev import J_along, J_eval, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, classify, find_ground_state
 from .pde import (PdeConfig, RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction,
-                  separable_config)
+                  separable_initial)
 from .reporting import SCHEMA_VERSION, read_summary, validate_config, write_csv, write_sidecar, write_summary
 from .acceptance import CRITERIA, RUNTIME_CHECK, AcceptanceContext, run_acceptance
 
@@ -219,9 +219,10 @@ def _run_pde(settings: dict, tol_a: float | None = None):
     elif cfg.init_kind == "separable":
         gs = find_ground_state(P)
     if cfg.init_kind == "separable":
-        cfg = separable_config(P, gs.a_star, T0=cfg.T0)
-    frames = run_to_extinction(cfg, make_initial(cfg, grid, None if gs is None else gs.traj))
-    return frames, gs
+        cfg, field = separable_initial(gs.traj, grid, T0=cfg.T0)
+    else:
+        field = make_initial(cfg, grid)
+    return run_to_extinction(cfg, field), gs
 
 
 def _pde_summary(frames, **inputs) -> dict:

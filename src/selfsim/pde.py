@@ -48,6 +48,10 @@ exceeds |T44 - T43|. On stiff cells the extrapolation can drive a tail cell
 to zero or below (or into the subnormal range), which zeroes the tail
 beyond it. A run refuses any data but the paper's, finite, non-negative and
 non-increasing, before its first sweep, and these rules keep every state so.
+``make_initial(config, grid)`` builds the exp_tail data kappa0 e^(-r/(p-1)) of
+a config; ``separable_initial(profile, grid, T0)`` reads (N, p) and the height
+a off a profile trajectory and returns the separable data amp f(r; a),
+amp = separable_amplitude(T0), with its config, whose kappa0 is amp a.
 
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
 norm max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
@@ -158,7 +162,7 @@ __all__ = [
     "make_grid",
     "make_initial",
     "separable_amplitude",
-    "separable_config",
+    "separable_initial",
     "run_to_extinction",
     "weighted_functionals",
     "fit_extinction",
@@ -289,12 +293,6 @@ def separable_amplitude(params: Params, tau: float) -> float:
     return ((2.0 - params.p) * tau) ** params.e_time
 
 
-def separable_config(params: Params, a_star: float, T0: float = 1.0) -> PdeConfig:
-    """Separable data that extinguishes at T0: peak separable_amplitude(T0) * a_*."""
-    require_positive("T0", T0)  # before a negative T0 makes a complex or a wrong amplitude
-    return PdeConfig(params=params, kappa0=separable_amplitude(params, T0) * a_star, init_kind="separable", T0=T0)
-
-
 @dataclass
 class FrameSeries:
     """Per-record functionals, stored snapshots and run tallies."""
@@ -320,19 +318,23 @@ class FrameSeries:
     supersolution_excess: float = 0.0  # max of u - kappa0 e^(-r/(p-1)) over the accepted states
 
 
-def make_initial(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None = None) -> Field:
-    """Initial field: exponential tail or separable profile slice, both non-increasing.
+def make_initial(config: PdeConfig, grid: RadialGrid) -> Field:
+    """The exp_tail initial field kappa0 e^(-r/(p-1)); separable data comes from ``separable_initial``."""
+    if config.init_kind == "separable":
+        raise ValueError("separable initial data follows its profile: build it with separable_initial(profile, grid, T0)")
+    return Field(grid=grid, values=_exp_tail(config, grid.centers))
 
-    separable: u = separable_amplitude(T0) f(r; a_*), with f read off the
-    supplied ground-state trajectory's dense output (``_profile_on_grid``).
+
+def separable_initial(profile: Trajectory, grid: RadialGrid, T0: float = 1.0) -> tuple[PdeConfig, Field]:
+    """Separable data amp f(r; a) that extinguishes at T0, amp = separable_amplitude(T0), and its config.
+
+    (N, p) and the height a are read off the trajectory, f off its dense
+    output (``_profile_on_grid``); the config's kappa0 is the peak amp a.
     """
-    if config.init_kind == "exp_tail":
-        u = _exp_tail(config, grid.centers)
-    else:
-        if profile is None:
-            raise ValueError("separable initial data needs the ground-state trajectory")
-        u = separable_amplitude(config.params, config.T0) * _profile_on_grid(profile, grid)
-    return Field(grid=grid, values=u)
+    require_positive("T0", T0)  # before a negative T0 makes a complex or a wrong amplitude
+    amp = separable_amplitude(profile.params, T0)
+    config = PdeConfig(params=profile.params, kappa0=amp * profile.a, init_kind="separable", T0=T0)
+    return config, Field(grid=grid, values=amp * _profile_on_grid(profile, grid))
 
 
 def _exp_tail(config: PdeConfig, r: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from selfsim.pde import (
     rescale_frames,
     run_to_extinction,
     separable_amplitude,
-    separable_config,
+    separable_initial,
     sphere_area,
     weighted_functionals,
 )
@@ -144,10 +144,15 @@ def test_config_checks_its_fields(P2, kw, name):
 
 
 @pytest.mark.parametrize("p", [1.5, 1.7])
-def test_separable_config_checks_T0_before_the_amplitude(p):
+def test_separable_initial_checks_T0_before_the_amplitude(monkeypatch, p):
     # at p = 1.7 a negative T0 gives a complex amplitude, at p = 1.5 the one of -T0
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the amplitude was evaluated before T0 was checked")
+
+    monkeypatch.setattr(pde, "separable_amplitude", unreachable)
+    profile = types.SimpleNamespace(params=make_params(2, p), a=6.0)
     with pytest.raises(ValueError, match="T0"):
-        separable_config(make_params(2, p), 6.0, T0=-1.0)
+        separable_initial(profile, RadialGrid(8.0, 32), T0=-1.0)
 
 
 def never_accepted(geom, u, dt, c=None):
@@ -232,18 +237,17 @@ def test_config_refuses_a_subnormal_extinction_threshold(P2, kappa0):
     assert PdeConfig(params=P2, kappa0=2.3e-298).extinction_threshold >= np.finfo(float).tiny
 
 
-def test_separable_config_names_the_source_of_a_tiny_amplitude():
+def test_separable_initial_names_the_source_of_a_tiny_amplitude():
     # at p = 1.9 the amplitude is (0.1 T0)^10 a_*: 1e-300 at T0 = 1e-29, and 0 at T0 = 1e-40
+    profile = types.SimpleNamespace(params=make_params(2, 1.9), a=1.0)
     for T0 in (1e-29, 1e-40):
         with pytest.raises(ValueError, match="kappa0.*amplitude follows from T0 and a_"):
-            separable_config(make_params(2, 1.9), 1.0, T0=T0)
+            separable_initial(profile, RadialGrid(8.0, 32), T0=T0)
 
 
-def test_separable_data_names_the_source_of_a_huge_amplitude():
+def test_separable_data_names_the_source_of_a_huge_amplitude(gs2):
     # at p = 1.5 the amplitude is (0.5 T0)^2 a_*: 2.5e199 a_* at T0 = 1e100, which overflows the first record
-    P = make_params(2, 1.5)
-    cfg = separable_config(P, 1.0, T0=1e100)
-    field = pde.Field(RadialGrid(8.0, 16), np.full(16, cfg.kappa0))
+    cfg, field = separable_initial(gs2.traj, RadialGrid(8.0, 16), T0=1e100)
     with pytest.raises(ValueError, match="kappa0 = .* overflows .*amplitude follows from T0 and a_"):
         run_to_extinction(cfg, field)
 
@@ -292,17 +296,31 @@ class TestInitialData:
         assert np.array_equal(field.values, expect)
         assert field.values.max() > 0.99  # u -> kappa0 at the center
 
-    def test_separable_peak(self, P2, gs2, grid2000):
+    def test_separable_peak(self, gs2, grid2000):
         # ((2-p) T0)^(1/(2-p)) = 0.25 at p = 3/2, T0 = 1
-        cfg = separable_config(P2, gs2.a_star)
+        cfg, field = separable_initial(gs2.traj, grid2000)
         assert cfg.kappa0 == 0.25 * gs2.a_star
-        field = make_initial(cfg, grid2000, gs2.traj)
         assert field.values.max() == pytest.approx(0.25 * gs2.a_star, rel=1e-4)
 
-    def test_separable_needs_profile(self, P2, grid2000):
+    def test_make_initial_refuses_separable_data_by_name(self, P2, grid2000):
+        # separable data follows its profile: a config alone cannot build it
         cfg = PdeConfig(params=P2, init_kind="separable")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"separable_initial\(profile, grid, T0\)"):
             make_initial(cfg, grid2000)
+
+    @pytest.mark.parametrize("ratio, status", [(1.1, "FZero"), (0.9, "horizon")], ids=["A_side", "C_side"])
+    def test_separable_initial_reads_the_run(self, P2, gs2, ratio, status):
+        # from f(.; a) on either side of a_*: the A run is cut at its zero inside the grid,
+        # the C run covers it; the config and the data share one amplitude and the run's height
+        traj = integrate(P2, ratio * gs2.a_star)
+        assert traj.status == status and (traj.r_end < 15.0) == (status == "FZero")
+        grid = RadialGrid(15.0, 300)
+        cfg, field = separable_initial(traj, grid, T0=0.5)
+        amp = separable_amplitude(P2, 0.5)
+        assert (cfg.params, cfg.init_kind, cfg.T0) == (P2, "separable", 0.5)
+        assert cfg.kappa0 == amp * traj.a
+        assert field.grid == grid and np.array_equal(field.values, amp * pde._profile_on_grid(traj, grid))
+        assert np.all(field.values[grid.centers > traj.r_end] == 0.0) and np.all(np.diff(field.values) <= 0.0)
 
 
 class TestExplicitStep:
@@ -312,20 +330,19 @@ class TestExplicitStep:
         assert np.array_equal(u_new, np.zeros(64))
         assert clamped == 0
 
-    def test_separable_one_step_decay_rate(self, P2, gs2, grid2000, monkeypatch):
+    def test_separable_one_step_decay_rate(self, gs2, grid2000, monkeypatch):
         # d/dt log ||u|| = -1/((2-p) T0) = -2 at t = 0, up to discretization
         monkeypatch.setattr(pde, "EPS_REG", 1e-8)
-        cfg = separable_config(P2, gs2.a_star)
-        u0 = make_initial(cfg, grid2000, gs2.traj).values
+        cfg, field = separable_initial(gs2.traj, grid2000)
+        u0 = field.values
         u1, dt, _ = explicit_step(_geometry(cfg, grid2000), u0)
         rate = (u1.max() - u0.max()) / dt / u0.max()
         assert rate == pytest.approx(-2.0, rel=0.10)
 
-    def test_monotone_preserved_over_1000_steps(self, P2, gs2, grid2000, monkeypatch):
+    def test_monotone_preserved_over_1000_steps(self, gs2, grid2000, monkeypatch):
         monkeypatch.setattr(pde, "EPS_REG", 1e-8)
-        cfg = separable_config(P2, gs2.a_star)
-        geom = _geometry(cfg, grid2000)
-        u = make_initial(cfg, grid2000, gs2.traj).values
+        cfg, field = separable_initial(gs2.traj, grid2000)
+        geom, u = _geometry(cfg, grid2000), field.values
         clamps = 0
         for _ in range(1000):
             u, _, c = explicit_step(geom, u)
@@ -420,13 +437,13 @@ class TestCrossValidation:
             dt = min(dt * 1.2, 2e-4)
         return u, v
 
-    def test_explicit_matches_imex(self, P2, gs2, monkeypatch):
+    def test_explicit_matches_imex(self, gs2, monkeypatch):
         # same spatial operator, two steppers; coarse grid, eps large enough
         # for the explicit dt rule to be affordable
         monkeypatch.setattr(pde, "EPS_REG", 1e-4)
         grid = RadialGrid(10.0, 250)
-        cfg = separable_config(P2, gs2.a_star)
-        u0 = make_initial(cfg, grid, gs2.traj).values
+        cfg, field = separable_initial(gs2.traj, grid)
+        u0 = field.values
         u, v = self._explicit_and_imex(_geometry(cfg, grid), u0, 0.05)
         assert np.max(np.abs(u - v)) / u.max() < 1e-3
         # both match the analytic separable peak law (1 - t)^2
@@ -554,9 +571,9 @@ class TestRescale:
         a_side = integrate(P2, gs2.a_star + 1e-9)
         assert a_side.status == "FZero" and a_side.r_end < 15.0
         grid = RadialGrid(15.0, 300)
-        cfg = separable_config(P2, gs2.a_star)
-        u = make_initial(separable_config(P2, a_side.a), grid, a_side).values
-        u_star = make_initial(cfg, grid, gs2.traj).values
+        u = separable_initial(a_side, grid)[1].values
+        cfg, field = separable_initial(gs2.traj, grid)
+        u_star = field.values
         assert np.all(u[grid.centers > a_side.r_end] == 0.0)
         assert np.max(np.abs(u - u_star)) < 1e-8
         v_star = u_star / separable_amplitude(P2, 1.0)

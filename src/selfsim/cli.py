@@ -27,8 +27,8 @@ from .params import NumericalError, make_params, require_positive
 from .profile_ode import IntegratorOptions, integrate, run_start
 from .pohozaev import J_along, J_eval, coeff_functions, cubic_coeffs, find_r_G, G_cubic, G_direct
 from .classify import TOL_A, classify, find_ground_state
-from .pde import (PdeConfig, RadialGrid, make_initial, profile_errors, resolved_couplings, run_to_extinction,
-                  separable_initial)
+from .pde import (PdeConfig, RadialGrid, check_covers, make_initial, profile_errors, resolved_couplings,
+                  run_to_extinction, separable_initial)
 from .reporting import SCHEMA_VERSION, read_summary, validate_config, write_csv, write_sidecar, write_summary
 from .acceptance import CRITERIA, RUNTIME_CHECK, AcceptanceContext, run_acceptance
 
@@ -207,7 +207,8 @@ def _run_pde(settings: dict, tol_a: float | None = None):
 
     Every setting is checked before the ground state gs is sought: at tol_a
     when one is given (pde-compare), else at the default tolerance and only
-    for separable data, which starts from it.
+    for separable data, which starts from it. A gs run that ends short of
+    the grid is refused before the first sweep.
     """
     P = make_params(settings["N"], settings["p"])
     grid = RadialGrid(settings["r_inf"], settings["M"])
@@ -216,6 +217,7 @@ def _run_pde(settings: dict, tol_a: float | None = None):
     gs = None
     if tol_a is not None:
         gs = find_ground_state(P, tol_a=tol_a)
+        check_covers(gs.traj, grid)  # the comparison reads the profile on every cell: refused before the run
     elif cfg.init_kind == "separable":
         gs = find_ground_state(P)
     if cfg.init_kind == "separable":

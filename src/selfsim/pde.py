@@ -168,6 +168,7 @@ __all__ = [
     "fit_extinction",
     "rate_exponent",
     "rescale_frames",
+    "check_covers",
     "compare_to_profile",
     "ProfileErrors",
     "profile_errors",
@@ -923,6 +924,13 @@ def rescale_frames(frames: FrameSeries, T_e: float) -> list[tuple[float, np.ndar
     return out
 
 
+def check_covers(profile: Trajectory, grid: RadialGrid) -> None:
+    """Refuse (ValueError) a profile trajectory that ends short of R_inf anywhere but at its first zero."""
+    if profile.r_end < grid.R_inf and profile.status != "FZero":
+        raise ValueError(f"profile trajectory does not cover the grid: it ends at r_end = {profile.r_end!r} "
+                         f"({profile.status}), short of R_inf = {grid.R_inf!r}")
+
+
 def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
     """Profile values at the cell centers through the dense ODE output: their running minimum, clipped at zero.
 
@@ -936,8 +944,7 @@ def _profile_on_grid(profile: Trajectory, grid: RadialGrid) -> np.ndarray:
     sample table; the running minimum takes out its rises within that
     tolerance (up to 1.8e-11 a_* on the flat top at N = 1, p = 1.1).
     """
-    if profile.r_end < grid.R_inf and profile.status != "FZero":
-        raise ValueError("profile trajectory does not cover the grid")
+    check_covers(profile, grid)
     # below the series-start radius the profile is flat to O(eps^2): read it there
     r = np.maximum(grid.centers, profile.r[0])
     live = r <= profile.r_end
@@ -952,7 +959,11 @@ def compare_to_profile(
     rescaled: list[tuple[float, np.ndarray]],
     profile: Trajectory,
 ) -> np.ndarray:
-    """Sup-norm distance of each rescaled frame from the ground-state profile."""
+    """Sup-norm distance of each rescaled frame from the ground-state profile, which must share the run's (N, p)."""
+    params, other = frames.config.params, profile.params
+    if other != params:
+        raise ValueError(f"the run and the profile must share (N, p), got ({params.N}, {params.p!r}) and "
+                         f"({other.N}, {other.p!r})")
     f_ref = _profile_on_grid(profile, frames.grid)
     return np.array([float(np.max(np.abs(v_k - f_ref))) for _, v_k in rescaled])
 

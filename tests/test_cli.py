@@ -517,6 +517,19 @@ class TestCommands:
         assert code == 0
         assert read_summary(prefix + "b_summary.json")["inputs"]["tol"] == 1e-7
 
+    def test_pde_compare_refuses_a_short_ground_state_run_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # the search runs to r = 50, short of R_inf = 60: refused after the search, not after the run
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started before the ground-state run was checked against the grid")
+
+        monkeypatch.setattr(cli, "run_to_extinction", unreachable)
+        assert run_cli("pde-compare", "--N", "2", "--p", "1.5", "--M", "100", "--r-inf", "60", "--tol", "1e-6",
+                       "--out", str(tmp_path / "cmp")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile trajectory does not cover the grid")
+        assert "r_end = 50.0" in err and "R_inf = 60.0" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_pohozaev_J_path_under_csv_named_directory(self, tmp_path, capsys):
         outdir = tmp_path / "tables.csv.d"
         outdir.mkdir()

@@ -551,8 +551,16 @@ class TestRescale:
 
     def test_profile_must_cover_grid(self, P2, gs2, sep_frames):
         short = integrate(P2, gs2.a_star, IntegratorOptions(r_max=10.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"ends at r_end = 10\.0 \(horizon\), short of R_inf = 15\.0"):
             compare_to_profile(sep_frames, rescale_frames(sep_frames, 2.0), short)
+
+    def test_profile_of_another_point_is_refused(self, gs3, exp_frames):
+        # an exp_tail (2, 1.5) run against the (3, 1.7) ground state read sup errors of about 3.6
+        words = r"the run and the profile must share \(N, p\), got \(2, 1\.5\) and \(3, 1\.7\)"
+        with pytest.raises(ValueError, match=words):
+            compare_to_profile(exp_frames, rescale_frames(exp_frames, exp_frames.T_e_estimate), gs3.traj)
+        with pytest.raises(ValueError, match=words):
+            profile_errors(exp_frames, gs3.traj)
 
     def test_profile_below_its_series_start_is_read_at_the_start(self, gs2):
         # below r[0] the profile is flat to O(eps^2), so those centers read f(r[0]); a real

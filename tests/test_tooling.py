@@ -12,8 +12,9 @@ that they are the routines the package exports). No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process. Every parameter
 of every library function is read in its body, and none takes or holds a
-``Params`` beside a run that carries its own. Under the suite's warning
-filters a failing property test still shows its falsifying example.
+``Params`` or a ``PdeConfig`` beside a run that carries its own. Under the
+suite's warning filters a failing property test still shows its falsifying
+example.
 """
 
 import ast
@@ -106,6 +107,7 @@ def test_the_parameter_guard_sees_what_it_flags():
 
 
 CARRIERS = {"Trajectory", "GroundStateResult"}  # each holds the Params of its run
+HOLDERS = {"Params", "PdeConfig"}  # (N, p) itself, and a config that holds it
 
 
 def _names(annotation) -> set[str]:
@@ -116,8 +118,8 @@ def _names(annotation) -> set[str]:
 
 
 def params_beside_a_carrier(source: str) -> list[str]:
-    """Functions taking, and classes holding, a Params beside a Trajectory or GroundStateResult: a second
-    copy of the (N, p) the carrier already holds, which a caller could set apart from it."""
+    """Functions taking, and classes holding, a Params or PdeConfig beside a Trajectory or GroundStateResult: a
+    second copy of the (N, p) the carrier already holds, which a caller could set apart from it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -128,7 +130,7 @@ def params_beside_a_carrier(source: str) -> list[str]:
         else:
             continue
         names = set().union(*map(_names, annotations))
-        if "Params" in names and names & CARRIERS:
+        if names & HOLDERS and names & CARRIERS:
             found.append(f"{node.name} at line {node.lineno}")
     return found
 
@@ -146,8 +148,9 @@ def test_the_copy_guard_sees_what_it_flags():
         "    params: Params\n"
         "    gs: 'GroundStateResult'\n"
         "    def h(self, traj: Trajectory): ...\n"
+        "def m(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None = None) -> Field: ...\n"
     )
-    assert params_beside_a_carrier(source) == ["f at line 1", "R at line 3"]
+    assert params_beside_a_carrier(source) == ["f at line 1", "R at line 3", "m at line 7"]
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

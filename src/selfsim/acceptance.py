@@ -411,7 +411,11 @@ def criterion_12(ctx: AcceptanceContext, res: CriterionResult):
 
 
 def criterion_13(ctx: AcceptanceContext, res: CriterionResult):
-    """Doubling M in the separable run reduces the sup error by >= 1.5x."""
+    """Doubling M in the separable run reduces its largest oracle sup error by >= 1.5x.
+
+    At both M that error sits on frame 0, the data rescaled by the fitted T_e, so the ratio (2.03) reads
+    the error of T_e (|T_e - 1| = 6.8e-6 and 3.3e-6), not spatial refinement; the title is the report's.
+    """
     gs = ctx.ground_state(2, 1.5)
 
     def sup_err(M):
@@ -443,13 +447,8 @@ RUNTIME_BUDGET = {1: 5.0, 2: 1.0, 4: 60.0, 9: 5.0, 11: 300.0, 12: 600.0}
 RUNTIME_CHECK = "runtime [s]"
 
 
-def run_acceptance(
-    ctx: AcceptanceContext | None = None,
-    echo=None,
-    only: set[int] | None = None,
-) -> list[CriterionResult]:
-    """Run the acceptance criteria, one pass/fail line each."""
-    ctx = ctx or AcceptanceContext()
+def run_acceptance(ctx: AcceptanceContext, echo=None, only: set[int] | None = None) -> list[CriterionResult]:
+    """Run the acceptance criteria on ctx's shared runs, one pass/fail line each."""
     results = []
     for index, title, fn in CRITERIA:
         if only is not None and index not in only:

@@ -178,7 +178,7 @@ def classify(params: Params, a: float, opts: IntegratorOptions = IntegratorOptio
     r_max or on step-size underflow is Unresolved, never guessed; its
     diagnostics say which and give the end state.
     """
-    proof = _SlowDecayProof(params, find_r_G(params))
+    proof = _SlowDecayProof(params)
     shot = shoot(params, a, opts, stop=proof)
     done = {"a": a, "r_end": shot.r_end, "steps": shot.steps}
     if shot.status == "FZero" and shot.end_slope < 0.0:
@@ -199,11 +199,11 @@ def classify(params: Params, a: float, opts: IntegratorOptions = IntegratorOptio
 
 
 class _SlowDecayProof:
-    """Stop test of a probe: J in plain floats at each accepted step end, from
+    """Stop test of a probe past r_G = find_r_G(params): J in plain floats at each accepted step end, from
     the stepper's own g'; the previous step end's (r, J, J + threshold) is kept for r_bar."""
 
-    def __init__(self, params: Params, r_G: float):
-        self.params, self.r_G = params, r_G
+    def __init__(self, params: Params):
+        self.params, self.r_G = params, find_r_G(params)
         self.prev: tuple[float, float, float] | None = None
         self.J_max = 0.0  # running max |J| over the step ends so far
         self.r_bar: float | None = None

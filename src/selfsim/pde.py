@@ -233,7 +233,8 @@ class RadialGrid:
     M: int
 
     def __post_init__(self):
-        # below 8 cells the extrapolated step can break radial monotonicity
+        # the smallest grid the property tests cover; with the floor lifted, 2 to 7 cells also run
+        # non-increasing to extinction, and 1 cell fails inside LAPACK's ptsv wrapper (no off-diagonal)
         if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral) or self.M < 8:
             raise ValueError(f"need an integer M >= 8 cells, got {self.M!r}")
         require_positive("R_inf", self.R_inf)
@@ -452,16 +453,15 @@ def _diffusivity(g: _Geometry, u: np.ndarray) -> np.ndarray:
     return c
 
 
-def _residual(g: _Geometry, u: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+def _residual(g: _Geometry, u: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The discrete operator L_h(u) that a sweep's matrix encodes: u_t = L_h(u).
 
-    L_h(u)_i = dr (k_up c_up D_{i+1/2} - k_dn c_dn D_{i-1/2}) with c = c(u),
-    ``_diffusivity(g, u)`` unless the caller has it.
+    L_h(u)_i = dr (k_up c_up D_{i+1/2} - k_dn c_dn D_{i-1/2}) with c = c(u) = ``_diffusivity(g, u)``.
     It equals the flux form div(r^(N-1) Phi)/r^(N-1) - S_i only on a
     non-increasing u, where every Phi <= 0: every state of a run.
     """
     flux = _face_gradients(u, g.dr)
-    flux *= _diffusivity(g, u) if c is None else c
+    flux *= c
     return g.dr * (g.k_up * flux[1:] - g.k_dn * flux[:-1])
 
 
@@ -559,8 +559,8 @@ def _sweep(g: _Geometry, rows, h: float, overwrite_rhs: bool) -> np.ndarray:
     return x
 
 
-def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray | None = None):
-    """One implicit step from u, whose diffusivity c = c(u) the caller may have; returns (u_new, saturations, error).
+def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray):
+    """One implicit step from u, with c = c(u) = ``_diffusivity(geom, u)``; returns (u_new, saturations, error).
 
     u_new is the corner T44 of the Aitken-Neville tableau over the step
     counts 1, 2, 3, 4: u1, u2, u3 and u4 are one dt sweep, two dt/2 sweeps,
@@ -589,7 +589,7 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray | None =
     saturations counts the cells u4's last sweep clipped and those the
     extrapolation drives negative.
     """
-    first = _rows(geom, u, _diffusivity(geom, u) if c is None else c)
+    first = _rows(geom, u, c)
     columns = []
     for n in (1, 2, 3, 4):
         h = dt / n
@@ -735,8 +735,8 @@ def _hermite(theta: float) -> tuple[float, float, float]:
     return theta * theta * (3.0 - 2.0 * theta), theta * s * s, -theta * theta * s
 
 
-def _march(geom: _Geometry, u: np.ndarray, dt: float):
-    """Yield each accepted step (``_Step``) from u at t = 0, whose first attempt has step dt.
+def _march(geom: _Geometry, u: np.ndarray):
+    """Yield each accepted step (``_Step``) from u at t = 0, whose first attempt has step geom.dt_first.
 
     An attempt the error control refuses is retried from the same state
     with a smaller dt. The diffusivity of each accepted state serves both
@@ -745,7 +745,7 @@ def _march(geom: _Geometry, u: np.ndarray, dt: float):
     the clock raises TimestepUnderflowError, and a step past MAX_STEPS
     MaxStepsExceededError.
     """
-    t, steps = 0.0, 0
+    t, steps, dt = 0.0, 0, geom.dt_first
     c = _diffusivity(geom, u)
     u_t = _residual(geom, u, c)
     while True:
@@ -824,7 +824,8 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     it crosses ext_tol. The monitors read every accepted step end. The
     extinction estimate and rate fit are filled in at the end from the
     final recorded decade. The data is checked here alone, before any sweep: grid.M finite values,
-    non-increasing (else NonMonotoneInitialDataError), so non-negative if the last one is.
+    non-increasing (else NonMonotoneInitialDataError), so non-negative if the last one is, and peaked
+    at or below config.kappa0, which scales the extinction threshold and ATOL.
     """
     grid = field.grid
     u = np.array(field.values, dtype=float)
@@ -838,6 +839,9 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         raise ValueError(f"initial data must be non-negative; its last cell is {float(u[-1])!r}")
     ext_tol = config.extinction_threshold
     peak = float(u[0])
+    if peak > config.kappa0:
+        raise ValueError(f"initial peak {peak!r} exceeds kappa0 = {config.kappa0!r}, which scales the run's "
+                         f"extinction threshold and ATOL{config.amplitude_source}")
     if peak <= 10.0 * ext_tol:
         raise ValueError("initial peak must exceed 10x the extinction threshold: the T_e fit reads the final decade")
 
@@ -853,7 +857,7 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
     frames.snapshots.append((0.0, u))
     _monitor(frames, geom, u)
     j = 1
-    for step in _march(geom, u, geom.dt_first):
+    for step in _march(geom, u):
         frames.rejected_steps += step.rejected
         frames.sink_saturations += step.saturations
         frames.dt_min = min(frames.dt_min, step.dt)

@@ -268,18 +268,17 @@ def integrate(params: Params, a: float, opts: IntegratorOptions = IntegratorOpti
     return _kept_run(params, a, opts, absorption=True)
 
 
-def psi_integrate(params: Params, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
+def psi_integrate(params: Params) -> Trajectory:
     """Integrate the absorption-free companion problem psi(0)=1, psi'(0)=0.
 
     Ends at the first zero s0 of psi (``r_end``, with ``end_slope`` psi'
     there); psi provably has one, so running out of horizon raises
     NoZeroWithinHorizonError.
     """
+    opts = IntegratorOptions()  # psi runs at the default tolerance and horizon
     traj = _kept_run(params, 1.0, opts, absorption=False)
     if traj.status != "FZero":
-        raise NoZeroWithinHorizonError(
-            f"psi stayed positive up to r_max={opts.r_max}; this signals a bug"
-        )
+        raise NoZeroWithinHorizonError(f"psi stayed positive up to r_max={opts.r_max}; this signals a bug")
     return traj
 
 

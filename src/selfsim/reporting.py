@@ -79,14 +79,12 @@ def read_summary(path) -> dict:
         raise OSError(f"cannot read summary {path}: {exc}") from exc
 
 
-def write_sidecar(path, extra: dict | None = None) -> None:
-    """Version/timestamp metadata next to a data file, never inside it."""
+def write_sidecar(path, extra: dict) -> None:
+    """Version/timestamp metadata and extra (the command, at least) next to a data file, never inside it."""
     from . import __version__
 
     meta = {"schema": SCHEMA_VERSION, "version": __version__, "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    if extra:
-        meta.update(extra)
-    write_summary(str(path) + ".meta.json", meta)
+    write_summary(str(path) + ".meta.json", {**meta, **extra})
 
 
 def validate_config(config: dict, known_keys: set[str], context: str) -> dict:

@@ -16,8 +16,9 @@ import inspect
 import sys
 from pathlib import Path
 
+from selfsim import cli
 from selfsim.classify import GroundStateResult
-from selfsim.pde import FrameSeries
+from selfsim.pde import FrameSeries, PdeConfig, RadialGrid
 from selfsim.profile_ode import IntegratorOptions, integrate, shoot
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -92,3 +93,21 @@ def test_workload_calls_bind_to_the_library_signatures():
             signature.bind(*(object() for _ in call.args), **{kw.arg: object() for kw in call.keywords})
         except TypeError as exc:
             raise AssertionError(f"workloads.py:{call.lineno} {call.func.id}: {exc}") from None
+
+
+def test_the_benchmark_summary_keys_are_the_cli_summary_keys(P2):
+    # perfbench writes the summary `selfsim pde-run` writes, a subset of its keys; a key that left the
+    # CLI summary first (clamp_events, say) would leave the benchmark writing a summary no command writes
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    write_outputs = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "write_outputs")
+    written = {
+        key.value: {k.value for k in value.keys}
+        for node in ast.walk(write_outputs)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value in ("inputs", "results") and isinstance(value, ast.Dict)
+    }
+    assert set(written) == {"inputs", "results"}, "write_outputs writes no inputs or results"
+    summary = cli._pde_summary(FrameSeries(grid=RadialGrid(8.0, 32), config=PdeConfig(params=P2)))
+    for part, keys in written.items():
+        assert keys <= set(summary[part]), f"{part}: {sorted(keys - set(summary[part]))}"

@@ -684,7 +684,7 @@ class TestCommands:
         assert list(tmp_path.iterdir()) == []
 
     def test_pde_run_timestep_underflow_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        def never_accepted(geom, u, dt, c=None):
+        def never_accepted(geom, u, dt, c):
             # an error estimate that no dt satisfies drives dt below the run's guard
             return u.copy(), 0, np.full_like(u, np.inf)
 

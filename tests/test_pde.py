@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -52,7 +53,7 @@ def explicit_step(geom, u, dt=None):
     """
     if dt is None:
         dt = geom.dt_first
-    u_new = u + dt * _residual(geom, u)
+    u_new = u + dt * _residual(geom, u, _diffusivity(geom, u))
     clamped = int(np.count_nonzero(u_new < 0.0))
     np.clip(u_new, 0.0, None, out=u_new)
     return u_new, dt, clamped
@@ -155,7 +156,7 @@ def test_separable_initial_checks_T0_before_the_amplitude(monkeypatch, p):
         separable_initial(profile, RadialGrid(8.0, 32), T0=-1.0)
 
 
-def never_accepted(geom, u, dt, c=None):
+def never_accepted(geom, u, dt, c):
     """A stand-in for ``_step_imex`` whose error estimate no dt satisfies."""
     return u.copy(), 0, np.full_like(u, np.inf)
 
@@ -167,11 +168,11 @@ def test_dt_floor_is_ten_ulp_of_the_clock(P2, monkeypatch, accepted):
     # times the smallest subnormal, and not one attempt sooner
     attempts = []
 
-    def accepted_then_never(geom, u, dt, c=None):
+    def accepted_then_never(geom, u, dt, c):
         attempts.append(dt)
         if len(attempts) <= accepted:
             return u.copy(), 0, np.zeros_like(u)
-        return never_accepted(geom, u, dt)
+        return never_accepted(geom, u, dt, c)
 
     monkeypatch.setattr(pde, "_step_imex", accepted_then_never)
     cfg = PdeConfig(params=P2)
@@ -228,6 +229,20 @@ def test_run_refuses_data_outside_the_hypotheses_before_any_sweep(monkeypatch, P
     assert not isinstance(refused.value, pde.NonMonotoneInitialDataError)
 
 
+def test_run_refuses_data_above_kappa0_before_any_sweep(monkeypatch, gs2):
+    # kappa0 scales the run's extinction threshold and ATOL: separable data paired by hand with
+    # six times its field once ran 310 steps to a T_e of 2.45 (1.0004 from the paired data)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep ran before the peak was checked")
+
+    monkeypatch.setattr(pde, "_sweep", unreachable)
+    cfg, field = separable_initial(gs2.traj, RadialGrid(15.0, 200))
+    assert field.values[0] <= cfg.kappa0
+    peak = float(6.0 * field.values[0])
+    with pytest.raises(ValueError, match=re.escape(f"initial peak {peak!r} exceeds kappa0 = {cfg.kappa0!r}")):
+        run_to_extinction(cfg, pde.Field(field.grid, 6.0 * field.values))
+
+
 @pytest.mark.parametrize("kappa0", [1e-300, 2.2e-298, 5e-324])
 def test_config_refuses_a_subnormal_extinction_threshold(P2, kappa0):
     # 1e-10 kappa0 below the smallest normal float is never crossed: the run
@@ -260,7 +275,7 @@ def test_run_returns_once_the_field_is_zero():
     code = textwrap.dedent("""
         import numpy as np
         from selfsim import make_params, pde
-        pde._step_imex = lambda geom, u, dt, c=None: (np.zeros_like(u), 0, np.zeros_like(u))
+        pde._step_imex = lambda geom, u, dt, c: (np.zeros_like(u), 0, np.zeros_like(u))
         cfg = pde.PdeConfig(params=make_params(2, 1.5))
         frames = pde.run_to_extinction(cfg, pde.make_initial(cfg, pde.RadialGrid(8.0, 16)))
         print(frames.n_steps, frames.sup[-1], len(frames.snapshots))
@@ -417,7 +432,8 @@ class TestResidual:
         u = np.sort(np.array(values, dtype=float))[::-1]  # non-increasing, non-negative: every Phi <= 0
         grid = resolved_grid(N, width, u.size)
         ref = flux_form(grid, P, u)
-        residual = _residual(_geometry(PdeConfig(params=P), grid), u)
+        geom = _geometry(PdeConfig(params=P), grid)
+        residual = _residual(geom, u, _diffusivity(geom, u))
         assert np.max(np.abs(residual - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -432,7 +448,7 @@ class TestCrossValidation:
         v, t, dt = u0.copy(), 0.0, 1e-7
         while t < t_end:
             dt = min(dt, t_end - t + 1e-16)
-            v, _, _ = _step_imex(geom, v, dt)
+            v, _, _ = _step_imex(geom, v, dt, _diffusivity(geom, v))
             t += dt
             dt = min(dt * 1.2, 2e-4)
         return u, v

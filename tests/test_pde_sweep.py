@@ -155,7 +155,7 @@ def whole_march():
     geom = _geometry(cfg, grid)
     u0 = make_initial(cfg, grid).values
     steps = []
-    for step in pde._march(geom, u0, geom.dt_first):
+    for step in pde._march(geom, u0):
         steps.append(step)
         if step.u_new[0] <= cfg.extinction_threshold:
             break
@@ -190,7 +190,7 @@ class TestBitIdentity:
         got_be, want_be = one_sweep(geom, u, dt), reference_be_sweep(cfg, grid, u, dt)
         assert np.array_equal(got_be[0], want_be[0])
         assert got_be[1] == want_be[1]
-        got, want = _step_imex(geom, u, dt), reference_step(cfg, grid, u, dt)
+        got, want = _step_imex(geom, u, dt, _diffusivity(geom, u)), reference_step(cfg, grid, u, dt)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert np.array_equal(got[2], reference_error(cfg, grid, u, dt))
@@ -306,7 +306,7 @@ class TestSymmetrisedSweep:
         assert 1e98 < geom.s[-1] <= pde._S_MAX
         u = 1.3e154 * (grid.R_inf - grid.centers)
         for dt in (1e-3, 1.0):
-            u_new, _, error = _step_imex(geom, u, dt)
+            u_new, _, error = _step_imex(geom, u, dt, _diffusivity(geom, u))
             assert np.isfinite(u_new).all() and np.isfinite(error).all()
 
 
@@ -328,7 +328,7 @@ class TestSolverChecks:
         u[where] = bad
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError):
-                _step_imex(geom, u, 1e-3)
+                _step_imex(geom, u, 1e-3, _diffusivity(geom, u))
 
     @pytest.mark.parametrize("info, error", [(3, SingularSweepError), (-2, ValueError)])
     def test_lapack_failure_raises(self, monkeypatch, info, error):
@@ -341,8 +341,9 @@ class TestSolverChecks:
         monkeypatch.setattr(pde, "_lapack", lambda name: loaded.append(name) or failing)
         cfg = PdeConfig(params=make_params(2, 1.5))
         grid = RadialGrid(8.0, 40)
+        geom, u = _geometry(cfg, grid), make_initial(cfg, grid).values
         with pytest.raises(error) as raised:
-            _step_imex(_geometry(cfg, grid), make_initial(cfg, grid).values, 1e-3)
+            _step_imex(geom, u, 1e-3, _diffusivity(geom, u))
         assert not isinstance(raised.value, np.linalg.LinAlgError)
         assert loaded == (["dptsv", "dgtsv"] if info > 0 else ["dptsv"])
 
@@ -446,7 +447,7 @@ class TestStepSequences:
         attempts = []  # (input, output) of every attempted step
         production_step = pde._step_imex
 
-        def checked_step(geom, u_in, dt, c=None):
+        def checked_step(geom, u_in, dt, c):
             u, sat, error = production_step(geom, u_in, dt, c)
             assert np.all(np.diff(u) <= 0.0)
             assert u.max() <= u_in.max()
@@ -490,7 +491,7 @@ class TestErrorControl:
         attempts = []  # (input, output, dt) of every attempted step
         production_step = pde._step_imex
 
-        def step_with_one_bad_estimate(geom, u_in, dt, c=None):
+        def step_with_one_bad_estimate(geom, u_in, dt, c):
             u, sat, error = production_step(geom, u_in, dt, c)
             if not attempts:
                 error = np.full_like(error, 1.0)  # e ~ 1 / (RTOL peak) >> 1
@@ -515,15 +516,16 @@ class TestErrorControl:
 
     def test_march_chains_its_steps_and_shares_the_diffusivity(self):
         # each step starts where the one before ended, with its end rate u_t = L_h(u) carried over;
-        # the diffusivity built once per accepted state gives the bits a step without it gives
+        # the diffusivity built once per accepted state gives the bits of one built afresh
         geom, u0, steps = whole_march()
         assert steps[0].t == 0.0 and steps[0].u is u0
         for step, nxt in zip(steps, steps[1:]):
             assert nxt.t == step.t + step.dt
             assert nxt.u is step.u_new and nxt.u_t is step.u_t_new
         for step in steps:
-            assert np.array_equal(step.u_t, pde._residual(geom, step.u))
-            assert np.array_equal(step.u_new, _step_imex(geom, step.u, step.dt)[0])
+            c = _diffusivity(geom, step.u)
+            assert np.array_equal(step.u_t, pde._residual(geom, step.u, c))
+            assert np.array_equal(step.u_new, _step_imex(geom, step.u, step.dt, c)[0])
             # the interpolant meets the two ends to the bit
             u, u_t = step.at(0.0)
             assert np.array_equal(u, step.u) and np.array_equal(u_t, step.u_t)

@@ -365,7 +365,7 @@ class TestSteppingLoop:
         # cancellation, so the step sequences may part after a few steps
         a, kw, absorption = self.CASES[case]
         opts = IntegratorOptions(**kw)
-        traj = integrate(P2, a, opts) if absorption else psi_integrate(P2, opts)
+        traj = integrate(P2, a, opts) if absorption else psi_integrate(P2)
         ref = solve_ivp_run(P2, a, opts, absorption)
         assert ref.status >= 0
         steps, ref_steps = len(traj.dense.ts) - 1, len(ref.sol.ts) - 1
@@ -391,7 +391,7 @@ class TestSteppingLoop:
         # f' does not depend on the absorption, so psi's slope reads the same way
         a, kw, absorption = self.CASES[case]
         opts = IntegratorOptions(**kw)
-        traj = integrate(P2, a, opts) if absorption else psi_integrate(P2, opts)
+        traj = integrate(P2, a, opts) if absorption else psi_integrate(P2)
         f, g = traj.eval(traj.r_end)
         assert (traj.end.f, traj.end.g) == (float(f), float(g))
         assert traj.end_slope == float(_rhs_arrays(P2, traj.r_end, f, g, absorption)[0]) < 0.0

@@ -12,7 +12,8 @@ that they are the routines the package exports). No module
 imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process. Every parameter
 of every library function is read in its body, and none takes or holds a
-``Params`` or a ``PdeConfig`` beside a run that carries its own. Under the
+``Params`` or a ``PdeConfig`` beside a run that carries its own. A private
+function's default is a fallback some call in ``src/`` or ``scripts/`` takes. Under the
 suite's warning filters a failing property test still shows its falsifying
 example.
 """
@@ -104,6 +105,74 @@ def test_the_parameter_guard_sees_what_it_flags():
         "    return inner\n"
     )
     assert unread_parameters(source) == ["f(b) at line 1", "f(d) at line 1", "lambda(e) at line 3"]
+
+
+PRODUCTION = SRC + sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether call passes the parameter name, at position index if it has one; an unpacked *args may not."""
+    if any(keyword.arg == name for keyword in call.keywords):
+        return True
+    known = [] if any(isinstance(arg, ast.Starred) for arg in call.args) else call.args
+    return index is not None and index < len(known)
+
+
+def defaults_every_call_passes(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of private (_-prefixed, not dunder) functions that every call in sources passes:
+    a fallback that no caller takes. Calls are matched by the function's name; one that never runs is left alone."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = []
+    for label, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not node.name.startswith("_"):
+                continue
+            if node.name.startswith("__"):  # a dunder is called by the language, not by name
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            # a method's call passes self or cls through its attribute, not in its arguments
+            shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            mine = [call for call in calls if _callee(call) == node.name]
+            for arg in defaulted:
+                index = next((i - shift for i, a in enumerate(positional) if a is arg), None)
+                if mine and all(_passes(call, arg.arg, index) for call in mine):
+                    found.append(f"{label}: {node.name}({arg.arg}) at line {node.lineno}")
+    return found
+
+
+def test_every_private_default_is_left_out_by_some_call():
+    sources = {path.name: path.read_text() for path in PRODUCTION}
+    assert defaults_every_call_passes(sources) == []
+
+
+def test_the_default_guard_sees_what_it_flags():
+    module = (
+        "def _f(a, b=None, *, c=1, d=2): ...\n"
+        "class K:\n"
+        "    def _g(self, x=None, y=0): ...\n"
+        "def h(a=None): ...\n"
+        "def _never_called(a=None): ...\n"
+        "def __init__(self, a=None): ...\n"
+    )
+    caller = (
+        "_f(1, 2, c=3)\n"
+        "m._f(1, b=2, c=4)\n"
+        "_f(*xs, c=5)\n"
+        "K()._g(1)\n"
+        "self._g(x=2, y=3)\n"
+        "h(1)\n"
+        "__init__(0, 1)\n"
+    )
+    assert defaults_every_call_passes({"m": module, "c": caller}) == ["m: _f(c) at line 1", "m: _g(x) at line 3"]
 
 
 CARRIERS = {"Trajectory", "GroundStateResult"}  # each holds the Params of its run

@@ -2,12 +2,15 @@
 
 Each criterion returns a CriterionResult whose checks carry the measured
 value and the tolerance it was gated against. The CLI `verify` subcommand and
-the pytest suite both run these functions; expensive artifacts (ground-state
-bisections, production PDE runs) are memoized on the shared context.
+the pytest suite both run these functions on a shared AcceptanceContext,
+which builds each artifact once: every builder has its own ``functools.cache``,
+keyed on the call as written, so each has one spelling. Shooting runs are keyed
+on the Params and IntegratorOptions they take; ``pde_separable`` takes M by keyword.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -78,47 +81,31 @@ class CriterionResult:
 
 
 class AcceptanceContext:
-    """Memoized expensive artifacts shared between criteria."""
+    """Expensive artifacts shared between criteria, each built once per context."""
 
     def __init__(self):
-        self._cache: dict = {}
+        # one cache per context, so its runs go with it
+        self.params = functools.cache(self.params)
+        self._find_ground_state = functools.cache(find_ground_state)
+        self._integrate = functools.cache(integrate)
+        self.pde_separable = functools.cache(self.pde_separable)
+        self.pde_exp_tail = functools.cache(self.pde_exp_tail)
 
-    def params(self, N: int, p: float) -> Params:
-        return self._memo(("params", N, p), lambda: make_params(N, p))
+    def params(self, N: int, p: float, /) -> Params:
+        return make_params(N, p)
 
-    def ground_state(
-        self, N: int, p: float, rel_tol: float = IntegratorOptions().rel_tol
-    ) -> GroundStateResult:
-        return self._memo(
-            ("gs", N, p, rel_tol),
-            lambda: find_ground_state(self.params(N, p), IntegratorOptions(rel_tol=rel_tol)),
-        )
+    def ground_state(self, N: int, p: float, rel_tol: float = IntegratorOptions().rel_tol) -> GroundStateResult:
+        return self._find_ground_state(self.params(N, p), IntegratorOptions(rel_tol=rel_tol))
 
     def trajectory(self, N: int, p: float, a: float, **opt_kw) -> Trajectory:
-        key = ("traj", N, p, a, tuple(sorted(opt_kw.items())))
-        return self._memo(
-            key, lambda: integrate(self.params(N, p), a, IntegratorOptions(**opt_kw))
-        )
+        return self._integrate(self.params(N, p), a, IntegratorOptions(**opt_kw))
 
-    def pde_separable(self, M: int = 2000):
-        def build():
-            return run_to_extinction(*separable_initial(self.ground_state(2, 1.5).traj, RadialGrid(15.0, M)))
+    def pde_separable(self, *, M: int) -> FrameSeries:
+        return run_to_extinction(*separable_initial(self.ground_state(2, 1.5).traj, RadialGrid(15.0, M)))
 
-        return self._memo(("pde-sep", M), build)
-
-    def pde_exp_tail(self):
-        def build():
-            P = self.params(2, 1.5)
-            grid = RadialGrid(15.0, 2000)
-            cfg = PdeConfig(params=P, init_kind="exp_tail", kappa0=1.0)
-            return run_to_extinction(cfg, make_initial(cfg, grid))
-
-        return self._memo(("pde-exp",), build)
-
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    def pde_exp_tail(self) -> FrameSeries:
+        cfg = PdeConfig(params=self.params(2, 1.5), init_kind="exp_tail", kappa0=1.0)
+        return run_to_extinction(cfg, make_initial(cfg, RadialGrid(15.0, 2000)))
 
 
 def _fd4(fun, r: np.ndarray, h: float) -> np.ndarray:
@@ -179,18 +166,17 @@ def criterion_4(ctx: AcceptanceContext, res: CriterionResult):
         gs = ctx.ground_state(N, p)
         res.add(f"bracket width, ({N},{p})", gs.a_hi - gs.a_lo, TOL_A)
         res.add(f"iterations, ({N},{p})", gs.iterations, 200.0, gs.iterations <= 200)
-        opts = IntegratorOptions()
         res.add(
             f"classify(a_lo/2) is C, ({N},{p})",
             gs.a_lo / 2.0,
             None,
-            classify(ctx.params(N, p), gs.a_lo / 2.0, opts).verdict == "C",
+            classify(ctx.params(N, p), gs.a_lo / 2.0).verdict == "C",
         )
         res.add(
             f"classify(2 a_hi) is A, ({N},{p})",
             2.0 * gs.a_hi,
             None,
-            classify(ctx.params(N, p), 2.0 * gs.a_hi, opts).verdict == "A",
+            classify(ctx.params(N, p), 2.0 * gs.a_hi).verdict == "A",
         )
         gs13 = ctx.ground_state(N, p, rel_tol=1e-13)
         overlap = min(gs.a_hi, gs13.a_hi) - max(gs.a_lo, gs13.a_lo)

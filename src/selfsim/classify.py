@@ -270,7 +270,8 @@ def bisect_a_star(
     an endpoint moves only onto a height with a proven verdict. Unresolved
     probes are retried at longer horizons; a bisection step sidesteps one by
     probing off-center points. ``iterations`` counts the search's shooting
-    runs and ``probe_steps`` their accepted steps.
+    runs and ``probe_steps`` their accepted steps. A tol_a finer than the float
+    spacing at a_* is refused (ValueError) once no float lies between the ends.
     """
     a_lo, a_hi = bracket
     if not 0.0 < a_lo < a_hi:
@@ -305,6 +306,10 @@ class _Search:
         model_failed = False
         while self.a_hi - self.a_lo > END_WIDTH * tol_a:
             width = self.a_hi - self.a_lo
+            if math.nextafter(self.a_lo, self.a_hi) == self.a_hi:  # no float lies between: the width is final
+                raise ValueError(f"tol_a = {tol_a!r} is finer than the floats at a_* resolve: a_lo = {self.a_lo!r} "
+                                 f"and a_hi = {self.a_hi!r} are adjacent, {width:.3g} apart; the smallest tol_a "
+                                 f"this bracket meets is {math.nextafter(width / END_WIDTH, math.inf)!r}")
             a_est = None
             if not model_failed and width < MODEL_WIDTH * self.a_hi:
                 a_est = self.estimate(tol_a)

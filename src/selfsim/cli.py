@@ -16,6 +16,7 @@ wall-clock seconds go to a `.meta.json` sidecar only (pass --meta; `verify
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,17 +37,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-def _add_model_args(sp):
-    sp.add_argument("--N", type=int, required=True, help="space dimension (>= 1)")
-    sp.add_argument("--p", type=float, required=True, help="diffusion exponent in (2N/(N+1), 2)")
-
-
-def _add_ode_args(sp):
-    default = IntegratorOptions()
-    sp.add_argument("--rmax", type=float, default=default.r_max, help="integration horizon")
-    sp.add_argument("--rtol", type=float, default=default.rel_tol, help="integrator relative tolerance")
 
 
 def _opts(args) -> IntegratorOptions:
@@ -85,16 +75,7 @@ def cmd_classify(args) -> int:
     P = make_params(args.N, args.p)
     c = classify(P, args.a, _opts(args))
     summary = _summary_skeleton(args.N, args.p, a=args.a, rmax=args.rmax, rtol=args.rtol)
-    summary["results"] = {
-        "verdict": c.verdict,
-        "R": c.R,
-        "slope": c.slope,
-        "r_bar": c.r_bar,
-        "J_at_rbar": c.J_at_rbar,
-        "diagnostics": c.diagnostics,
-        "r_end": c.r_end,
-        "steps": c.steps,
-    }
+    summary["results"] = {key: value for key, value in dataclasses.asdict(c).items() if key != "a"}  # a is an input
     _emit(args, summary, args.out)
     return EXIT_OK
 
@@ -165,15 +146,6 @@ def cmd_pohozaev(args) -> int:
 
 
 PDE_RUN_DEFAULTS = {"init": "exp_tail", "M": 2000, "r_inf": 15.0, "kappa0": 1.0, "T0": 1.0}
-
-
-def _add_pde_args(sp):
-    """The run flags pde-run and pde-compare share; an unset flag resolves in ``_pde_settings``."""
-    sp.add_argument("--init", choices=["exp_tail", "separable"])
-    sp.add_argument("--M", type=int)
-    sp.add_argument("--r-inf", dest="r_inf", type=float)
-    sp.add_argument("--kappa0", type=float)
-    sp.add_argument("--T0", type=float)
 
 
 def _pde_settings(args) -> dict:
@@ -270,13 +242,10 @@ def cmd_pde_compare(args) -> int:
     frames, gs = _run_pde(_pde_settings(args), tol_a=args.tol)
     cmp = profile_errors(frames, gs.traj)
     write_csv(f"{args.out}_compare.csv", ["s", "t", "sup_error"], zip(cmp.s, cmp.t, cmp.sup_error))
-    kept = cmp.sup_error[cmp.before_endgame]
+    # every snapshot precedes T_e, so frame 0, at t = 0, is always before the endgame
+    final = cmp.sup_error[cmp.before_endgame][-1]
     summary = _pde_summary(frames, tol=args.tol)
-    summary["results"].update(
-        a_star=gs.a_star,
-        final_sup_error=kept[-1] if kept.size else float("nan"),
-        final_sup_error_rel_astar=(kept[-1] / gs.a_star) if kept.size else float("nan"),
-    )
+    summary["results"].update(a_star=gs.a_star, final_sup_error=final, final_sup_error_rel_astar=final / gs.a_star)
     write_summary(f"{args.out}_summary.json", summary)
     _sidecar(args, f"{args.out}_summary.json")
     print(f"wrote {args.out}_compare.csv and {args.out}_summary.json")
@@ -335,73 +304,67 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"selfsim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("params", help="derived exponents for (N, p)")
-    _add_model_args(sp)
-    sp.add_argument("--out", help="write JSON here instead of stdout")
-    sp.add_argument("--meta", action="store_true", help="write a .meta.json sidecar")
+    # each flag that several subcommands share is declared once, in a parent parser they list
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--N", type=int, required=True, help="space dimension (>= 1)")
+    model.add_argument("--p", type=float, required=True, help="diffusion exponent in (2N/(N+1), 2)")
+    height = argparse.ArgumentParser(add_help=False)
+    height.add_argument("--a", type=float, required=True)
+    ode = argparse.ArgumentParser(add_help=False)
+    ode.add_argument("--rmax", type=float, default=IntegratorOptions().r_max, help="integration horizon")
+    ode.add_argument("--rtol", type=float, default=IntegratorOptions().rel_tol, help="integrator relative tolerance")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=TOL_A)
+    run = argparse.ArgumentParser(add_help=False)  # an unset run flag resolves in _pde_settings
+    run.add_argument("--init", choices=["exp_tail", "separable"])
+    run.add_argument("--M", type=int)
+    run.add_argument("--r-inf", dest="r_inf", type=float)
+    run.add_argument("--kappa0", type=float)
+    run.add_argument("--T0", type=float)
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--out", help="write JSON here instead of stdout")
+    csv_out = argparse.ArgumentParser(add_help=False)
+    csv_out.add_argument("--out", required=True)
+    prefix_out = argparse.ArgumentParser(add_help=False)
+    prefix_out.add_argument("--out", required=True, help="output path prefix")
+    meta = argparse.ArgumentParser(add_help=False)
+    meta.add_argument("--meta", action="store_true", help="write a .meta.json sidecar")
+
+    sp = sub.add_parser("params", parents=[model, json_out, meta], help="derived exponents for (N, p)")
     sp.set_defaults(fn=cmd_params)
 
-    sp = sub.add_parser("profile", help="one shooting trajectory to CSV")
-    _add_model_args(sp)
-    sp.add_argument("--a", type=float, required=True)
-    _add_ode_args(sp)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--meta", action="store_true")
+    sp = sub.add_parser("profile", parents=[model, height, ode, csv_out, meta], help="one shooting trajectory to CSV")
     sp.set_defaults(fn=cmd_profile)
 
-    sp = sub.add_parser("classify", help="classify one shooting height")
-    _add_model_args(sp)
-    sp.add_argument("--a", type=float, required=True)
-    _add_ode_args(sp)
-    sp.add_argument("--out", help="write JSON here instead of stdout")
-    sp.add_argument("--meta", action="store_true")
+    sp = sub.add_parser("classify", parents=[model, height, ode, json_out, meta], help="classify one shooting height")
     sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("sweep", help="classify an a-grid to CSV")
-    _add_model_args(sp)
+    sp = sub.add_parser("sweep", parents=[model, ode, csv_out, meta], help="classify an a-grid to CSV")
     sp.add_argument("--a-min", type=float, required=True)
     sp.add_argument("--a-max", type=float, required=True)
     sp.add_argument("--num", type=int, default=20)
     sp.add_argument("--log", action="store_true", help="geometric a-grid")
-    _add_ode_args(sp)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("find-astar", help="bisect the ground-state height")
-    _add_model_args(sp)
-    sp.add_argument("--tol", type=float, default=TOL_A)
-    _add_ode_args(sp)
-    sp.add_argument("--out", help="write JSON here instead of stdout")
-    sp.add_argument("--meta", action="store_true")
+    sp = sub.add_parser("find-astar", parents=[model, tol, ode, json_out, meta], help="bisect the ground-state height")
     sp.set_defaults(fn=cmd_find_astar)
 
-    sp = sub.add_parser("pohozaev", help="coefficient/G tables and r_G")
-    _add_model_args(sp)
+    sp = sub.add_parser("pohozaev", parents=[model, csv_out, meta], help="coefficient/G tables and r_G")
     sp.add_argument("--a", type=float, help="also dump J along this trajectory")
     sp.add_argument("--r-min", type=float, default=0.1)
     sp.add_argument("--r-max", type=float, default=20.0)
     sp.add_argument("--num", type=int, default=400)
-    sp.add_argument("--out", required=True)
     sp.add_argument("--json", help="write the r_G/M summary JSON here")
-    sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_pohozaev)
 
-    sp = sub.add_parser("pde-run", help="radial extinction run")
+    sp = sub.add_parser("pde-run", parents=[run, prefix_out, meta], help="radial extinction run")
     sp.add_argument("--N", type=int, help="space dimension (>= 1)")
     sp.add_argument("--p", type=float, help="diffusion exponent in (2N/(N+1), 2)")
     sp.add_argument("--config", help="JSON run configuration (unknown keys rejected; flags override)")
-    _add_pde_args(sp)
-    sp.add_argument("--out", required=True, help="output path prefix")
-    sp.add_argument("--meta", action="store_true")
     sp.set_defaults(fn=cmd_pde_run)
 
-    sp = sub.add_parser("pde-compare", help="run + rescale + compare to the profile")
-    _add_model_args(sp)
-    _add_pde_args(sp)
-    sp.add_argument("--tol", type=float, default=TOL_A)
-    sp.add_argument("--out", required=True, help="output path prefix")
-    sp.add_argument("--meta", action="store_true")
+    sp = sub.add_parser("pde-compare", parents=[model, run, tol, prefix_out, meta],
+                        help="run + rescale + compare to the profile")
     sp.set_defaults(fn=cmd_pde_compare)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")

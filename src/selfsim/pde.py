@@ -133,6 +133,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -275,6 +276,8 @@ class PdeConfig:
         require_positive("T0", self.T0)
         if self.init_kind not in ("exp_tail", "separable"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
+        if self.init_kind == "separable":  # an overflowing T0 is refused before any ground-state search
+            separable_amplitude(self.params, self.T0)
         # a subnormal threshold is never crossed: the _TINY rule zeroes the field first
         if self.extinction_threshold < _TINY:
             raise ValueError(f"kappa0 must be >= {_TINY / EXTINCTION_FRACTION:.3g}, so that the extinction threshold "
@@ -291,8 +294,16 @@ class PdeConfig:
 
 
 def separable_amplitude(params: Params, tau: float) -> float:
-    """((2-p) tau)^(1/(2-p)): the separable solution's time factor tau before extinction."""
-    return ((2.0 - params.p) * tau) ** params.e_time
+    """((2-p) tau)^(1/(2-p)): the separable solution's time factor tau before extinction.
+
+    Past the floats (tau > 2.68e154 at p = 1.5) it is a ValueError naming T0, the tau of separable data at t = 0.
+    """
+    try:
+        return ((2.0 - params.p) * tau) ** params.e_time
+    except OverflowError:
+        bound = sys.float_info.max ** (2.0 - params.p) / (2.0 - params.p)
+        raise ValueError(f"T0 = {tau!r} overflows the separable amplitude ((2-p) T0)^(1/(2-p)) at p = {params.p!r}: "
+                         f"T0 must be at most {bound:.6g}") from None
 
 
 @dataclass

@@ -24,3 +24,9 @@ def test_runtime_check_is_appended_from_the_budget_table(ctx):
     last = results[2].checks[-1]
     assert (last.name, last.tol) == ("runtime [s]", 1.0)
     assert all(check.name != "runtime [s]" for check in results[3].checks)
+
+
+def test_the_context_builds_each_artifact_once(ctx):
+    # a default given explicitly reads the same entry as one left out
+    assert ctx.ground_state(2, 1.5) is ctx.ground_state(2, 1.5, rel_tol=1e-12)
+    assert ctx.trajectory(2, 1.5, 1.0) is ctx.trajectory(2, 1.5, 1.0)

@@ -336,6 +336,29 @@ class TestCommands:
         # the search reports its shooting runs and their accepted steps
         assert 0 < data["results"]["iterations"] < data["results"]["probe_steps"]
 
+    @pytest.mark.parametrize("tol", ["1.9e-15", "1e-15"])
+    def test_find_astar_refuses_a_tolerance_finer_than_the_floats_at_a_star(self, tol, tmp_path, capsys, monkeypatch):
+        # ulp(a_*) = 8.88e-16 at (2, 1.5), so a bracket at most 0.45 tol_a wide needs tol_a >= 1.97e-15
+        search = importlib.import_module("selfsim.classify")._Search
+        probe = search.probe
+
+        def probe_inside_an_open_bracket(self, a):
+            assert math.nextafter(self.a_lo, self.a_hi) < self.a_hi, "a probe after no float lay between the ends"
+            return probe(self, a)
+
+        monkeypatch.setattr(search, "probe", probe_inside_an_open_bracket)
+        out = tmp_path / "astar.json"
+        assert run_cli("find-astar", "--N", "2", "--p", "1.5", "--tol", tol, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tol_a = {float(tol)!r} is finer than the floats at a_* resolve")
+        assert "a_lo = 6.035320330405078 and a_hi = 6.035320330405079 are adjacent" in err
+        assert list(tmp_path.iterdir()) == []
+        # the smallest tolerance the message names is met, and so is 2e-15, on the same adjacent pair
+        for met in (err.split()[-1], "2e-15"):
+            assert run_cli("find-astar", "--N", "2", "--p", "1.5", "--tol", met, "--out", str(out)) == 0
+            results = read_summary(out)["results"]
+            assert (results["a_lo"], results["a_hi"]) == (6.035320330405078, 6.035320330405079)
+
     def test_pohozaev_tables(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         code = run_cli("pohozaev", "--N", "2", "--p", "1.5", "--a", "1.0",
@@ -755,6 +778,23 @@ class TestCommands:
         assert err.startswith(f"error: kappa0 = {float(kappa0)!r} overflows") and "Warning" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["pde-run", "pde-compare"])
+    @pytest.mark.parametrize("p, T0, bound", [("1.5", "1e300", "2.68156e+154"), ("1.9", "1e32", "6.6907e+31")])
+    def test_separable_T0_whose_amplitude_overflows_exits_2_before_the_search(
+        self, command, p, T0, bound, tmp_path, capsys, monkeypatch
+    ):
+        # the amplitude ((2-p) T0)^(1/(2-p)) depends on (p, T0) alone, so no search need run to refuse it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ground state was sought before T0 was checked")
+
+        monkeypatch.setattr(cli, "find_ground_state", unreachable)
+        assert run_cli(command, "--N", "2", "--p", p, "--init", "separable", "--T0", T0, "--M", "100", "--r-inf", "8",
+                       "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: T0 = {float(T0)!r} overflows the separable amplitude") and "Traceback" not in err
+        assert err.rstrip().endswith(f"T0 must be at most {bound}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_pde_run_huge_representable_amplitude_runs_to_extinction(self, tmp_path):
         # the first dt is a constant of the grid and the step floor follows the clock, so
         # kappa0 = 1e150 runs like kappa0 = 1 on the same grid, with T_e scaled by kappa0^(2-p)
@@ -822,3 +862,47 @@ class TestExitCodes:
         assert run_cli("params", "--N", "2", "--p", "1.5") == code
         err = capsys.readouterr().err
         assert "made to fail" in err and "Traceback" not in err
+
+
+META = {"meta": False}
+ODE = {"rmax": 50.0, "rtol": 1e-12}
+RUN = {"init": None, "M": None, "r_inf": None, "kappa0": None, "T0": None}
+
+
+class TestParser:
+    """Each subcommand's option strings, and every dest and default that a minimal command line resolves."""
+
+    @pytest.mark.parametrize(
+        "command, options, argv, parsed",
+        [
+            ("params", "--N --p --out --meta", "--N 2 --p 1.5",
+             {"N": 2, "p": 1.5, "out": None, **META}),
+            ("profile", "--N --p --a --rmax --rtol --out --meta", "--N 2 --p 1.5 --a 1 --out x.csv",
+             {"N": 2, "p": 1.5, "a": 1.0, **ODE, "out": "x.csv", **META}),
+            ("classify", "--N --p --a --rmax --rtol --out --meta", "--N 2 --p 1.5 --a 1",
+             {"N": 2, "p": 1.5, "a": 1.0, **ODE, "out": None, **META}),
+            ("sweep", "--N --p --a-min --a-max --num --log --rmax --rtol --out --meta",
+             "--N 2 --p 1.5 --a-min 0.5 --a-max 8 --out x.csv",
+             {"N": 2, "p": 1.5, "a_min": 0.5, "a_max": 8.0, "num": 20, "log": False, **ODE, "out": "x.csv", **META}),
+            ("find-astar", "--N --p --tol --rmax --rtol --out --meta", "--N 2 --p 1.5",
+             {"N": 2, "p": 1.5, "tol": 1e-10, **ODE, "out": None, **META}),
+            ("pohozaev", "--N --p --a --r-min --r-max --num --out --json --meta", "--N 2 --p 1.5 --out x.csv",
+             {"N": 2, "p": 1.5, "a": None, "r_min": 0.1, "r_max": 20.0, "num": 400, "out": "x.csv", "json": None,
+              **META}),
+            ("pde-run", "--N --p --config --init --M --r-inf --kappa0 --T0 --out --meta", "--out run",
+             {"N": None, "p": None, "config": None, **RUN, "out": "run", **META}),
+            ("pde-compare", "--N --p --init --M --r-inf --kappa0 --T0 --tol --out --meta", "--N 2 --p 1.5 --out run",
+             {"N": 2, "p": 1.5, **RUN, "tol": 1e-10, "out": "run", **META}),
+            ("verify", "--only --out", "", {"only": None, "out": None}),
+        ],
+    )
+    def test_subcommand_options_and_defaults(self, command, options, argv, parsed):
+        parser = build_parser()
+        subcommands = next(action for action in parser._actions if action.dest == "command").choices
+        strings = {string for action in subcommands[command]._actions for string in action.option_strings}
+        assert strings == {"-h", "--help", *options.split()}
+        resolved = vars(parser.parse_args([command, *argv.split()]))
+        assert resolved.pop("fn") is getattr(cli, "cmd_" + command.replace("-", "_"))
+        expected = {"command": command, **parsed}
+        assert resolved == expected
+        assert {key: type(value) for key, value in resolved.items()} == {key: type(value) for key, value in expected.items()}

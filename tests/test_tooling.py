@@ -13,9 +13,9 @@ imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 ``subprocess``: every command runs in the calling process. Every parameter
 of every library function is read in its body, and none takes or holds a
 ``Params`` or a ``PdeConfig`` beside a run that carries its own. A private
-function's default is a fallback some call in ``src/`` or ``scripts/`` takes. Under the
-suite's warning filters a failing property test still shows its falsifying
-example.
+function's default is a fallback some call in ``src/`` or ``scripts/`` takes. The CLI
+declares each flag that several subcommands share once. Under the suite's
+warning filters a failing property test still shows its falsifying example.
 """
 
 import ast
@@ -220,6 +220,38 @@ def test_the_copy_guard_sees_what_it_flags():
         "def m(config: PdeConfig, grid: RadialGrid, profile: Trajectory | None = None) -> Field: ...\n"
     )
     assert params_beside_a_carrier(source) == ["f at line 1", "R at line 3", "m at line 7"]
+
+
+def repeated_arguments(source: str) -> list[str]:
+    """``add_argument`` calls that repeat an earlier one's option strings and keyword arguments: a flag that
+    several subcommands share belongs in one parent parser. Variants that differ in any keyword stay apart."""
+    seen, found = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _callee(node) == "add_argument":
+            key = (tuple(map(ast.dump, node.args)), tuple(sorted((k.arg, ast.dump(k.value)) for k in node.keywords)))
+            if key in seen:
+                found.append(f"{', '.join(ast.literal_eval(arg) for arg in node.args)} at line {node.lineno}")
+            seen.add(key)
+    return found
+
+
+def test_each_shared_flag_is_declared_once():
+    assert repeated_arguments((Path(__file__).parents[1] / "src" / "selfsim" / "cli.py").read_text()) == []
+
+
+def test_the_flag_guard_sees_what_it_flags():
+    source = (
+        "a.add_argument('--meta', action='store_true')\n"
+        "b.add_argument('--meta', action='store_true')\n"
+        "b.add_argument('--out', required=True)\n"
+        "c.add_argument('--out', help='write JSON here')\n"
+        "c.add_argument('--num', type=int, default=20)\n"
+        "d.add_argument('--num', type=int, default=400)\n"
+        "d.add_argument('--N', '--dim', type=int)\n"
+        "e.add_argument('--N', type=int)\n"
+        "e.add_argument('--N', type=int)\n"
+    )
+    assert repeated_arguments(source) == ["--meta at line 2", "--N at line 9"]
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

@@ -28,7 +28,9 @@ from .pohozaev import (
     small_a_limit_z0,
     wronskian_check,
 )
-from .classify import TOL_A, GroundStateResult, classify, estimate_l, fast_tail_slope, find_ground_state, slow_tail
+from .classify import (
+    TOL_A, GroundStateResult, NoPlateauError, classify, estimate_l, fast_tail_slope, find_ground_state, slow_tail
+)
 from .pde import (
     ORACLE_HORIZON,
     FrameSeries,
@@ -195,10 +197,13 @@ def criterion_5(ctx: AcceptanceContext, res: CriterionResult):
             abs(slope - target) / abs(target),
             0.02,
         )
-        plateau = estimate_l(gs.traj)
-        res.add(f"rho*g plateau found, ({N},{p})", plateau.l, None, plateau.found)
-        mask = (gs.traj.r >= plateau.window[0]) & (gs.traj.r <= plateau.window[1])
-        w = gs.traj.w[mask]
+        try:
+            l, window = estimate_l(gs.traj)
+        except NoPlateauError:
+            res.add(f"rho*g plateau found, ({N},{p})", math.nan, None, False)
+            continue  # no window to measure the variation on
+        res.add(f"rho*g plateau found, ({N},{p})", l, None, True)
+        w = gs.traj.w[(gs.traj.r >= window[0]) & (gs.traj.r <= window[1])]
         # sits just under the bound by construction: the estimator returns
         # the longest window satisfying it, and the check re-measures the
         # same deterministic samples

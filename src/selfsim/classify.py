@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .roots import brentq
 __all__ = [
     "Classification",
     "GroundStateResult",
-    "PlateauEstimate",
     "BracketFailureError",
     "BisectionStallError",
     "NoPlateauError",
@@ -112,13 +111,6 @@ class Classification:
 
 
 @dataclass
-class PlateauEstimate:
-    found: bool
-    l: float
-    window: tuple[float, float]
-
-
-@dataclass
 class GroundStateResult:
     """The proven (C, A) bracket, its midpoint a_* and the run there to the search's r_max.
 
@@ -134,20 +126,21 @@ class GroundStateResult:
     opts: IntegratorOptions  # the settings the search ran with
 
     @cached_property
-    def _plateau(self) -> PlateauEstimate:
-        plateau = estimate_l(self.traj)
-        if not plateau.found:
+    def _plateau(self) -> tuple[float, tuple[float, float]]:
+        try:
+            return estimate_l(self.traj)
+        except NoPlateauError:
             longer = replace(self.opts, r_max=2.0 * self.opts.r_max)
-            plateau = estimate_l(integrate(self.traj.params, self.a_star, longer))
-        if not plateau.found:
+        try:
+            return estimate_l(integrate(self.traj.params, self.a_star, longer))
+        except NoPlateauError:
             raise NoPlateauError(
                 f"no rho*g plateau at a_* = {self.a_star!r}: no {PLATEAU_TOL:.1%}-flat window of length >= "
                 f"{PLATEAU_MIN_LEN:g} on the midpoint run to r_max = {self.opts.r_max:g} or its rerun to {longer.r_max:g}"
-            )
-        return plateau
+            ) from None
 
-    l_star = property(lambda self: self._plateau.l)
-    plateau_window = property(lambda self: self._plateau.window)
+    l_star = property(lambda self: self._plateau[0])
+    plateau_window = property(lambda self: self._plateau[1])
 
     @property
     def c_star(self) -> float:
@@ -232,14 +225,12 @@ def bracket_search(
     params: Params, opts: IntegratorOptions = IntegratorOptions(), a_init: float = 1.0
 ) -> tuple[float, float]:
     """Find a_lo in C and a_hi in A by doubling/halving from a_init."""
-    verdicts: dict[float, str] = {}  # a_init is classified once, for both walks
+    verdict = cache(lambda a: classify(params, a, opts).verdict)  # a_init is classified once, for both walks
 
     def walk(factor: float, want: str) -> float:
         a = a_init
         for _ in range(BRACKET_MAX_STEPS):
-            if a not in verdicts:
-                verdicts[a] = classify(params, a, opts).verdict
-            if verdicts[a] == want:
+            if verdict(a) == want:
                 return a
             a *= factor
         raise BracketFailureError(f"no {want} verdict found {'up' if factor > 1.0 else 'down'} to a={a / factor}")
@@ -299,8 +290,6 @@ class _Search:
         self.params, self.opts = params, opts
         self.a_lo, self.a_hi = a_lo, a_hi
         self.probes: list[Classification] = []  # every shooting run, retries included
-        # (a, R) of the A verdicts and (a, r_bar) of the C verdicts, in order
-        self.radii: dict[str, list[tuple[float, float]]] = {"A": [], "C": []}
 
     def run(self, tol_a: float) -> None:
         model_failed = False
@@ -337,11 +326,9 @@ class _Search:
             self.probes.append(c)
             if c.verdict == "A":
                 self.a_hi = a
-                self.radii["A"].append((a, c.R))
                 break
             if c.verdict == "C":
                 self.a_lo = a
-                self.radii["C"].append((a, c.r_bar))
                 break
         return c.verdict
 
@@ -361,8 +348,8 @@ class _Search:
         The zero radius R of an A probe is a root to 4 ulp; r_bar is
         interpolated between step ends, so the A model is the sharper one.
         """
-        for kind, side in (("A", 1.0), ("C", -1.0)):
-            pts = self.radii[kind][-3:]
+        for kind, side, x in (("A", 1.0, "R"), ("C", -1.0, "r_bar")):
+            pts = [(c.a, getattr(c, x)) for c in self.probes if c.verdict == kind][-3:]
             if len(pts) == 3:
                 a_fit = _model_root(pts, side, self.a_lo, self.a_hi, 1e-3 * tol_a)
                 if a_fit is not None:
@@ -401,12 +388,12 @@ def find_ground_state(
     return bisect_a_star(params, bracket_search(params, opts), tol_a=tol_a, opts=opts)
 
 
-def estimate_l(traj: Trajectory) -> PlateauEstimate:
-    """Longest window where rho*g varies by < PLATEAU_TOL; its mean estimates l.
+def estimate_l(traj: Trajectory) -> tuple[float, tuple[float, float]]:
+    """(l, window): the longest window where rho*g varies by < PLATEAU_TOL, and its mean, which estimates l.
 
-    Returns found=False (soft failure) when no window of length PLATEAU_MIN_LEN
-    exists, e.g. for class-A trajectories, which end at their zero while rho*g
-    still climbs.
+    Raises NoPlateauError when fewer than 8 samples are usable or no window
+    of length PLATEAU_MIN_LEN exists, e.g. for class-A trajectories, which
+    end at their zero while rho*g still climbs.
     """
     # a guard: g stays positive up to the run's end, the first zero of f; and
     # rho overflows past r ~ 700, where a window of inf would read as flat
@@ -415,7 +402,7 @@ def estimate_l(traj: Trajectory) -> PlateauEstimate:
     r = traj.r[valid]
     w = w[valid]
     if r.size < 8:
-        return PlateauEstimate(found=False, l=math.nan, window=(math.nan, math.nan))
+        raise NoPlateauError(f"{r.size} usable rho*g samples; a plateau needs 8")
     best = (0.0, 0, 0)
     i = 0
     for j in range(1, r.size):
@@ -427,10 +414,8 @@ def estimate_l(traj: Trajectory) -> PlateauEstimate:
             best = (r[j] - r[i], i, j)
     length, i, j = best
     if length < PLATEAU_MIN_LEN:
-        return PlateauEstimate(found=False, l=math.nan, window=(math.nan, math.nan))
-    return PlateauEstimate(
-        found=True, l=float(np.mean(w[i : j + 1])), window=(float(r[i]), float(r[j]))
-    )
+        raise NoPlateauError(f"no {PLATEAU_TOL:.1%}-flat rho*g window of length >= {PLATEAU_MIN_LEN:g}")
+    return float(np.mean(w[i : j + 1])), (float(r[i]), float(r[j]))
 
 
 def _window(traj: Trajectory, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:

@@ -346,7 +346,13 @@ def separable_initial(profile: Trajectory, grid: RadialGrid, T0: float = 1.0) ->
     """
     require_positive("T0", T0)  # before a negative T0 makes a complex or a wrong amplitude
     amp = separable_amplitude(profile.params, T0)
-    config = PdeConfig(params=profile.params, kappa0=amp * profile.a, init_kind="separable", T0=T0)
+    kappa0 = amp * profile.a
+    if not math.isfinite(kappa0) or EXTINCTION_FRACTION * kappa0 < _TINY:  # PdeConfig's bounds, named by T0 here
+        q = 2.0 - profile.params.p
+        lo, hi = (_TINY / EXTINCTION_FRACTION / profile.a) ** q / q, (sys.float_info.max / max(profile.a, 1.0)) ** q / q
+        raise ValueError(f"T0 = {T0!r} puts separable data's peak kappa0 = amp a = {kappa0!r} out of range (the amplitude "
+                         f"follows from T0 and a_*): at a = {profile.a!r}, T0 must be in [{lo:.3g}, {hi:.3g}]")
+    config = PdeConfig(params=profile.params, kappa0=kappa0, init_kind="separable", T0=T0)
     return config, Field(grid=grid, values=amp * _profile_on_grid(profile, grid))
 
 

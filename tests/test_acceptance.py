@@ -1,5 +1,11 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from selfsim.acceptance import CRITERIA, run_acceptance
@@ -30,3 +36,29 @@ def test_the_context_builds_each_artifact_once(ctx):
     # a default given explicitly reads the same entry as one left out
     assert ctx.ground_state(2, 1.5) is ctx.ground_state(2, 1.5, rel_tol=1e-12)
     assert ctx.trajectory(2, 1.5, 1.0) is ctx.trajectory(2, 1.5, 1.0)
+
+
+def test_a_missing_plateau_fails_criterion_5_and_does_not_crash_it():
+    # criterion 5 holds its own reference to estimate_l, so a child patches
+    # selfsim.classify before selfsim.acceptance is imported
+    code = textwrap.dedent("""
+        import importlib, sys
+        classify = importlib.import_module("selfsim.classify")  # the package's classify is the function
+
+        def no_plateau(traj):
+            raise classify.NoPlateauError("no flat window")
+
+        classify.estimate_l = no_plateau
+        from selfsim.cli import main
+        sys.exit(main(["verify", "--only", "5"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (1, "")
+    head, *rest = out.stdout.splitlines()
+    assert head.startswith("[ 5] FAIL  fast-decay tail slope and rho*g plateau")
+    assert rest == [
+        "      FAIL  rho*g plateau found, (2,1.5) = nan",
+        "      FAIL  rho*g plateau found, (3,1.7) = nan",
+        "acceptance: 0/1 criteria passed",
+    ]

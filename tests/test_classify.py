@@ -180,6 +180,23 @@ class TestBracketAndBisection:
         assert classify(P2, a_lo).verdict == "C"
         assert classify(P2, a_hi).verdict == "A"
 
+    @pytest.mark.parametrize(
+        "point, heights, bracket",
+        [((2, 1.5), [1.0, 2.0, 4.0, 8.0], (1.0, 8.0)), ((3, 1.7), [1.0, 2.0, 4.0, 8.0, 16.0], (1.0, 16.0))],
+    )
+    def test_bracket_search_classifies_each_height_once(self, ctx, monkeypatch, point, heights, bracket):
+        # the walk up finds A; a_init = 1 is C, so the walk down ends there without a second run
+        module = importlib.import_module("selfsim.classify")
+        seen = []
+
+        def counted(params, a, opts):
+            seen.append(a)
+            return classify(params, a, opts)
+
+        monkeypatch.setattr(module, "classify", counted)
+        assert bracket_search(ctx.params(*point)) == bracket
+        assert seen == heights
+
     def test_bracket_found_at_second_point(self, P3):
         a_lo, a_hi = bracket_search(P3)
         assert 0.0 < a_lo < a_hi
@@ -286,24 +303,24 @@ class TestBracketAndBisection:
 
 class TestPlateau:
     def test_ground_state_plateau(self, P2, gs2):
-        est = estimate_l(gs2.traj)
-        assert est.found
-        assert est.window[1] - est.window[0] >= 1.0
-        assert est.l == pytest.approx(gs2.l_star, rel=1e-12)
+        l, window = estimate_l(gs2.traj)
+        assert window[1] - window[0] >= 1.0
+        assert l == pytest.approx(gs2.l_star, rel=1e-12)
 
     def test_overflowed_rho_is_no_plateau(self, P2, gs2):
         # past r ~ 703 rho, and with it w = rho g, overflows to inf; a window
         # of inf once read as flat, and l_* as inf
         traj = integrate(P2, gs2.a_star, IntegratorOptions(r_max=720.0))
         assert traj.r_end == 720.0 and np.isinf(traj.w[-1])
-        est = estimate_l(traj)
-        assert est.found and np.isfinite(est.l)
-        assert est.window[1] < 703.0
-        assert est.l == pytest.approx(gs2.l_star, rel=1e-3)
+        l, window = estimate_l(traj)
+        assert np.isfinite(l)
+        assert window[1] < 703.0
+        assert l == pytest.approx(gs2.l_star, rel=1e-3)
 
     def test_class_A_has_no_plateau(self, P2):
         traj = integrate(P2, 100.0)
-        assert not estimate_l(traj).found
+        with pytest.raises(NoPlateauError):
+            estimate_l(traj)
 
     def test_tighter_bracket_moves_l_little(self, P2, gs2):
         finer = bisect_a_star(P2, (gs2.a_lo, gs2.a_hi), tol_a=1e-12)
@@ -358,7 +375,8 @@ class TestTailConstants:
         gs = find_ground_state(P3, IntegratorOptions(r_max=12.0))
         # the kept run stays at the caller's horizon; only the plateau reads the rerun
         assert gs.traj.r_end <= 12.0
-        assert not estimate_l(gs.traj).found
+        with pytest.raises(NoPlateauError):
+            estimate_l(gs.traj)
         assert gs.l_star == pytest.approx(1966.851954180895, rel=1e-12)
         assert 12.0 < gs.plateau_window[1] <= 24.0
 

@@ -336,6 +336,24 @@ class TestCommands:
         # the search reports its shooting runs and their accepted steps
         assert 0 < data["results"]["iterations"] < data["results"]["probe_steps"]
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["--N", "2", "--p", "1.5"], "b30807d296ecc8b129524d14998ef121126ca82e6f303c325ae7a74754698af4"),
+            (["--N", "3", "--p", "1.7"], "28467d705985a861755027c2d1d789fc2f24ededbacc295dc6d2df592e6e165b"),
+            # the midpoint run to 12 holds no plateau: l_* and its window come off the rerun to 24
+            (["--N", "3", "--p", "1.7", "--rmax", "12"],
+             "c55a5ffc0e78d9a43e6438f843aa1f159df4f13c1dd8b205933247dbbef25fe6"),
+        ],
+        ids=["2-1.5", "3-1.7", "3-1.7-rmax12"],
+    )
+    def test_find_astar_json_bytes_pinned(self, tmp_path, capsys, argv, sha256):
+        # the bracket, a_*, l_*, c_*, the plateau window, the trust radius and
+        # the search's probe and step counts, each to 17 digits
+        out = tmp_path / "astar.json"
+        assert run_cli("find-astar", *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     @pytest.mark.parametrize("tol", ["1.9e-15", "1e-15"])
     def test_find_astar_refuses_a_tolerance_finer_than_the_floats_at_a_star(self, tol, tmp_path, capsys, monkeypatch):
         # ulp(a_*) = 8.88e-16 at (2, 1.5), so a bracket at most 0.45 tol_a wide needs tol_a >= 1.97e-15
@@ -692,8 +710,11 @@ class TestCommands:
     def test_no_plateau_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # the package re-exports the function classify under the module's name
         classify_module = importlib.import_module("selfsim.classify")
-        no_plateau = classify_module.PlateauEstimate(False, np.nan, (np.nan, np.nan))
-        monkeypatch.setattr(classify_module, "estimate_l", lambda traj: no_plateau)
+
+        def no_plateau(traj):
+            raise NoPlateauError("no flat window")
+
+        monkeypatch.setattr(classify_module, "estimate_l", no_plateau)
         assert run_cli("find-astar", "--N", "2", "--p", "1.5", "--tol", "1e-2",
                        "--out", str(tmp_path / "a.json")) == 3
         assert "no rho*g plateau" in capsys.readouterr().err
@@ -793,6 +814,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: T0 = {float(T0)!r} overflows the separable amplitude") and "Traceback" not in err
         assert err.rstrip().endswith(f"T0 must be at most {bound}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("T0, kappa0", [("2e154", "inf"), ("1e-150", "1.5088300825990637e-300")])
+    def test_separable_T0_that_puts_the_peak_out_of_range_exits_2_naming_T0(self, T0, kappa0, tmp_path, capsys):
+        # kappa0 = ((2-p) T0)^(1/(2-p)) a_* must be finite, with 1e-10 kappa0 a normal float; at a_* of (2, 1.5)
+        # that bounds T0 by (2.23e-298 / a_*)^(2-p) / (2-p) below and (max float / a_*)^(2-p) / (2-p) above
+        assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--init", "separable", "--T0", T0, "--M", "100",
+                       "--r-inf", "8", "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: T0 = {float(T0)!r} puts separable data's peak kappa0 = amp a = {kappa0} out")
+        assert err.rstrip().endswith("T0 must be in [1.21e-149, 1.09e+154]")
         assert list(tmp_path.iterdir()) == []
 
     def test_pde_run_huge_representable_amplitude_runs_to_extinction(self, tmp_path):

@@ -260,6 +260,19 @@ def test_separable_initial_names_the_source_of_a_tiny_amplitude():
             separable_initial(profile, RadialGrid(8.0, 32), T0=T0)
 
 
+def test_separable_initial_names_T0_when_the_peak_leaves_its_range(gs2):
+    # the peak kappa0 = ((2-p) T0)^(1/(2-p)) a_* is finite, with 1e-10 kappa0 a normal float, for T0 in
+    # [(2.23e-298 / a_*)^(2-p) / (2-p), (max float / a_*)^(2-p) / (2-p)]: [1.21e-149, 1.09e154] at (2, 1.5)
+    grid = RadialGrid(8.0, 16)
+    for T0 in (1.2e-149, 1.1e154):
+        with pytest.raises(ValueError, match=re.escape(f"T0 = {T0!r} puts separable data's peak kappa0")) as info:
+            separable_initial(gs2.traj, grid, T0=T0)
+        assert str(info.value).endswith(f"at a = {gs2.a_star!r}, T0 must be in [1.21e-149, 1.09e+154]")
+    for T0 in (1.22e-149, 1.08e154):
+        cfg, _ = separable_initial(gs2.traj, grid, T0=T0)
+        assert math.isfinite(cfg.kappa0) and cfg.extinction_threshold >= np.finfo(float).tiny
+
+
 def test_separable_data_names_the_source_of_a_huge_amplitude(gs2):
     # at p = 1.5 the amplitude is (0.5 T0)^2 a_*: 2.5e199 a_* at T0 = 1e100, which overflows the first record
     cfg, field = separable_initial(gs2.traj, RadialGrid(8.0, 16), T0=1e100)

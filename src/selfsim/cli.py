@@ -3,9 +3,8 @@
 Subcommands: params, profile, classify, sweep (its heights one after
 another, in the calling process), find-astar, pohozaev, pde-run,
 pde-compare, verify. Exit codes: 0 success, 1 check failure, 2 usage error
-(any ValueError, such as a kappa0 below 2.23e-298, whose extinction
-threshold would be subnormal), 3 numerical failure (any NumericalError) or
-I/O error.
+(any ValueError, such as a kappa0 that takes a run's outputs out of the
+floats), 3 numerical failure (any NumericalError) or I/O error.
 
 All data files are deterministic for a fixed configuration: floats carry 17
 significant digits and JSON keys are sorted; version/timestamp metadata and

@@ -53,8 +53,13 @@ a config; ``separable_initial(profile, grid, T0)`` reads (N, p) and the height
 a off a profile trajectory and returns the separable data amp f(r; a),
 amp = separable_amplitude(T0), with its config, whose kappa0 is amp a.
 
+The equation is homogeneous: u = kappa0 w(kappa0^(p-2) t, r) solves it
+wherever w does. So a run steps w = u / kappa0 (called u below), which peaks
+at most 1, on a geometry that holds no kappa0, and maps its outputs back
+once, at the end: every kappa0 takes the steps of kappa0 = 1.
+
 ``_control`` chooses dt from that estimate, measured per cell in the mixed
-norm max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL kappa0).
+norm max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL).
 The estimate is O(dt^4), so dt scales with the fourth root of the norm's
 inverse. An attempt above 1 is rejected and retried with a smaller dt,
 leaving the state, the clock, the step count and the records untouched; an
@@ -89,9 +94,9 @@ accepted run sweeps this one way.
 
 A step does only the work whose result changes. The run builds its
 geometry once (``_geometry``: the couplings, their scale s, 1/s and
-symmetric couplings, eps^2, the diffusivity's exponent, the first dt, the
-supersolution bound and ATOL kappa0), and the weights of ``weighted_functionals`` are
-cached per grid. Each sweep hands its diagonals to LAPACK directly (ptsv is
+symmetric couplings, eps^2, the diffusivity's exponent, the first dt and the
+supersolution bound), and the weights of ``weighted_functionals`` are cached
+per grid. Each sweep hands its diagonals to LAPACK directly (ptsv is
 the routine ``solveh_banded`` calls for a two-row band, gtsv the one
 ``solve_banded`` calls for one sub- and one superdiagonal, so the bits are
 the same) and keeps the wrappers' checks: a non-finite entry raises
@@ -184,11 +189,11 @@ __all__ = [
 EPS_REG = 1e-12
 CFL_SAFETY = 0.4  # the run's first dt: fraction of the explicit stability bound
 RTOL = 2e-6  # error control on |T44 - T43|: relative part of the per-cell scale
-ATOL = 1e-12  # absolute part, times kappa0
+ATOL = 1e-12  # absolute part
 RECORDS_PER_DECADE = 40  # functional records per decade of the sup norm
 SNAPSHOTS_PER_DECADE = 4  # stored fields per decade of the sup norm
 MAX_STEPS = 20_000_000
-EXTINCTION_FRACTION = 1e-10  # a run ends where ||u||_inf falls to this * kappa0
+EXTINCTION_FRACTION = 1e-10  # a run ends where ||u / kappa0||_inf falls to this
 FIT_MIN_RECORDS = 20  # records the extinction fit needs in the final decade
 RATE_DECADES = 2.0  # decades of the sup norm the rate-exponent fit spans
 # the windows of ``profile_errors``. Rescaling by (T_e - t)^(-1/(2-p)) magnifies
@@ -272,21 +277,12 @@ class PdeConfig:
     T0: float = 1.0  # separable only
 
     def __post_init__(self):
-        require_positive(f"kappa0{self.amplitude_source}", self.kappa0)
-        require_positive("T0", self.T0)
+        require_positive("T0", self.T0)  # separable data's kappa0 follows from it
+        require_positive("kappa0" if self.init_kind == "exp_tail" else f"kappa0 at T0 = {self.T0!r}", self.kappa0)
         if self.init_kind not in ("exp_tail", "separable"):
             raise ValueError(f"unknown init_kind {self.init_kind!r}")
         if self.init_kind == "separable":  # an overflowing T0 is refused before any ground-state search
             separable_amplitude(self.params, self.T0)
-        # a subnormal threshold is never crossed: the _TINY rule zeroes the field first
-        if self.extinction_threshold < _TINY:
-            raise ValueError(f"kappa0 must be >= {_TINY / EXTINCTION_FRACTION:.3g}, so that the extinction threshold "
-                             f"{EXTINCTION_FRACTION:g} kappa0 is a normal float; got {self.kappa0!r}{self.amplitude_source}")
-
-    @property
-    def amplitude_source(self) -> str:
-        """Added to a refused kappa0: separable data's amplitude is not a setting."""
-        return " (separable data: the amplitude follows from T0 and a_*)" if self.init_kind == "separable" else ""
 
     @property
     def extinction_threshold(self) -> float:
@@ -335,7 +331,7 @@ def make_initial(config: PdeConfig, grid: RadialGrid) -> Field:
     """The exp_tail initial field kappa0 e^(-r/(p-1)); separable data comes from ``separable_initial``."""
     if config.init_kind == "separable":
         raise ValueError("separable initial data follows its profile: build it with separable_initial(profile, grid, T0)")
-    return Field(grid=grid, values=_exp_tail(config, grid.centers))
+    return Field(grid=grid, values=config.kappa0 * _exp_tail(config.params.p, grid.centers))
 
 
 def separable_initial(profile: Trajectory, grid: RadialGrid, T0: float = 1.0) -> tuple[PdeConfig, Field]:
@@ -346,19 +342,13 @@ def separable_initial(profile: Trajectory, grid: RadialGrid, T0: float = 1.0) ->
     """
     require_positive("T0", T0)  # before a negative T0 makes a complex or a wrong amplitude
     amp = separable_amplitude(profile.params, T0)
-    kappa0 = amp * profile.a
-    if not math.isfinite(kappa0) or EXTINCTION_FRACTION * kappa0 < _TINY:  # PdeConfig's bounds, named by T0 here
-        q = 2.0 - profile.params.p
-        lo, hi = (_TINY / EXTINCTION_FRACTION / profile.a) ** q / q, (sys.float_info.max / max(profile.a, 1.0)) ** q / q
-        raise ValueError(f"T0 = {T0!r} puts separable data's peak kappa0 = amp a = {kappa0!r} out of range (the amplitude "
-                         f"follows from T0 and a_*): at a = {profile.a!r}, T0 must be in [{lo:.3g}, {hi:.3g}]")
-    config = PdeConfig(params=profile.params, kappa0=kappa0, init_kind="separable", T0=T0)
+    config = PdeConfig(params=profile.params, kappa0=amp * profile.a, init_kind="separable", T0=T0)
     return config, Field(grid=grid, values=amp * _profile_on_grid(profile, grid))
 
 
-def _exp_tail(config: PdeConfig, r: np.ndarray) -> np.ndarray:
-    """kappa0 e^(-r/(p-1)): the exp_tail initial data and the supersolution that bounds its run."""
-    return config.kappa0 * np.exp(-r / (config.params.p - 1.0))
+def _exp_tail(p: float, r: np.ndarray) -> np.ndarray:
+    """e^(-r/(p-1)): the exp_tail profile, and the supersolution that bounds a run of w = u / kappa0 from it."""
+    return np.exp(-r / (p - 1.0))
 
 
 def _face_gradients(u: np.ndarray, dr: float) -> np.ndarray:
@@ -386,17 +376,15 @@ class _Geometry:
     k_dn: np.ndarray  # coupling to u_{i-1}, likewise; > 0 but at cell 0, so every sweep is an M-matrix
     eps2: float
     c_exp: float  # (p-2)/2: the secant diffusivity's exponent
-    bound: np.ndarray  # the supersolution kappa0 e^(-r/(p-1)) at the centers
-    atol: float  # ATOL kappa0: the absolute error a step may make per cell
+    bound: np.ndarray  # the supersolution e^(-r/(p-1)) at the centers
     s: np.ndarray  # the diagonal scale s_{i+1}/s_i = sqrt(k_up_i / k_dn_{i+1}), s_0 = 1
     inv_s: np.ndarray  # 1/s
     k_sym: np.ndarray  # sqrt(k_up_i k_dn_{i+1}): the coupling across face i+1/2 in the scaled rows
 
 
-# the largest symmetrising scale: a run refuses data whose face gradients
-# square past the float range (the diffusivity would read 0), so an accepted
-# non-increasing u peaks below 1.4e154 R_inf; with s <= 1e100, s u stays below
-# ~1e257 and the elimination keeps 50 decades. s grows as e^(r/2) on fine
+# the largest symmetrising scale: a run marches w = u / kappa0, which peaks at
+# most 1, so with s <= 1e100, s w stays below 1e100 and the elimination keeps
+# 200 decades. s grows as e^(r/2) on fine
 # grids (past 1e100 by R_inf ~ 460 at N = 1), faster on coarse ones (by
 # R_inf ~ 100 near the edge dr -> 2 at N = 1)
 _S_MAX = 1e100
@@ -441,10 +429,10 @@ def resolved_couplings(N: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray
     return k_up, k_dn, s
 
 
-def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
+def _geometry(params: Params, grid: RadialGrid) -> _Geometry:
     """The per-run constants of the sweep on grid, from ``resolved_couplings``, which refuses a grid without them."""
-    p, dr, eps2 = config.params.p, grid.dr, EPS_REG**2
-    k_up, k_dn, s = resolved_couplings(config.params.N, grid)
+    p, dr, eps2 = params.p, grid.dr, EPS_REG**2
+    k_up, k_dn, s = resolved_couplings(params.N, grid)
     return _Geometry(
         dr=dr,
         # Phi'(0) through the array power, whose bits the run has always started from
@@ -453,8 +441,7 @@ def _geometry(config: PdeConfig, grid: RadialGrid) -> _Geometry:
         k_dn=k_dn,
         eps2=eps2,
         c_exp=(p - 2.0) / 2.0,
-        bound=_exp_tail(config, grid.centers),
-        atol=ATOL * config.kappa0,
+        bound=_exp_tail(p, grid.centers),
         s=s,
         inv_s=1.0 / s,
         k_sym=np.sqrt(k_up[:-1] * k_dn[1:]),
@@ -639,17 +626,17 @@ def _step_imex(geom: _Geometry, u: np.ndarray, dt: float, c: np.ndarray):
     return u_new, sat, error
 
 
-def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, dt: float, atol: float):
+def _control(error: np.ndarray, u_prev: np.ndarray, u_try: np.ndarray, dt: float):
     """Step-size control for the attempt u_prev -> u_try: returns (accepted, next dt).
 
-    The error norm is e = max_i error_i / (RTOL max(u_prev_i, u_try_i) + atol).
+    The error norm is e = max_i error_i / (RTOL max(u_prev_i, u_try_i) + ATOL).
     An attempt with e > 1 is rejected and retried with dt scaled by
     max(0.2, 0.9 e^(-1/4)); after an accepted step dt is scaled by
     0.9 e^(-1/4), at most 1.25. error is overwritten.
     """
     scale = np.maximum(u_prev, u_try)
     scale *= RTOL
-    scale += atol
+    scale += ATOL
     error /= scale
     e = float(error.max())
     # the estimate |T44 - T43| is the local error of the third-order T43,
@@ -774,7 +761,7 @@ def _march(geom: _Geometry, u: np.ndarray):
             if dt < floor:
                 raise TimestepUnderflowError(f"imex dt underflow at t={t:.6g}: dt = {dt:.3g} is below 10 ulp of t")
             u_try, sat, error = _step_imex(geom, u, dt, c)
-            accepted, dt_next = _control(error, u, u_try, dt, geom.atol)
+            accepted, dt_next = _control(error, u, u_try, dt)
             if accepted:
                 break
             rejected += 1
@@ -788,23 +775,23 @@ def _march(geom: _Geometry, u: np.ndarray):
 def _record_crossings(frames: FrameSeries, rows: list, peak0: float, j: int, step: _Step) -> int:
     """Record each threshold that the peak crosses within step; returns the index of the next threshold.
 
-    Threshold j is peak0 10^(-j/RECORDS_PER_DECADE) while that is above the
-    extinction threshold, which is the last one. Each is found on cell 0, the
+    Threshold j is peak0 10^(-j/RECORDS_PER_DECADE) while that is above
+    EXTINCTION_FRACTION, which is the last one. Each is found on cell 0, the
     peak of a non-increasing state, by ``_Step.crossing``, after the one
     before it. A record's sup is its threshold, its field and its u_t those
     of the interpolant there, and D the dissipation of that u_t. Every
     RECORDS_PER_DECADE / SNAPSHOTS_PER_DECADE-th threshold also stores its
     field as a snapshot; the extinction threshold does not.
     """
-    params, grid, ext_tol = frames.config.params, frames.grid, frames.config.extinction_threshold
+    params, grid = frames.config.params, frames.grid
     # the interpolant can lift a cell above one inside it, or below zero, by about its
     # error: a record reads its running minimum from cell 0, clipped at zero, as the step does
     theta = 0.0
     while True:
         level = peak0 * 10.0 ** (-j / RECORDS_PER_DECADE)
-        last = level <= ext_tol
+        last = level <= EXTINCTION_FRACTION
         if last:
-            level = ext_tol
+            level = EXTINCTION_FRACTION
         if step.u_new[0] > level:
             return j
         theta = step.crossing(level, theta)
@@ -827,24 +814,25 @@ def _monitor(frames: FrameSeries, geom: _Geometry, u: np.ndarray) -> None:
     # instability monitor: flag new extrema at 1e-6 of the current peak;
     # the flux/sink balance zone carries O(dr^2) truncation texture far
     # below that, which is not an instability
-    if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(float(u[0]), frames.config.extinction_threshold)).any():
+    if (np.subtract(u[1:], u[:-1]) > 1e-6 * max(float(u[0]), EXTINCTION_FRACTION)).any():
         frames.monotone_violations += 1
 
 
 def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
-    """March from t = 0 until the peak crosses ext_tol, recording functionals and snapshots.
+    """March w = u / kappa0 from t = 0 until its peak crosses EXTINCTION_FRACTION, recording functionals and snapshots.
 
-    The initial data is the first record (its dissipation D is nan) and the
-    first snapshot. After that the records fall where the peak crosses
-    RECORDS_PER_DECADE logarithmic thresholds per decade, read off each
-    step's dense output (``_record_crossings``), and the last record where
-    it crosses ext_tol. The monitors read every accepted step end. The
-    extinction estimate and rate fit are filled in at the end from the
-    final recorded decade. The data is checked here alone, before any sweep: grid.M finite values,
-    non-increasing (else NonMonotoneInitialDataError), so non-negative if the last one is, and peaked
-    at or below config.kappa0, which scales the extinction threshold and ATOL.
+    The initial data is the first record (D = nan) and the first snapshot;
+    then a record falls where the peak crosses each of RECORDS_PER_DECADE
+    thresholds per decade (``_record_crossings``). The outputs map back at
+    the end: t, dt_min, dt_max and T_e by kappa0^(2-p); sup, the snapshots
+    and the supersolution excess by kappa0; I by kappa0^2, J by kappa0^p, D
+    by kappa0^(2(p-1)); E is J - I, and ``fit_extinction`` reads the mapped
+    records. Before any sweep the data must be grid.M finite values,
+    non-increasing (else NonMonotoneInitialDataError), non-negative and
+    peaked at or below kappa0, and the outputs representable: the first
+    record mapped back finite and EXTINCTION_FRACTION kappa0 a normal float.
     """
-    grid = field.grid
+    grid, kappa0, p = field.grid, config.kappa0, config.params.p
     u = np.array(field.values, dtype=float)
     if u.shape != (grid.M,):
         raise ValueError(f"initial data must hold one value per cell, shape ({grid.M},); got shape {u.shape}")
@@ -854,27 +842,31 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         raise NonMonotoneInitialDataError("initial profile must be non-increasing in r")
     if u[-1] < 0.0:
         raise ValueError(f"initial data must be non-negative; its last cell is {float(u[-1])!r}")
-    ext_tol = config.extinction_threshold
-    peak = float(u[0])
-    if peak > config.kappa0:
-        raise ValueError(f"initial peak {peak!r} exceeds kappa0 = {config.kappa0!r}, which scales the run's "
-                         f"extinction threshold and ATOL{config.amplitude_source}")
-    if peak <= 10.0 * ext_tol:
+    if u[0] > kappa0:
+        raise ValueError(f"initial peak {float(u[0])!r} exceeds kappa0 = {kappa0!r}, the amplitude the run divides out")
+    w = u / kappa0
+    peak = float(w[0])
+    if peak <= 10.0 * EXTINCTION_FRACTION:
         raise ValueError("initial peak must exceed 10x the extinction threshold: the T_e fit reads the final decade")
 
     frames = FrameSeries(grid=grid, config=config)
-    geom = _geometry(config, grid)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude overflows here first
-        record = weighted_functionals(config.params, grid, u)  # the first record (D = nan)
-        steepest = float(np.abs(_face_gradients(u, grid.dr)).max())
-    if not all(map(math.isfinite, (steepest * steepest, record[0], record[1], record[3]))):  # refused before any sweep
-        raise ValueError(f"kappa0 = {config.kappa0!r} overflows the first record or a squared face gradient"
-                         f"{config.amplitude_source}")
-    rows = [(0.0, peak, *record)]  # (t, sup, I, J, D, E) per record
-    frames.snapshots.append((0.0, u))
-    _monitor(frames, geom, u)
+    geom = _geometry(config.params, grid)
+    record = weighted_functionals(config.params, grid, w)  # the first record (D = nan)
+    try:  # t, I, J and D map back by these powers; kappa0^2 is the largest one above kappa0 = 1
+        t_s, I_s, J_s, D_s = (kappa0**e for e in (2.0 - p, 2.0, p, 2.0 * (p - 1.0)))
+    except OverflowError:
+        t_s = I_s = J_s = D_s = math.inf
+    if not (math.isfinite(I_s * record[0]) and math.isfinite(J_s * record[1])) or config.extinction_threshold < _TINY:
+        source = f"; separable data's kappa0 is ((2-p) T0)^(1/(2-p)) a at T0 = {config.T0!r}"
+        raise ValueError(f"kappa0 = {kappa0!r} takes the run's outputs out of the floats: they map back from "
+                         f"u / kappa0, so the first record's kappa0^2 I and kappa0^p J must be finite and the "
+                         f"extinction threshold {EXTINCTION_FRACTION:g} kappa0 a normal float, kappa0 >= "
+                         f"{_TINY / EXTINCTION_FRACTION:.3g}{source if config.init_kind == 'separable' else ''}")
+    rows = [(0.0, peak, *record)]  # (t, sup, I, J, D, E) per record, of w
+    frames.snapshots.append((0.0, w))
+    _monitor(frames, geom, w)
     j = 1
-    for step in _march(geom, u):
+    for step in _march(geom, w):
         frames.rejected_steps += step.rejected
         frames.sink_saturations += step.saturations
         frames.dt_min = min(frames.dt_min, step.dt)
@@ -882,10 +874,17 @@ def run_to_extinction(config: PdeConfig, field: Field) -> FrameSeries:
         frames.n_steps += 1
         _monitor(frames, geom, step.u_new)
         j = _record_crossings(frames, rows, peak, j, step)
-        if step.u_new[0] <= ext_tol:
+        if step.u_new[0] <= EXTINCTION_FRACTION:
             break
 
-    frames.t, frames.sup, frames.I, frames.J, frames.D, frames.E = (np.asarray(column) for column in zip(*rows))
+    t, sup, I, J, D, _ = (np.asarray(column) for column in zip(*rows))
+    frames.t, frames.sup, frames.I, frames.J, frames.D = t * t_s, sup * kappa0, I * I_s, J * J_s, D * D_s
+    frames.E = frames.J - frames.I
+    for k, (t_k, w_k) in enumerate(frames.snapshots):
+        w_k *= kappa0  # in place: the snapshots are the run's largest output
+        frames.snapshots[k] = (t_k * t_s, w_k)
+    frames.dt_min, frames.dt_max = frames.dt_min * t_s, frames.dt_max * t_s
+    frames.supersolution_excess *= kappa0
     frames.T_e_estimate, frames.rate_r2 = fit_extinction(frames)
     return frames
 

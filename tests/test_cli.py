@@ -419,9 +419,9 @@ class TestCommands:
              "e408a3b34c77227063a3c6cad98691aa8e28a6447eb14f3d20f926a3911b3cd2",
              "103f2b4bd5915c27255087059babffc717c63e42cd4f0c396c005d9a2a261850"),
             ("separable", 40,
-             "90431a8a4f5a2dd9ba6915b4ba5f7bb41e5bad58975dc1f34474191e8402e48f",
-             "2112cf1324bc33c007da461a98c09045376872407a7df41766adbedae4211bd0",
-             "3db98e0096645886a7a575b9cc3667751c13acf8c884a5b5466660aea6f4a0d6"),
+             "54ef350da8dee420c5c349fa5af36379128d89b1c79934cbf6578bdfae820859",
+             "d80e601fb9f4017fa6b2196ece9bf254d762cc18f22d2b11d22b16b3fd4f3b43",
+             "3c8fdae6395ef7906dcb4739da681a0986c7b3c0ff04f21495957679d4c918c2"),
         ],
         ids=["exp_tail", "separable"],
     )
@@ -746,7 +746,8 @@ class TestCommands:
         assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--kappa0", "1e-300", "--M", "16",
                        "--out", str(tmp_path / "run")) == 2
         err = capsys.readouterr().err
-        assert "kappa0" in err and "Traceback" not in err
+        assert err.startswith("error: kappa0 = 1e-300 takes the run's outputs out of the floats") and "Traceback" not in err
+        assert "kappa0 >= 2.23e-298" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -788,7 +789,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("kappa0", ["1e160", "1e200", "1e300"])
     def test_pde_run_overflowing_amplitude_exits_2_before_any_sweep(self, kappa0, tmp_path, capsys, monkeypatch):
-        # else the first dt and record overflow, and a LAPACK check refuses the sweep without naming kappa0
+        # the run maps its first record back by kappa0^2 and kappa0^p: above ~1e154 that overflows
         def unreachable(*args, **kwargs):
             raise AssertionError("a sweep ran before the amplitude was checked")
 
@@ -796,7 +797,8 @@ class TestCommands:
         assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--kappa0", kappa0, "--M", "16",
                        "--out", str(tmp_path / "run")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: kappa0 = {float(kappa0)!r} overflows") and "Warning" not in err
+        assert err.startswith(f"error: kappa0 = {float(kappa0)!r} takes the run's outputs out of the floats")
+        assert "Warning" not in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["pde-run", "pde-compare"])
@@ -816,15 +818,19 @@ class TestCommands:
         assert err.rstrip().endswith(f"T0 must be at most {bound}")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("T0, kappa0", [("2e154", "inf"), ("1e-150", "1.5088300825990637e-300")])
-    def test_separable_T0_that_puts_the_peak_out_of_range_exits_2_naming_T0(self, T0, kappa0, tmp_path, capsys):
-        # kappa0 = ((2-p) T0)^(1/(2-p)) a_* must be finite, with 1e-10 kappa0 a normal float; at a_* of (2, 1.5)
-        # that bounds T0 by (2.23e-298 / a_*)^(2-p) / (2-p) below and (max float / a_*)^(2-p) / (2-p) above
+    @pytest.mark.parametrize("T0", ["1e-150", "2e150"])
+    def test_separable_T0_that_puts_the_peak_out_of_range_exits_2_naming_T0(self, T0, tmp_path, capsys, monkeypatch):
+        # the peak kappa0 = ((2-p) T0)^(1/(2-p)) a_* of (2, 1.5) is 1.5e-300 at T0 = 1e-150, whose extinction
+        # threshold 1e-10 kappa0 is not a normal float, and 6e300 at T0 = 2e150, whose first record overflows
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep ran before the amplitude was checked")
+
+        monkeypatch.setattr(pde, "_step_imex", unreachable)
         assert run_cli("pde-run", "--N", "2", "--p", "1.5", "--init", "separable", "--T0", T0, "--M", "100",
                        "--r-inf", "8", "--out", str(tmp_path / "run")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: T0 = {float(T0)!r} puts separable data's peak kappa0 = amp a = {kappa0} out")
-        assert err.rstrip().endswith("T0 must be in [1.21e-149, 1.09e+154]")
+        assert err.startswith("error: kappa0 = ") and "takes the run's outputs out of the floats" in err
+        assert err.rstrip().endswith(f"a at T0 = {float(T0)!r}") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_pde_run_huge_representable_amplitude_runs_to_extinction(self, tmp_path):

@@ -186,21 +186,19 @@ def test_dt_floor_is_ten_ulp_of_the_clock(P2, monkeypatch, accepted):
     assert min(attempts) == attempts[-1] >= floor > 0.2 * attempts[-1]
 
 
-def test_run_refuses_data_whose_face_gradients_square_past_the_float_range(monkeypatch):
-    # at N = 1, p = 1.1 the first record of kappa0 = 1e154 is finite but the
-    # square of its steepest face gradient is not: the diffusivity would read 0
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a sweep ran before the amplitude was checked")
-
-    monkeypatch.setattr(pde, "_step_imex", unreachable)
-    P = make_params(1, 1.1)
-    cfg = PdeConfig(params=P, kappa0=1e154)
-    grid = RadialGrid(15.0, 100)
-    field = make_initial(cfg, grid)
-    I, J, _, E = weighted_functionals(P, grid, field.values)
-    assert all(map(math.isfinite, (I, J, E)))
-    with pytest.raises(ValueError, match=r"kappa0 = 1e\+154 overflows the first record or a squared face gradient"):
-        run_to_extinction(cfg, field)
+def test_data_whose_face_gradients_square_past_the_floats_runs_like_kappa0_1():
+    # at N = 1, p = 1.1 the square of the steepest face gradient of kappa0 = 1e154 passes the
+    # floats, but the run marches u / kappa0, whose face gradients square far inside them
+    P, grid = make_params(1, 1.1), RadialGrid(15.0, 100)
+    runs = {}
+    for kappa0 in (1.0, 1e154):
+        cfg = PdeConfig(params=P, kappa0=kappa0)
+        field = make_initial(cfg, grid)
+        runs[kappa0] = run_to_extinction(cfg, field)
+    steepest = float(np.abs(np.diff(field.values)).max()) / grid.dr
+    assert not math.isfinite(steepest * steepest)
+    assert runs[1e154].n_steps == runs[1.0].n_steps
+    assert runs[1e154].T_e_estimate / 1e154**0.9 == pytest.approx(runs[1.0].T_e_estimate, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +228,7 @@ def test_run_refuses_data_outside_the_hypotheses_before_any_sweep(monkeypatch, P
 
 
 def test_run_refuses_data_above_kappa0_before_any_sweep(monkeypatch, gs2):
-    # kappa0 scales the run's extinction threshold and ATOL: separable data paired by hand with
+    # the run divides kappa0 out, so its threshold and ATOL scale with it: separable data paired by hand with
     # six times its field once ran 310 steps to a T_e of 2.45 (1.0004 from the paired data)
     def unreachable(*args, **kwargs):
         raise AssertionError("a sweep ran before the peak was checked")
@@ -243,41 +241,79 @@ def test_run_refuses_data_above_kappa0_before_any_sweep(monkeypatch, gs2):
         run_to_extinction(cfg, pde.Field(field.grid, 6.0 * field.values))
 
 
-@pytest.mark.parametrize("kappa0", [1e-300, 2.2e-298, 5e-324])
-def test_config_refuses_a_subnormal_extinction_threshold(P2, kappa0):
-    # 1e-10 kappa0 below the smallest normal float is never crossed: the run
-    # would go on until the tail rule zeroes the whole field
-    with pytest.raises(ValueError, match="kappa0"):
-        PdeConfig(params=P2, kappa0=kappa0)
-    assert PdeConfig(params=P2, kappa0=2.3e-298).extinction_threshold >= np.finfo(float).tiny
+@pytest.mark.parametrize("kappa0", [1e-300, 2.2e-298, 5e-324, 1e160, 1e300])
+def test_run_refuses_an_amplitude_past_the_floats_before_any_sweep(monkeypatch, P2, kappa0):
+    # the run maps its outputs back by powers of kappa0: the first record's kappa0^2 I overflows
+    # above ~1e154, and below 2.23e-298 the extinction threshold 1e-10 kappa0 is not a normal float
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep ran before the amplitude was checked")
+
+    cfg, grid = PdeConfig(params=P2, kappa0=kappa0), RadialGrid(8.0, 32)
+    with monkeypatch.context() as patch:
+        patch.setattr(pde, "_step_imex", unreachable)
+        with pytest.raises(ValueError, match=re.escape(f"kappa0 = {kappa0!r} takes the run's outputs out of")) as info:
+            run_to_extinction(cfg, make_initial(cfg, grid))
+    assert "T0" not in str(info.value)
+    smallest = PdeConfig(params=P2, kappa0=2.3e-298)  # its threshold is a normal float: it runs
+    assert run_to_extinction(smallest, make_initial(smallest, grid)).sup[-1] == smallest.extinction_threshold
 
 
-def test_separable_initial_names_the_source_of_a_tiny_amplitude():
-    # at p = 1.9 the amplitude is (0.1 T0)^10 a_*: 1e-300 at T0 = 1e-29, and 0 at T0 = 1e-40
-    profile = types.SimpleNamespace(params=make_params(2, 1.9), a=1.0)
-    for T0 in (1e-29, 1e-40):
-        with pytest.raises(ValueError, match="kappa0.*amplitude follows from T0 and a_"):
-            separable_initial(profile, RadialGrid(8.0, 32), T0=T0)
-
-
-def test_separable_initial_names_T0_when_the_peak_leaves_its_range(gs2):
-    # the peak kappa0 = ((2-p) T0)^(1/(2-p)) a_* is finite, with 1e-10 kappa0 a normal float, for T0 in
-    # [(2.23e-298 / a_*)^(2-p) / (2-p), (max float / a_*)^(2-p) / (2-p)]: [1.21e-149, 1.09e154] at (2, 1.5)
-    grid = RadialGrid(8.0, 16)
-    for T0 in (1.2e-149, 1.1e154):
-        with pytest.raises(ValueError, match=re.escape(f"T0 = {T0!r} puts separable data's peak kappa0")) as info:
-            separable_initial(gs2.traj, grid, T0=T0)
-        assert str(info.value).endswith(f"at a = {gs2.a_star!r}, T0 must be in [1.21e-149, 1.09e+154]")
-    for T0 in (1.22e-149, 1.08e154):
-        cfg, _ = separable_initial(gs2.traj, grid, T0=T0)
-        assert math.isfinite(cfg.kappa0) and cfg.extinction_threshold >= np.finfo(float).tiny
+def refused_naming_T0(profile, T0):
+    """The run's refusal of separable data at T0 off profile, whose amplitude follows from T0: it names T0."""
+    cfg, field = separable_initial(profile, RadialGrid(8.0, 16), T0=T0)
+    with pytest.raises(ValueError, match="takes the run's outputs out of the floats") as info:
+        run_to_extinction(cfg, field)
+    assert str(info.value).endswith(f"; separable data's kappa0 is ((2-p) T0)^(1/(2-p)) a at T0 = {T0!r}")
 
 
 def test_separable_data_names_the_source_of_a_huge_amplitude(gs2):
-    # at p = 1.5 the amplitude is (0.5 T0)^2 a_*: 2.5e199 a_* at T0 = 1e100, which overflows the first record
-    cfg, field = separable_initial(gs2.traj, RadialGrid(8.0, 16), T0=1e100)
-    with pytest.raises(ValueError, match="kappa0 = .* overflows .*amplitude follows from T0 and a_"):
-        run_to_extinction(cfg, field)
+    # at p = 1.5 the peak is (0.5 T0)^2 a_*: 2.5e199 a_* at T0 = 1e100, whose first record overflows,
+    # and past the floats at T0 = 2e154, where the amplitude 1e308 is finite but a_* times it is not
+    refused_naming_T0(gs2.traj, 1e100)
+    with pytest.raises(ValueError, match=re.escape("kappa0 at T0 = 2e+154 must be a finite number > 0, got inf")):
+        separable_initial(gs2.traj, RadialGrid(8.0, 16), T0=2e154)
+
+
+def test_separable_data_names_the_source_of_a_tiny_amplitude(gs2):
+    # 2.5e-301 a_* at T0 = 1e-150, whose extinction threshold 1e-10 kappa0 is not a normal float
+    refused_naming_T0(gs2.traj, 1e-150)
+
+
+def test_the_run_is_scale_free():
+    # u = kappa0 w(kappa0^(p-2) t) solves the equation wherever w does, and the run marches w:
+    # every kappa0 takes the steps of kappa0 = 1, and its outputs map back by powers of kappa0.
+    # On this grid T_e / kappa0^(2-p) agreed to 1.2e-14, sup / kappa0 to 3.3e-16 and the
+    # excess / kappa0 to 1.1e-13, all relative; the bounds are about ten times those
+    cfg, grid = PdeConfig(params=make_params(2, 1.5)), RadialGrid(15.0, 100)
+    base = run_to_extinction(cfg, make_initial(cfg, grid))
+    assert base.supersolution_excess > 0.0
+    for kappa0 in (1e-12, 1e-200, 1e150):
+        cfg = PdeConfig(params=cfg.params, kappa0=kappa0)
+        frames = run_to_extinction(cfg, make_initial(cfg, grid))
+        assert frames.n_steps == base.n_steps
+        assert frames.T_e_estimate / kappa0**0.5 == pytest.approx(base.T_e_estimate, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(frames.sup / kappa0, base.sup, rtol=4e-15, atol=0.0)
+        assert frames.supersolution_excess / kappa0 == pytest.approx(base.supersolution_excess, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("N, tol", [(1, 2e-3), (5, 0.02)])
+def test_separable_data_at_p_near_2_extinguishes_at_T0(ctx, N, tol):
+    # at p = 1.9 separable data with T0 = 1 peaks at 0.1^10 a_*; run as it stood, without dividing
+    # that out, it read T_e = 6.90 at N = 1 and 3.40 at N = 5. On M = 500, |T_e - 1| is 7.3e-4 at
+    # N = 1 and 8.6e-3 at N = 5 (6.8e-4 and 8.6e-3 at M = 2000)
+    frames = run_to_extinction(*separable_initial(ctx.ground_state(N, 1.9).traj, RadialGrid(15.0, 500)))
+    assert abs(frames.T_e_estimate - 1.0) <= tol
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_the_selected_profile_does_not_depend_on_the_data(gs2, P2, factor):
+    # separable data built from f(.; a) on either side of a_* (C below, A above) still selects
+    # f_*, within criterion 12's gates: 5.6e-3 a_* from 0.9 a_* and 3.3e-3 a_* from 1.1 a_*
+    cfg, field = separable_initial(integrate(P2, factor * gs2.a_star), RadialGrid(15.0, 500))
+    cmp = profile_errors(run_to_extinction(cfg, field), gs2.traj)
+    kept = cmp.sup_error[cmp.before_endgame]
+    assert kept[-1] <= 0.05 * gs2.a_star
+    assert kept[-3] >= kept[-2] >= kept[-1]
 
 
 def test_run_returns_once_the_field_is_zero():
@@ -353,7 +389,7 @@ class TestInitialData:
 
 class TestExplicitStep:
     def test_zero_is_fixed_point(self, P2):
-        geom = _geometry(PdeConfig(params=P2), RadialGrid(10.0, 64))
+        geom = _geometry(P2, RadialGrid(10.0, 64))
         u_new, _, clamped = explicit_step(geom, np.zeros(64))
         assert np.array_equal(u_new, np.zeros(64))
         assert clamped == 0
@@ -363,14 +399,14 @@ class TestExplicitStep:
         monkeypatch.setattr(pde, "EPS_REG", 1e-8)
         cfg, field = separable_initial(gs2.traj, grid2000)
         u0 = field.values
-        u1, dt, _ = explicit_step(_geometry(cfg, grid2000), u0)
+        u1, dt, _ = explicit_step(_geometry(cfg.params, grid2000), u0)
         rate = (u1.max() - u0.max()) / dt / u0.max()
         assert rate == pytest.approx(-2.0, rel=0.10)
 
     def test_monotone_preserved_over_1000_steps(self, gs2, grid2000, monkeypatch):
         monkeypatch.setattr(pde, "EPS_REG", 1e-8)
         cfg, field = separable_initial(gs2.traj, grid2000)
-        geom, u = _geometry(cfg, grid2000), field.values
+        geom, u = _geometry(cfg.params, grid2000), field.values
         clamps = 0
         for _ in range(1000):
             u, _, c = explicit_step(geom, u)
@@ -390,7 +426,7 @@ class TestExplicitStep:
         diffusive = grid.dr * grid.dr / (2.0 * flux_slope(D, P2.p).max())
         absorption = grid.dr / max(1.0, np.abs(phi).max())
         assert (absorption < diffusive) == sink_binds
-        assert _geometry(PdeConfig(params=P2), grid).dt_first == CFL_SAFETY * diffusive
+        assert _geometry(P2, grid).dt_first == CFL_SAFETY * diffusive
 
     @given(
         N=st.integers(min_value=1, max_value=3),
@@ -421,7 +457,7 @@ class TestExplicitStep:
         D, _ = face_flux(grid, p, u)
         slope = flux_slope(D, p)
         assert D[0] == 0.0
-        assert _geometry(cfg, grid).dt_first == CFL_SAFETY * (grid.dr * grid.dr / (2.0 * slope[0]))
+        assert _geometry(cfg.params, grid).dt_first == CFL_SAFETY * (grid.dr * grid.dr / (2.0 * slope[0]))
         lifted = slope > slope[0]
         assert np.all(1.5 * (2.0 - p) * D[lifted] ** 2 / pde.EPS_REG**2 < 4.0 * ulp)
         assert slope.max() <= slope[0] * (1.0 + 4.0 * ulp)
@@ -445,7 +481,7 @@ class TestResidual:
         u = np.sort(np.array(values, dtype=float))[::-1]  # non-increasing, non-negative: every Phi <= 0
         grid = resolved_grid(N, width, u.size)
         ref = flux_form(grid, P, u)
-        geom = _geometry(PdeConfig(params=P), grid)
+        geom = _geometry(P, grid)
         residual = _residual(geom, u, _diffusivity(geom, u))
         assert np.max(np.abs(residual - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -473,7 +509,7 @@ class TestCrossValidation:
         grid = RadialGrid(10.0, 250)
         cfg, field = separable_initial(gs2.traj, grid)
         u0 = field.values
-        u, v = self._explicit_and_imex(_geometry(cfg, grid), u0, 0.05)
+        u, v = self._explicit_and_imex(_geometry(cfg.params, grid), u0, 0.05)
         assert np.max(np.abs(u - v)) / u.max() < 1e-3
         # both match the analytic separable peak law (1 - t)^2
         exact = u0.max() * (1.0 - 0.05) ** 2
@@ -637,7 +673,7 @@ class TestSweepProperties:
         p_c = 2.0 * N / (N + 1.0)
         P = make_params(N, p_c + frac * (2.0 - p_c))
         u = np.sort(np.array(values, dtype=float))[::-1]  # non-increasing, non-negative
-        geom = _geometry(PdeConfig(params=P), resolved_grid(N, width, u.size))
+        geom = _geometry(P, resolved_grid(N, width, u.size))
         assert geom.k_dn[0] == 0.0 and (geom.k_dn[1:] > 0.0).all()
         dt = 10.0**log_dt
         u_new = _sweep(geom, _rows(geom, u, _diffusivity(geom, u)), dt, overwrite_rhs=False)

@@ -14,7 +14,8 @@ imports ``concurrent.futures``, ``multiprocessing``, ``threading`` or
 of every library function is read in its body, and none takes or holds a
 ``Params`` or a ``PdeConfig`` beside a run that carries its own. A private
 function's default is a fallback some call in ``src/`` or ``scripts/`` takes. The CLI
-declares each flag that several subcommands share once. Under the suite's
+declares each flag that several subcommands share once. The PDE march reads no
+amplitude: it steps u / kappa0, and the run maps its outputs back. Under the suite's
 warning filters a failing property test still shows its falsifying example.
 """
 
@@ -252,6 +253,47 @@ def test_the_flag_guard_sees_what_it_flags():
         "e.add_argument('--N', type=int)\n"
     )
     assert repeated_arguments(source) == ["--meta at line 2", "--N at line 9"]
+
+
+# the march of w = u / kappa0: a run at any kappa0 takes the steps of kappa0 = 1 only if none of these reads it
+KAPPA0_FREE = ("_geometry", "_march", "_step_imex", "_control", "_record_crossings", "_monitor")
+AMPLITUDE = {"kappa0", "extinction_threshold"}
+
+
+def amplitude_reads(source: str, functions) -> list[str]:
+    """Where the named functions read kappa0 or extinction_threshold, as a name or an attribute;
+    a named function the source does not define is reported too, so a rename cannot empty the guard."""
+    found, defined = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name not in functions:
+            continue
+        defined.add(node.name)
+        for n in ast.walk(node):
+            name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+            if name in AMPLITUDE:
+                found.append(f"{node.name} reads {name} at line {n.lineno}")
+    return found + [f"{name} is not defined" for name in functions if name not in defined]
+
+
+def test_the_march_reads_no_amplitude():
+    source = (Path(__file__).parents[1] / "src" / "selfsim" / "pde.py").read_text()
+    assert amplitude_reads(source, KAPPA0_FREE) == []
+
+
+def test_the_amplitude_guard_sees_what_it_flags():
+    source = (
+        "def _march(geom, u):\n"
+        "    return geom.atol * frames.config.kappa0\n"
+        "def _monitor(frames, kappa0):\n"
+        "    return max(u[0], frames.config.extinction_threshold)\n"
+        "def run(config):\n"
+        "    return config.kappa0\n"
+    )
+    assert amplitude_reads(source, ("_march", "_monitor", "_control")) == [
+        "_march reads kappa0 at line 2",
+        "_monitor reads extinction_threshold at line 4",
+        "_control is not defined",
+    ]
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
